@@ -11,6 +11,7 @@ make the pairing constant C(h, g) vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,10 +179,14 @@ def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+@lru_cache(maxsize=None)
 def anti_invariant_pairing_vanishes(trials: int = 32, seed: int = 7) -> bool:
     """Pointwise mechanism behind C(h, g) = 0: anti-invariant symmetric
     tensors pair to zero against every J-invariant symmetric tensor (the
-    Ricci tensor of a Kahler metric being of the latter kind)."""
+    Ricci tensor of a Kahler metric being of the latter kind).
+
+    The check is deterministic in (trials, seed), so its verdict is cached.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         m = int(rng.integers(1, 5))

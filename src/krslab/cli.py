@@ -51,10 +51,6 @@ def _write_json(path: str, payload: dict):
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_row(values) -> str:
-    return ",".join(format(v, ".17g") for v in values)
-
-
 # ---------------------------------------------------------------------------
 # solution (de)serialization
 
@@ -70,13 +66,13 @@ def profile_csv_header(r: int) -> str:
 def write_solution(out_dir: str, sol: solver.SolitonSolution):
     g = sol.grid
     r = g.nfactors
+    # one row per header column; the factor columns interleave l1, dl1, ddl1, l2, ...
+    cols = np.vstack([g.t, g.f, g.df, g.ddf,
+                      np.stack([g.l, g.dl, g.ddl], axis=1).reshape(3 * r, -1),
+                      g.u, g.du, g.ddu])
+    fmt = ",".join(["%.17g"] * cols.shape[0])
     lines = [profile_csv_header(r)]
-    for k in range(g.t.size):
-        row = [g.t[k], g.f[k], g.df[k], g.ddf[k]]
-        for i in range(r):
-            row += [g.l[i, k], g.dl[i, k], g.ddl[i, k]]
-        row += [g.u[k], g.du[k], g.ddu[k]]
-        lines.append(_csv_row(row))
+    lines += [fmt % tuple(row) for row in cols.T.tolist()]
     _write_atomic(os.path.join(out_dir, f"profile_{sol.method}.csv"),
                   "\n".join(lines) + "\n")
     payload = sol.to_dict()

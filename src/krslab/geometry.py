@@ -68,7 +68,8 @@ class ProfileGrid:
     """Sampled metric profiles with first and second derivatives.
 
     l profiles are stacked as arrays of shape (r, K+1); the scheme carries the
-    node vector, differentiation matrix and quadrature weights.
+    node vector and quadrature weights, and builds its differentiation matrix
+    on first use.
     """
 
     scheme: Scheme

@@ -1,15 +1,31 @@
 """Collocation grids: Chebyshev-Lobatto spectral and uniform finite-difference.
 
-Everything downstream works on a node vector in [0, T] together with a
-differentiation matrix and quadrature weights.  The spectral scheme is the
-default; a 4th-order uniform scheme is kept as a cross-check fallback.
+Everything downstream works on a node vector in [0, T] together with
+quadrature weights.  The spectral scheme is the default; a 4th-order uniform
+scheme is kept as a cross-check fallback.
+
+Building a scheme costs O(N log N): the Clenshaw-Curtis weights come from one
+DCT-I of the even Chebyshev moments (Waldvogel, BIT 46, 2006).  The dense
+(N+1)^2 differentiation matrix ``Scheme.D`` is built on first use and cached
+on the scheme; only the ``v_h`` collocation solve and the tests read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
+
+
+def _lobatto_nodes(n: int, a: float, b: float):
+    """Standard Chebyshev-Lobatto nodes x on [-1, 1] (descending) and their
+    images t on [a, b] (increasing)."""
+    if n < 1:
+        raise ValueError("need at least 2 nodes")
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    return x, a + (b - a) * (1.0 - x) / 2.0
 
 
 def cheb_lobatto(n: int, a: float = 0.0, b: float = 1.0):
@@ -18,21 +34,16 @@ def cheb_lobatto(n: int, a: float = 0.0, b: float = 1.0):
 
     Returns (t, D) where t has n+1 entries and D @ v approximates v'.
     """
-    if n < 1:
-        raise ValueError("need at least 2 nodes")
-    k = np.arange(n + 1)
-    # standard nodes on [-1, 1], descending; flip to get increasing order
-    x = np.cos(np.pi * k / n)
+    x, t = _lobatto_nodes(n, a, b)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
-    c *= (-1.0) ** k
+    c *= (-1.0) ** np.arange(n + 1)
     X = np.tile(x, (n + 1, 1)).T
     dX = X - X.T
     D = np.outer(c, 1.0 / c) / (dX + np.eye(n + 1))
     # negative-sum trick: diagonal from exact row sums, better roundoff
     D -= np.diag(D.sum(axis=1))
     # map to [a, b] with increasing nodes
-    t = a + (b - a) * (1.0 - x) / 2.0
     D = -D * (2.0 / (b - a))
     return t, D
 
@@ -40,32 +51,26 @@ def cheb_lobatto(n: int, a: float = 0.0, b: float = 1.0):
 def clenshaw_curtis_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     """Quadrature weights for the n+1 Chebyshev-Lobatto nodes on [a, b]
     (increasing order), exact for polynomials of degree n."""
-    if n == 1:
-        return np.array([0.5, 0.5]) * (b - a)
     c = np.zeros(n + 1)
     c[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)
-    # inverse DCT-I of the even-coefficient sequence
-    w = np.zeros(n + 1)
-    k = np.arange(n + 1)
-    theta = np.pi * k / n
-    for j in range(0, n + 1, 2):
-        term = np.cos(j * theta) * c[j]
-        if j == 0 or j == n:
-            term *= 0.5
-        w += term
-    w *= 2.0 / n
+    # inverse DCT-I of the even-moment sequence
+    w = scipy.fft.dct(c, type=1) / n
     w[0] *= 0.5
     w[-1] *= 0.5
     # nodes were flipped to increasing order; weights are symmetric anyway
     return w[::-1] * (b - a) / 2.0
 
 
+def _uniform_nodes(n: int, a: float, b: float) -> np.ndarray:
+    if n < 5:
+        raise ValueError("need at least 6 nodes for the 4th-order stencil")
+    return np.linspace(a, b, n + 1)
+
+
 def uniform_fd4(n: int, a: float = 0.0, b: float = 1.0):
     """Uniform nodes with a 4th-order differentiation matrix
     (centered interior, one-sided at the edges)."""
-    if n < 5:
-        raise ValueError("need at least 6 nodes for the 4th-order stencil")
-    t = np.linspace(a, b, n + 1)
+    t = _uniform_nodes(n, a, b)
     h = t[1] - t[0]
     D = np.zeros((n + 1, n + 1))
     for i in range(2, n - 1):
@@ -82,7 +87,7 @@ def uniform_fd4(n: int, a: float = 0.0, b: float = 1.0):
 def uniform_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     """Composite 4th-order (Simpson-like, end-corrected) weights on the
     uniform grid."""
-    t = np.linspace(a, b, n + 1)
+    t = _uniform_nodes(n, a, b)
     h = t[1] - t[0]
     w = np.full(n + 1, 1.0)
     # Gregory-type end correction of order 4
@@ -94,22 +99,28 @@ def uniform_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A node vector with differentiation matrix and quadrature weights."""
+    """A node vector with quadrature weights; the differentiation matrix
+    ``D`` on [t[0], t[-1]] is built on first access and cached."""
 
     t: np.ndarray
-    D: np.ndarray
     w: np.ndarray
     kind: str = "chebyshev"
 
     @staticmethod
     def chebyshev(n: int, a: float = 0.0, b: float = 1.0) -> "Scheme":
-        t, D = cheb_lobatto(n, a, b)
-        return Scheme(t, D, clenshaw_curtis_weights(n, a, b), "chebyshev")
+        _, t = _lobatto_nodes(n, a, b)
+        return Scheme(t, clenshaw_curtis_weights(n, a, b), "chebyshev")
 
     @staticmethod
     def uniform(n: int, a: float = 0.0, b: float = 1.0) -> "Scheme":
-        t, D = uniform_fd4(n, a, b)
-        return Scheme(t, D, uniform_weights(n, a, b), "uniform")
+        return Scheme(_uniform_nodes(n, a, b), uniform_weights(n, a, b),
+                      "uniform")
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        build = cheb_lobatto if self.kind == "chebyshev" else uniform_fd4
+        _, D = build(self.t.size - 1, self.t[0], self.t[-1])
+        return D
 
     def integrate(self, F: np.ndarray) -> float:
         return float(self.w @ F)

@@ -12,8 +12,7 @@ of the two is the artifact's substitute for absent ground truth.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,16 +20,14 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .config import BundleConfig, ConfigError
+from .config import BundleConfig
 from . import geometry
 from .geometry import (
-    GeometryError,
     PinnedConstants,
     ProfileGrid,
     hessian_components,
     kaehler_residual,
     ricci_components,
-    volume_weight,
     weighted_integral,
     weighted_laplacian,
 )

@@ -9,7 +9,7 @@ identity all become scalar computations on the profile grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -175,3 +175,19 @@ class TestSerialization:
         assert back.c_slope == kc_momentum.c_slope
         assert np.abs(back.grid.f - kc_momentum.grid.f).max() == 0.0
         assert back.grid.validate()
+
+    def test_profile_csv_columns_and_digits(self, two_factor_momentum,
+                                            tmp_path):
+        # every value printed with format(., ".17g") in header column order
+        g = two_factor_momentum.grid
+        write_solution(str(tmp_path), two_factor_momentum)
+        with open(tmp_path / "profile_momentum.csv") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == profile_csv_header(2)
+        assert len(lines) == g.t.size + 1
+        for k in (0, 1, g.t.size // 2, g.t.size - 1):
+            row = [g.t[k], g.f[k], g.df[k], g.ddf[k]]
+            for i in range(2):
+                row += [g.l[i, k], g.dl[i, k], g.ddl[i, k]]
+            row += [g.u[k], g.du[k], g.ddu[k]]
+            assert lines[k + 1] == ",".join(format(v, ".17g") for v in row)

@@ -9,6 +9,24 @@ from krslab.grids import (
     uniform_fd4,
     uniform_weights,
 )
+from krslab.solver import solve_momentum
+
+
+def _reference_cc_weights(n, a, b):
+    """Direct O(n^2) sum of the inverse DCT-I that defines the weights."""
+    c = np.zeros(n + 1)
+    c[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)
+    theta = np.pi * np.arange(n + 1) / n
+    w = np.zeros(n + 1)
+    for j in range(0, n + 1, 2):
+        term = np.cos(j * theta) * c[j]
+        if j == 0 or j == n:
+            term *= 0.5
+        w += term
+    w *= 2.0 / n
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w[::-1] * (b - a) / 2.0
 
 
 class TestChebyshev:
@@ -44,6 +62,15 @@ class TestChebyshev:
             assert w @ t**k == pytest.approx(1.0 / (k + 1), abs=1e-14)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 64, 1024])
+    def test_dct_weights_match_direct_sum(self, n):
+        a, b = 0.5, 3.5
+        w = clenshaw_curtis_weights(n, a, b)
+        ref = _reference_cc_weights(n, a, b)
+        assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert w.sum() == pytest.approx(b - a, rel=1e-14)
+
+
 class TestUniform:
     def test_differentiation_fourth_order(self):
         errs = []
@@ -76,6 +103,31 @@ class TestScheme:
         v = np.exp(-sch.t**2)
         assert sch.integrate(sch.D @ v) == pytest.approx(v[-1] - v[0],
                                                          abs=1e-12)
+
+
+class TestLazyDifferentiation:
+    @pytest.mark.parametrize("n,a,b", [(1, 0.0, 1.0), (16, 0.0, 3.0),
+                                       (513, -1.0, 2.5)])
+    def test_scheme_nodes_are_the_lobatto_nodes(self, n, a, b):
+        assert np.array_equal(Scheme.chebyshev(n, a, b).t,
+                              cheb_lobatto(n, a, b)[0])
+
+    @pytest.mark.parametrize("kind,eager", [("chebyshev", cheb_lobatto),
+                                            ("uniform", uniform_fd4)])
+    def test_D_built_on_first_access_and_cached(self, kind, eager):
+        sch = getattr(Scheme, kind)(64, 0.0, 3.2)
+        assert "D" not in vars(sch)
+        D = sch.D
+        assert sch.D is D
+        assert np.array_equal(D, eager(64, 0.0, 3.2)[1])
+
+    def test_solve_does_not_materialize_D(self, kc_config, constants):
+        sol = solve_momentum(kc_config, constants, nodes=4096)
+        assert "D" not in vars(sol.grid.scheme)
+
+    def test_profile_grid_with_u_shares_the_scheme(self, kc_momentum):
+        g = kc_momentum.grid
+        assert g.with_u(g.u + 1.0, g.du, g.ddu).scheme is g.scheme
 
 
 class TestEvenExtrapolate:

@@ -1,0 +1,62 @@
+"""Static hygiene checks on the package sources (stdlib ``ast`` only)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "krslab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Names bound by module-level imports, mapped to their line numbers."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # names listed in __all__ count as used (explicit re-exports)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted((line, name) for name, line in _imported_names(tree).items()
+                  if name not in used)
+
+
+def test_sources_found():
+    assert {p.name for p in MODULES} >= {"grids.py", "solver.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_unused_and_ignores_future():
+    src = ("from __future__ import annotations\n"
+           "import json\n"
+           "import numpy as np\n"
+           "import scipy.fft\n"
+           "from dataclasses import dataclass, field\n"
+           "x = np.zeros(3) + scipy.fft.dct(np.ones(2))\n"
+           "@dataclass\nclass A:\n    y: int = 0\n")
+    assert unused_imports(src) == [(2, "json"), (5, "field")]

@@ -113,6 +113,23 @@ class TestCConstant:
         with pytest.raises(StabilityError):
             c_constant(kc_momentum, "skew")
 
+    def test_anti_invariant_consults_the_algebra_check(self, kc_momentum,
+                                                       monkeypatch):
+        from krslab import algebra
+
+        monkeypatch.setattr(algebra, "anti_invariant_pairing_vanishes",
+                            lambda: False)
+        with pytest.raises(StabilityError):
+            c_constant(kc_momentum, "anti_invariant")
+
+    def test_algebra_check_runs_once(self, kc_momentum):
+        from krslab.algebra import anti_invariant_pairing_vanishes
+
+        c_constant(kc_momentum, "anti_invariant")
+        misses = anti_invariant_pairing_vanishes.cache_info().misses
+        c_constant(kc_momentum, "anti_invariant")
+        assert anti_invariant_pairing_vanishes.cache_info().misses == misses
+
 
 @pytest.fixture(scope="module")
 def sol192(kc_config, constants):
