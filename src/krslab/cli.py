@@ -17,9 +17,9 @@ import tempfile
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, Tolerances, load_run_config
-from .geometry import GeometryError, PinnedConstants, ProfileGrid
-from .grids import Scheme
+from .config import ConfigError, Tolerances, load_run_config, read_json
+from .geometry import PinnedConstants
+from .oracle import OracleError, pin_constants
 from . import algebra, solver, stability
 
 EXIT_OK = 0
@@ -64,73 +64,29 @@ def profile_csv_header(r: int) -> str:
 
 
 def write_solution(out_dir: str, sol: solver.SolitonSolution):
-    g = sol.grid
-    r = g.nfactors
-    # one row per header column; the factor columns interleave l1, dl1, ddl1, l2, ...
-    cols = np.vstack([g.t, g.f, g.df, g.ddf,
-                      np.stack([g.l, g.dl, g.ddl], axis=1).reshape(3 * r, -1),
-                      g.u, g.du, g.ddu])
+    cols = sol.grid.table()
     fmt = ",".join(["%.17g"] * cols.shape[0])
-    lines = [profile_csv_header(r)]
+    lines = [profile_csv_header(sol.grid.nfactors)]
     lines += [fmt % tuple(row) for row in cols.T.tolist()]
     _write_atomic(os.path.join(out_dir, f"profile_{sol.method}.csv"),
                   "\n".join(lines) + "\n")
-    payload = sol.to_dict()
-    payload["scheme"] = g.scheme.kind
-    _write_json(os.path.join(out_dir, f"solution_{sol.method}.json"), payload)
+    _write_json(os.path.join(out_dir, f"solution_{sol.method}.json"),
+                sol.to_dict())
 
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
-    with open(os.path.join(sol_dir, f"solution_{method}.json")) as fh:
-        meta = json.load(fh)
-    data = np.loadtxt(os.path.join(sol_dir, f"profile_{method}.csv"),
-                      delimiter=",", skiprows=1)
-    from .config import BaseFactor, BundleConfig
-
-    config = BundleConfig(factors=tuple(
-        BaseFactor(d=int(f["dim"]), p=float(f["einstein_constant"]),
-                   q=int(f["twist"]),
-                   kappa=float(f.get("deformation_norm2", 0.0)))
-        for f in meta["config"]["factors"]
-    ))
-    r = config.r
-    nodes = int(meta["nodes"])
-    if data.shape != (nodes + 1, 3 * r + 7):
-        raise GeometryError("profile CSV does not match the solution metadata")
-    mk = Scheme.chebyshev if meta["scheme"] == "chebyshev" else Scheme.uniform
-    sch = mk(nodes, 0.0, float(meta["T"]))
-    if np.abs(sch.t - data[:, 0]).max() > 1e-9:
-        raise GeometryError("profile nodes disagree with the stated scheme")
-    l = np.stack([data[:, 4 + 3 * i] for i in range(r)])
-    dl = np.stack([data[:, 5 + 3 * i] for i in range(r)])
-    ddl = np.stack([data[:, 6 + 3 * i] for i in range(r)])
-    grid = ProfileGrid(
-        scheme=sch, f=data[:, 1], df=data[:, 2], ddf=data[:, 3],
-        l=l, dl=dl, ddl=ddl,
-        u=data[:, 3 * r + 4], du=data[:, 3 * r + 5], ddu=data[:, 3 * r + 6],
-    )
-    grid.validate()
-    constants = PinnedConstants(
-        A=float(__import__("fractions").Fraction(meta["constants"]["A"])),
-        B=float(__import__("fractions").Fraction(meta["constants"]["B"])),
-        max_rel_err=float(meta["constants"]["max_rel_err"]),
-        samples=int(meta["constants"]["samples"]),
-    )
-    rep = solver.residual_report(grid, config, constants)
-    return solver.SolitonSolution(
-        grid=grid, config=config, constants=constants,
-        c_slope=float(meta["c_slope"]), gauge_shift=float(meta["gauge_shift"]),
-        residuals=rep, method=method,
-    )
+    meta = read_json(os.path.join(sol_dir, f"solution_{method}.json"))
+    table = np.loadtxt(os.path.join(sol_dir, f"profile_{method}.csv"),
+                       delimiter=",", skiprows=1)
+    return solver.SolitonSolution.from_dict(meta, table)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; a ConfigError (malformed config, constants or solution
+# metadata) propagates to main(), which reports it and exits 1
 
 
 def cmd_pin_constants(args) -> int:
-    from .oracle import OracleError, pin_constants
-
     try:
         pc = pin_constants(seed=args.seed, samples=args.samples,
                            h=args.fd_step, tol=args.fd_tol)
@@ -144,30 +100,22 @@ def cmd_pin_constants(args) -> int:
     return EXIT_OK
 
 
-def _load_constants(args) -> PinnedConstants:
-    if args.constants:
-        return PinnedConstants.load(args.constants)
-    from .oracle import pin_constants
-
-    return pin_constants(seed=args.seed)
-
-
 def cmd_solve(args) -> int:
-    try:
-        run = load_run_config(args.config)
-        constants = _load_constants(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    run = load_run_config(args.config)
+    constants = (PinnedConstants.load(args.constants) if args.constants
+                 else pin_constants(seed=run.seed))
     methods = (["momentum", "shooting"] if run.method == "both"
                else [run.method])
     sols = {}
     try:
         for method in methods:
-            fn = (solver.solve_momentum if method == "momentum"
-                  else solver.solve_shooting)
-            sols[method] = fn(run.bundle, constants, nodes=run.nodes,
-                              scheme=run.scheme)
+            if method == "momentum":
+                sols[method] = solver.solve_momentum(
+                    run.bundle, constants, nodes=run.nodes, scheme=run.scheme)
+            else:
+                sols[method] = solver.solve_shooting(
+                    run.bundle, constants, nodes=run.nodes, scheme=run.scheme,
+                    rtol=run.tolerances.ode)
     except (solver.NoSolitonFound, solver.SolverError) as exc:
         _write_json(os.path.join(args.out, "diagnostics.json"),
                     {"error": str(exc), "config": run.bundle.to_dict()})
@@ -192,17 +140,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = Tolerances()
-    if args.config:
-        try:
-            tol = load_run_config(args.config).tolerances
-        except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    tol = (load_run_config(args.config).tolerances if args.config
+           else Tolerances())
     try:
         sol = read_solution(args.solution, args.method)
         report = solver.identity_suite(sol)
-    except (OSError, ValueError, KeyError, GeometryError) as exc:
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
         print(f"identity verification failed to run: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
     bounds = {
@@ -222,12 +167,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(payload["passed"].values()) else EXIT_IDENTITY
 
 
-def _family_from_config(sol, run: RunConfig):
-    if not run.stability_profiles:
-        return stability.default_family(sol)
-    named = {p.name: p for p in stability.default_family(sol)}
+def _family(sol, profiles: tuple) -> list:
+    """The stability family named by a run config's profile specs, or the
+    default family when there are none."""
+    default = stability.default_family(sol)
+    if not profiles:
+        return default
+    named = {p.name: p for p in default}
     family = []
-    for items in run.stability_profiles:
+    for items in profiles:
         spec = dict(items)
         kind = spec.get("kind")
         if kind == "constant":
@@ -241,25 +189,16 @@ def _family_from_config(sol, run: RunConfig):
 
 
 def cmd_stability(args) -> int:
-    run = None
-    prefactor = 2.0
-    if args.config:
-        try:
-            run = load_run_config(args.config)
-            prefactor = run.prefactor
-        except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    run = load_run_config(args.config) if args.config else None
     try:
         sol = read_solution(args.solution, args.method)
-        family = (stability.default_family(sol) if run is None
-                  else _family_from_config(sol, run))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError, KeyError, GeometryError) as exc:
+        family = _family(sol, run.stability_profiles if run else ())
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
         print(f"failed to load solution: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
+    prefactor = run.prefactor if run else 2.0
     reports = stability.sign_explorer(sol, family, prefactor=prefactor)
     lines = ["profile,value,sign,C_hg,v_h_norm"]
     for rep in reports:
@@ -313,26 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="out")
     p.add_argument("--constants", default=None,
-                   help="pinned-constants JSON (default: re-pin)")
-    p.add_argument("--seed", type=int, default=0)
+                   help="pinned-constants JSON (default: re-pin with the "
+                        "config's seed)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="identity suite on a solved solution")
-    p.add_argument("--solution", required=True, help="solve output directory")
-    p.add_argument("--method", default="momentum",
-                   choices=["momentum", "shooting"])
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("stability", help="second-variation table on a "
-                                         "solved solution")
-    p.add_argument("--solution", required=True)
-    p.add_argument("--method", default="momentum",
-                   choices=["momentum", "shooting"])
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_stability)
+    for name, func, text in (
+            ("verify", cmd_verify, "identity suite on a solved solution"),
+            ("stability", cmd_stability,
+             "second-variation table on a solved solution")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--solution", required=True,
+                       help="solve output directory")
+        p.add_argument("--method", default="momentum",
+                       choices=["momentum", "shooting"])
+        p.add_argument("--config", default=None)
+        p.add_argument("--out", default="out")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("fuzz-algebra", help="randomized pointwise-algebra "
                                             "suite")

@@ -5,9 +5,41 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid bundle or run configuration."""
+
+
+_REQUIRED = object()
+
+# grid schemes by name; grids.Scheme.of_kind builds them
+SCHEME_KINDS = ("chebyshev", "uniform")
+
+
+def read_json(path: str) -> dict:
+    """Parsed JSON file; an unreadable or invalid file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def get_field(raw: dict, key: str, kind, default=_REQUIRED):
+    """raw[key] converted by ``kind``, or ``default`` when the key is absent
+    and a default is given; a missing or malformed value is a ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"expected an object holding {key!r}, got {raw!r}")
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {key!r}")
+        return default
+    try:
+        return kind(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed field {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -21,6 +53,19 @@ class BaseFactor:
     p: float
     q: int
     kappa: float = 0.0
+
+    def to_dict(self) -> dict:
+        return {"dim": self.d, "einstein_constant": self.p, "twist": self.q,
+                "deformation_norm2": self.kappa}
+
+    @staticmethod
+    def from_dict(raw: dict) -> "BaseFactor":
+        return BaseFactor(
+            d=get_field(raw, "dim", int),
+            p=get_field(raw, "einstein_constant", float),
+            q=get_field(raw, "twist", int),
+            kappa=get_field(raw, "deformation_norm2", float, 0.0),
+        )
 
     def __post_init__(self):
         if self.d < 2 or self.d % 2 != 0:
@@ -57,40 +102,27 @@ class BundleConfig:
     def n(self) -> int:
         return 2 + sum(f.d for f in self.factors)
 
-    @property
-    def d(self):
-        import numpy as np
+    def _column(self, attr: str) -> np.ndarray:
+        return np.array([getattr(f, attr) for f in self.factors], dtype=float)
 
-        return np.array([f.d for f in self.factors], dtype=float)
-
-    @property
-    def p(self):
-        import numpy as np
-
-        return np.array([f.p for f in self.factors], dtype=float)
-
-    @property
-    def q(self):
-        import numpy as np
-
-        return np.array([f.q for f in self.factors], dtype=float)
-
-    @property
-    def kappa(self):
-        import numpy as np
-
-        return np.array([f.kappa for f in self.factors], dtype=float)
+    # per-factor data as float arrays, in factor order
+    d = property(lambda self: self._column("d"))
+    p = property(lambda self: self._column("p"))
+    q = property(lambda self: self._column("q"))
+    kappa = property(lambda self: self._column("kappa"))
 
     def to_dict(self) -> dict:
-        return {
-            "factors": [
-                {"dim": f.d, "einstein_constant": f.p, "twist": f.q,
-                 "deformation_norm2": f.kappa}
-                for f in self.factors
-            ],
-            "n": self.n,
-            "tau": self.tau,
-        }
+        return {"factors": [f.to_dict() for f in self.factors],
+                "n": self.n, "tau": self.tau}
+
+    @staticmethod
+    def from_dict(raw: dict) -> "BundleConfig":
+        """Inverse of ``to_dict``; the derived ``n`` is not read back."""
+        factors = get_field(raw, "factors", list)
+        return BundleConfig(
+            factors=tuple(BaseFactor.from_dict(f) for f in factors),
+            tau=get_field(raw, "tau", float, 0.5),
+        )
 
 
 def koiso_cao() -> BundleConfig:
@@ -122,7 +154,7 @@ class RunConfig:
     def __post_init__(self):
         if self.nodes < 64:
             raise ConfigError("nodes must be >= 64")
-        if self.scheme not in ("chebyshev", "uniform"):
+        if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"unknown grid scheme {self.scheme!r}")
         if self.method not in ("momentum", "shooting", "both"):
             raise ConfigError(f"unknown method {self.method!r}")
@@ -132,38 +164,26 @@ class RunConfig:
                 raise ConfigError("tolerances must be positive")
 
 
+def _profile_specs(profiles) -> tuple:
+    return tuple(tuple(sorted(dict(p).items())) for p in profiles)
+
+
 def load_run_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        factors = tuple(
-            BaseFactor(
-                d=int(f["dim"]),
-                p=float(f["einstein_constant"]),
-                q=int(f["twist"]),
-                kappa=float(f.get("deformation_norm2", 0.0)),
-            )
-            for f in raw["factors"]
-        )
-        bundle = BundleConfig(factors=factors)
-        grid = raw.get("grid", {})
-        tol = raw.get("tolerances", {})
-        stab = raw.get("stability", {})
-        return RunConfig(
-            bundle=bundle,
-            nodes=int(grid.get("nodes", 1024)),
-            scheme=grid.get("scheme", "chebyshev"),
-            method=raw.get("method", "both"),
-            tolerances=Tolerances(
-                ode=float(tol.get("ode", 1e-12)),
-                residual=float(tol.get("residual", 1e-8)),
-                identity=float(tol.get("identity", 1e-6)),
-            ),
-            stability_profiles=tuple(
-                tuple(sorted(p.items())) for p in stab.get("profiles", [])
-            ),
-            prefactor=float(stab.get("prefactor", 2.0)),
-            seed=int(raw.get("seed", 0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed run config {path}: {exc}") from exc
+    raw = read_json(path)
+    grid = get_field(raw, "grid", dict, {})
+    tol = get_field(raw, "tolerances", dict, {})
+    stab = get_field(raw, "stability", dict, {})
+    return RunConfig(
+        bundle=BundleConfig.from_dict(raw),
+        nodes=get_field(grid, "nodes", int, 1024),
+        scheme=get_field(grid, "scheme", str, "chebyshev"),
+        method=get_field(raw, "method", str, "both"),
+        tolerances=Tolerances(
+            ode=get_field(tol, "ode", float, 1e-12),
+            residual=get_field(tol, "residual", float, 1e-8),
+            identity=get_field(tol, "identity", float, 1e-6),
+        ),
+        stability_profiles=get_field(stab, "profiles", _profile_specs, ()),
+        prefactor=get_field(stab, "prefactor", float, 2.0),
+        seed=get_field(raw, "seed", int, 0),
+    )

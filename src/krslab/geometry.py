@@ -10,12 +10,12 @@ oracle in :mod:`krslab.oracle`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .config import BundleConfig, ConfigError
+from .config import BundleConfig, ConfigError, get_field, read_json
 from .grids import Scheme, even_extrapolate
 
 
@@ -40,8 +40,6 @@ class PinnedConstants:
             )
 
     def to_dict(self) -> dict:
-        from fractions import Fraction
-
         return {
             "A": str(Fraction(self.A).limit_denominator(64)),
             "B": str(Fraction(self.B).limit_denominator(64)),
@@ -50,17 +48,20 @@ class PinnedConstants:
         }
 
     @staticmethod
-    def load(path: str) -> "PinnedConstants":
-        from fractions import Fraction
+    def from_dict(raw: dict) -> "PinnedConstants":
+        def fraction(v):
+            return float(Fraction(v))
 
-        with open(path) as fh:
-            raw = json.load(fh)
         return PinnedConstants(
-            A=float(Fraction(raw["A"])),
-            B=float(Fraction(raw["B"])),
-            max_rel_err=float(raw["max_rel_err"]),
-            samples=int(raw["samples"]),
+            A=get_field(raw, "A", fraction),
+            B=get_field(raw, "B", fraction),
+            max_rel_err=get_field(raw, "max_rel_err", float),
+            samples=get_field(raw, "samples", int),
         )
+
+    @staticmethod
+    def load(path: str) -> "PinnedConstants":
+        return PinnedConstants.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,32 @@ class ProfileGrid:
     def with_u(self, u, du, ddu) -> "ProfileGrid":
         return replace(self, u=u, du=du, ddu=ddu)
 
+    def table(self) -> np.ndarray:
+        """The profiles as rows t, f, df, ddf, l_i, dl_i, ddl_i (per factor),
+        u, du, ddu: the column layout of the profile CSV, transposed."""
+        r = self.nfactors
+        return np.vstack([self.t, self.f, self.df, self.ddf,
+                          np.stack([self.l, self.dl, self.ddl],
+                                   axis=1).reshape(3 * r, -1),
+                          self.u, self.du, self.ddu])
+
+    @staticmethod
+    def from_table(scheme: Scheme, table: np.ndarray, r: int) -> "ProfileGrid":
+        """Inverse of ``table`` for r factors, read from one row per node; the
+        node column must agree with the scheme."""
+        if table.shape != (scheme.t.size, 3 * r + 7):
+            raise GeometryError("profile table does not match the scheme")
+        if np.abs(scheme.t - table[:, 0]).max() > 1e-9:
+            raise GeometryError("profile nodes disagree with the scheme")
+        # factor columns l1, dl1, ddl1, l2, ... -> (factor, derivative, node)
+        lcols = table[:, 4:4 + 3 * r].T.reshape(r, 3, -1)
+        return ProfileGrid(
+            scheme=scheme, f=table[:, 1], df=table[:, 2], ddf=table[:, 3],
+            l=lcols[:, 0], dl=lcols[:, 1], ddl=lcols[:, 2],
+            u=table[:, 3 * r + 4], du=table[:, 3 * r + 5],
+            ddu=table[:, 3 * r + 6],
+        )
+
 
 @dataclass(frozen=True)
 class RicciProfiles:
@@ -136,12 +163,13 @@ def _check_factors(grid: ProfileGrid, config: BundleConfig):
         )
 
 
-def _fill_even(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Replace both endpoint values by even-in-(t - t_end) extrapolation from
-    the interior; used for 0/0 limits at the collapsing circle."""
-    out = v.copy()
-    out[0] = even_extrapolate(t, v, 0)
-    out[-1] = even_extrapolate(t, v, -1)
+def _fill_even(t: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Full-length profile from its interior values, both endpoint values by
+    even-in-(t - t_end) extrapolation; used for 0/0 limits at the
+    collapsing circle."""
+    out = np.pad(inner, 1)
+    out[0] = even_extrapolate(t, out, 0)
+    out[-1] = even_extrapolate(t, out, -1)
     return out
 
 
@@ -163,47 +191,25 @@ def ricci_components(
     """
     _check_factors(grid, config)
     constants.require_pinned()
-    t = grid.t
-    f, df, ddf = grid.f, grid.df, grid.ddf
-    if np.any(f[1:-1] == 0.0):
+    # interior nodes only; the endpoints are filled at the end
+    f, df, ddf = grid.f[1:-1], grid.df[1:-1], grid.ddf[1:-1]
+    if np.any(f == 0.0):
         raise GeometryError("f vanishes at an interior node")
-    d = config.d[:, None]
-    p = config.p[:, None]
-    q = config.q[:, None]
-    l, dl, ddl = grid.l, grid.dl, grid.ddl
+    d, p, q = config.d[:, None], config.p[:, None], config.q[:, None]
+    l, dl, ddl = grid.l[:, 1:-1], grid.dl[:, 1:-1], grid.ddl[:, 1:-1]
 
-    interior = slice(1, -1)
-    K = t.size
-    R_NN = np.zeros(K)
-    R_UU = np.zeros(K)
-    R_i = np.zeros((config.r, K))
-
-    lr = dl / l          # l'/l, finite everywhere
+    lr = dl / l
     lsum = (d * lr).sum(axis=0)
+    fr = df / f
+    R_NN = -ddf / f - (d * ddl / l).sum(axis=0)
+    R_UU = (-ddf / f - fr * lsum
+            + constants.A * f**2 * (d * q**2 / l**4).sum(axis=0))
+    R_i = (-ddl / l - lr * (fr + lsum - lr) + p / l**2
+           - constants.B * q**2 * f**2 / l**4)
 
-    R_NN_full = -ddf / np.where(f == 0, 1.0, f) - (d * ddl / l).sum(axis=0)
-    R_NN[interior] = R_NN_full[interior]
-
-    fr = np.zeros(K)
-    fr[interior] = df[interior] / f[interior]
-    R_UU[interior] = (
-        -ddf[interior] / f[interior]
-        - fr[interior] * lsum[interior]
-        + constants.A * f[interior] ** 2 * ((d * q**2 / l**4).sum(axis=0))[interior]
-    )
-
-    for i in range(config.r):
-        R_i[i, interior] = (
-            -ddl[i, interior] / l[i, interior]
-            - lr[i, interior]
-            * (fr[interior] + lsum[interior] - lr[i, interior])
-            + p[i] / l[i, interior] ** 2
-            - constants.B * q[i] ** 2 * f[interior] ** 2 / l[i, interior] ** 4
-        )
-
-    R_NN = _fill_even(t, R_NN)
-    R_UU = _fill_even(t, R_UU)
-    R_i = np.array([_fill_even(t, R_i[i]) for i in range(config.r)])
+    t = grid.t
+    R_NN, R_UU = _fill_even(t, R_NN), _fill_even(t, R_UU)
+    R_i = np.array([_fill_even(t, row) for row in R_i])
     R = R_NN + R_UU + (config.d[:, None] * R_i).sum(axis=0)
     return RicciProfiles(R_NN=R_NN, R_UU=R_UU, R_i=R_i, R=R)
 

@@ -18,6 +18,8 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
+from .config import SCHEME_KINDS, ConfigError
+
 
 def _lobatto_nodes(n: int, a: float, b: float):
     """Standard Chebyshev-Lobatto nodes x on [-1, 1] (descending) and their
@@ -115,6 +117,14 @@ class Scheme:
     def uniform(n: int, a: float = 0.0, b: float = 1.0) -> "Scheme":
         return Scheme(_uniform_nodes(n, a, b), uniform_weights(n, a, b),
                       "uniform")
+
+    @classmethod
+    def of_kind(cls, kind: str, n: int, a: float = 0.0,
+                b: float = 1.0) -> "Scheme":
+        """The scheme named ``kind`` (one of ``SCHEME_KINDS``) on [a, b]."""
+        if kind not in SCHEME_KINDS:
+            raise ConfigError(f"unknown grid scheme {kind!r}")
+        return getattr(cls, kind)(n, a, b)
 
     @cached_property
     def D(self) -> np.ndarray:

@@ -12,7 +12,8 @@ of the two is the artifact's substitute for absent ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,18 +21,18 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .config import BundleConfig
-from . import geometry
+from .config import BundleConfig, get_field
 from .geometry import (
     PinnedConstants,
     ProfileGrid,
+    RicciProfiles,
     hessian_components,
     kaehler_residual,
     ricci_components,
     weighted_integral,
     weighted_laplacian,
 )
-from .grids import Scheme
+from .grids import Scheme, even_extrapolate
 
 
 class NoSolitonFound(RuntimeError):
@@ -46,6 +47,36 @@ class SolverError(RuntimeError):
 # the oracle-pinned values must agree or the reduction is invalid
 _REDUCTION_A = 0.25
 _REDUCTION_B = 0.5
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The curvature and potential quantities of one solved grid, computed
+    once and shared by the residuals, the identities and the stability
+    integrals."""
+
+    ricci: RicciProfiles
+    hessian_u: tuple            # (H_NN, H_UU, H_i) of u
+    lap_u: np.ndarray           # Delta u
+    drift_lap_u: np.ndarray     # Delta_u u = Delta u - |grad u|^2
+    first_integral: np.ndarray  # tau (2 Delta u - |grad u|^2 + R) + u
+    volume: float               # int e^{-u} dV
+
+
+def evaluate(grid: ProfileGrid, config: BundleConfig,
+             constants: PinnedConstants) -> Evaluation:
+    """One pass over the grid: Ricci once, then everything built on it."""
+    ric = ricci_components(grid, config, constants)
+    drift = weighted_laplacian(grid, config, grid.u, grid.du, grid.ddu)
+    lap = drift + grid.du * grid.du
+    return Evaluation(
+        ricci=ric,
+        hessian_u=hessian_components(grid, grid.u, grid.du, grid.ddu),
+        lap_u=lap,
+        drift_lap_u=drift,
+        first_integral=config.tau * (2.0 * lap - grid.du**2 + ric.R) + grid.u,
+        volume=weighted_integral(grid, config, np.ones_like(grid.u)),
+    )
 
 
 @dataclass(frozen=True)
@@ -64,19 +95,10 @@ class ResidualReport:
     cross_method: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "E_N": self.E_N,
-            "E_U": self.E_U,
-            "E_i": list(self.E_i),
-            "kaehler": self.kaehler,
-            "trace": self.trace,
-            "hamilton": self.hamilton,
-            "delta_uu": self.delta_uu,
-            "gauge": self.gauge,
-            "div_integral": self.div_integral,
-        }
-        if self.cross_method is not None:
-            d["cross_method"] = self.cross_method
+        d = asdict(self)
+        d["E_i"] = list(self.E_i)
+        if self.cross_method is None:
+            del d["cross_method"]
         return d
 
     def max_equation_residual(self) -> float:
@@ -85,15 +107,28 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SolitonSolution:
+    """A solved soliton.  Its evaluation record and residual report are
+    computed on first use and cached; ``dataclasses.replace`` gives a new
+    solution that is evaluated afresh."""
+
     grid: ProfileGrid
     config: BundleConfig
     constants: PinnedConstants
     c_slope: float
-    gauge_shift: float
-    residuals: ResidualReport
     method: str
+    gauge_shift: float = 0.0
+    cross_method: Optional[float] = None
+
+    @cached_property
+    def evaluation(self) -> Evaluation:
+        return evaluate(self.grid, self.config, self.constants)
+
+    @cached_property
+    def residuals(self) -> ResidualReport:
+        return residual_report(self)
 
     def to_dict(self) -> dict:
+        """Metadata of the solution; the profiles go to ``grid.table()``."""
         return {
             "config": self.config.to_dict(),
             "c_slope": self.c_slope,
@@ -102,38 +137,48 @@ class SolitonSolution:
             "method": self.method,
             "nodes": int(self.grid.t.size - 1),
             "T": self.grid.T,
+            "scheme": self.grid.scheme.kind,
             "constants": self.constants.to_dict(),
         }
 
+    @staticmethod
+    def from_dict(meta: dict, table: np.ndarray) -> "SolitonSolution":
+        """Inverse of ``to_dict`` plus the profile table.  The residuals are
+        re-evaluated on the profiles; only the cross-method disagreement,
+        which needs the other solution, is taken from the metadata."""
+        config = BundleConfig.from_dict(get_field(meta, "config", dict))
+        constants = PinnedConstants.from_dict(get_field(meta, "constants",
+                                                        dict))
+        constants.require_pinned()
+        sch = Scheme.of_kind(get_field(meta, "scheme", str),
+                             get_field(meta, "nodes", int), 0.0,
+                             get_field(meta, "T", float))
+        grid = ProfileGrid.from_table(sch, table, config.r)
+        grid.validate()
+        stored = get_field(meta, "residuals", dict, {})
+        return SolitonSolution(
+            grid=grid, config=config, constants=constants,
+            c_slope=get_field(meta, "c_slope", float),
+            gauge_shift=get_field(meta, "gauge_shift", float),
+            method=get_field(meta, "method", str),
+            cross_method=get_field(stored, "cross_method", float, None),
+        )
+
 
 # ---------------------------------------------------------------------------
-# shared residual evaluation
+# residuals and identities, read off the evaluation record
 
 
-def soliton_equations(grid: ProfileGrid, config: BundleConfig,
-                      constants: PinnedConstants):
-    """Node-wise residuals of Ric + Hess u - g in the unit frame:
-    (E_N, E_U, E_i)."""
-    ric = ricci_components(grid, config, constants)
-    H_NN, H_UU, H_i = hessian_components(grid, grid.u, grid.du, grid.ddu)
+def residual_report(sol: SolitonSolution) -> ResidualReport:
+    grid, config, ev = sol.grid, sol.config, sol.evaluation
+    ric = ev.ricci
+    H_NN, H_UU, H_i = ev.hessian_u
+    # Ric + Hess u - g in the unit frame
     E_N = ric.R_NN + H_NN - 1.0
     E_U = ric.R_UU + H_UU - 1.0
     E_i = ric.R_i + H_i - 1.0
-    return E_N, E_U, E_i
-
-
-def residual_report(grid: ProfileGrid, config: BundleConfig,
-                    constants: PinnedConstants,
-                    cross_method: Optional[float] = None) -> ResidualReport:
-    E_N, E_U, E_i = soliton_equations(grid, config, constants)
-    ric = ricci_components(grid, config, constants)
-    n = config.n
-    lap_u = geometry.laplacian(grid, config, grid.u, grid.du, grid.ddu)
-    dlap_u = weighted_laplacian(grid, config, grid.u, grid.du, grid.ddu)
-    trace = ric.R + lap_u - n
-    # first integral of the system: tau (2 lap u - |grad u|^2 + R) + u
-    ham = 0.5 * (2.0 * lap_u - grid.du**2 + ric.R) + grid.u
-    vol = weighted_integral(grid, config, np.ones_like(grid.u))
+    trace = ric.R + ev.lap_u - config.n
+    ham = ev.first_integral
     return ResidualReport(
         E_N=float(np.abs(E_N).max()),
         E_U=float(np.abs(E_U).max()),
@@ -141,17 +186,19 @@ def residual_report(grid: ProfileGrid, config: BundleConfig,
         kaehler=float(np.abs(kaehler_residual(grid, config)).max()),
         trace=float(np.abs(trace).max()),
         hamilton=float(np.abs(ham - ham.mean()).max()),
-        delta_uu=float(np.abs(dlap_u + 2.0 * grid.u).max()),
-        gauge=abs(weighted_integral(grid, config, grid.u)) / vol,
-        div_integral=abs(weighted_integral(grid, config, dlap_u)),
-        cross_method=cross_method,
+        delta_uu=float(np.abs(ev.drift_lap_u + 2.0 * grid.u).max()),
+        gauge=abs(weighted_integral(grid, config, grid.u)) / ev.volume,
+        div_integral=abs(weighted_integral(grid, config, ev.drift_lap_u)),
+        cross_method=sol.cross_method,
     )
 
 
 def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     """Shift u so that the weighted mean of u vanishes,
     int u e^{-u} dV = 0.  Single shot: the shift multiplies the measure by a
-    constant, which cancels in the defining ratio."""
+    constant, which cancels in the defining ratio.  Only the two weighted
+    integrals are computed here; the shifted solution is evaluated when its
+    residuals are first read."""
     grid, config = sol.grid, sol.config
     a = weighted_integral(grid, config, grid.u) / weighted_integral(
         grid, config, np.ones_like(grid.u)
@@ -159,18 +206,23 @@ def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     if a == 0.0:
         return sol
     new_grid = grid.with_u(grid.u - a, grid.du, grid.ddu)
-    rep = residual_report(new_grid, config, sol.constants,
-                          cross_method=sol.residuals.cross_method)
-    return replace(sol, grid=new_grid, gauge_shift=sol.gauge_shift + a,
-                   residuals=rep)
+    return replace(sol, grid=new_grid, gauge_shift=sol.gauge_shift + a)
+
+
+def _solution(grid, config, constants, c_slope, method, normalize):
+    """A solver's result: validated, and gauge-normalized on request."""
+    grid.validate()
+    sol = SolitonSolution(grid=grid, config=config, constants=constants,
+                          c_slope=c_slope, method=method)
+    return gauge_normalize(sol) if normalize else sol
 
 
 def identity_suite(sol: SolitonSolution) -> dict:
     """Deviations of the soliton identities on a gauge-normalized solution:
     drift-Laplacian eigenvalue identity for u, trace identity, first-integral
-    constancy, and the divergence-theorem integral."""
-    r = residual_report(sol.grid, sol.config, sol.constants,
-                        cross_method=sol.residuals.cross_method)
+    constancy, and the divergence-theorem integral.  Always re-derived from
+    the solution's evaluation record."""
+    r = residual_report(sol)
     return {
         "delta_uu_plus_2u": r.delta_uu,
         "trace_R_plus_lap_u_minus_n": r.trace,
@@ -286,8 +338,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     t_of_xi = cheb.integ(lbnd=0.0)
     T = float(t_of_xi(np.pi))
 
-    mk = Scheme.chebyshev if scheme == "chebyshev" else Scheme.uniform
-    sch = mk(nodes, 0.0, T)
+    sch = Scheme.of_kind(scheme, nodes, 0.0, T)
 
     # invert t(xi) at the output nodes by Newton on the integrated series
     xi = np.pi * sch.t / T
@@ -325,15 +376,9 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     du = c * f
     ddu = c * dphi / 2.0
 
-    grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
-                       u=u, du=du, ddu=ddu)
-    grid.validate()
-    sol = SolitonSolution(
-        grid=grid, config=config, constants=constants, c_slope=c,
-        gauge_shift=0.0, residuals=residual_report(grid, config, constants),
-        method="momentum",
-    )
-    return gauge_normalize(sol) if normalize else sol
+    return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,
+                                 ddl=ddl, u=u, du=du, ddu=ddu),
+                     config, constants, c, "momentum", normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +620,7 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
                                   rtol, atol)
     lcB, solB = _integrate_branch(config, constants, af, u2f, eps, T - t_mid,
                                   rtol, atol, twist_sign=-1.0)
-    mk = Scheme.chebyshev if scheme == "chebyshev" else Scheme.uniform
-    sch = mk(nodes, 0.0, T)
+    sch = Scheme.of_kind(scheme, nodes, 0.0, T)
     rhs = _rhs(config, constants)
 
     K = sch.t.size
@@ -608,22 +652,14 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
         ddu[k] = dY[3 + 2 * r]
     # limits at the collapse points: f'' is odd (vanishes), l'', u'' even
     ddf[0] = ddf[-1] = 0.0
-    from .grids import even_extrapolate
-
     for row in (*ddl, ddu):
         row[0] = even_extrapolate(sch.t, row, 0)
         row[-1] = even_extrapolate(sch.t, row, -1)
 
-    grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
-                       u=u, du=du, ddu=ddu)
-    grid.validate()
     c_est = 2.0 * x[r]  # u = c s + ... with s ~ t^2/2 at the launch
-    sol = SolitonSolution(
-        grid=grid, config=config, constants=constants, c_slope=c_est,
-        gauge_shift=0.0, residuals=residual_report(grid, config, constants),
-        method="shooting",
-    )
-    return gauge_normalize(sol) if normalize else sol
+    return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,
+                                 ddl=ddl, u=u, du=du, ddu=ddu),
+                     config, constants, c_est, "shooting", normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -651,5 +687,4 @@ def cross_method_disagreement(sol_a: SolitonSolution,
 
 def attach_cross_method(sol: SolitonSolution, other: SolitonSolution
                         ) -> SolitonSolution:
-    d = cross_method_disagreement(sol, other)
-    return replace(sol, residuals=replace(sol.residuals, cross_method=d))
+    return replace(sol, cross_method=cross_method_disagreement(sol, other))

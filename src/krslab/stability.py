@@ -9,13 +9,13 @@ identity all become scalar computations on the profile grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import geometry
-from .geometry import ricci_components, weighted_integral, weighted_laplacian
+from . import algebra
+from .geometry import log_weight_slope, weighted_integral, weighted_laplacian
 from .solver import SolitonSolution
 
 
@@ -88,7 +88,6 @@ class EntropyGauge:
 
     mode: str = "ratio"          # "ratio" or "absolute"
     V0: Optional[float] = None   # orbit-volume constant, absolute mode only
-    tau: float = 0.5
 
     def __post_init__(self):
         if self.mode not in ("ratio", "absolute"):
@@ -112,17 +111,7 @@ class StabilityReport:
     gauge: str = "ratio"
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "value": self.value,
-            "prefactor": self.prefactor,
-            "scale": self.scale,
-            "sign": self.sign,
-            "C_hg": self.C_hg,
-            "v_h_norm": self.v_h_norm,
-            "essential": self.essential,
-            "gauge": self.gauge,
-        }
+        return asdict(self)
 
 
 def _require_normalized(sol: SolitonSolution, tol: float = 1e-8):
@@ -170,10 +159,9 @@ def dw_theorem_check(sol: SolitonSolution, pert: PerturbationProfile) -> float:
         raise StabilityError(
             "the factorization requires a t-independent profile"
         )
-    grid, config = sol.grid, sol.config
-    lap = weighted_laplacian(grid, config, grid.u, grid.du, grid.ddu)
+    lap = sol.evaluation.drift_lap_u
     total = float(sum(pert.kappas))
-    return abs(total * weighted_integral(grid, config, lap))
+    return abs(total * weighted_integral(sol.grid, sol.config, lap))
 
 
 def c_constant(sol: SolitonSolution, h_kind: str,
@@ -188,14 +176,12 @@ def c_constant(sol: SolitonSolution, h_kind: str,
     {"h_NN", "h_UU", "h_i"} on the grid.
     """
     grid, config = sol.grid, sol.config
-    ric = ricci_components(grid, config, sol.constants)
+    ric = sol.evaluation.ricci
     denom = weighted_integral(grid, config, ric.R)
     if abs(denom) < 1e-12:
         raise StabilityError("int R e^{-u} dV vanishes; C(h,g) undefined")
     if h_kind == "anti_invariant":
-        from .algebra import anti_invariant_pairing_vanishes
-
-        if not anti_invariant_pairing_vanishes():
+        if not algebra.anti_invariant_pairing_vanishes():
             raise StabilityError(
                 "pointwise orthogonality of invariant against anti-invariant "
                 "tensors failed its algebraic check"
@@ -244,7 +230,7 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
         raise StabilityError("source not sampled on the solution grid")
     D = sch.D
     D2 = D @ D
-    lw = geometry.log_weight_slope(grid, config)
+    lw = log_weight_slope(grid, config)
     L = D2 + np.diag(lw - grid.du) @ D + np.eye(grid.t.size)
     rhs = s.copy()
     # boundary rows: v'(0) = v'(T) = 0; the interior equations plus evenness
@@ -288,7 +274,7 @@ def ibp_identity_check(sol: SolitonSolution,
     grid, config = sol.grid, sol.config
     psi = pert.psi(grid.t)
     dpsi = pert.dpsi(grid.t)
-    lap = weighted_laplacian(grid, config, grid.u, grid.du, grid.ddu)
+    lap = sol.evaluation.drift_lap_u
     lhs = -0.5 * weighted_integral(grid, config, grid.du * dpsi)
     rhs = 0.5 * weighted_integral(grid, config, lap * psi)
     direct = weighted_integral(grid, config, lap * psi)
@@ -345,11 +331,9 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge,
     measure e^{-u} (4 pi tau)^{-n/2} dV has unit mass (requires the orbit
     volume V0) and returns the resulting entropy value.
     """
-    grid, config = sol.grid, sol.config
-    tau = gauge.tau
-    ric = ricci_components(grid, config, sol.constants)
-    lap = geometry.laplacian(grid, config, grid.u, grid.du, grid.ddu)
-    ham = tau * (2.0 * lap - grid.du**2 + ric.R) + grid.u - config.n
+    config = sol.config
+    tau = config.tau
+    ham = sol.evaluation.first_integral - config.n
     dev = float(np.abs(ham - ham.mean()).max())
     if dev >= constancy_tol:
         raise StabilityError(
@@ -362,7 +346,7 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge,
         out["value"] = value
         out["flag"] = "up to additive log-volume constant"
         return out
-    mass = weighted_integral(grid, config, np.ones_like(grid.u), V0=gauge.V0)
+    mass = gauge.V0 * sol.evaluation.volume
     shift = float(np.log(mass * (4.0 * np.pi * tau) ** (-config.n / 2.0)))
     out["value"] = value + shift
     out["compatibility_shift"] = shift

@@ -1,9 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import krslab
 from krslab.config import BaseFactor, BundleConfig, koiso_cao
 from krslab.oracle import pin_constants
-from krslab import solver
+from krslab import geometry, solver
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +55,21 @@ def two_factor_shooting(two_factor_config, constants):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def ricci_calls(monkeypatch):
+    """List that grows by one per Ricci evaluation: ``ricci_components`` is
+    wrapped in every krslab module that binds it."""
+    calls = []
+    original = geometry.ricci_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(krslab.__path__):
+        mod = importlib.import_module(f"krslab.{info.name}")
+        if getattr(mod, "ricci_components", None) is original:
+            monkeypatch.setattr(mod, "ricci_components", counted)
+    return calls

@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from krslab import solver
 from krslab.cli import main, profile_csv_header, read_solution, write_solution
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -31,6 +33,22 @@ def pipeline(tmp_path_factory):
                "--out", out) == 0
     return {"root": root, "constants": constants, "out": out,
             "config": config}
+
+
+def _edit_json(path, edit):
+    with open(path) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+
+
+def _momentum_config(pipeline, tmp_path, **changes):
+    """Copy of the pipeline config with method momentum, then `changes`."""
+    path = str(tmp_path / "momentum.json")
+    shutil.copy(pipeline["config"], path)
+    _edit_json(path, lambda raw: raw.update({"method": "momentum", **changes}))
+    return path
 
 
 class TestPinConstants:
@@ -100,6 +118,78 @@ class TestSolve:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
+    def test_ode_tolerance_reaches_shooting(self, pipeline, tmp_path,
+                                            monkeypatch):
+        seen = {}
+
+        def fake_shooting(*args, **kwargs):
+            seen.update(kwargs)
+            raise solver.SolverError("stopped by the test")
+
+        monkeypatch.setattr(solver, "solve_shooting", fake_shooting)
+        cfg = _momentum_config(pipeline, tmp_path, method="shooting",
+                               tolerances={"ode": 3e-11})
+        assert run("solve", "--config", cfg, "--constants",
+                   pipeline["constants"], "--out", str(tmp_path / "o")) == 3
+        assert seen["rtol"] == 3e-11
+
+
+# each case: the file it corrupts, the edit, and what the error must name
+MALFORMED = {
+    "factor-dim": ("config", lambda raw: raw["factors"][0].update(dim="two"),
+                   "'dim'"),
+    "grid-nodes": ("config", lambda raw: raw.update(grid={"nodes": "lots"}),
+                   "'nodes'"),
+    "constants-without-B": ("constants", lambda raw: raw.pop("B"), "'B'"),
+    "constants-A": ("constants", lambda raw: raw.update(A="quarter"), "'A'"),
+    "solution-scheme": ("solution",
+                        lambda raw: raw.update(scheme="legendre"),
+                        "'legendre'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
+    target, edit, named = MALFORMED[case]
+    cfg = _momentum_config(pipeline, tmp_path)
+    constants = str(tmp_path / "constants.json")
+    shutil.copy(pipeline["constants"], constants)
+    sol_dir = tmp_path / "sol"
+    shutil.copytree(pipeline["out"], sol_dir)
+    if target == "config":
+        _edit_json(cfg, edit)
+    elif target == "constants":
+        _edit_json(constants, edit)
+    else:
+        _edit_json(sol_dir / "solution_momentum.json", edit)
+    out = str(tmp_path / "o")
+    if target == "solution":
+        commands = [(cmd, "--solution", str(sol_dir), "--out", out)
+                    for cmd in ("verify", "stability")]
+    else:
+        commands = [("solve", "--config", cfg, "--constants", constants,
+                     "--out", out)]
+    for argv in commands:
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+
+def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
+    cfg = _momentum_config(pipeline, tmp_path)
+    out = str(tmp_path / "o")
+    per_command = []
+    for argv in (("solve", "--config", cfg, "--constants",
+                  pipeline["constants"], "--out", out),
+                 ("verify", "--solution", out, "--out", out),
+                 ("stability", "--solution", out, "--config", cfg,
+                  "--out", out)):
+        before = len(ricci_calls)
+        assert run(*argv) == 0
+        per_command.append(len(ricci_calls) - before)
+    assert per_command == [1, 1, 1]
+
 
 class TestVerify:
     def test_identities_pass(self, pipeline, tmp_path):
@@ -115,8 +205,6 @@ class TestVerify:
                    "shooting", "--out", str(tmp_path / "v")) == 0
 
     def test_corrupted_profile_exits_4(self, pipeline, tmp_path):
-        import shutil
-
         bad = tmp_path / "bad"
         shutil.copytree(pipeline["out"], bad)
         data = np.loadtxt(bad / "profile_momentum.csv", delimiter=",",
@@ -175,6 +263,23 @@ class TestSerialization:
         assert back.c_slope == kc_momentum.c_slope
         assert np.abs(back.grid.f - kc_momentum.grid.f).max() == 0.0
         assert back.grid.validate()
+
+    def test_write_read_write_is_byte_identical(self, kc_momentum, pipeline,
+                                                tmp_path):
+        # a fresh solution, and both solutions of a two-route solve (which
+        # carry the cross-method disagreement)
+        write_solution(str(tmp_path / "a"), kc_momentum)
+        write_solution(str(tmp_path / "b"),
+                       read_solution(str(tmp_path / "a"), "momentum"))
+        pairs = [(tmp_path / "a", tmp_path / "b", "momentum")]
+        for method in ("momentum", "shooting"):
+            back = read_solution(pipeline["out"], method)
+            write_solution(str(tmp_path / "c"), back)
+            pairs.append((pipeline["out"], tmp_path / "c", method))
+        for first, second, method in pairs:
+            for name in (f"profile_{method}.csv", f"solution_{method}.json"):
+                assert (open(os.path.join(first, name), "rb").read()
+                        == open(os.path.join(second, name), "rb").read())
 
     def test_profile_csv_columns_and_digits(self, two_factor_momentum,
                                             tmp_path):

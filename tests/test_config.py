@@ -55,6 +55,12 @@ class TestBundleConfig:
         assert d["factors"][0]["twist"] == 1
         assert d["n"] == 4
 
+    def test_from_dict_inverts_to_dict(self):
+        cfg = BundleConfig(factors=(BaseFactor(2, 2.0, 1, kappa=0.5),
+                                    BaseFactor(4, 3.0, -2)))
+        assert BundleConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) \
+            == cfg
+
 
 class TestRunConfig:
     def test_load_full_config(self, tmp_path):
@@ -88,6 +94,14 @@ class TestRunConfig:
         {"method": "collocation"},
         {"tolerances": {"residual": -1.0}},
         {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 0}]},
+        {"factors": [{"dim": "two", "einstein_constant": 2.0, "twist": 1}]},
+        {"factors": [{"dim": 2, "twist": 1}]},
+        {"factors": [7]},
+        {"grid": {"nodes": "lots"}},
+        {"grid": 5},
+        {"tolerances": {"ode": None}},
+        {"stability": {"profiles": [3]}},
+        {"seed": "zero"},
     ])
     def test_invalid_configs_rejected(self, tmp_path, patch):
         base = {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}]}
@@ -96,6 +110,15 @@ class TestRunConfig:
         path.write_text(json.dumps(base))
         with pytest.raises(ConfigError):
             load_run_config(str(path))
+
+    @pytest.mark.parametrize("text", ["", "{not json", "[1, 2]"])
+    def test_unreadable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_run_config(str(path))
+        with pytest.raises(ConfigError):
+            load_run_config(str(tmp_path / "missing.json"))
 
     def test_missing_factors_key(self, tmp_path):
         path = tmp_path / "bad.json"

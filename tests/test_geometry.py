@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from krslab.config import koiso_cao
+from krslab import solver
+from krslab.config import BaseFactor, BundleConfig, ConfigError, koiso_cao
 from krslab.geometry import (
     GeometryError,
     PinnedConstants,
@@ -29,13 +32,23 @@ class TestPinnedConstants:
             PinnedConstants(A=0.25, B=0.5, max_rel_err=1e-3).require_pinned()
 
     def test_round_trip_file(self, tmp_path, constants):
-        import json
-
         path = tmp_path / "c.json"
         path.write_text(json.dumps(constants.to_dict()))
         loaded = PinnedConstants.load(str(path))
         assert (loaded.A, loaded.B) == (constants.A, constants.B)
         loaded.require_pinned()
+
+    def test_from_dict_inverts_to_dict(self, constants):
+        raw = json.loads(json.dumps(constants.to_dict()))
+        assert PinnedConstants.from_dict(raw) == constants
+
+    @pytest.mark.parametrize("patch", [{"B": None}, {"A": "quarter"},
+                                       {"samples": "many"}])
+    def test_malformed_fields_rejected(self, constants, patch):
+        raw = {**constants.to_dict(), **patch}
+        raw = {k: v for k, v in raw.items() if v is not None}
+        with pytest.raises(ConfigError):
+            PinnedConstants.from_dict(raw)
 
 
 class TestProfileInvariants:
@@ -91,6 +104,22 @@ class TestRicci:
                                       constants):
         with pytest.raises(Exception):
             ricci_components(two_factor_momentum.grid, kc, constants)
+
+    def test_factor_components_equal_the_per_factor_loop(self, constants):
+        # reference: one factor at a time, the same arithmetic as the
+        # vectorized interior formula, so the results must be bit-equal
+        cfg = BundleConfig(factors=(BaseFactor(2, 2.0, 1), BaseFactor(4, 3.0, 1),
+                                    BaseFactor(2, 3.0, -1)))
+        g = solver.solve_momentum(cfg, constants, nodes=128).grid
+        ric = ricci_components(g, cfg, constants)
+        f, df = g.f[1:-1], g.df[1:-1]
+        lr = g.dl[:, 1:-1] / g.l[:, 1:-1]
+        lsum = (cfg.d[:, None] * lr).sum(axis=0)
+        for i in range(cfg.r):
+            l = g.l[i, 1:-1]
+            ref = (-g.ddl[i, 1:-1] / l - lr[i] * (df / f + lsum - lr[i])
+                   + cfg.p[i] / l**2 - constants.B * cfg.q[i]**2 * f**2 / l**4)
+            assert np.array_equal(ric.R_i[i, 1:-1], ref)
 
 
 class TestWeightedCalculus:

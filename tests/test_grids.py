@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krslab.config import ConfigError
 from krslab.grids import (
     Scheme,
     cheb_lobatto,
@@ -96,6 +97,24 @@ class TestScheme:
         sch = getattr(Scheme, kind)(128, 0.0, 2.0)
         val = sch.integrate(np.cos(sch.t))
         assert val == pytest.approx(np.sin(2.0), abs=tol)
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "uniform"])
+    def test_of_kind_builds_the_named_scheme(self, kind):
+        sch = Scheme.of_kind(kind, 32, 0.0, 2.0)
+        ref = getattr(Scheme, kind)(32, 0.0, 2.0)
+        assert sch.kind == kind
+        assert np.array_equal(sch.t, ref.t) and np.array_equal(sch.w, ref.w)
+
+    def test_of_kind_looks_the_builder_up_at_call_time(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(Scheme, "uniform",
+                            staticmethod(lambda *a: seen.append(a) or "built"))
+        assert Scheme.of_kind("uniform", 8, 0.0, 1.0) == "built"
+        assert seen == [(8, 0.0, 1.0)]
+
+    def test_of_kind_rejects_unknown_kind(self):
+        with pytest.raises(ConfigError, match="legendre"):
+            Scheme.of_kind("legendre", 16)
 
     def test_derivative_and_weights_consistent(self):
         # fundamental theorem: int v' = v(b) - v(a)

@@ -42,6 +42,21 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def nested_imports(source: str) -> list:
+    """(line, kind) of every import below module level and every
+    ``__import__`` call."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
+            found.append((node.lineno, "import"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "__import__"):
+            found.append((node.lineno, "__import__"))
+    return sorted(found)
+
+
 def test_sources_found():
     assert {p.name for p in MODULES} >= {"grids.py", "solver.py", "cli.py"}
 
@@ -60,3 +75,21 @@ def test_detector_flags_unused_and_ignores_future():
            "x = np.zeros(3) + scipy.fft.dct(np.ones(2))\n"
            "@dataclass\nclass A:\n    y: int = 0\n")
     assert unused_imports(src) == [(2, "json"), (5, "field")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_detector_flags_nested_imports_and_dunder_import():
+    src = ("import json\n"
+           "def f():\n"
+           "    from fractions import Fraction\n"
+           "    return Fraction(1)\n"
+           "class A:\n"
+           "    def g(self):\n"
+           "        import os\n"
+           "        return __import__('math').pi\n")
+    assert nested_imports(src) == [(3, "import"), (7, "import"),
+                                   (8, "__import__")]

@@ -230,3 +230,39 @@ class TestEntropy:
     def test_absolute_mode_requires_volume(self):
         with pytest.raises(StabilityError):
             EntropyGauge(mode="absolute")
+
+    def test_tau_comes_from_the_config(self, kc_momentum):
+        out = nu_estimate(kc_momentum, EntropyGauge())
+        assert out["tau"] == kc_momentum.config.tau
+        with pytest.raises(TypeError):
+            EntropyGauge(tau=0.25)
+
+
+class TestSingleEvaluation:
+    def test_one_ricci_evaluation_serves_every_call(self, kc_config,
+                                                    constants, ricci_calls):
+        from krslab import solver
+
+        sol = solver.solve_momentum(kc_config, constants, nodes=256)
+        assert ricci_calls == []  # the solve itself evaluates nothing
+        t = sol.grid.t
+        h = {"h_NN": np.full_like(t, 0.5), "h_UU": np.full_like(t, 0.5),
+             "h_i": np.full((1, t.size), 0.5)}
+        v_h_solve(sol, np.cos(np.pi * t / sol.grid.T))
+        assert len(ricci_calls) == 1
+        sign_explorer(sol)
+        for kind in ("anti_invariant", "metric_direction"):
+            c_constant(sol, kind)
+        c_constant(sol, "custom", h)
+        nu_estimate(sol, EntropyGauge())
+        assert len(ricci_calls) == 1
+
+    def test_replace_evaluates_afresh(self, kc_momentum):
+        from dataclasses import replace
+
+        g = kc_momentum.grid
+        moved = replace(kc_momentum, grid=g.with_u(g.u + 0.3, g.du, g.ddu))
+        assert moved.evaluation is not kc_momentum.evaluation
+        assert np.allclose(moved.evaluation.first_integral,
+                           kc_momentum.evaluation.first_integral + 0.3,
+                           rtol=0.0, atol=1e-13)
