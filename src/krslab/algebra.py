@@ -11,7 +11,7 @@ make the pairing constant C(h, g) vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -85,9 +85,6 @@ def is_anti_invariant(m: int, h: np.ndarray, tol: float = 1e-13) -> bool:
     return bool(np.abs(J.T @ h @ J + h).max() <= tol * scale)
 
 
-_FRAME_KAPPA: list = []
-
-
 def _unitary_frame_matrix(m: int, h: np.ndarray) -> np.ndarray:
     """H_{ij} = h(conj(X_i), conj(X_j)) with X_i = (e_i - i J e_i)/sqrt(2)."""
     X_bar = np.zeros((2 * m, m), dtype=complex)
@@ -97,16 +94,15 @@ def _unitary_frame_matrix(m: int, h: np.ndarray) -> np.ndarray:
     return X_bar.T @ h @ X_bar
 
 
+@cache
 def frame_kappa() -> float:
     """Normalization of the complex-frame pairing, calibrated once on the
     rank-one anti-invariant probe diag(1, -1) for m = 1 and then frozen."""
-    if not _FRAME_KAPPA:
-        probe = np.diag([1.0, -1.0])
-        H = _unitary_frame_matrix(1, probe)
-        complex_pairing = float(np.real(np.sum(H * np.conj(H))))
-        real_pairing = float(np.sum(probe * probe))
-        _FRAME_KAPPA.append(real_pairing / complex_pairing)
-    return _FRAME_KAPPA[0]
+    probe = np.diag([1.0, -1.0])
+    H = _unitary_frame_matrix(1, probe)
+    complex_pairing = float(np.real(np.sum(H * np.conj(H))))
+    real_pairing = float(np.sum(probe * probe))
+    return real_pairing / complex_pairing
 
 
 def frame_pairing_check(m: int, h: np.ndarray, h_tilde: np.ndarray,
@@ -179,16 +175,16 @@ def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-@lru_cache(maxsize=None)
-def anti_invariant_pairing_vanishes(trials: int = 32, seed: int = 7) -> bool:
+@cache
+def anti_invariant_pairing_vanishes() -> bool:
     """Pointwise mechanism behind C(h, g) = 0: anti-invariant symmetric
     tensors pair to zero against every J-invariant symmetric tensor (the
     Ricci tensor of a Kahler metric being of the latter kind).
 
-    The check is deterministic in (trials, seed), so its verdict is cached.
+    The check draws 32 instances from the fixed seed 7: its verdict is cached.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    rng = np.random.default_rng(7)
+    for _ in range(32):
         m = int(rng.integers(1, 5))
         h = random_anti_invariant(rng, m)
         k = random_invariant(rng, m)

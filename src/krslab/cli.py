@@ -167,39 +167,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(payload["passed"].values()) else EXIT_IDENTITY
 
 
-def _family(sol, profiles: tuple) -> list:
-    """The stability family named by a run config's profile specs, or the
-    default family when there are none."""
-    default = stability.default_family(sol)
-    if not profiles:
-        return default
-    named = {p.name: p for p in default}
-    family = []
-    for items in profiles:
-        spec = dict(items)
-        kind = spec.get("kind")
-        if kind == "constant":
-            kap = spec.get("kappas", list(sol.config.kappa))
-            family.append(stability.constant_profile(kap))
-        elif kind in ("u_plus", "u_minus", "abs_u"):
-            family.append(named[kind])
-        else:
-            raise ConfigError(f"unknown stability profile kind {kind!r}")
-    return family
-
-
 def cmd_stability(args) -> int:
-    run = load_run_config(args.config) if args.config else None
+    specs = (load_run_config(args.config).stability_profiles if args.config
+             else ())
     try:
         sol = read_solution(args.solution, args.method)
-        family = _family(sol, run.stability_profiles if run else ())
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
         print(f"failed to load solution: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    prefactor = run.prefactor if run else 2.0
-    reports = stability.sign_explorer(sol, family, prefactor=prefactor)
+    reports = stability.sign_explorer(sol, stability.family(sol, specs))
     lines = ["profile,value,sign,C_hg,v_h_norm"]
     for rep in reports:
         lines.append(f"{rep.profile},{rep.value:.17g},{rep.sign},"
@@ -208,8 +186,7 @@ def cmd_stability(args) -> int:
     _write_atomic(os.path.join(args.out, f"stability_{args.method}.csv"),
                   "\n".join(lines) + "\n")
     # constant profiles must land in the zero band on a solved soliton
-    bad = [r for r in reports
-           if r.essential and r.sign != "zero"]
+    bad = [r for r in reports if r.essential and r.sign != "zero"]
     if bad:
         print("vanishing theorem violated for constant profiles",
               file=sys.stderr)

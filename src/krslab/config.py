@@ -16,6 +16,10 @@ _REQUIRED = object()
 
 # grid schemes by name; grids.Scheme.of_kind builds them
 SCHEME_KINDS = ("chebyshev", "uniform")
+# stability profiles by name, default family order; stability.family builds
+PROFILE_KINDS = ("constant", "u_plus", "u_minus", "abs_u")
+# the second-variation integral is 2 * int u psi e^{-u} dV
+STABILITY_PREFACTOR = 2.0
 
 
 def read_json(path: str) -> dict:
@@ -138,6 +142,40 @@ class Tolerances:
     identity: float = 1e-6
 
 
+def _float_list(raw) -> tuple:
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a list of numbers, got {raw!r}")
+    return tuple(float(k) for k in raw)
+
+
+@dataclass(frozen=True)
+class ProfileSpec:
+    """One stability profile named by a run config: a kind from
+    PROFILE_KINDS and, for the constant kind only, optional per-factor
+    deformation norms kappas >= 0."""
+
+    kind: str
+    kappas: tuple | None = None
+
+    def __post_init__(self):
+        if self.kind not in PROFILE_KINDS:
+            raise ConfigError(f"unknown stability profile kind {self.kind!r}")
+        if self.kappas is not None and self.kind != "constant":
+            raise ConfigError(f"profile kind {self.kind!r} takes no kappas")
+        if not all(k >= 0 for k in self.kappas or ()):
+            raise ConfigError(f"kappas must be >= 0, got {self.kappas}")
+
+    def check_factors(self, r: int):
+        if self.kappas is not None and len(self.kappas) != r:
+            raise ConfigError(f"constant profile has {len(self.kappas)} "
+                              f"kappas for {r} factors")
+
+    @staticmethod
+    def from_dict(raw: dict) -> "ProfileSpec":
+        return ProfileSpec(kind=get_field(raw, "kind", str),
+                           kappas=get_field(raw, "kappas", _float_list, None))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed JSON run configuration for the CLI."""
@@ -147,8 +185,7 @@ class RunConfig:
     scheme: str = "chebyshev"
     method: str = "both"
     tolerances: Tolerances = field(default_factory=Tolerances)
-    stability_profiles: tuple = ()
-    prefactor: float = 2.0
+    stability_profiles: tuple[ProfileSpec, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -162,10 +199,8 @@ class RunConfig:
                   self.tolerances.identity):
             if v <= 0:
                 raise ConfigError("tolerances must be positive")
-
-
-def _profile_specs(profiles) -> tuple:
-    return tuple(tuple(sorted(dict(p).items())) for p in profiles)
+        for spec in self.stability_profiles:
+            spec.check_factors(self.bundle.r)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -173,6 +208,10 @@ def load_run_config(path: str) -> RunConfig:
     grid = get_field(raw, "grid", dict, {})
     tol = get_field(raw, "tolerances", dict, {})
     stab = get_field(raw, "stability", dict, {})
+    if get_field(stab, "prefactor", float,
+                 STABILITY_PREFACTOR) != STABILITY_PREFACTOR:
+        raise ConfigError(
+            f"the stability prefactor is fixed at {STABILITY_PREFACTOR}")
     return RunConfig(
         bundle=BundleConfig.from_dict(raw),
         nodes=get_field(grid, "nodes", int, 1024),
@@ -183,7 +222,7 @@ def load_run_config(path: str) -> RunConfig:
             residual=get_field(tol, "residual", float, 1e-8),
             identity=get_field(tol, "identity", float, 1e-6),
         ),
-        stability_profiles=get_field(stab, "profiles", _profile_specs, ()),
-        prefactor=get_field(stab, "prefactor", float, 2.0),
+        stability_profiles=tuple(map(ProfileSpec.from_dict, get_field(
+            stab, "profiles", list, []))),
         seed=get_field(raw, "seed", int, 0),
     )

@@ -136,12 +136,13 @@ class Scheme:
         return float(self.w @ F)
 
 
-def even_extrapolate(t: np.ndarray, v: np.ndarray, idx_end: int, npts: int = 5) -> float:
+def even_extrapolate(t: np.ndarray, v: np.ndarray, idx_end: int) -> float:
     """Fill a boundary value of a function known to be even in (t - t_end)
     by polynomial extrapolation in the squared distance.
 
     idx_end is 0 or -1; the nearest npts interior nodes are used.
     """
+    npts = 5
     if idx_end == 0:
         sel = slice(1, 1 + npts)
         te = t[0]

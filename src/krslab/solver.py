@@ -48,6 +48,11 @@ class SolverError(RuntimeError):
 _REDUCTION_A = 0.25
 _REDUCTION_B = 0.5
 
+# shooting: series launch offset from each collapse point and absolute
+# integrator tolerance
+_EPS = 2e-3
+_ATOL = 1e-13
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -209,12 +214,12 @@ def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     return replace(sol, grid=new_grid, gauge_shift=sol.gauge_shift + a)
 
 
-def _solution(grid, config, constants, c_slope, method, normalize):
-    """A solver's result: validated, and gauge-normalized on request."""
+def _solution(grid, config, constants, c_slope, method):
+    """A solver's result: validated and gauge-normalized."""
     grid.validate()
-    sol = SolitonSolution(grid=grid, config=config, constants=constants,
-                          c_slope=c_slope, method=method)
-    return gauge_normalize(sol) if normalize else sol
+    return gauge_normalize(SolitonSolution(
+        grid=grid, config=config, constants=constants, c_slope=c_slope,
+        method=method))
 
 
 def identity_suite(sol: SolitonSolution) -> dict:
@@ -246,9 +251,7 @@ def _phi_integral(s, c, config, b):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     half = s[:, None] / 2.0
     sig = half * (_GL_NODES[None, :] + 1.0)
-    m = np.exp(-c * sig)
-    for dj, qj, bj in zip(config.d, config.q, b):
-        m = m * (qj * sig + bj) ** (dj / 2.0)
+    m = _phi_weight(sig, c, config, b)
     vals = (m * 2.0 * (1.0 - sig)) @ _GL_WEIGHTS
     return vals * half[:, 0]
 
@@ -265,10 +268,10 @@ def _phi(s, c, config, b):
     return _phi_integral(s, c, config, b) / _phi_weight(s, c, config, b)
 
 
-def find_slope_roots(config: BundleConfig, b, c_max: float = 8.0,
-                     scan: int = 400):
+def find_slope_roots(config: BundleConfig, b):
     """All roots of the far-end closure condition phi(2; c) = 0 in the search
-    box [-c_max, c_max]."""
+    box [-c_max, c_max], scanned in ``scan`` equal brackets."""
+    c_max, scan = 8.0, 400
     cs = np.linspace(-c_max, c_max, scan + 1)
     F = np.array([_phi_integral(2.0, c, config, b)[0] for c in cs])
     roots = []
@@ -284,8 +287,8 @@ def find_slope_roots(config: BundleConfig, b, c_max: float = 8.0,
 
 
 def solve_momentum(config: BundleConfig, constants: PinnedConstants,
-                   nodes: int = 1024, scheme: str = "chebyshev",
-                   normalize: bool = True) -> SolitonSolution:
+                   nodes: int = 1024, scheme: str = "chebyshev"
+                   ) -> SolitonSolution:
     """Solve by the momentum reduction and reconstruct the t-profiles.
 
     In the coordinate s (ds = f dt) the Kahler condition gives
@@ -378,7 +381,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
 
     return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,
                                  ddl=ddl, u=u, du=du, ddu=ddu),
-                     config, constants, c, "momentum", normalize)
+                     config, constants, c, "momentum")
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +457,8 @@ def _rhs(config: BundleConfig, constants: PinnedConstants):
     return rhs
 
 
-def _integrate_branch(config, constants, a, u2, eps, span, rtol, atol,
-                      twist_sign=1.0):
-    """Integrate one series-launched branch over [eps, span].
+def _integrate_branch(config, constants, a, u2, span, rtol, twist_sign=1.0):
+    """Integrate one series-launched branch over [_EPS, span].
 
     The far-end branch runs in tau = T - t; the orientation flip reverses
     the fiber twist there, which enters only the launch series (the bulk
@@ -464,13 +466,13 @@ def _integrate_branch(config, constants, a, u2, eps, span, rtol, atol,
     """
     if np.any(a <= 0):
         raise SolverError("trial with nonpositive collapse size l_i")
-    if span <= eps:
+    if span <= _EPS:
         raise SolverError("degenerate branch span")
     lc = _launch_coefficients(config, a, u2, constants, twist_sign)
-    y0 = _launch_state(lc, eps)
+    y0 = _launch_state(lc, _EPS)
     sol = solve_ivp(
-        _rhs(config, constants), (eps, span), y0, method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True,
+        _rhs(config, constants), (_EPS, span), y0, method="DOP853",
+        rtol=rtol, atol=_ATOL, dense_output=True,
     )
     if sol.status != 0:
         raise SolverError(f"branch integration failed: {sol.message}")
@@ -492,27 +494,26 @@ def _unpack(x, r):
             x[2 * r + 3])
 
 
-def _match_residual(config, constants, x, t_mid, eps, rtol, atol):
+def _match_residual(config, constants, x, t_mid, rtol):
     """Continuity defect of both branches at the interior matching point."""
     r = config.r
     a, u2, af, u2f, u0f, T = _unpack(x, r)
-    _, solA = _integrate_branch(config, constants, a, u2, eps, t_mid,
-                                rtol, atol)
-    _, solB = _integrate_branch(config, constants, af, u2f, eps, T - t_mid,
-                                rtol, atol, twist_sign=-1.0)
+    _, solA = _integrate_branch(config, constants, a, u2, t_mid, rtol)
+    _, solB = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
+                                twist_sign=-1.0)
     yA = solA.sol(t_mid)
     yB = _reflect(solB.sol(T - t_mid), r)
     yB[2 + 2 * r] += u0f
     return yA - yB
 
 
-def _default_guess(config, constants, a, u2, eps, rtol, atol):
+def _default_guess(config, constants, a, u2):
     """Probe the near branch to its collapse approach and read off far-end
     guesses (sizes, potential offset and curvature, total length)."""
     if np.any(a <= 0):
         raise SolverError("trial with nonpositive collapse size l_i")
     lc = _launch_coefficients(config, a, u2, constants)
-    y0 = _launch_state(lc, eps)
+    y0 = _launch_state(lc, _EPS)
     r = config.r
 
     def low(t, y):
@@ -520,7 +521,7 @@ def _default_guess(config, constants, a, u2, eps, rtol, atol):
 
     low.terminal = True
     low.direction = -1.0
-    sol = solve_ivp(_rhs(config, constants), (eps, 60.0), y0, method="DOP853",
+    sol = solve_ivp(_rhs(config, constants), (_EPS, 60.0), y0, method="DOP853",
                     rtol=1e-9, atol=1e-11, events=low, dense_output=True)
     if sol.status != 1 or len(sol.t_events[0]) == 0:
         raise SolverError(
@@ -542,10 +543,8 @@ def _default_guess(config, constants, a, u2, eps, rtol, atol):
 
 def solve_shooting(config: BundleConfig, constants: PinnedConstants,
                    nodes: int = 1024, scheme: str = "chebyshev",
-                   x0: Optional[np.ndarray] = None, eps: float = 2e-3,
-                   rtol: float = 1e-12, atol: float = 1e-13,
-                   newton_tol: float = 1e-11, max_iter: int = 40,
-                   normalize: bool = True) -> SolitonSolution:
+                   x0: Optional[np.ndarray] = None,
+                   rtol: float = 1e-12) -> SolitonSolution:
     """Shoot the full second-order system from 4th-order series launches at
     both collapse points and match in the interior.
 
@@ -563,28 +562,23 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     if x0 is None:
         x0 = np.concatenate([np.sqrt(config.p) * 0.7, [0.25]])
     x0 = np.asarray(x0, dtype=float)
-    if x0.size == r + 1:
-        # near-end guess (l_i(0), u''(0)/2) only: bootstrap the far end
-        # and the interval length from a probe integration
-        x, t_mid = _default_guess(config, constants, x0[:r], x0[r], eps,
-                                  rtol, atol)
-    elif x0.size == 2 * r + 4:
-        x = x0.copy()
-        _, t_mid = _default_guess(config, constants, x[:r], x[r], eps, rtol,
-                                  atol)
-    else:
+    if x0.size not in (r + 1, 2 * r + 4):
         raise SolverError(
             f"initial guess must have {r + 1} or {2 * r + 4} entries"
         )
+    # a near-end guess (l_i(0), u''(0)/2) alone bootstraps the far end and
+    # the interval length from a probe integration
+    guess, t_mid = _default_guess(config, constants, x0[:r], x0[r])
+    x = guess if x0.size == r + 1 else x0.copy()
 
     def res_only(xv):
-        return _match_residual(config, constants, xv, t_mid, eps, rtol, atol)
+        return _match_residual(config, constants, xv, t_mid, rtol)
 
     nx = 2 * r + 4
     res = res_only(x)
-    for it in range(max_iter):
+    for it in range(40):
         nrm = np.linalg.norm(res)
-        if nrm < newton_tol:
+        if nrm < 1e-11:
             break
         J = np.empty((nx, nx))
         for j in range(nx):
@@ -616,10 +610,9 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
         )
 
     a, u2, af, u2f, u0f, T = _unpack(x, r)
-    lcA, solA = _integrate_branch(config, constants, a, u2, eps, t_mid,
-                                  rtol, atol)
-    lcB, solB = _integrate_branch(config, constants, af, u2f, eps, T - t_mid,
-                                  rtol, atol, twist_sign=-1.0)
+    lcA, solA = _integrate_branch(config, constants, a, u2, t_mid, rtol)
+    lcB, solB = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
+                                  twist_sign=-1.0)
     sch = Scheme.of_kind(scheme, nodes, 0.0, T)
     rhs = _rhs(config, constants)
 
@@ -627,10 +620,10 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     Y = np.empty((4 + 2 * r, K))
     for k, tk in enumerate(sch.t):
         if tk <= t_mid:
-            Y[:, k] = _launch_state(lcA, tk) if tk < eps else solA.sol(tk)
+            Y[:, k] = _launch_state(lcA, tk) if tk < _EPS else solA.sol(tk)
         else:
             tau = T - tk
-            yb = _launch_state(lcB, tau) if tau < eps else solB.sol(tau)
+            yb = _launch_state(lcB, tau) if tau < _EPS else solB.sol(tau)
             Y[:, k] = _reflect(yb, r)
             Y[2 + 2 * r, k] += u0f
     f, df = Y[0], Y[1]
@@ -659,7 +652,7 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     c_est = 2.0 * x[r]  # u = c s + ... with s ~ t^2/2 at the launch
     return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,
                                  ddl=ddl, u=u, du=du, ddu=ddu),
-                     config, constants, c_est, "shooting", normalize)
+                     config, constants, c_est, "shooting")
 
 
 # ---------------------------------------------------------------------------

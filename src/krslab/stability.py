@@ -9,12 +9,14 @@ identity all become scalar computations on the profile grid.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import algebra
+from .config import PROFILE_KINDS, STABILITY_PREFACTOR, ProfileSpec
 from .geometry import log_weight_slope, weighted_integral, weighted_laplacian
 from .solver import SolitonSolution
 
@@ -32,7 +34,7 @@ class PerturbationProfile:
     """Pointwise squared norm of an anti-invariant perturbation.
 
     Either constant per-factor norms ``kappas`` (the geometric construction,
-    which may be flagged essential) or a synthetic sampled total profile
+    and the only essential one) or a synthetic sampled total profile
     ``psi_fn`` with optional derivative ``dpsi_fn``, both callables taking
     the node vector.  psi must be nonnegative.
     """
@@ -41,24 +43,23 @@ class PerturbationProfile:
     kappas: Optional[tuple] = None
     psi_fn: Optional[Callable] = None
     dpsi_fn: Optional[Callable] = None
-    essential: bool = False
 
     def __post_init__(self):
         if (self.kappas is None) == (self.psi_fn is None):
             raise StabilityError(
                 "profile needs exactly one of constant kappas or a sampled psi"
             )
-        if self.kappas is not None:
-            if any(k < 0 for k in self.kappas):
-                raise StabilityError("constant norms must be >= 0")
-        elif self.essential:
-            raise StabilityError(
-                "essentiality is established only for constant profiles"
-            )
+        if self.kappas is not None and any(k < 0 for k in self.kappas):
+            raise StabilityError("constant norms must be >= 0")
 
     @property
     def is_constant(self) -> bool:
         return self.kappas is not None
+
+    @property
+    def essential(self) -> bool:
+        """Essentiality is established only for constant profiles."""
+        return self.is_constant
 
     def psi(self, t: np.ndarray) -> np.ndarray:
         if self.is_constant:
@@ -76,10 +77,9 @@ class PerturbationProfile:
         return np.asarray(self.dpsi_fn(t), dtype=float)
 
 
-def constant_profile(kappas, name: str = "constant",
-                     essential: bool = True) -> PerturbationProfile:
-    return PerturbationProfile(name=name, kappas=tuple(float(k) for k in kappas),
-                               essential=essential)
+def constant_profile(kappas) -> PerturbationProfile:
+    return PerturbationProfile(name="constant",
+                               kappas=tuple(float(k) for k in kappas))
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,11 @@ class StabilityReport:
 
     profile: str
     value: float
-    prefactor: float
     scale: float
     sign: str                 # "negative" | "zero" | "positive"
     C_hg: float
     v_h_norm: float
     essential: bool
-    gauge: str = "ratio"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require_normalized(sol: SolitonSolution, tol: float = 1e-8):
@@ -129,22 +124,22 @@ def _classify(value: float, scale: float, band: float = 1e-8) -> str:
     return "positive" if value > 0 else "negative"
 
 
-def second_variation_main(sol: SolitonSolution, pert: PerturbationProfile,
-                          prefactor: float = 2.0) -> StabilityReport:
-    """Stability integral prefactor * int u * psi e^{-u} dV in the ratio
-    gauge; linear in the profile.  The reported scale is
-    |prefactor| * int psi e^{-u} dV, so value/scale is a weighted mean of u.
+def second_variation_main(sol: SolitonSolution,
+                          pert: PerturbationProfile) -> StabilityReport:
+    """Stability integral 2 * int u * psi e^{-u} dV in the ratio gauge;
+    linear in the profile.  The reported scale is 2 * int psi e^{-u} dV, so
+    value/scale is a weighted mean of u.
     """
     _require_normalized(sol)
     grid, config = sol.grid, sol.config
     psi = pert.psi(grid.t)
-    value = prefactor * weighted_integral(grid, config, grid.u * psi)
-    scale = abs(prefactor) * weighted_integral(grid, config, psi)
+    value = STABILITY_PREFACTOR * weighted_integral(grid, config, grid.u * psi)
+    scale = STABILITY_PREFACTOR * weighted_integral(grid, config, psi)
     # for the geometric (anti-invariant) perturbations the pairing constant
     # vanishes pointwise and so does the auxiliary potential source
     C_hg = c_constant(sol, "anti_invariant")
     return StabilityReport(
-        profile=pert.name, value=value, prefactor=prefactor, scale=scale,
+        profile=pert.name, value=value, scale=scale,
         sign=_classify(value, scale), C_hg=C_hg, v_h_norm=0.0,
         essential=pert.essential,
     )
@@ -231,7 +226,8 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     D = sch.D
     D2 = D @ D
     lw = log_weight_slope(grid, config)
-    L = D2 + np.diag(lw - grid.du) @ D + np.eye(grid.t.size)
+    L = D2 + (lw - grid.du)[:, None] * D
+    L[np.diag_indices_from(L)] += 1.0
     rhs = s.copy()
     # boundary rows: v'(0) = v'(T) = 0; the interior equations plus evenness
     # determine the endpoint limits
@@ -282,47 +278,44 @@ def ibp_identity_check(sol: SolitonSolution,
     return max(abs(lhs - rhs), abs(direct - by_parts))
 
 
-def default_family(sol: SolitonSolution) -> list:
-    """Shipped explorer family: the constant profile plus the synthetic
+def family(sol: SolitonSolution, specs: tuple = ()) -> list:
+    """The profiles named by ``specs`` (config.ProfileSpec, in order), or one
+    of each kind in PROFILE_KINDS: the constant profile plus the synthetic
     split of the potential into positive part, negative part and modulus.
     The split pair is guaranteed to produce opposite signs whenever u is
-    nonconstant with zero weighted mean."""
+    nonconstant with zero weighted mean.  A constant spec without kappas
+    takes the solution's deformation norms, or unit norms if all vanish."""
     kap = sol.config.kappa
     if not np.any(kap > 0):
         kap = np.ones(sol.config.r)
-    u_nodes = sol.grid.u
-    du_nodes = sol.grid.du
-    t_nodes = sol.grid.t
-
-    def interp(vals):
-        def fn(t):
-            return np.interp(t, t_nodes, vals)
-
-        return fn
-
-    u_plus = np.maximum(u_nodes, 0.0)
-    u_minus = np.maximum(-u_nodes, 0.0)
-    return [
-        constant_profile(kap),
-        PerturbationProfile(name="u_plus", psi_fn=interp(u_plus),
-                            dpsi_fn=interp(np.where(u_nodes > 0, du_nodes, 0.0))),
-        PerturbationProfile(name="u_minus", psi_fn=interp(u_minus),
-                            dpsi_fn=interp(np.where(u_nodes < 0, -du_nodes, 0.0))),
-        PerturbationProfile(name="abs_u", psi_fn=interp(np.abs(u_nodes)),
-                            dpsi_fn=interp(np.sign(u_nodes) * du_nodes)),
-    ]
+    t, u, du = sol.grid.t, sol.grid.u, sol.grid.du
+    split = {"u_plus": (np.maximum(u, 0.0), np.where(u > 0, du, 0.0)),
+             "u_minus": (np.maximum(-u, 0.0), np.where(u < 0, -du, 0.0)),
+             "abs_u": (np.abs(u), np.sign(u) * du)}
+    profiles = []
+    for spec in specs or [ProfileSpec(kind) for kind in PROFILE_KINDS]:
+        spec.check_factors(sol.config.r)
+        if spec.kind == "constant":
+            profiles.append(constant_profile(
+                kap if spec.kappas is None else spec.kappas))
+        else:
+            psi, dpsi = split[spec.kind]
+            profiles.append(PerturbationProfile(
+                name=spec.kind, psi_fn=partial(np.interp, xp=t, fp=psi),
+                dpsi_fn=partial(np.interp, xp=t, fp=dpsi)))
+    return profiles
 
 
-def sign_explorer(sol: SolitonSolution, family: Optional[list] = None,
-                  prefactor: float = 2.0) -> list:
-    """Evaluate the stability integral over a family of profiles."""
-    if family is None:
-        family = default_family(sol)
-    return [second_variation_main(sol, pert, prefactor) for pert in family]
+def sign_explorer(sol: SolitonSolution,
+                  profiles: Optional[list] = None) -> list:
+    """Evaluate the stability integral over a family of profiles (by
+    default ``family(sol)``)."""
+    if profiles is None:
+        profiles = family(sol)
+    return [second_variation_main(sol, pert) for pert in profiles]
 
 
-def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge,
-                constancy_tol: float = 1e-6) -> dict:
+def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
     """Entropy of the solved soliton from the constancy of the first
     integral tau (2 Delta u - |grad u|^2 + R) + u - n.
 
@@ -335,7 +328,7 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge,
     tau = config.tau
     ham = sol.evaluation.first_integral - config.n
     dev = float(np.abs(ham - ham.mean()).max())
-    if dev >= constancy_tol:
+    if dev >= 1e-6:
         raise StabilityError(
             f"first integral is not constant (deviation {dev:.3e}); "
             "refusing to report an entropy value"

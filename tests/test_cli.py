@@ -232,10 +232,32 @@ class TestStability:
         assert run("stability", "--solution", pipeline["out"],
                    "--out", str(tmp_path / "s")) == 0
 
-    def test_unknown_profile_kind_exits_1(self, pipeline, tmp_path):
+    def test_explicit_default_specs_match_no_config(self, pipeline,
+                                                     tmp_path):
+        with_cfg, without = tmp_path / "cfg", tmp_path / "none"
+        with open(pipeline["config"]) as fh:
+            kinds = [p["kind"] for p in json.load(fh)["stability"]["profiles"]]
+        assert kinds == ["constant", "u_plus", "u_minus", "abs_u"]
+        for method in ("momentum", "shooting"):
+            assert run("stability", "--solution", pipeline["out"], "--method",
+                       method, "--config", pipeline["config"], "--out",
+                       str(with_cfg)) == 0
+            assert run("stability", "--solution", pipeline["out"], "--method",
+                       method, "--out", str(without)) == 0
+            name = f"stability_{method}.csv"
+            assert (with_cfg / name).read_bytes() == \
+                (without / name).read_bytes()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "mystery"},
+        {"kind": "constant", "kappas": "x"},
+        {"kind": "constant", "kappas": [-1.0]},
+        {"kind": "constant", "kappas": [1.0, 2.0, 3.0]},
+    ], ids=["mystery", "kappas_str", "kappas_negative", "kappas_count"])
+    def test_unknown_profile_kind_exits_1(self, pipeline, tmp_path, spec):
         cfg = tmp_path / "s.json"
         raw = json.loads(open(pipeline["config"]).read())
-        raw["stability"] = {"profiles": [{"kind": "mystery"}]}
+        raw["stability"] = {"profiles": [spec]}
         cfg.write_text(json.dumps(raw))
         assert run("stability", "--solution", pipeline["out"], "--config",
                    str(cfg), "--out", str(tmp_path / "s")) == 1

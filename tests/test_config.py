@@ -6,6 +6,7 @@ from krslab.config import (
     BaseFactor,
     BundleConfig,
     ConfigError,
+    ProfileSpec,
     koiso_cao,
     load_run_config,
 )
@@ -88,6 +89,18 @@ class TestRunConfig:
         assert run.nodes == 1024
         assert run.method == "both"
 
+    def test_stability_specs_parsed(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}],
+            "stability": {"profiles": [{"kind": "abs_u"},
+                                       {"kind": "constant", "kappas": [2]}],
+                          "prefactor": 2.0},
+        }))
+        run = load_run_config(str(path))
+        assert run.stability_profiles == (ProfileSpec("abs_u"),
+                                          ProfileSpec("constant", (2.0,)))
+
     @pytest.mark.parametrize("patch", [
         {"grid": {"nodes": 16}},
         {"grid": {"scheme": "legendre"}},
@@ -102,6 +115,12 @@ class TestRunConfig:
         {"tolerances": {"ode": None}},
         {"stability": {"profiles": [3]}},
         {"seed": "zero"},
+        {"stability": {"profiles": [{"kind": "constant", "kappas": "x"}]}},
+        {"stability": {"profiles": [{"kind": "constant", "kappas": [-1.0]}]}},
+        {"stability": {"profiles": [{"kind": "constant",
+                                     "kappas": [1.0, 2.0]}]}},
+        {"stability": {"prefactor": -0.5}},
+        {"stability": {"profiles": [{"kind": "u_plus", "kappas": [1.0]}]}},
     ])
     def test_invalid_configs_rejected(self, tmp_path, patch):
         base = {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}]}

@@ -93,3 +93,53 @@ def test_detector_flags_nested_imports_and_dunder_import():
            "        return __import__('math').pi\n")
     assert nested_imports(src) == [(3, "import"), (7, "import"),
                                    (8, "__import__")]
+
+
+def dataclass_fields(source: str, classes: tuple) -> dict:
+    """Annotated field names of the named classes, mapped to the class."""
+    fields = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    fields[stmt.target.id] = node.name
+    return fields
+
+
+def attributes_read(sources) -> set:
+    """Every attribute name read (``x.name`` in load context) in the
+    sources."""
+    return {node.attr for src in sources for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(config_source: str, classes: tuple, other_sources) -> list:
+    read = attributes_read(other_sources)
+    return sorted(f"{cls}.{name}" for name, cls in
+                  dataclass_fields(config_source, classes).items()
+                  if name not in read)
+
+
+def test_every_run_config_field_is_read():
+    """A RunConfig or Tolerances field that no other module reads is a
+    config option that does nothing."""
+    config = SRC / "config.py"
+    others = [p.read_text() for p in MODULES if p != config]
+    assert unread_fields(config.read_text(), ("RunConfig", "Tolerances"),
+                         others) == []
+
+
+def test_detector_flags_unread_fields():
+    config = ("class RunConfig:\n"
+              "    nodes: int = 1\n"
+              "    knob: float = 2.0\n"
+              "    def check(self):\n"
+              "        return self.knob\n"
+              "class Other:\n"
+              "    extra: int = 0\n")
+    user = ("def solve(run):\n"
+            "    run.knob_count = 3\n"
+            "    return run.nodes\n")
+    assert unread_fields(config, ("RunConfig",), [user]) == ["RunConfig.knob"]

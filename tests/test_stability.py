@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from krslab import stability
+from krslab.config import BaseFactor, BundleConfig, ConfigError, ProfileSpec
 from krslab.stability import (
     EntropyGauge,
     PerturbationProfile,
@@ -9,7 +12,7 @@ from krslab.stability import (
     c_constant,
     constant_profile,
     dw_theorem_check,
-    default_family,
+    family,
     ibp_identity_check,
     nu_estimate,
     second_variation_main,
@@ -39,9 +42,8 @@ class TestProfiles:
             constant_profile([-1.0])
 
     def test_sampled_cannot_be_essential(self):
-        with pytest.raises(StabilityError):
-            PerturbationProfile(name="bad", psi_fn=lambda t: t,
-                                essential=True)
+        p = PerturbationProfile(name="sampled", psi_fn=lambda t: t)
+        assert not p.essential
 
     def test_negative_profile_rejected_at_evaluation(self, kc_momentum):
         p = PerturbationProfile(name="neg", psi_fn=lambda t: -np.ones_like(t))
@@ -63,17 +65,9 @@ class TestSecondVariation:
                                    sampled(kc_momentum, 3.0 * base))
         assert r2.value == pytest.approx(3.0 * r1.value, rel=1e-12)
 
-    def test_linearity_in_prefactor(self, kc_momentum):
-        p = sampled(kc_momentum, np.maximum(kc_momentum.grid.u, 0.0))
-        r1 = second_variation_main(kc_momentum, p, prefactor=2.0)
-        r2 = second_variation_main(kc_momentum, p, prefactor=-0.5)
-        assert r2.value == pytest.approx(-0.25 * r1.value, rel=1e-12)
-
-    def test_unnormalized_solution_rejected(self, kc_config, constants):
-        from krslab import solver
-
-        raw = solver.solve_momentum(kc_config, constants, nodes=256,
-                                    normalize=False)
+    def test_unnormalized_solution_rejected(self, kc_momentum):
+        g = kc_momentum.grid
+        raw = replace(kc_momentum, grid=g.with_u(g.u + 0.3, g.du, g.ddu))
         with pytest.raises(StabilityError):
             second_variation_main(raw, constant_profile([1.0]))
 
@@ -181,6 +175,30 @@ class TestIbp:
         p = sampled(kc_momentum, kc_momentum.grid.u**2)
         with pytest.raises(StabilityError):
             ibp_identity_check(kc_momentum, p)
+
+
+class TestFamily:
+    def test_default_is_one_profile_per_kind(self, kc_momentum):
+        profiles = family(kc_momentum)
+        assert [p.name for p in profiles] == [
+            "constant", "u_plus", "u_minus", "abs_u"]
+        assert [p.essential for p in profiles] == [True, False, False, False]
+
+    def test_specs_pick_kinds_in_order(self, two_factor_momentum):
+        specs = (ProfileSpec("abs_u"), ProfileSpec("constant", (2.0, 0.5)))
+        abs_u, const = family(two_factor_momentum, specs)
+        assert abs_u.name == "abs_u" and const.kappas == (2.0, 0.5)
+
+    def test_constant_norms_from_the_solution(self, kc_momentum):
+        # Koiso-Cao carries no deformation: unit norms stand in
+        assert family(kc_momentum)[0].kappas == (1.0,)
+        deformed = BundleConfig(factors=(BaseFactor(2, 2.0, 1, kappa=3.0),))
+        sol = replace(kc_momentum, config=deformed)
+        assert family(sol, (ProfileSpec("constant"),))[0].kappas == (3.0,)
+
+    def test_kappas_count_must_match_factors(self, kc_momentum):
+        with pytest.raises(ConfigError):
+            family(kc_momentum, (ProfileSpec("constant", (1.0, 2.0)),))
 
 
 class TestExplorer:
