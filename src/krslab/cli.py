@@ -82,8 +82,9 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
 
 
 # ---------------------------------------------------------------------------
-# commands; a ConfigError (malformed config, constants or solution
-# metadata) propagates to main(), which reports it and exits 1
+# commands; main() maps a ConfigError (malformed config, constants or
+# solution metadata) to exit 1, and any other OSError or ValueError (such
+# as a solution failing a geometry or stability precondition) to exit 4
 
 
 def cmd_pin_constants(args) -> int:
@@ -142,14 +143,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     tol = (load_run_config(args.config).tolerances if args.config
            else Tolerances())
-    try:
-        sol = read_solution(args.solution, args.method)
-        report = solver.identity_suite(sol)
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"identity verification failed to run: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+    report = solver.identity_suite(read_solution(args.solution, args.method))
     bounds = {
         "delta_uu_plus_2u": tol.identity,
         "trace_R_plus_lap_u_minus_n": tol.identity,
@@ -170,13 +164,7 @@ def cmd_verify(args) -> int:
 def cmd_stability(args) -> int:
     specs = (load_run_config(args.config).stability_profiles if args.config
              else ())
-    try:
-        sol = read_solution(args.solution, args.method)
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"failed to load solution: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+    sol = read_solution(args.solution, args.method)
     reports = stability.sign_explorer(sol, stability.family(sol, specs))
     lines = ["profile,value,sign,C_hg,v_h_norm"]
     for rep in reports:
@@ -263,6 +251,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (OSError, ValueError) as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_IDENTITY
 
 
 if __name__ == "__main__":

@@ -46,6 +46,17 @@ def get_field(raw: dict, key: str, kind, default=_REQUIRED):
         raise ConfigError(f"malformed field {key!r}: {exc}") from exc
 
 
+def check_keys(raw: dict, known: tuple) -> dict:
+    """raw, checked to be an object with no key outside ``known``: a
+    misspelt key is a ConfigError that names it, not an ignored option."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"expected an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown field {', '.join(map(repr, unknown))}")
+    return raw
+
+
 @dataclass(frozen=True)
 class BaseFactor:
     """One Einstein factor of the base: real dimension d (even), Einstein
@@ -64,6 +75,8 @@ class BaseFactor:
 
     @staticmethod
     def from_dict(raw: dict) -> "BaseFactor":
+        check_keys(raw, ("dim", "einstein_constant", "twist",
+                         "deformation_norm2"))
         return BaseFactor(
             d=get_field(raw, "dim", int),
             p=get_field(raw, "einstein_constant", float),
@@ -122,6 +135,7 @@ class BundleConfig:
     @staticmethod
     def from_dict(raw: dict) -> "BundleConfig":
         """Inverse of ``to_dict``; the derived ``n`` is not read back."""
+        check_keys(raw, ("factors", "n", "tau"))
         factors = get_field(raw, "factors", list)
         return BundleConfig(
             factors=tuple(BaseFactor.from_dict(f) for f in factors),
@@ -172,6 +186,7 @@ class ProfileSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "ProfileSpec":
+        check_keys(raw, ("kind", "kappas"))
         return ProfileSpec(kind=get_field(raw, "kind", str),
                            kappas=get_field(raw, "kappas", _float_list, None))
 
@@ -203,17 +218,24 @@ class RunConfig:
             spec.check_factors(self.bundle.r)
 
 
+# a run config's own keys; its other keys belong to its bundle
+_RUN_KEYS = ("grid", "method", "tolerances", "stability", "seed")
+
+
 def load_run_config(path: str) -> RunConfig:
     raw = read_json(path)
-    grid = get_field(raw, "grid", dict, {})
-    tol = get_field(raw, "tolerances", dict, {})
-    stab = get_field(raw, "stability", dict, {})
+    grid = check_keys(get_field(raw, "grid", dict, {}), ("nodes", "scheme"))
+    tol = check_keys(get_field(raw, "tolerances", dict, {}),
+                     ("ode", "residual", "identity"))
+    stab = check_keys(get_field(raw, "stability", dict, {}),
+                      ("profiles", "prefactor"))
     if get_field(stab, "prefactor", float,
                  STABILITY_PREFACTOR) != STABILITY_PREFACTOR:
         raise ConfigError(
             f"the stability prefactor is fixed at {STABILITY_PREFACTOR}")
     return RunConfig(
-        bundle=BundleConfig.from_dict(raw),
+        bundle=BundleConfig.from_dict(
+            {k: v for k, v in raw.items() if k not in _RUN_KEYS}),
         nodes=get_field(grid, "nodes", int, 1024),
         scheme=get_field(grid, "scheme", str, "chebyshev"),
         method=get_field(raw, "method", str, "both"),

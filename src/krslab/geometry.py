@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import BundleConfig, ConfigError, get_field, read_json
-from .grids import Scheme, even_extrapolate
+from .config import (BundleConfig, ConfigError, check_keys, get_field,
+                     read_json)
+from .grids import Scheme, fill_even
 
 
 class GeometryError(ValueError):
@@ -52,6 +53,7 @@ class PinnedConstants:
         def fraction(v):
             return float(Fraction(v))
 
+        check_keys(raw, ("A", "B", "max_rel_err", "samples"))
         return PinnedConstants(
             A=get_field(raw, "A", fraction),
             B=get_field(raw, "B", fraction),
@@ -96,7 +98,7 @@ class ProfileGrid:
     def nfactors(self) -> int:
         return self.l.shape[0]
 
-    def validate(self, strict: bool = True):
+    def validate(self) -> bool:
         t = self.t
         ok = (
             abs(self.f[0]) < 1e-10
@@ -111,9 +113,9 @@ class ProfileGrid:
             and abs(self.du[-1]) < 1e-8
             and np.all(np.diff(t) > 0)
         )
-        if strict and not ok:
+        if not ok:
             raise GeometryError("profile grid violates collapse/evenness invariants")
-        return ok
+        return True
 
     def with_u(self, u, du, ddu) -> "ProfileGrid":
         return replace(self, u=u, du=du, ddu=ddu)
@@ -163,22 +165,27 @@ def _check_factors(grid: ProfileGrid, config: BundleConfig):
         )
 
 
-def _fill_even(t: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Full-length profile from its interior values, both endpoint values by
-    even-in-(t - t_end) extrapolation; used for 0/0 limits at the
-    collapsing circle."""
-    out = np.pad(inner, 1)
-    out[0] = even_extrapolate(t, out, 0)
-    out[-1] = even_extrapolate(t, out, -1)
-    return out
-
-
 def kaehler_residual(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
     """Node-wise value of (l_i^2)' - q_i f per factor; identically zero for a
     Kahler configuration."""
     _check_factors(grid, config)
     q = config.q[:, None]
     return 2.0 * grid.l * grid.dl - q * grid.f[None, :]
+
+
+def ricci_frame(f, df, ddf, l, dl, ddl, d, p, q, A, B):
+    """Closed-form Ricci components (R_NN, R_UU, R_i) in the unit frame
+    where f > 0, for the oracle-pinned coefficients A, B.  f, df, ddf hold
+    one value per point; l, dl, ddl, d, p, q lead with a factor axis."""
+    lr = dl / l
+    lsum = (d * lr).sum(axis=0)
+    fr = df / f
+    R_NN = -ddf / f - (d * ddl / l).sum(axis=0)
+    R_UU = (-ddf / f - fr * lsum
+            + A * f**2 * (d * q**2 / l**4).sum(axis=0))
+    R_i = (-ddl / l - lr * (fr + lsum - lr) + p / l**2
+           - B * q**2 * f**2 / l**4)
+    return R_NN, R_UU, R_i
 
 
 def ricci_components(
@@ -192,24 +199,17 @@ def ricci_components(
     _check_factors(grid, config)
     constants.require_pinned()
     # interior nodes only; the endpoints are filled at the end
-    f, df, ddf = grid.f[1:-1], grid.df[1:-1], grid.ddf[1:-1]
+    f = grid.f[1:-1]
     if np.any(f == 0.0):
         raise GeometryError("f vanishes at an interior node")
-    d, p, q = config.d[:, None], config.p[:, None], config.q[:, None]
-    l, dl, ddl = grid.l[:, 1:-1], grid.dl[:, 1:-1], grid.ddl[:, 1:-1]
-
-    lr = dl / l
-    lsum = (d * lr).sum(axis=0)
-    fr = df / f
-    R_NN = -ddf / f - (d * ddl / l).sum(axis=0)
-    R_UU = (-ddf / f - fr * lsum
-            + constants.A * f**2 * (d * q**2 / l**4).sum(axis=0))
-    R_i = (-ddl / l - lr * (fr + lsum - lr) + p / l**2
-           - constants.B * q**2 * f**2 / l**4)
+    R_NN, R_UU, R_i = ricci_frame(
+        f, grid.df[1:-1], grid.ddf[1:-1], grid.l[:, 1:-1], grid.dl[:, 1:-1],
+        grid.ddl[:, 1:-1], config.d[:, None], config.p[:, None],
+        config.q[:, None], constants.A, constants.B)
 
     t = grid.t
-    R_NN, R_UU = _fill_even(t, R_NN), _fill_even(t, R_UU)
-    R_i = np.array([_fill_even(t, row) for row in R_i])
+    R_NN, R_UU = fill_even(t, R_NN), fill_even(t, R_UU)
+    R_i = np.array([fill_even(t, row) for row in R_i])
     R = R_NN + R_UU + (config.d[:, None] * R_i).sum(axis=0)
     return RicciProfiles(R_NN=R_NN, R_UU=R_UU, R_i=R_i, R=R)
 
@@ -274,10 +274,10 @@ def laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
     return weighted_laplacian(grid, config, v, dv, ddv) + grid.du * dv
 
 
-def weighted_integral(grid: ProfileGrid, config: BundleConfig, F: np.ndarray,
-                      V0: float = 1.0) -> float:
-    """integral of F over M against e^{-u} dV, reduced to
-    V0 * int F w e^{-u} dt with the configured quadrature."""
+def weighted_integral(grid: ProfileGrid, config: BundleConfig,
+                      F: np.ndarray) -> float:
+    """integral of F over M against e^{-u} dV per unit orbit volume V0,
+    reduced to int F w e^{-u} dt with the configured quadrature."""
     _check_factors(grid, config)
     w = volume_weight(grid, config)
-    return V0 * grid.scheme.integrate(F * w * np.exp(-grid.u))
+    return grid.scheme.integrate(F * w * np.exp(-grid.u))

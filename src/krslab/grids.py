@@ -153,3 +153,12 @@ def even_extrapolate(t: np.ndarray, v: np.ndarray, idx_end: int) -> float:
     scale = x.max()  # normalize for conditioning on clustered spectral nodes
     coeffs = np.polynomial.polynomial.polyfit(x / scale, v[sel], npts - 1)
     return float(np.polynomial.polynomial.polyval(0.0, coeffs))
+
+
+def fill_even(t: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Full-length profile from its interior values, both endpoint values by
+    ``even_extrapolate``; used for 0/0 limits at the collapsing circle."""
+    out = np.pad(inner, 1)
+    out[0] = even_extrapolate(t, out, 0)
+    out[-1] = even_extrapolate(t, out, -1)
+    return out

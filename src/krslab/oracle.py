@@ -6,7 +6,8 @@ dt^2 + f^2 (dpsi + a)^2 + l^2 r on (interval) x (circle bundle over the
 da = q * (area form of r).  Ricci is computed by brute-force central
 differences of the coordinate metric with Richardson extrapolation and is
 deliberately independent of the closed-form components in
-:mod:`krslab.geometry`; it is the provenance for the pinned coefficients.
+:mod:`krslab.geometry`; it is the provenance for the pinned coefficients,
+which it selects by scoring ``geometry.ricci_frame`` itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import PinnedConstants
+from .geometry import PinnedConstants, ricci_frame
 
 
 class OracleError(RuntimeError):
@@ -70,28 +71,20 @@ def _metric_jet(state: LocalState, x: np.ndarray, h: float):
     """Metric with all first and second coordinate derivatives by central
     differences of step h."""
     dim = 4
+    e = h * np.eye(dim)  # e[a]: the step along coordinate a
     g0 = coordinate_metric(state, x)
     dg = np.zeros((dim, dim, dim))
     d2g = np.zeros((dim, dim, dim, dim))
-    gp = np.empty((dim,), dtype=object)
-    gm = np.empty((dim,), dtype=object)
     for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = h
-        gp[a] = coordinate_metric(state, x + e)
-        gm[a] = coordinate_metric(state, x - e)
-        dg[a] = (gp[a] - gm[a]) / (2.0 * h)
-        d2g[a, a] = (gp[a] - 2.0 * g0 + gm[a]) / (h * h)
-    for a in range(dim):
+        gp = coordinate_metric(state, x + e[a])
+        gm = coordinate_metric(state, x - e[a])
+        dg[a] = (gp - gm) / (2.0 * h)
+        d2g[a, a] = (gp - 2.0 * g0 + gm) / (h * h)
         for b in range(a + 1, dim):
-            ea = np.zeros(dim)
-            eb = np.zeros(dim)
-            ea[a] = h
-            eb[b] = h
-            gpp = coordinate_metric(state, x + ea + eb)
-            gpm = coordinate_metric(state, x + ea - eb)
-            gmp = coordinate_metric(state, x - ea + eb)
-            gmm = coordinate_metric(state, x - ea - eb)
+            gpp = coordinate_metric(state, x + e[a] + e[b])
+            gpm = coordinate_metric(state, x + e[a] - e[b])
+            gmp = coordinate_metric(state, x - e[a] + e[b])
+            gmm = coordinate_metric(state, x - e[a] - e[b])
             d2g[a, b] = d2g[b, a] = (gpp - gpm - gmp + gmm) / (4.0 * h * h)
     return g0, dg, d2g
 
@@ -179,23 +172,6 @@ def oracle_ricci(
     return np.array([r_nn, r_uu, 0.5 * (r_h1 + r_h2)]), err
 
 
-def formula_ricci(state: LocalState, A: float, B: float, d: int = 2,
-                  p: float = 2.0) -> np.ndarray:
-    """Closed-form candidate components for the one-factor state."""
-    f, df, ddf = state.f, state.df, state.ddf
-    l, dl, ddl = state.l, state.dl, state.ddl
-    q = state.q
-    r_nn = -ddf / f - d * ddl / l
-    r_uu = -ddf / f - (df / f) * d * dl / l + A * f * f * d * q * q / l**4
-    r_h = (
-        -ddl / l
-        - (dl / l) * (df / f + d * dl / l - dl / l)
-        + p / l**2
-        - B * q * q * f * f / l**4
-    )
-    return np.array([r_nn, r_uu, r_h])
-
-
 CANDIDATES = (0.125, 0.25, 0.5, 1.0)
 
 
@@ -229,15 +205,18 @@ def pin_constants(
                   rng.uniform(0, 2 * np.pi)])
         for _ in range(samples)
     ]
-    oracle_vals = [oracle_ricci(s, x, h=h, tol=tol)[0] for s, x in zip(states, points)]
+    oracle_vals = np.array([oracle_ricci(s, x, h=h, tol=tol)[0]
+                            for s, x in zip(states, points)]).T
+    # one factor (d = p = 2): one formula call per pair scores every state
+    f, df, ddf, l, dl, ddl, q = np.array(
+        [(s.f, s.df, s.ddf, s.l, s.dl, s.ddl, s.q) for s in states]).T
 
     def max_rel_err(A, B):
-        worst = 0.0
-        for s, ov in zip(states, oracle_vals):
-            fv = formula_ricci(s, A, B)
-            rel = np.abs(fv - ov) / np.maximum(np.abs(ov), 1.0)
-            worst = max(worst, float(rel.max()))
-        return worst
+        R_NN, R_UU, R_i = ricci_frame(f, df, ddf, l[None], dl[None],
+                                      ddl[None], 2.0, 2.0, q[None], A, B)
+        fv = np.array([R_NN, R_UU, R_i[0]])
+        rel = np.abs(fv - oracle_vals) / np.maximum(np.abs(oracle_vals), 1.0)
+        return float(rel.max())
 
     scored = sorted(
         ((max_rel_err(A, B), A, B) for A, B in product(candidates, candidates))

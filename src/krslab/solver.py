@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .config import BundleConfig, get_field
+from .config import BundleConfig, check_keys, get_field
 from .geometry import (
     PinnedConstants,
     ProfileGrid,
@@ -32,7 +32,7 @@ from .geometry import (
     weighted_integral,
     weighted_laplacian,
 )
-from .grids import Scheme, even_extrapolate
+from .grids import Scheme, fill_even
 
 
 class NoSolitonFound(RuntimeError):
@@ -151,6 +151,8 @@ class SolitonSolution:
         """Inverse of ``to_dict`` plus the profile table.  The residuals are
         re-evaluated on the profiles; only the cross-method disagreement,
         which needs the other solution, is taken from the metadata."""
+        check_keys(meta, ("config", "c_slope", "gauge_shift", "residuals",
+                          "method", "nodes", "T", "scheme", "constants"))
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
         constants = PinnedConstants.from_dict(get_field(meta, "constants",
                                                         dict))
@@ -404,6 +406,8 @@ class _Launch:
 def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
                          constants: PinnedConstants,
                          twist_sign: float = 1.0) -> _Launch:
+    if np.any(a <= 0):
+        raise SolverError("trial with nonpositive collapse size l_i")
     d, p, q = config.d, config.p, twist_sign * config.q
     A = constants.A
     b = q / (4.0 * a)
@@ -464,11 +468,9 @@ def _integrate_branch(config, constants, a, u2, span, rtol, twist_sign=1.0):
     the fiber twist there, which enters only the launch series (the bulk
     equations are even in q).
     """
-    if np.any(a <= 0):
-        raise SolverError("trial with nonpositive collapse size l_i")
+    lc = _launch_coefficients(config, a, u2, constants, twist_sign)
     if span <= _EPS:
         raise SolverError("degenerate branch span")
-    lc = _launch_coefficients(config, a, u2, constants, twist_sign)
     y0 = _launch_state(lc, _EPS)
     sol = solve_ivp(
         _rhs(config, constants), (_EPS, span), y0, method="DOP853",
@@ -479,13 +481,27 @@ def _integrate_branch(config, constants, a, u2, span, rtol, twist_sign=1.0):
     return lc, sol
 
 
-def _reflect(y, r):
-    """Map a far-branch state in tau = T - t to t-orientation."""
+def _reflect(y, r, u0f):
+    """Map far-branch states in tau = T - t (a vector, or one column per
+    point) to t-orientation, with the potential offset u0f added."""
     out = y.copy()
     out[1] = -out[1]
     out[2 + r:2 + 2 * r] = -out[2 + r:2 + 2 * r]
     out[3 + 2 * r] = -out[3 + 2 * r]
+    out[2 + 2 * r] += u0f
     return out
+
+
+def _branch_states(lc, sol, t):
+    """States of a launched branch at the points t, one column each: the
+    series below _EPS (point by point: numpy's array power can round
+    differently from its scalar power), the dense output beyond."""
+    series = t < _EPS
+    Y = np.empty((sol.y.shape[0], t.size))
+    Y[:, ~series] = sol.sol(t[~series])
+    for k in np.flatnonzero(series):
+        Y[:, k] = _launch_state(lc, t[k])
+    return Y
 
 
 def _unpack(x, r):
@@ -501,19 +517,13 @@ def _match_residual(config, constants, x, t_mid, rtol):
     _, solA = _integrate_branch(config, constants, a, u2, t_mid, rtol)
     _, solB = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
                                 twist_sign=-1.0)
-    yA = solA.sol(t_mid)
-    yB = _reflect(solB.sol(T - t_mid), r)
-    yB[2 + 2 * r] += u0f
-    return yA - yB
+    return solA.sol(t_mid) - _reflect(solB.sol(T - t_mid), r, u0f)
 
 
 def _default_guess(config, constants, a, u2):
     """Probe the near branch to its collapse approach and read off far-end
     guesses (sizes, potential offset and curvature, total length)."""
-    if np.any(a <= 0):
-        raise SolverError("trial with nonpositive collapse size l_i")
-    lc = _launch_coefficients(config, a, u2, constants)
-    y0 = _launch_state(lc, _EPS)
+    y0 = _launch_state(_launch_coefficients(config, a, u2, constants), _EPS)
     r = config.r
 
     def low(t, y):
@@ -614,18 +624,10 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     lcB, solB = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
                                   twist_sign=-1.0)
     sch = Scheme.of_kind(scheme, nodes, 0.0, T)
-    rhs = _rhs(config, constants)
-
-    K = sch.t.size
-    Y = np.empty((4 + 2 * r, K))
-    for k, tk in enumerate(sch.t):
-        if tk <= t_mid:
-            Y[:, k] = _launch_state(lcA, tk) if tk < _EPS else solA.sol(tk)
-        else:
-            tau = T - tk
-            yb = _launch_state(lcB, tau) if tau < _EPS else solB.sol(tau)
-            Y[:, k] = _reflect(yb, r)
-            Y[2 + 2 * r, k] += u0f
+    t = sch.t
+    near = t <= t_mid
+    Y = np.hstack([_branch_states(lcA, solA, t[near]),
+                   _reflect(_branch_states(lcB, solB, T - t[~near]), r, u0f)])
     f, df = Y[0], Y[1]
     l, dl = Y[2:2 + r], Y[2 + r:2 + 2 * r]
     u, du = Y[2 + 2 * r], Y[3 + 2 * r]
@@ -635,19 +637,13 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     dl[:, 0] = dl[:, -1] = 0.0
     du[0] = du[-1] = 0.0
 
-    ddf = np.empty(K)
-    ddl = np.empty((r, K))
-    ddu = np.empty(K)
-    for k in range(1, K - 1):
-        dY = rhs(sch.t[k], Y[:, k])
-        ddf[k] = dY[1]
-        ddl[:, k] = dY[2 + r:2 + 2 * r]
-        ddu[k] = dY[3 + 2 * r]
-    # limits at the collapse points: f'' is odd (vanishes), l'', u'' even
-    ddf[0] = ddf[-1] = 0.0
-    for row in (*ddl, ddu):
-        row[0] = even_extrapolate(sch.t, row, 0)
-        row[-1] = even_extrapolate(sch.t, row, -1)
+    # second derivatives from the equations at the interior nodes; at the
+    # collapse points f'' is odd (vanishes) and l'', u'' are even
+    rhs = _rhs(config, constants)
+    dY = np.array([rhs(tk, yk) for tk, yk in zip(t[1:-1], Y[:, 1:-1].T)]).T
+    ddf = np.pad(dY[1], 1)
+    ddl = np.array([fill_even(t, row) for row in dY[2 + r:2 + 2 * r]])
+    ddu = fill_even(t, dY[3 + 2 * r])
 
     c_est = 2.0 * x[r]  # u = c s + ... with s ~ t^2/2 at the launch
     return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,

@@ -109,8 +109,12 @@ class StabilityReport:
     essential: bool
 
 
-def _require_normalized(sol: SolitonSolution, tol: float = 1e-8):
-    if sol.residuals.gauge >= tol:
+_GAUGE_TOL = 1e-8  # largest weighted mean of u read as the zero-mean gauge
+_ZERO_BAND = 1e-8  # |value| below this fraction of its scale reads "zero"
+
+
+def _require_normalized(sol: SolitonSolution):
+    if sol.residuals.gauge >= _GAUGE_TOL:
         raise StabilityError(
             "solution is not gauge-normalized (weighted mean of u is "
             f"{sol.residuals.gauge:.3e}); the stability formulas assume the "
@@ -118,8 +122,8 @@ def _require_normalized(sol: SolitonSolution, tol: float = 1e-8):
         )
 
 
-def _classify(value: float, scale: float, band: float = 1e-8) -> str:
-    if abs(value) < band * max(scale, np.finfo(float).tiny):
+def _classify(value: float, scale: float) -> str:
+    if abs(value) < _ZERO_BAND * max(scale, np.finfo(float).tiny):
         return "zero"
     return "positive" if value > 0 else "negative"
 
@@ -259,23 +263,19 @@ def ibp_identity_check(sol: SolitonSolution,
     variation: with the pointwise reduction <grad u . nabla h, h> =
     (1/2) u' psi', the identity reads
 
-        - int (1/2) u' psi' e^{-u} dV = (1/2) int (Delta_u u) psi e^{-u} dV.
+        - int (1/2) u' psi' e^{-u} dV = (1/2) int (Delta_u u) psi e^{-u} dV,
 
-    Also cross-checks the underlying divergence-product identity (the
-    weighted Laplacian integrated against psi equals minus the first-
-    derivative pairing; no boundary terms since the volume weight vanishes
-    at the collapsed ends).  Returns the larger deviation.
+    half the divergence-product identity (no boundary terms: the volume
+    weight vanishes at the collapsed ends).  Returns the deviation of the
+    unscaled form, int (Delta_u u) psi e^{-u} dV + int u' psi' e^{-u} dV.
     """
     _require_normalized(sol)
     grid, config = sol.grid, sol.config
     psi = pert.psi(grid.t)
     dpsi = pert.dpsi(grid.t)
-    lap = sol.evaluation.drift_lap_u
-    lhs = -0.5 * weighted_integral(grid, config, grid.du * dpsi)
-    rhs = 0.5 * weighted_integral(grid, config, lap * psi)
-    direct = weighted_integral(grid, config, lap * psi)
+    direct = weighted_integral(grid, config, sol.evaluation.drift_lap_u * psi)
     by_parts = -weighted_integral(grid, config, grid.du * dpsi)
-    return max(abs(lhs - rhs), abs(direct - by_parts))
+    return abs(direct - by_parts)
 
 
 def family(sol: SolitonSolution, specs: tuple = ()) -> list:

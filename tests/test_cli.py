@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from krslab import solver
+from krslab.config import ConfigError
 from krslab.cli import main, profile_csv_header, read_solution, write_solution
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -176,6 +177,22 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
         assert err.startswith("config error:") and named in err
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda raw: raw.update(grdi={"nodes": 64}), "'grdi'"),
+    (lambda raw: raw.update(stability={"profiles": [
+        {"kind": "constant", "kapas": [5.0]}]}), "'kapas'"),
+], ids=["top_level", "spec"])
+def test_unknown_config_key_exits_1(edit, named, pipeline, tmp_path,
+                                    capsys):
+    cfg = _momentum_config(pipeline, tmp_path)
+    _edit_json(cfg, edit)
+    capsys.readouterr()
+    assert run("solve", "--config", cfg, "--constants", pipeline["constants"],
+               "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
     cfg = _momentum_config(pipeline, tmp_path)
     out = str(tmp_path / "o")
@@ -262,6 +279,25 @@ class TestStability:
         assert run("stability", "--solution", pipeline["out"], "--config",
                    str(cfg), "--out", str(tmp_path / "s")) == 1
 
+    def test_unnormalized_solution_exits_4(self, pipeline, tmp_path,
+                                           capsys):
+        # u + 0.3 solves the same equations but leaves the zero-mean gauge,
+        # a stability precondition: exit 4 with one line, no traceback
+        bad = tmp_path / "shifted"
+        shutil.copytree(pipeline["out"], bad)
+        data = np.loadtxt(bad / "profile_momentum.csv", delimiter=",",
+                          skiprows=1)
+        data[:, 7] += 0.3
+        with open(bad / "profile_momentum.csv", "w") as fh:
+            fh.write(profile_csv_header(1) + "\n")
+            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+        capsys.readouterr()
+        assert run("stability", "--solution", str(bad),
+                   "--out", str(tmp_path / "s")) == 4
+        err = capsys.readouterr().err
+        assert "gauge-normalized" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
 
 class TestFuzzAlgebra:
     def test_runs_and_reports(self, tmp_path):
@@ -302,6 +338,15 @@ class TestSerialization:
             for name in (f"profile_{method}.csv", f"solution_{method}.json"):
                 assert (open(os.path.join(first, name), "rb").read()
                         == open(os.path.join(second, name), "rb").read())
+
+    def test_unknown_solution_key_rejected(self, pipeline, tmp_path):
+        # every key the solution writes reads back; any other is named
+        sol_dir = tmp_path / "sol"
+        shutil.copytree(pipeline["out"], sol_dir)
+        _edit_json(sol_dir / "solution_momentum.json",
+                   lambda raw: raw.update(nodez=256))
+        with pytest.raises(ConfigError, match="'nodez'"):
+            read_solution(str(sol_dir), "momentum")
 
     def test_profile_csv_columns_and_digits(self, two_factor_momentum,
                                             tmp_path):

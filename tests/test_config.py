@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,42 @@ class TestRunConfig:
         path.write_text(json.dumps(base))
         with pytest.raises(ConfigError):
             load_run_config(str(path))
+
+    @pytest.mark.parametrize("patch, named", [
+        ({"grdi": {"nodes": 64}}, "'grdi'"),
+        ({"grid": {"nodes": 64, "shceme": "uniform"}}, "'shceme'"),
+        ({"tolerances": {"residuals": 1e-9}}, "'residuals'"),
+        ({"stability": {"profiles": [{"kind": "constant",
+                                      "kapas": [5.0]}]}}, "'kapas'"),
+        ({"stability": {"prefactors": 2.0}}, "'prefactors'"),
+        ({"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1,
+                       "kappa": 1.0}]}, "'kappa'"),
+    ])
+    def test_unknown_keys_rejected_by_name(self, tmp_path, patch, named):
+        base = {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}]}
+        base.update(patch)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(base))
+        with pytest.raises(ConfigError, match=named):
+            load_run_config(str(path))
+
+    def test_every_written_key_loads(self, tmp_path, monkeypatch):
+        # the shipped config, the benchmark's run config (with its explicit
+        # prefactor) and a bundle's own to_dict keys (n, tau)
+        root = Path(__file__).resolve().parents[1]
+        assert load_run_config(str(root / "configs" / "koiso_cao.json"))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        path = tmp_path / "bench.json"
+        workloads.write_run_config(str(path), [(2, 2.0, 1), (4, 3.0, -1)],
+                                   512, "both")
+        assert load_run_config(str(path)).bundle.r == 2
+        raw = {**koiso_cao().to_dict(), "grid": {"nodes": 64}}
+        path.write_text(json.dumps(raw))
+        assert load_run_config(str(path)).bundle == koiso_cao()
 
     @pytest.mark.parametrize("text", ["", "{not json", "[1, 2]"])
     def test_unreadable_file_rejected(self, tmp_path, text):

@@ -50,6 +50,11 @@ class TestPinnedConstants:
         with pytest.raises(ConfigError):
             PinnedConstants.from_dict(raw)
 
+    def test_unknown_key_rejected_by_name(self, constants):
+        with pytest.raises(ConfigError, match="'max_rel_error'"):
+            PinnedConstants.from_dict({**constants.to_dict(),
+                                       "max_rel_error": 0.0})
+
 
 class TestProfileInvariants:
     def test_momentum_solution_validates(self, kc_momentum):

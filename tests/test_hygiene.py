@@ -143,3 +143,71 @@ def test_detector_flags_unread_fields():
             "    run.knob_count = 3\n"
             "    return run.nodes\n")
     assert unread_fields(config, ("RunConfig",), [user]) == ["RunConfig.knob"]
+
+
+TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
+TRACER_TABLES = ("PRIVATE_SPANS", "PRIVATE_COUNTS", "SCHEME_BUILDERS")
+
+
+def module_constants(source: str, names: tuple) -> dict:
+    """Values of the named module-level constants, by ``ast.literal_eval``."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in names:
+                    found[target.id] = ast.literal_eval(node.value)
+    return found
+
+
+def defined_functions(source: str) -> set:
+    """Module-level functions, and ``Class.method`` for every method of a
+    module-level class."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef)}
+    return names
+
+
+def missing_traced_functions(tracer_source: str, sources: dict) -> list:
+    """``module.function`` names the benchmark tracer wraps by name (its
+    private spans and counts, the scheme builders, and the shooting RHS)
+    that no package module defines; ``sources`` maps module name to
+    source."""
+    tables = module_constants(tracer_source, TRACER_TABLES)
+    wanted = {f"{mod}.{fn}"
+              for table in (tables["PRIVATE_SPANS"], tables["PRIVATE_COUNTS"])
+              for mod, fns in table.items() for fn in fns}
+    wanted |= {f"grids.Scheme.{b}" for b in tables["SCHEME_BUILDERS"]}
+    wanted.add("solver._rhs")
+    defined = {f"{mod}.{name}" for mod, src in sources.items()
+               for name in defined_functions(src)}
+    return sorted(wanted - defined)
+
+
+def test_traced_private_functions_exist():
+    """The benchmark's tracer finds these by name; renaming one breaks its
+    per-layer metrics without failing any other test."""
+    assert missing_traced_functions(
+        TRACER.read_text(), {p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_detector_flags_missing_traced_functions():
+    tracer = ('PRIVATE_SPANS = {"solver": ("_match_residual", "_gone")}\n'
+              'PRIVATE_COUNTS = {"oracle": ("_ricci_once",)}\n'
+              'SCHEME_BUILDERS = ("chebyshev", "legendre")\n')
+    sources = {
+        "solver": "def _match_residual():\n    pass\n"
+                  "def _rhs(config, constants):\n    pass\n",
+        "oracle": "def _ricci_once():\n    pass\n",
+        "grids": "class Scheme:\n    @staticmethod\n"
+                 "    def chebyshev(n):\n        pass\n",
+    }
+    assert missing_traced_functions(tracer, sources) == [
+        "grids.Scheme.legendre", "solver._gone"]
+    del sources["solver"]
+    assert "solver._rhs" in missing_traced_functions(tracer, sources)

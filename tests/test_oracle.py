@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from krslab import oracle
+from krslab.geometry import ricci_frame
 from krslab.oracle import (
     CANDIDATES,
     LocalState,
     OracleError,
-    formula_ricci,
     oracle_ricci,
     pin_constants,
     random_state,
@@ -39,7 +40,11 @@ class TestOracleRicci:
         rng = np.random.default_rng(5)
         state = random_state(rng)
         vals, err = oracle_ricci(state, tol=1e-8)
-        assert np.abs(formula_ricci(state, 0.25, 0.5) - vals).max() < 1e-7
+        R_NN, R_UU, R_i = ricci_frame(
+            state.f, state.df, state.ddf, np.array([state.l]),
+            np.array([state.dl]), np.array([state.ddl]), 2.0, 2.0,
+            np.array([state.q]), 0.25, 0.5)
+        assert np.abs(np.array([R_NN, R_UU, R_i[0]]) - vals).max() < 1e-7
 
     def test_chart_point_independence(self, round_state):
         # the components are scalars: they cannot depend on where in the
@@ -79,3 +84,13 @@ class TestPinConstants:
         bad = tuple(c for c in CANDIDATES if c != 0.25)
         with pytest.raises(OracleError):
             pin_constants(seed=0, samples=5, candidates=bad)
+
+    def test_scores_the_geometry_formula(self, monkeypatch):
+        # pinning scores the formula every solution evaluates: with the sign
+        # of the Einstein term p/l^2 flipped in it, no candidate pair passes
+        def flipped(f, df, ddf, l, dl, ddl, d, p, q, A, B):
+            return ricci_frame(f, df, ddf, l, dl, ddl, d, -p, q, A, B)
+
+        monkeypatch.setattr(oracle, "ricci_frame", flipped)
+        with pytest.raises(OracleError, match="no candidate pair"):
+            pin_constants(seed=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krslab.config import BaseFactor, BundleConfig
-from krslab.geometry import PinnedConstants
+from krslab.geometry import PinnedConstants, ricci_frame
 from krslab import solver
 
 
@@ -89,6 +89,41 @@ class TestShooting:
         with pytest.raises(solver.SolverError):
             solver.solve_shooting(kc_config, constants, nodes=128,
                                   x0=np.array([-1.0, 0.25]))
+
+    def test_branch_states_equal_per_node_reads(self, kc_config, constants):
+        # one vector read per branch gives the per-node values bit for bit
+        lc, sol = solver._integrate_branch(kc_config, constants,
+                                           np.array([1.0]), 0.26, 1.5, 1e-12)
+        t = np.concatenate([np.linspace(0.0, 2.0 * solver._EPS, 7),
+                            np.linspace(0.01, 1.5, 50)])
+        ref = np.array([solver._launch_state(lc, tk) if tk < solver._EPS
+                        else sol.sol(tk) for tk in t]).T
+        assert np.array_equal(solver._branch_states(lc, sol, t), ref)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_rhs_solves_the_geometry_formula(self, constants, r):
+        # the shooting RHS is the soliton equation Ric + Hess u = g solved
+        # for f'', l'', u'': put them back into geometry's closed form
+        rng = np.random.default_rng(r)
+        config = BundleConfig(factors=tuple(
+            BaseFactor(d=int(rng.choice([2, 4, 6])),
+                       p=float(rng.uniform(1.0, 4.0)),
+                       q=int(rng.choice([-2, -1, 1, 2]))) for _ in range(r)))
+        rhs = solver._rhs(config, constants)
+        S = 200
+        f, df = rng.uniform(0.3, 1.5, S), rng.uniform(-1.0, 1.0, S)
+        l, dl = rng.uniform(0.7, 1.8, (r, S)), rng.uniform(-0.5, 0.5, (r, S))
+        u, du = rng.uniform(-1.0, 1.0, S), rng.uniform(-1.0, 1.0, S)
+        states = np.vstack([f, df, l, dl, u, du])
+        dy = np.array([rhs(0.0, y) for y in states.T]).T
+        ddf, ddl, ddu = dy[1], dy[2 + r:2 + 2 * r], dy[3 + 2 * r]
+        R_NN, R_UU, R_i = ricci_frame(
+            f, df, ddf, l, dl, ddl, config.d[:, None], config.p[:, None],
+            config.q[:, None], constants.A, constants.B)
+        # Ric + Hess u - g in the unit frame
+        assert np.abs(R_NN + ddu - 1.0).max() < 1e-12
+        assert np.abs(R_UU + du * df / f - 1.0).max() < 1e-12
+        assert np.abs(R_i + du * dl / l - 1.0).max() < 1e-12
 
 
 class TestReports:
