@@ -114,9 +114,11 @@ def cmd_solve(args) -> int:
                 sols[method] = solver.solve_momentum(
                     run.bundle, constants, nodes=run.nodes, scheme=run.scheme)
             else:
+                # method both warm-starts from momentum; shooting alone is
+                # the cold, independent route (start None)
                 sols[method] = solver.solve_shooting(
                     run.bundle, constants, nodes=run.nodes, scheme=run.scheme,
-                    rtol=run.tolerances.ode)
+                    rtol=run.tolerances.ode, start=sols.get("momentum"))
     except (solver.NoSolitonFound, solver.SolverError) as exc:
         _write_json(os.path.join(args.out, "diagnostics.json"),
                     {"error": str(exc), "config": run.bundle.to_dict()})

@@ -33,15 +33,24 @@ def read_json(path: str) -> dict:
 
 def get_field(raw: dict, key: str, kind, default=_REQUIRED):
     """raw[key] converted by ``kind``, or ``default`` when the key is absent
-    and a default is given; a missing or malformed value is a ConfigError."""
+    and a default is given; a missing or malformed value is a ConfigError.
+    A number field rejects a boolean, and an ``int`` field a number with a
+    fractional part, instead of converting them (``int(2.9)`` is 2)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object holding {key!r}, got {raw!r}")
     if key not in raw:
         if default is _REQUIRED:
             raise ConfigError(f"missing field {key!r}")
         return default
+    value = raw[key]
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"malformed field {key!r}: expected a number, "
+                          f"got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"malformed field {key!r}: expected an integer, "
+                          f"got {value!r}")
     try:
-        return kind(raw[key])
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed field {key!r}: {exc}") from exc
 
@@ -157,7 +166,7 @@ class Tolerances:
 
 
 def _float_list(raw) -> tuple:
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or any(isinstance(k, bool) for k in raw):
         raise TypeError(f"expected a list of numbers, got {raw!r}")
     return tuple(float(k) for k in raw)
 

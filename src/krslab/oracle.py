@@ -42,6 +42,7 @@ class LocalState:
 
 
 _GUARD = 0.35  # stay away from Euler-angle poles
+ROMBERG_LEVELS = 4  # step halvings before the extrapolation gives up
 
 
 def coordinate_metric(state: LocalState, x: np.ndarray) -> np.ndarray:
@@ -132,11 +133,10 @@ def oracle_ricci(
     x: np.ndarray | None = None,
     h: float = 0.02,
     tol: float = 1e-7,
-    max_levels: int = 4,
 ):
     """Ricci components (R_NN, R_UU, R_H) in the unit frame, with Richardson
-    extrapolation in the finite-difference step until the estimated absolute
-    error is below tol.
+    extrapolation in the finite-difference step (at most ROMBERG_LEVELS
+    halvings) until the estimated absolute error is below tol.
 
     Returns (components, err_estimate).  Raises OracleError on
     non-convergence.
@@ -154,7 +154,7 @@ def oracle_ricci(
     rows = [[components(h)]]
     err = np.inf
     best = rows[0][0]
-    for level in range(1, max_levels + 1):
+    for level in range(1, ROMBERG_LEVELS + 1):
         row = [components(h / 2.0**level)]
         for j in range(1, level + 1):
             fac = 4.0**j
@@ -190,7 +190,6 @@ def random_state(rng: np.random.Generator) -> LocalState:
 def pin_constants(
     seed: int = 0,
     samples: int = 20,
-    candidates=CANDIDATES,
     h: float = 0.02,
     tol: float = 1e-7,
 ) -> PinnedConstants:
@@ -219,7 +218,7 @@ def pin_constants(
         return float(rel.max())
 
     scored = sorted(
-        ((max_rel_err(A, B), A, B) for A, B in product(candidates, candidates))
+        ((max_rel_err(A, B), A, B) for A, B in product(CANDIDATES, CANDIDATES))
     )
     best_err, A, B = scored[0]
     runner_err = scored[1][0]

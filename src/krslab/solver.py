@@ -52,6 +52,9 @@ _REDUCTION_B = 0.5
 # integrator tolerance
 _EPS = 2e-3
 _ATOL = 1e-13
+# a Newton root whose sup-norm Kahler residual reaches this is rejected
+# (solved roots sit below 1e-10, the non-Kahler ones near 1)
+_KAEHLER_ROOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -511,13 +514,15 @@ def _unpack(x, r):
 
 
 def _match_residual(config, constants, x, t_mid, rtol):
-    """Continuity defect of both branches at the interior matching point."""
+    """Continuity defect of both branches at the interior matching point,
+    and the two (launch, integration) pairs it was read from."""
     r = config.r
     a, u2, af, u2f, u0f, T = _unpack(x, r)
-    _, solA = _integrate_branch(config, constants, a, u2, t_mid, rtol)
-    _, solB = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
-                                twist_sign=-1.0)
-    return solA.sol(t_mid) - _reflect(solB.sol(T - t_mid), r, u0f)
+    near = _integrate_branch(config, constants, a, u2, t_mid, rtol)
+    far = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
+                            twist_sign=-1.0)
+    defect = near[1].sol(t_mid) - _reflect(far[1].sol(T - t_mid), r, u0f)
+    return defect, (near, far)
 
 
 def _default_guess(config, constants, a, u2):
@@ -551,10 +556,23 @@ def _default_guess(config, constants, a, u2):
     return np.concatenate([a, [u2], af, [u2f, u0f, T]]), float(tpk)
 
 
+def _warm_start(config, start):
+    """Trial vector and matching point read off a momentum solution: in its
+    un-normalized gauge u = c s with s ~ t^2/2 at the near end and
+    s ~ 2 - tau^2/2 at the far end, and l_i^2 = q_i s + p_i - q_i."""
+    p, q, c = config.p, config.q, start.c_slope
+    g = start.grid
+    x = np.concatenate([np.sqrt(p - q), [c / 2.0], np.sqrt(p + q),
+                        [-c / 2.0, 2.0 * c, g.T]])
+    return x, float(g.t[np.argmax(g.f)])
+
+
 def solve_shooting(config: BundleConfig, constants: PinnedConstants,
                    nodes: int = 1024, scheme: str = "chebyshev",
                    x0: Optional[np.ndarray] = None,
-                   rtol: float = 1e-12) -> SolitonSolution:
+                   rtol: float = 1e-12,
+                   start: Optional[SolitonSolution] = None
+                   ) -> SolitonSolution:
     """Shoot the full second-order system from 4th-order series launches at
     both collapse points and match in the interior.
 
@@ -565,27 +583,35 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     offset and the interval length T) and a damped Newton iteration zeroes
     the continuity defect of the two branches at an interior point.  The
     Kahler condition is imposed in the launch series and only monitored
-    along the trajectories.
+    along the trajectories; a root that breaks it is rejected.
+
+    ``start``, a momentum solution of the same config, gives the trial
+    vector and the matching point (warm start; ``x0`` is not read); without
+    it they come from ``x0`` and a probe integration (cold start).
     """
     constants.require_pinned()
     r = config.r
-    if x0 is None:
-        x0 = np.concatenate([np.sqrt(config.p) * 0.7, [0.25]])
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size not in (r + 1, 2 * r + 4):
-        raise SolverError(
-            f"initial guess must have {r + 1} or {2 * r + 4} entries"
-        )
-    # a near-end guess (l_i(0), u''(0)/2) alone bootstraps the far end and
-    # the interval length from a probe integration
-    guess, t_mid = _default_guess(config, constants, x0[:r], x0[r])
-    x = guess if x0.size == r + 1 else x0.copy()
+    if start is not None:
+        x, t_mid = _warm_start(config, start)
+    else:
+        if x0 is None:
+            x0 = np.concatenate([np.sqrt(config.p) * 0.7, [0.25]])
+        x0 = np.asarray(x0, dtype=float)
+        if x0.size not in (r + 1, 2 * r + 4):
+            raise SolverError(
+                f"initial guess must have {r + 1} or {2 * r + 4} entries"
+            )
+        # a near-end guess (l_i(0), u''(0)/2) alone bootstraps the far end
+        # and the interval length from a probe integration
+        guess, t_mid = _default_guess(config, constants, x0[:r], x0[r])
+        x = guess if x0.size == r + 1 else x0.copy()
 
-    def res_only(xv):
+    def match(xv):
         return _match_residual(config, constants, xv, t_mid, rtol)
 
     nx = 2 * r + 4
-    res = res_only(x)
+    # the branches of the accepted iterate are the ones sampled below
+    res, branches = match(x)
     for it in range(40):
         nrm = np.linalg.norm(res)
         if nrm < 1e-11:
@@ -595,18 +621,18 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
             h = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += h
-            J[:, j] = (res_only(xp) - res) / h
+            J[:, j] = (match(xp)[0] - res) / h
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         lam = 1.0
         for _ in range(25):
             trial = x + lam * step
             try:
-                res_trial = res_only(trial)
+                res_trial, branches_trial = match(trial)
             except SolverError:
                 lam *= 0.5
                 continue
             if np.linalg.norm(res_trial) < nrm:
-                x, res = trial, res_trial
+                x, res, branches = trial, res_trial, branches_trial
                 break
             lam *= 0.5
         else:
@@ -619,10 +645,8 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
             f"Newton did not converge (|res|={np.linalg.norm(res):.3e})"
         )
 
-    a, u2, af, u2f, u0f, T = _unpack(x, r)
-    lcA, solA = _integrate_branch(config, constants, a, u2, t_mid, rtol)
-    lcB, solB = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
-                                  twist_sign=-1.0)
+    *_, u0f, T = _unpack(x, r)
+    (lcA, solA), (lcB, solB) = branches
     sch = Scheme.of_kind(scheme, nodes, 0.0, T)
     t = sch.t
     near = t <= t_mid
@@ -645,10 +669,16 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     ddl = np.array([fill_even(t, row) for row in dY[2 + r:2 + 2 * r]])
     ddu = fill_even(t, dY[3 + 2 * r])
 
+    grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
+                       u=u, du=du, ddu=ddu)
+    # the launch series impose the Kahler condition but the bulk flow does
+    # not: the matching also has non-Kahler roots (Einstein in the interior)
+    kaehler = float(np.abs(kaehler_residual(grid, config)).max())
+    if kaehler >= _KAEHLER_ROOT_TOL:
+        raise SolverError(f"non-Kahler root: T={T:.9g}, Kahler residual "
+                          f"{kaehler:.3e}")
     c_est = 2.0 * x[r]  # u = c s + ... with s ~ t^2/2 at the launch
-    return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,
-                                 ddl=ddl, u=u, du=du, ddu=ddu),
-                     config, constants, c_est, "shooting")
+    return _solution(grid, config, constants, c_est, "shooting")
 
 
 # ---------------------------------------------------------------------------

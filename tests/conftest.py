@@ -52,6 +52,18 @@ def two_factor_shooting(two_factor_config, constants):
     return solver.solve_shooting(two_factor_config, constants, nodes=512)
 
 
+@pytest.fixture(scope="session")
+def kc_spurious_root():
+    """A shooting trial vector (near a_1, u2; far a_1, u2, u-offset; T) that
+    zeroes the kc matching defect but is not the soliton.  Newton from 1.1
+    (or 0.9) times the kc warm-start vector converges to it, |res| ~ 1e-15;
+    T = 3.2652 instead of 3.1982 and the Kahler residual is near 1.04 (most
+    likely the Page metric seen through the Kahler launch series)."""
+    return np.array([1.3108705933023035, 0.20900597324778578,
+                     1.310812536797047, -0.37297402534783647,
+                     -8.079204859601818e-05, 3.265186135505004])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -121,6 +121,8 @@ class TestSolve:
 
     def test_ode_tolerance_reaches_shooting(self, pipeline, tmp_path,
                                             monkeypatch):
+        # and the start: the momentum solution for method both, none (the
+        # cold start) for method shooting
         seen = {}
 
         def fake_shooting(*args, **kwargs):
@@ -128,11 +130,58 @@ class TestSolve:
             raise solver.SolverError("stopped by the test")
 
         monkeypatch.setattr(solver, "solve_shooting", fake_shooting)
-        cfg = _momentum_config(pipeline, tmp_path, method="shooting",
-                               tolerances={"ode": 3e-11})
-        assert run("solve", "--config", cfg, "--constants",
-                   pipeline["constants"], "--out", str(tmp_path / "o")) == 3
-        assert seen["rtol"] == 3e-11
+        for method in ("shooting", "both"):
+            seen.clear()
+            cfg = _momentum_config(pipeline, tmp_path, method=method,
+                                   tolerances={"ode": 3e-11})
+            assert run("solve", "--config", cfg, "--constants",
+                       pipeline["constants"],
+                       "--out", str(tmp_path / "o")) == 3
+            assert seen["rtol"] == 3e-11
+            start = seen["start"]
+            if method == "shooting":
+                assert start is None
+            else:
+                assert start.method == "momentum" and start.grid.t.size == 257
+
+    # configs on which shooting's cold start fails (probe, integration,
+    # line search, time) and the warm start of method both converges
+    @pytest.mark.parametrize("factors", [
+        [[2, 2, -1]], [[2, 2, 1], [2, 2, -1]], [[2, 3, 2]], [[4, 3, 2]],
+        [[6, 4, 1]], [[2, 2, 1], [2, 2, 1], [2, 2, 1]],
+    ], ids=["kc_mirror", "s2xs2_opp", "s2_p3_q2", "cp2_q2", "cp3_q1",
+            "three_s2"])
+    def test_both_methods_agree(self, factors, pipeline, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "factors": [{"dim": d, "einstein_constant": p, "twist": q}
+                        for d, p, q in factors],
+            "grid": {"nodes": 512}, "method": "both",
+        }))
+        out = tmp_path / "o"
+        assert run("solve", "--config", str(cfg), "--constants",
+                   pipeline["constants"], "--out", str(out)) == 0
+        mom, sho = (json.loads((out / f"solution_{m}.json").read_text())
+                    for m in ("momentum", "shooting"))
+        assert abs(sho["c_slope"] - mom["c_slope"]) < 1e-9
+        assert abs(sho["T"] - mom["T"]) < 1e-9
+        assert sho["residuals"]["cross_method"] <= 1e-9
+
+    def test_non_kaehler_root_exits_3(self, pipeline, tmp_path, monkeypatch,
+                                      kc_spurious_root):
+        # a warm start placed on a non-Kahler root: Newton accepts it with
+        # no step, the rejection names it and reaches diagnostics.json
+        warm_start = solver._warm_start
+
+        def spurious_start(config, start):
+            return kc_spurious_root, warm_start(config, start)[1]
+
+        monkeypatch.setattr(solver, "_warm_start", spurious_start)
+        out = tmp_path / "o"
+        assert run("solve", "--config", pipeline["config"], "--constants",
+                   pipeline["constants"], "--out", str(out)) == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"].startswith("non-Kahler root: T=3.265")
 
 
 # each case: the file it corrupts, the edit, and what the error must name

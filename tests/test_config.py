@@ -124,6 +124,17 @@ class TestRunConfig:
                                      "kappas": [1.0, 2.0]}]}},
         {"stability": {"prefactor": -0.5}},
         {"stability": {"profiles": [{"kind": "u_plus", "kappas": [1.0]}]}},
+        # numbers that int() or float() would truncate or convert
+        {"factors": [{"dim": 2.9, "einstein_constant": 2.0, "twist": 1}]},
+        {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1.7}]},
+        {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1,
+                      "deformation_norm2": True}]},
+        {"factors": [{"dim": 2, "einstein_constant": True, "twist": 1}]},
+        {"grid": {"nodes": 100.8}},
+        {"seed": 3.5},
+        {"seed": False},
+        {"tolerances": {"ode": True}},
+        {"stability": {"profiles": [{"kind": "constant", "kappas": [True]}]}},
     ])
     def test_invalid_configs_rejected(self, tmp_path, patch):
         base = {"factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}]}
@@ -131,6 +142,20 @@ class TestRunConfig:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base))
         with pytest.raises(ConfigError):
+            load_run_config(str(path))
+
+    def test_integral_numbers_load_and_fractions_are_named(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "factors": [{"dim": 2.0, "einstein_constant": 2, "twist": -1.0}],
+            "grid": {"nodes": 128.0}, "seed": 3.0}))
+        run = load_run_config(str(path))
+        assert (run.bundle.factors[0].d, run.bundle.factors[0].q) == (2, -1)
+        assert (run.nodes, run.seed) == (128, 3)
+        path.write_text(json.dumps({
+            "factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}],
+            "grid": {"nodes": 100.8}}))
+        with pytest.raises(ConfigError, match="'nodes'.*100.8"):
             load_run_config(str(path))
 
     @pytest.mark.parametrize("patch, named", [

@@ -59,9 +59,10 @@ class TestOracleRicci:
         with pytest.raises(ValueError):
             LocalState(f=0.0, df=0.0, ddf=0.0, l=1.0, dl=0.0, ddl=0.0, q=1)
 
-    def test_coarse_step_raises(self, round_state):
+    def test_coarse_step_raises(self, round_state, monkeypatch):
+        monkeypatch.setattr(oracle, "ROMBERG_LEVELS", 1)
         with pytest.raises(OracleError):
-            oracle_ricci(round_state, h=0.3, tol=1e-12, max_levels=1)
+            oracle_ricci(round_state, h=0.3, tol=1e-12)
 
 
 class TestPinConstants:
@@ -79,11 +80,12 @@ class TestPinConstants:
         pc = pin_constants(seed=42, samples=10)
         assert (pc.A, pc.B) == (0.25, 0.5)
 
-    def test_wrong_candidates_rejected(self):
+    def test_wrong_candidates_rejected(self, monkeypatch):
         # without the true pair in the grid no candidate survives the gate
-        bad = tuple(c for c in CANDIDATES if c != 0.25)
+        monkeypatch.setattr(oracle, "CANDIDATES",
+                            tuple(c for c in CANDIDATES if c != 0.25))
         with pytest.raises(OracleError):
-            pin_constants(seed=0, samples=5, candidates=bad)
+            pin_constants(seed=0, samples=5)
 
     def test_scores_the_geometry_formula(self, monkeypatch):
         # pinning scores the formula every solution evaluates: with the sign

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,34 @@ class TestShooting:
         x0 = np.array([0.9, 0.3])
         sho = solver.solve_shooting(kc_config, constants, nodes=256, x0=x0)
         assert sho.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-8)
+
+    def test_cold_start_reproduces_its_result(self, kc_shooting_2048):
+        # the cold route (probe guess, damped Newton, sampling the branches
+        # of the accepted iterate) gives this kc result bit for bit
+        sol = kc_shooting_2048
+        assert float(sol.c_slope).hex() == "0x1.0e24254d584a2p-1"
+        assert sol.grid.T.hex() == "0x1.995d7824ffda8p+1"
+        assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
+            "54f8ca84f522dea60a42417e9e2afa3201718d9581a61a155e5acd8f13ca8d97")
+
+    def test_warm_start_skips_the_probe(self, kc_config, constants,
+                                        kc_momentum, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the probe ran on a warm start")
+
+        monkeypatch.setattr(solver, "_default_guess", no_probe)
+        sho = solver.solve_shooting(kc_config, constants, nodes=512,
+                                    start=kc_momentum)
+        assert sho.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-9)
+        assert sho.grid.T == pytest.approx(kc_momentum.grid.T, abs=1e-9)
+        assert solver.cross_method_disagreement(kc_momentum, sho) < 1e-9
+
+    def test_non_kaehler_root_rejected(self, kc_config, constants,
+                                       kc_spurious_root):
+        with pytest.raises(solver.SolverError,
+                           match=r"non-Kahler root: T=3\.2651.*residual 1\.0"):
+            solver.solve_shooting(kc_config, constants, nodes=64,
+                                  x0=kc_spurious_root)
 
     def test_bad_guess_raises(self, kc_config, constants):
         with pytest.raises(solver.SolverError):
