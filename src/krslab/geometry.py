@@ -71,8 +71,7 @@ class ProfileGrid:
     """Sampled metric profiles with first and second derivatives.
 
     l profiles are stacked as arrays of shape (r, K+1); the scheme carries the
-    node vector and quadrature weights, and builds its differentiation matrix
-    on first use.
+    node vector and quadrature weights.
     """
 
     scheme: Scheme

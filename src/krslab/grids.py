@@ -5,15 +5,14 @@ quadrature weights.  The spectral scheme is the default; a 4th-order uniform
 scheme is kept as a cross-check fallback.
 
 Building a scheme costs O(N log N): the Clenshaw-Curtis weights come from one
-DCT-I of the even Chebyshev moments (Waldvogel, BIT 46, 2006).  The dense
-(N+1)^2 differentiation matrix ``Scheme.D`` is built on first use and cached
-on the scheme; only the ``v_h`` collocation solve and the tests read it.
+DCT-I of the even Chebyshev moments (Waldvogel, BIT 46, 2006).  A scheme
+holds no differentiation matrix; ``cheb_lobatto`` builds the dense one for
+the small collocation in the moment coordinate (see :mod:`krslab.stability`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -101,8 +100,7 @@ def uniform_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A node vector with quadrature weights; the differentiation matrix
-    ``D`` on [t[0], t[-1]] is built on first access and cached."""
+    """A node vector with quadrature weights."""
 
     t: np.ndarray
     w: np.ndarray
@@ -125,12 +123,6 @@ class Scheme:
         if kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown grid scheme {kind!r}")
         return getattr(cls, kind)(n, a, b)
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        build = cheb_lobatto if self.kind == "chebyshev" else uniform_fd4
-        _, D = build(self.t.size - 1, self.t[0], self.t[-1])
-        return D
 
     def integrate(self, F: np.ndarray) -> float:
         return float(self.w @ F)

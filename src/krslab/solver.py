@@ -273,6 +273,13 @@ def _phi(s, c, config, b):
     return _phi_integral(s, c, config, b) / _phi_weight(s, c, config, b)
 
 
+def momentum_phi(config: BundleConfig, c: float, s) -> np.ndarray:
+    """phi = f^2 as a function of the moment coordinate s in [0, 2], for the
+    slope c: the solution of the momentum ODE that ``solve_momentum``
+    reconstructs the profiles from."""
+    return _phi(s, c, config, config.p - config.q)
+
+
 def find_slope_roots(config: BundleConfig, b):
     """All roots of the far-end closure condition phi(2; c) = 0 in the search
     box [-c_max, c_max], scanned in ``scan`` equal brackets."""

@@ -1,10 +1,13 @@
 """Second-variation machinery evaluated on a solved soliton.
 
-Everything here reduces to weighted one-dimensional quadrature: the
-perturbations considered are built from base deformations whose pointwise
-norm depends on t only, so the stability integral, the pairing constant
-C(h, g), the auxiliary potential equation and the integration-by-parts
-identity all become scalar computations on the profile grid.
+Everything here reduces to one-dimensional computations: the perturbations
+considered are built from base deformations whose pointwise norm depends on
+t only, so the stability integral, the pairing constant C(h, g) and the
+integration-by-parts identity become weighted quadratures on the profile
+grid.  The drift Laplacian on invariant functions is a Sturm-Liouville
+operator in the moment coordinate s (ds = f dt, s in [0, 2]); the auxiliary
+potential equation and the drift spectrum are collocated there, in a small
+Chebyshev basis, and mapped back to the profile grid.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from . import algebra
 from .config import PROFILE_KINDS, STABILITY_PREFACTOR, ProfileSpec
-from .geometry import log_weight_slope, weighted_integral, weighted_laplacian
-from .solver import SolitonSolution
+from .geometry import weighted_integral, weighted_laplacian
+from .grids import cheb_lobatto
+from .solver import SolitonSolution, momentum_phi
 
 
 class StabilityError(ValueError):
@@ -202,7 +207,14 @@ def c_constant(sol: SolitonSolution, h_kind: str,
 
 @dataclass(frozen=True)
 class VhSolution:
-    """Solution of Delta_u v + v = s with even (Neumann) boundary data."""
+    """Solution of Delta_u v + v = s on the profile grid.
+
+    ``v`` holds the values at the solution's nodes and ``residual`` the
+    interior t-node residual of the equation evaluated on the solution's own
+    profiles.  ``smallest_singular_value`` is that of the small collocation
+    operator in the moment coordinate; below ``kernel_tol`` it is
+    ``near_kernel`` and solved in the least-squares sense.
+    """
 
     v: np.ndarray
     residual: float
@@ -211,50 +223,130 @@ class VhSolution:
     least_squares: bool
 
 
+# degrees of the s-series tried in turn, and the size of the last quarter of
+# its Chebyshev coefficients, relative to the largest, read as negligible
+_DEGREES = (16, 32, 64, 128, 256)
+_TAIL_TOL = 1e-12
+
+
+def _moment_coordinate(sol: SolitonSolution) -> np.ndarray:
+    """s at the solution's nodes, from the Kahler relation
+    l_j^2 = q_j s + p_j - q_j (least squares over the factors)."""
+    cf = sol.config
+    excess = sol.grid.l ** 2 - (cf.p - cf.q)[:, None]
+    s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
+    return np.clip(s, 0.0, 2.0)
+
+
+def _s_operator(sol: SolitonSolution, m: int):
+    """Chebyshev-Lobatto nodes x on [0, 2] and the collocated drift Laplacian
+    on invariant functions, phi(s) v_ss + 2 (1 - s) v_s.  phi vanishes at
+    both ends, so the end rows carry the natural boundary conditions."""
+    x, D = cheb_lobatto(m, 0.0, 2.0)
+    phi = momentum_phi(sol.config, sol.c_slope, x)
+    return x, phi[:, None] * (D @ D) + (2.0 * (1.0 - x))[:, None] * D
+
+
+def _tail(coef: np.ndarray) -> float:
+    """Largest |coefficient| in the last quarter of a Chebyshev series,
+    relative to the largest one (0 for the zero series)."""
+    top = np.abs(coef).max()
+    return float(np.abs(coef[-(coef.size // 4):]).max() / top) if top else 0.0
+
+
 def v_h_solve(sol: SolitonSolution, source: np.ndarray,
               kernel_tol: float = 1e-6) -> VhSolution:
-    """Collocation solve of the auxiliary potential equation
-    Delta_u v + v = s on the profile grid.
+    """Solve the auxiliary potential equation Delta_u v + v = s for an
+    invariant (even) source sampled on the profile grid.
 
-    The two boundary rows impose v' = 0 (evenness at the collapsed circles);
-    the smallest singular value of the discrete operator is reported because
-    1 is not a priori excluded from the spectrum of -Delta_u.  A
-    near-singular operator is solved in the least-squares sense and flagged.
+    In the moment coordinate s (ds = f dt, s in [0, 2]) the drift Laplacian
+    is phi(s) v_ss + 2 (1 - s) v_s with phi = f^2, a Sturm-Liouville
+    operator whose nonzero spectrum lies in [2, inf) (Futaki's bound), so
+    the equation is well-posed.  The source is fitted as a Chebyshev series
+    in s, whose degree doubles from 16 until the last quarter of its
+    coefficients, and of the solution's, is negligible; the degree follows
+    the source and the operator, not the number of nodes, which only bounds
+    it (at most half of them).  A source still unresolved at the largest
+    degree (not a smooth invariant function) is an error.  The equation is
+    collocated at that degree, and the smallest singular value of the small
+    operator is reported; below ``kernel_tol`` it is solved in the
+    least-squares sense and flagged.  The solution is mapped back to the
+    nodes with v' = v_s f, v'' = v_ss f^2 + v_s f'.
     """
     _require_normalized(sol)
     grid, config = sol.grid, sol.config
-    sch = grid.scheme
-    s = np.asarray(source, dtype=float)
-    if s.shape != grid.t.shape:
+    src = np.asarray(source, dtype=float)
+    if src.shape != grid.t.shape:
         raise StabilityError("source not sampled on the solution grid")
-    D = sch.D
-    D2 = D @ D
-    lw = log_weight_slope(grid, config)
-    L = D2 + (lw - grid.du)[:, None] * D
-    L[np.diag_indices_from(L)] += 1.0
-    rhs = s.copy()
-    # boundary rows: v'(0) = v'(T) = 0; the interior equations plus evenness
-    # determine the endpoint limits
-    L[0] = D[0]
-    L[-1] = D[-1]
-    rhs[0] = rhs[-1] = 0.0
-    sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
-    near = sigma_min < kernel_tol
-    if near:
-        v, *_ = np.linalg.lstsq(L, rhs, rcond=None)
-        least_squares = True
+    degrees = [m for m in _DEGREES if 2 * m < grid.t.size]
+    if not degrees:
+        raise StabilityError(f"{grid.t.size} nodes are too few to fit the "
+                             f"source in s (need {2 * _DEGREES[0] + 1})")
+    X = _moment_coordinate(sol) - 1.0  # s mapped to [-1, 1]
+    for m in degrees:
+        vander = cheb.chebvander(X, m)
+        coef = np.linalg.lstsq(vander, src, rcond=None)[0]
+        what, tail = "source", _tail(coef)
+        if tail > _TAIL_TOL:
+            continue
+        x, A = _s_operator(sol, m)
+        L = A + np.eye(m + 1)
+        rhs = cheb.chebval(x - 1.0, coef)
+        sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
+        near = sigma_min < kernel_tol
+        if near:
+            V, *_ = np.linalg.lstsq(L, rhs, rcond=None)
+        else:
+            V = np.linalg.solve(L, rhs)
+        vcoef = cheb.chebfit(x - 1.0, V, m)
+        what, tail = "solution", _tail(vcoef)
+        if tail <= _TAIL_TOL:
+            break
     else:
-        v = np.linalg.solve(L, rhs)
-        least_squares = False
-    dv = D @ v
-    ddv = D2 @ v
-    res = weighted_laplacian(grid, config, v, dv, ddv) + v - s
-    # the endpoint rows solved the boundary condition, not the equation;
-    # report the equation residual at the interior nodes
+        limit = ("the largest tried" if m == _DEGREES[-1] else
+                 f"the largest {grid.t.size} nodes allow")
+        raise StabilityError(
+            f"the {what} is not resolved as a Chebyshev series in s at "
+            f"degree {m}, {limit} (coefficient tail {tail:.1e}); a smooth "
+            "invariant source is a smooth function of s")
+    dcoef = cheb.chebder(vcoef)
+    v = vander @ vcoef
+    v_s = vander[:, :m] @ dcoef
+    v_ss = vander[:, :m - 1] @ cheb.chebder(dcoef)
+    dv = v_s * grid.f
+    ddv = v_ss * grid.f ** 2 + v_s * grid.df
+    res = weighted_laplacian(grid, config, v, dv, ddv) + v - src
+    # the equation at the interior nodes, on the solution's own profiles
     residual = float(np.abs(res[1:-1]).max())
     return VhSolution(v=v, residual=residual,
                       smallest_singular_value=sigma_min, near_kernel=near,
-                      least_squares=least_squares)
+                      least_squares=near)
+
+
+def drift_spectrum(sol: SolitonSolution, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of -Delta_u on invariant functions,
+    ascending.
+
+    They are the eigenvalues of the collocated s-operator of ``v_h_solve``,
+    whose degree doubles until the k values agree with those of the
+    previous degree to 1e-10 (relative).  The first two are exactly 0
+    (constants) and 2 (s - 1, the moment map, up to a constant), and
+    Futaki's bound puts the rest above 2.
+    """
+    if k < 1:
+        raise StabilityError(f"need k >= 1 eigenvalues, got {k}")
+    prev = None
+    for m in _DEGREES:
+        if m < 2 * k:
+            continue
+        _, A = _s_operator(sol, m)
+        lam = np.sort(np.linalg.eigvals(-A).real)[:k]
+        if prev is not None and (np.abs(lam - prev).max()
+                                 <= 1e-10 * max(1.0, np.abs(lam).max())):
+            return lam
+        prev = lam
+    raise StabilityError(f"the {k} lowest eigenvalues of -Delta_u are not "
+                         f"converged at degree {_DEGREES[-1]}")
 
 
 def ibp_identity_check(sol: SolitonSolution,

@@ -10,7 +10,6 @@ from krslab.grids import (
     uniform_fd4,
     uniform_weights,
 )
-from krslab.solver import solve_momentum
 
 
 def _reference_cc_weights(n, a, b):
@@ -119,9 +118,9 @@ class TestScheme:
     def test_derivative_and_weights_consistent(self):
         # fundamental theorem: int v' = v(b) - v(a)
         sch = Scheme.chebyshev(64, 0.0, 1.5)
+        _, D = cheb_lobatto(64, 0.0, 1.5)
         v = np.exp(-sch.t**2)
-        assert sch.integrate(sch.D @ v) == pytest.approx(v[-1] - v[0],
-                                                         abs=1e-12)
+        assert sch.integrate(D @ v) == pytest.approx(v[-1] - v[0], abs=1e-12)
 
 
 class TestLazyDifferentiation:
@@ -130,19 +129,6 @@ class TestLazyDifferentiation:
     def test_scheme_nodes_are_the_lobatto_nodes(self, n, a, b):
         assert np.array_equal(Scheme.chebyshev(n, a, b).t,
                               cheb_lobatto(n, a, b)[0])
-
-    @pytest.mark.parametrize("kind,eager", [("chebyshev", cheb_lobatto),
-                                            ("uniform", uniform_fd4)])
-    def test_D_built_on_first_access_and_cached(self, kind, eager):
-        sch = getattr(Scheme, kind)(64, 0.0, 3.2)
-        assert "D" not in vars(sch)
-        D = sch.D
-        assert sch.D is D
-        assert np.array_equal(D, eager(64, 0.0, 3.2)[1])
-
-    def test_solve_does_not_materialize_D(self, kc_config, constants):
-        sol = solve_momentum(kc_config, constants, nodes=4096)
-        assert "D" not in vars(sol.grid.scheme)
 
     def test_profile_grid_with_u_shares_the_scheme(self, kc_momentum):
         g = kc_momentum.grid

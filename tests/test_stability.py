@@ -2,15 +2,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from krslab import stability
+from krslab import solver, stability
 from krslab.config import BaseFactor, BundleConfig, ConfigError, ProfileSpec
+from krslab.geometry import log_weight_slope, weighted_laplacian
+from krslab.grids import cheb_lobatto
 from krslab.stability import (
     EntropyGauge,
     PerturbationProfile,
     StabilityError,
     c_constant,
     constant_profile,
+    drift_spectrum,
     dw_theorem_check,
     family,
     ibp_identity_check,
@@ -159,6 +164,128 @@ class TestVh:
     def test_wrong_grid_rejected(self, sol192):
         with pytest.raises(StabilityError):
             v_h_solve(sol192, np.zeros(7))
+
+    def test_agrees_with_a_dense_t_grid_solve(self, sol192):
+        # independent route: collocate v'' + ((log w)' - u') v' + v = s on
+        # the t-nodes with v'(0) = v'(T) = 0
+        g = sol192.grid
+        t, T = g.t, g.T
+        _, D = cheb_lobatto(t.size - 1, 0.0, T)
+        src = np.cos(2 * np.pi * t / T) + 0.3 * np.cos(4 * np.pi * t / T)
+        lw = log_weight_slope(g, sol192.config)
+        L = D @ D + (lw - g.du)[:, None] * D + np.eye(t.size)
+        L[0], L[-1] = D[0], D[-1]
+        rhs = src.copy()
+        rhs[0] = rhs[-1] = 0.0
+        dense = np.linalg.solve(L, rhs)
+        assert np.abs(v_h_solve(sol192, src).v - dense).max() < 1e-8
+
+    @pytest.mark.parametrize("kind", ["sin", "linear"])
+    def test_unresolved_source_raises(self, sol192, kind):
+        # odd at the far end: not a smooth function of s
+        t, T = sol192.grid.t, sol192.grid.T
+        src = np.sin(np.pi * t / T) if kind == "sin" else t / T
+        with pytest.raises(StabilityError,
+                           match=r"source is not resolved .* degree 64, "
+                                 r"the largest 193 nodes allow "
+                                 r"\(coefficient tail \d"):
+            v_h_solve(sol192, src)
+
+    def test_too_few_nodes_rejected(self, kc_config, constants):
+        sol = solver.solve_momentum(kc_config, constants, nodes=16)
+        with pytest.raises(StabilityError, match="too few"):
+            v_h_solve(sol, np.ones_like(sol.grid.t))
+
+    def test_uniform_scheme_and_shooting_solutions(self, kc_config, constants,
+                                                   two_factor_shooting):
+        uniform = solver.solve_momentum(kc_config, constants, nodes=256,
+                                        scheme="uniform")
+        for sol in (uniform, two_factor_shooting):
+            t, T = sol.grid.t, sol.grid.T
+            out = v_h_solve(sol, np.cos(2 * np.pi * t / T))
+            assert out.residual < 1e-9 and not out.near_kernel
+
+
+# the configs the test suite solves elsewhere, as (d, p, q) per factor
+SPECTRUM_CONFIGS = {
+    "kc": [(2, 2.0, 1)],
+    "kc_mirror": [(2, 2.0, -1)],
+    "two_s2": [(2, 2.0, 1), (2, 2.0, 1)],
+    "s2xs2_opp": [(2, 2.0, 1), (2, 2.0, -1)],
+    "s2_p3_q2": [(2, 3.0, 2)],
+    "cp2_q2": [(4, 3.0, 2)],
+    "cp3_q1": [(6, 4.0, 1)],
+    "three_s2": [(2, 2.0, 1)] * 3,
+    "mixed_three": [(2, 2.0, 1), (4, 3.0, 1), (2, 3.0, -1)],
+    "s2_cp2_q_minus2": [(2, 2.0, 1), (4, 3.0, -2)],
+}
+
+
+def _bundle(factors):
+    return BundleConfig(factors=tuple(BaseFactor(d, p, q)
+                                      for d, p, q in factors))
+
+
+def _moment_map_residual(sol):
+    """max |Delta_u (s - 1) + 2 (s - 1)| over the nodes, with s read off the
+    first factor's Kahler relation l^2 = q s + p - q."""
+    g, cfg = sol.grid, sol.config
+    s = (g.l[0] ** 2 - (cfg.p[0] - cfg.q[0])) / cfg.q[0]
+    lap = weighted_laplacian(g, cfg, s - 1.0, g.f, g.df)
+    return float(np.abs(lap + 2.0 * (s - 1.0)).max())
+
+
+def _assert_spectrum_facts(sol):
+    assert _moment_map_residual(sol) <= 1e-10
+    lam = drift_spectrum(sol, 3)
+    assert abs(lam[0]) <= 1e-10
+    assert abs(lam[1] - 2.0) <= 1e-10
+    assert lam[2] > 2.0
+
+
+@pytest.fixture(scope="module")
+def spectrum_solutions(constants):
+    return {name: solver.solve_momentum(_bundle(f), constants, nodes=128)
+            for name, f in SPECTRUM_CONFIGS.items()}
+
+
+class TestDriftSpectrum:
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_CONFIGS))
+    def test_moment_map_eigenfunction_and_gap(self, spectrum_solutions,
+                                              name):
+        _assert_spectrum_facts(spectrum_solutions[name])
+
+    def test_shooting_solution(self, two_factor_shooting):
+        _assert_spectrum_facts(two_factor_shooting)
+
+    def test_independent_of_the_nodes(self, spectrum_solutions, kc_momentum):
+        coarse = drift_spectrum(spectrum_solutions["kc"], 5)
+        assert np.abs(drift_spectrum(kc_momentum, 5) - coarse).max() < 1e-9
+        assert np.all(np.diff(coarse) > 0)
+
+    def test_k_must_be_positive(self, kc_momentum):
+        with pytest.raises(StabilityError):
+            drift_spectrum(kc_momentum, 0)
+
+
+class TestAdmissibleSweep:
+    @given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                                      st.integers(1, 3),
+                                      st.sampled_from([-1, 1]),
+                                      st.floats(0.5, 3.0)),
+                            min_size=1, max_size=3),
+           nodes=st.sampled_from([128, 256]), seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_vh_and_spectrum(self, constants, factors, nodes, seed):
+        # |q| < p and q != 0: p exceeds |q| by the drawn gap
+        sol = solver.solve_momentum(
+            _bundle([(d, q + gap, sign * q) for d, q, sign, gap in factors]),
+            constants, nodes=nodes)
+        t, T = sol.grid.t, sol.grid.T
+        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        src = sum(a * np.cos(k * np.pi * t / T) for k, a in enumerate(coeffs))
+        assert v_h_solve(sol, src).residual < 1e-8
+        _assert_spectrum_facts(sol)
 
 
 class TestIbp:
