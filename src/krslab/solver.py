@@ -280,22 +280,43 @@ def momentum_phi(config: BundleConfig, c: float, s) -> np.ndarray:
     return _phi(s, c, config, config.p - config.q)
 
 
+_SLOPE_BOX = 8.0
+
+
 def find_slope_roots(config: BundleConfig, b):
-    """All roots of the far-end closure condition phi(2; c) = 0 in the search
-    box [-c_max, c_max], scanned in ``scan`` equal brackets."""
-    c_max, scan = 8.0, 400
-    cs = np.linspace(-c_max, c_max, scan + 1)
-    F = np.array([_phi_integral(2.0, c, config, b)[0] for c in cs])
-    roots = []
-    for k in range(scan):
-        if F[k] == 0.0:
-            roots.append(cs[k])
-        elif F[k] * F[k + 1] < 0:
-            roots.append(brentq(
-                lambda c: _phi_integral(2.0, c, config, b)[0],
-                cs[k], cs[k + 1], xtol=1e-15, rtol=8.9e-16,
-            ))
-    return roots
+    """The root of the far-end closure condition phi(2; c) = 0 in the search
+    box [-8, 8], as a list with at most one entry.
+
+    With G(c) = int_0^2 m0(s) e^{-c(s-1)} ds and m0 = prod l_j^{d_j} > 0,
+    the integral read here is int_0^2 m0 e^{-cs} 2(1-s) ds = 2 e^{-c} G'(c),
+    which has the sign of phi(2; c), and
+    G''(c) = int_0^2 (1-s)^2 m0 e^{-c(s-1)} ds > 0.  So G' is strictly
+    increasing and the sign changes at most once: the root is unique.  The
+    box is cut into 400 equal brackets; equal signs at its two ends mean no
+    root, else bisection over the bracket indices finds the one sign change
+    (or a node where the integral is exactly zero) and brentq refines it.
+    """
+    cs = np.linspace(-_SLOPE_BOX, _SLOPE_BOX, 401)
+
+    def F(c):
+        return _phi_integral(2.0, c, config, b)[0]
+
+    lo, hi = 0, cs.size - 1
+    F_lo = F(cs[lo])
+    if F_lo == 0.0:
+        return [cs[lo]]
+    if not F_lo * F(cs[hi]) < 0:
+        return []
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        F_mid = F(cs[mid])
+        if F_mid == 0.0:
+            return [cs[mid]]
+        if F_mid * F_lo > 0:
+            lo = mid
+        else:
+            hi = mid
+    return [brentq(F, cs[lo], cs[hi], xtol=1e-15, rtol=8.9e-16)]
 
 
 def solve_momentum(config: BundleConfig, constants: PinnedConstants,
@@ -307,7 +328,8 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     l_i^2 = q_i s + b_i; smooth collapse forces b_i = p_i - q_i and the
     interval s in [0, 2], leaving the linear ODE
     phi' + ((1/2) sum d_j q_j / l_j^2 - c) phi = 2 (1 - s),  phi(0) = 0,
-    closed by the single scalar condition phi(2) = 0 on the slope c.
+    closed by the single scalar condition phi(2) = 0 on the slope c, whose
+    root is unique (``find_slope_roots``).
     """
     constants.require_pinned()
     if not (np.isclose(constants.A, _REDUCTION_A)
@@ -325,8 +347,9 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
         )
     roots = find_slope_roots(config, b)
     if not roots:
-        raise NoSolitonFound("no root of phi(2; c) = 0 in the search box")
-    c = roots[0]
+        raise NoSolitonFound("no root of phi(2; c) = 0 in the search box "
+                             f"|c| <= {_SLOPE_BOX:g}")
+    c, = roots
 
     # phi > 0 on the interior
     s_probe = np.linspace(0.0, 2.0, 201)[1:-1]
@@ -520,14 +543,32 @@ def _unpack(x, r):
             x[2 * r + 3])
 
 
-def _match_residual(config, constants, x, t_mid, rtol):
+def _match_residual(config, constants, x, t_mid, rtol, base=None):
     """Continuity defect of both branches at the interior matching point,
-    and the two (launch, integration) pairs it was read from."""
+    and the two (launch, integration) pairs it was read from.
+
+    ``base = (x_b, (near_b, far_b))`` is an iterate of the same solve (same
+    ``t_mid`` and ``rtol``) with its branches.  A branch whose inputs equal
+    the iterate's exactly is taken from it instead of integrated again: the
+    near branch depends on x[:r+1] only, the far branch on x[r+1:2r+2] and
+    T; the potential offset u0f enters neither.  The defect is then the same
+    float operations on the same states, bit for bit.
+    """
     r = config.r
     a, u2, af, u2f, u0f, T = _unpack(x, r)
-    near = _integrate_branch(config, constants, a, u2, t_mid, rtol)
-    far = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
-                            twist_sign=-1.0)
+    near = far = None
+    if base is not None:
+        xb, (near_b, far_b) = base
+        if np.array_equal(x[:r + 1], xb[:r + 1]):
+            near = near_b
+        if (np.array_equal(x[r + 1:2 * r + 2], xb[r + 1:2 * r + 2])
+                and T == xb[2 * r + 3]):
+            far = far_b
+    if near is None:
+        near = _integrate_branch(config, constants, a, u2, t_mid, rtol)
+    if far is None:
+        far = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
+                                twist_sign=-1.0)
     defect = near[1].sol(t_mid) - _reflect(far[1].sol(T - t_mid), r, u0f)
     return defect, (near, far)
 
@@ -592,6 +633,12 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     Kahler condition is imposed in the launch series and only monitored
     along the trajectories; a root that breaks it is rejected.
 
+    The Jacobian is a forward difference, one matching call per variable.
+    Each column integrates only the branch its variable moves (a near-end
+    variable the near branch; a far-end variable or T the far branch; the
+    offset u0f neither) and reuses the iterate's other branch, so it costs
+    2r+3 branch integrations instead of 4r+8 and is the same matrix.
+
     ``start``, a momentum solution of the same config, gives the trial
     vector and the matching point (warm start; ``x0`` is not read); without
     it they come from ``x0`` and a probe integration (cold start).
@@ -613,8 +660,8 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
         guess, t_mid = _default_guess(config, constants, x0[:r], x0[r])
         x = guess if x0.size == r + 1 else x0.copy()
 
-    def match(xv):
-        return _match_residual(config, constants, xv, t_mid, rtol)
+    def match(xv, base=None):
+        return _match_residual(config, constants, xv, t_mid, rtol, base)
 
     nx = 2 * r + 4
     # the branches of the accepted iterate are the ones sampled below
@@ -628,7 +675,8 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
             h = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += h
-            J[:, j] = (match(xp)[0] - res) / h
+            # a column moves one branch (u0f: none); the other is x's own
+            J[:, j] = (match(xp, (x, branches))[0] - res) / h
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         lam = 1.0
         for _ in range(25):

@@ -183,6 +183,20 @@ class TestSolve:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"].startswith("non-Kahler root: T=3.265")
 
+    def test_no_slope_root_exits_3(self, pipeline, tmp_path):
+        # admissible, but phi(2; c) = 0 has no root with |c| <= 8
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "factors": [{"dim": 20, "einstein_constant": 1.05, "twist": 1}],
+            "grid": {"nodes": 64}, "method": "both",
+        }))
+        out = tmp_path / "o"
+        assert run("solve", "--config", str(cfg), "--constants",
+                   pipeline["constants"], "--out", str(out)) == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == (
+            "no root of phi(2; c) = 0 in the search box |c| <= 8")
+
 
 # each case: the file it corrupts, the edit, and what the error must name
 MALFORMED = {

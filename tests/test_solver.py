@@ -2,10 +2,38 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from krslab.config import BaseFactor, BundleConfig
 from krslab.geometry import PinnedConstants, ricci_frame
 from krslab import solver
+
+
+def _bundle(factors):
+    return BundleConfig(factors=tuple(
+        BaseFactor(d=d, p=float(p), q=q) for d, p, q in factors))
+
+
+def _scan_slope_roots(config, b):
+    """Every sign change of phi(2; c) over the 401 nodes of [-8, 8], each
+    refined by brentq: the scan the bisection replaced."""
+    cs = np.linspace(-8.0, 8.0, 401)
+    F = np.array([solver._phi_integral(2.0, c, config, b)[0] for c in cs])
+    roots = []
+    for k in range(400):
+        if F[k] == 0.0:
+            roots.append(cs[k])
+        elif F[k] * F[k + 1] < 0:
+            roots.append(brentq(
+                lambda c: solver._phi_integral(2.0, c, config, b)[0],
+                cs[k], cs[k + 1], xtol=1e-15, rtol=8.9e-16))
+    return roots
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
 
 
 class TestMomentum:
@@ -56,6 +84,88 @@ class TestMomentum:
         assert uni.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-12)
         assert uni.residuals.max_equation_residual() < 1e-10
 
+    def test_no_root_names_the_search_box(self, constants):
+        # admissible (p - q = 0.05 > 0), but phi(2; c) keeps one sign on
+        # the whole box (the scan finds no root either, see TestSlopeRoot)
+        with pytest.raises(solver.NoSolitonFound,
+                           match=r"search box \|c\| <= 8$"):
+            solver.solve_momentum(_bundle([(20, 1.05, 1)]), constants,
+                                  nodes=64)
+
+
+class TestSlopeRoot:
+    @given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                                      st.integers(1, 3),
+                                      st.sampled_from([-1, 1]),
+                                      st.floats(0.25, 3.0)),
+                            min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_bisection_is_the_scan_bit_for_bit(self, factors):
+        # |q| < p and q != 0: p exceeds |q| by the drawn gap
+        cfg = _bundle([(d, q + gap, sign * q) for d, q, sign, gap in factors])
+        b = cfg.p - cfg.q
+        roots = solver.find_slope_roots(cfg, b)
+        assert len(roots) == 1
+        assert _hex(roots) == _hex(_scan_slope_roots(cfg, b))
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 2, 1)], [(2, 2, 1), (2, 2, -1)], [(4, 3, 2)], [(20, 1.05, 1)],
+    ], ids=["kc", "s2xs2_opp", "cp2_q2", "no_root"])
+    def test_named_configs_match_the_scan(self, factors):
+        cfg = _bundle(factors)
+        b = cfg.p - cfg.q
+        assert _hex(solver.find_slope_roots(cfg, b)) == _hex(
+            _scan_slope_roots(cfg, b))
+
+    def test_bisection_evaluates_few_points(self, kc_config, monkeypatch):
+        # two box ends, nine bisection steps over 400 brackets, then brentq:
+        # 18 evaluations on kc, where the scan made ~407
+        calls = []
+        phi_integral = solver._phi_integral
+
+        def counted(*args):
+            calls.append(1)
+            return phi_integral(*args)
+
+        monkeypatch.setattr(solver, "_phi_integral", counted)
+        solver.find_slope_roots(kc_config, kc_config.p - kc_config.q)
+        assert len(calls) <= 25
+
+
+class TestMomentumInvariances:
+    """The momentum solve under maps of (d, p, q) that fix the soliton."""
+
+    def test_doubling_p_and_q_is_exact(self, constants):
+        # l^2 and the weight scale by powers of two: every float is the same
+        a = solver.solve_momentum(_bundle([(2, 2, 1)]), constants, nodes=256)
+        b = solver.solve_momentum(_bundle([(2, 4, 2)]), constants, nodes=256)
+        assert a.c_slope == b.c_slope
+        assert a.grid.T == b.grid.T
+
+    def test_tripling_p_and_q(self, constants):
+        a = solver.solve_momentum(_bundle([(2, 2, 1)]), constants, nodes=256)
+        b = solver.solve_momentum(_bundle([(2, 6, 3)]), constants, nodes=256)
+        assert a.c_slope == b.c_slope
+        assert abs(a.grid.T - b.grid.T) <= 3e-12
+
+    def test_mirror_twist_flips_the_slope(self, constants):
+        a = solver.solve_momentum(_bundle([(2, 2, 1)]), constants, nodes=256)
+        b = solver.solve_momentum(_bundle([(2, 2, -1)]), constants, nodes=256)
+        assert b.c_slope == -a.c_slope
+        assert abs(a.grid.T - b.grid.T) <= 1.5e-12
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 2, 1), (4, 3, 1)], [(2, 2, 1), (2, 3, -1)],
+        [(2, 2, 1), (4, 3, 1), (6, 4, -2)],
+    ], ids=["s2_cp2", "mixed_twist", "three_factor"])
+    def test_factor_order_is_irrelevant(self, constants, factors):
+        a = solver.solve_momentum(_bundle(factors), constants, nodes=256)
+        b = solver.solve_momentum(_bundle(factors[::-1]), constants,
+                                  nodes=256)
+        assert abs(a.c_slope - b.c_slope) <= 1e-15
+        assert abs(a.grid.T - b.grid.T) <= 2e-11
+        assert np.abs(a.grid.u - b.grid.u).max() <= 1.5e-11
+
 
 class TestShooting:
     def test_koiso_cao_matches_momentum(self, kc_momentum, kc_config,
@@ -95,6 +205,67 @@ class TestShooting:
         assert sol.grid.T.hex() == "0x1.995d7824ffda8p+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
             "54f8ca84f522dea60a42417e9e2afa3201718d9581a61a155e5acd8f13ca8d97")
+
+    # warm start (method both) at N = 512: c, T and the profile table
+    @pytest.mark.parametrize("factors,c_hex,T_hex,table_sha", [
+        ([(2, 2, 1)] * 2, "0x1.0de1d115f8070p+0", "0x1.a0a61a8ce239fp+1",
+         "8636744dac55cd100d6ea3f7bae828f01a9cc5a15c9b68188dba7f1e449dac87"),
+        ([(2, 2, 1)] * 3, "0x1.946ec4802ce02p+0", "0x1.a7f7ea4f4729dp+1",
+         "f88328f29150e74a99c7643d58636dc1a5faa87fbbe4fbafc12e12beba5c3caf"),
+    ], ids=["two_s2", "three_s2"])
+    def test_warm_start_reproduces_its_result(self, constants, factors,
+                                              c_hex, T_hex, table_sha):
+        cfg = _bundle(factors)
+        sol = solver.solve_shooting(
+            cfg, constants, nodes=512,
+            start=solver.solve_momentum(cfg, constants, nodes=512))
+        assert float(sol.c_slope).hex() == c_hex
+        assert sol.grid.T.hex() == T_hex
+        assert hashlib.sha256(
+            sol.grid.table().tobytes()).hexdigest() == table_sha
+
+    def test_jacobian_column_integrates_one_branch(
+            self, two_factor_config, two_factor_momentum, constants,
+            monkeypatch):
+        # warm two_s2 (r = 2) takes one Newton step: the first matching
+        # call, 2r+4 Jacobian columns, one accepted line-search trial
+        counts = {"match": 0, "branch": 0}
+        match, branch = solver._match_residual, solver._integrate_branch
+
+        def counted_match(*args, **kwargs):
+            counts["match"] += 1
+            return match(*args, **kwargs)
+
+        def counted_branch(*args, **kwargs):
+            counts["branch"] += 1
+            return branch(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_match_residual", counted_match)
+        monkeypatch.setattr(solver, "_integrate_branch", counted_branch)
+        solver.solve_shooting(two_factor_config, constants, nodes=512,
+                              start=two_factor_momentum)
+        r = two_factor_config.r
+        assert counts["match"] == 1 + (2 * r + 4) + 1
+        # a column integrates the branch it moves, u0f's column none
+        assert counts["branch"] == 2 + (2 * r + 3) + 2
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5],
+                             ids=["near_a", "near_u2", "far_a", "far_u2",
+                                  "u0f", "T"])
+    def test_reused_branch_gives_the_fresh_defect(self, kc_config, constants,
+                                                  kc_momentum, j):
+        x, t_mid = solver._warm_start(kc_config, kc_momentum)
+        _, branches = solver._match_residual(kc_config, constants, x, t_mid,
+                                             1e-12)
+        xp = x.copy()
+        xp[j] += 1e-7 * max(1.0, abs(x[j]))
+        reused, (near, far) = solver._match_residual(
+            kc_config, constants, xp, t_mid, 1e-12, base=(x, branches))
+        fresh, _ = solver._match_residual(kc_config, constants, xp, t_mid,
+                                          1e-12)
+        assert np.array_equal(reused, fresh)
+        assert (near is branches[0]) == (j > 1)
+        assert (far is branches[1]) == (j in (0, 1, 4))
 
     def test_warm_start_skips_the_probe(self, kc_config, constants,
                                         kc_momentum, monkeypatch):
