@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from .config import ConfigError, Tolerances, load_run_config, read_json
-from .geometry import PinnedConstants
+from .geometry import PinnedConstants, profile_csv_header
 from .oracle import OracleError, pin_constants
 from . import algebra, solver, stability
 
@@ -55,14 +55,6 @@ def _write_json(path: str, payload: dict):
 # solution (de)serialization
 
 
-def profile_csv_header(r: int) -> str:
-    cols = ["t", "f", "df", "ddf"]
-    for i in range(1, r + 1):
-        cols += [f"l{i}", f"dl{i}", f"ddl{i}"]
-    cols += ["u", "du", "ddu"]
-    return ",".join(cols)
-
-
 def write_solution(out_dir: str, sol: solver.SolitonSolution):
     cols = sol.grid.table()
     fmt = ",".join(["%.17g"] * cols.shape[0])
@@ -89,8 +81,7 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
 
 def cmd_pin_constants(args) -> int:
     try:
-        pc = pin_constants(seed=args.seed, samples=args.samples,
-                           h=args.fd_step, tol=args.fd_tol)
+        pc = pin_constants(seed=args.seed)
     except OracleError as exc:
         _write_json(args.out, {"error": str(exc)})
         print(f"oracle failure: {exc}", file=sys.stderr)
@@ -209,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the finite-difference oracle")
     p.add_argument("--out", default="constants.json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--fd-step", type=float, default=0.02)
-    p.add_argument("--fd-tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_pin_constants)
 
     p = sub.add_parser("solve", help="solve the soliton boundary-value "

@@ -20,6 +20,8 @@ SCHEME_KINDS = ("chebyshev", "uniform")
 PROFILE_KINDS = ("constant", "u_plus", "u_minus", "abs_u")
 # the second-variation integral is 2 * int u psi e^{-u} dV
 STABILITY_PREFACTOR = 2.0
+# the normalized shrinker (soliton constant 1): Ric + Hess u = g / (2 tau)
+TAU = 0.5
 
 
 def read_json(path: str) -> dict:
@@ -108,17 +110,14 @@ class BaseFactor:
 class BundleConfig:
     """Ordered list of base factors; total real dimension n = 2 + sum(d_i).
 
-    tau is fixed at 1/2 (normalized shrinker, soliton constant 1).
+    tau is fixed at TAU = 1/2 (normalized shrinker, soliton constant 1).
     """
 
     factors: tuple[BaseFactor, ...]
-    tau: float = 0.5
 
     def __post_init__(self):
         if not self.factors:
             raise ConfigError("need at least one base factor")
-        if self.tau != 0.5:
-            raise ConfigError("only the normalized soliton (tau = 1/2) is supported")
 
     @property
     def r(self) -> int:
@@ -139,17 +138,20 @@ class BundleConfig:
 
     def to_dict(self) -> dict:
         return {"factors": [f.to_dict() for f in self.factors],
-                "n": self.n, "tau": self.tau}
+                "n": self.n, "tau": TAU}
 
     @staticmethod
     def from_dict(raw: dict) -> "BundleConfig":
-        """Inverse of ``to_dict``; the derived ``n`` is not read back."""
+        """Inverse of ``to_dict``; the derived ``n`` is not read back, and
+        ``tau``, when given, must be TAU."""
         check_keys(raw, ("factors", "n", "tau"))
         factors = get_field(raw, "factors", list)
-        return BundleConfig(
-            factors=tuple(BaseFactor.from_dict(f) for f in factors),
-            tau=get_field(raw, "tau", float, 0.5),
-        )
+        config = BundleConfig(
+            factors=tuple(BaseFactor.from_dict(f) for f in factors))
+        if get_field(raw, "tau", float, TAU) != TAU:
+            raise ConfigError(
+                "only the normalized soliton (tau = 1/2) is supported")
+        return config
 
 
 def koiso_cao() -> BundleConfig:

@@ -26,14 +26,15 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class PinnedConstants:
-    """Ansatz curvature coefficients validated against the coordinate oracle."""
+    """Ansatz curvature coefficients validated against the coordinate oracle;
+    a value whose oracle error is not finite and below 1e-6 cannot be made."""
 
     A: float
     B: float
-    max_rel_err: float = float("nan")
-    samples: int = 0
+    max_rel_err: float
+    samples: int
 
-    def require_pinned(self):
+    def __post_init__(self):
         if not np.isfinite(self.max_rel_err) or self.max_rel_err >= 1e-6:
             raise GeometryError(
                 "curvature constants not pinned (oracle error "
@@ -121,7 +122,8 @@ class ProfileGrid:
 
     def table(self) -> np.ndarray:
         """The profiles as rows t, f, df, ddf, l_i, dl_i, ddl_i (per factor),
-        u, du, ddu: the column layout of the profile CSV, transposed."""
+        u, du, ddu: the column layout of the profile CSV, transposed (see
+        ``profile_csv_header``)."""
         r = self.nfactors
         return np.vstack([self.t, self.f, self.df, self.ddf,
                           np.stack([self.l, self.dl, self.ddl],
@@ -144,6 +146,16 @@ class ProfileGrid:
             u=table[:, 3 * r + 4], du=table[:, 3 * r + 5],
             ddu=table[:, 3 * r + 6],
         )
+
+
+def profile_csv_header(r: int) -> str:
+    """Header line of the profile CSV for r factors: the names of the rows
+    of ``ProfileGrid.table``, in order."""
+    cols = ["t", "f", "df", "ddf"]
+    for i in range(1, r + 1):
+        cols += [f"l{i}", f"dl{i}", f"ddl{i}"]
+    cols += ["u", "du", "ddu"]
+    return ",".join(cols)
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,6 @@ def ricci_components(
     even extrapolation from the interior nodes.
     """
     _check_factors(grid, config)
-    constants.require_pinned()
     # interior nodes only; the endpoints are filled at the end
     f = grid.f[1:-1]
     if np.any(f == 0.0):

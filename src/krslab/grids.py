@@ -104,7 +104,7 @@ class Scheme:
 
     t: np.ndarray
     w: np.ndarray
-    kind: str = "chebyshev"
+    kind: str
 
     @staticmethod
     def chebyshev(n: int, a: float = 0.0, b: float = 1.0) -> "Scheme":

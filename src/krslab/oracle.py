@@ -43,6 +43,9 @@ class LocalState:
 
 _GUARD = 0.35  # stay away from Euler-angle poles
 ROMBERG_LEVELS = 4  # step halvings before the extrapolation gives up
+FD_STEP = 0.02  # first finite-difference step of the Romberg table
+FD_TOL = 1e-7  # estimated absolute error the extrapolation must reach
+SAMPLES = 20  # random interior states that pin_constants scores
 
 
 def coordinate_metric(state: LocalState, x: np.ndarray) -> np.ndarray:
@@ -128,15 +131,11 @@ def _frame(state: LocalState, x: np.ndarray) -> np.ndarray:
     return frame  # frame[:, a] is the a-th vector
 
 
-def oracle_ricci(
-    state: LocalState,
-    x: np.ndarray | None = None,
-    h: float = 0.02,
-    tol: float = 1e-7,
-):
+def oracle_ricci(state: LocalState, x: np.ndarray | None = None):
     """Ricci components (R_NN, R_UU, R_H) in the unit frame, with Richardson
-    extrapolation in the finite-difference step (at most ROMBERG_LEVELS
-    halvings) until the estimated absolute error is below tol.
+    extrapolation in the finite-difference step (FD_STEP, then at most
+    ROMBERG_LEVELS halvings) until the estimated absolute error is below
+    FD_TOL.
 
     Returns (components, err_estimate).  Raises OracleError on
     non-convergence.
@@ -151,20 +150,20 @@ def oracle_ricci(
         return np.array([vals[0, 0], vals[1, 1], vals[2, 2], vals[3, 3]])
 
     # Romberg table over step halvings; error from successive diagonal entries
-    rows = [[components(h)]]
+    rows = [[components(FD_STEP)]]
     err = np.inf
     best = rows[0][0]
     for level in range(1, ROMBERG_LEVELS + 1):
-        row = [components(h / 2.0**level)]
+        row = [components(FD_STEP / 2.0**level)]
         for j in range(1, level + 1):
             fac = 4.0**j
             row.append((fac * row[j - 1] - rows[level - 1][j - 1]) / (fac - 1.0))
         rows.append(row)
         err = float(np.abs(row[level] - rows[level - 1][level - 1]).max())
         best = row[level]
-        if err < tol:
+        if err < FD_TOL:
             break
-    if err >= tol:
+    if err >= FD_TOL:
         raise OracleError(f"Richardson stalled at estimated error {err:.3e}")
     r_nn, r_uu, r_h1, r_h2 = best
     # the two horizontal directions must agree; fold into the error estimate
@@ -187,24 +186,19 @@ def random_state(rng: np.random.Generator) -> LocalState:
     )
 
 
-def pin_constants(
-    seed: int = 0,
-    samples: int = 20,
-    h: float = 0.02,
-    tol: float = 1e-7,
-) -> PinnedConstants:
+def pin_constants(seed: int = 0) -> PinnedConstants:
     """Select (A, B) from the candidate grid by minimizing the max relative
-    error of the closed-form components against the oracle over random
-    interior states.  The winner must beat 1e-6 and be well separated from
-    the runner-up."""
+    error of the closed-form components against the oracle over SAMPLES
+    random interior states.  The winner must beat 1e-6 and be well
+    separated from the runner-up."""
     rng = np.random.default_rng(seed)
-    states = [random_state(rng) for _ in range(samples)]
+    states = [random_state(rng) for _ in range(SAMPLES)]
     points = [
         np.array([0.0, rng.uniform(0, 2 * np.pi), rng.uniform(0.7, np.pi - 0.7),
                   rng.uniform(0, 2 * np.pi)])
-        for _ in range(samples)
+        for _ in range(SAMPLES)
     ]
-    oracle_vals = np.array([oracle_ricci(s, x, h=h, tol=tol)[0]
+    oracle_vals = np.array([oracle_ricci(s, x)[0]
                             for s, x in zip(states, points)]).T
     # one factor (d = p = 2): one formula call per pair scores every state
     f, df, ddf, l, dl, ddl, q = np.array(
@@ -229,4 +223,4 @@ def pin_constants(
         )
     if runner_err < 1e-3:
         raise OracleError("candidate selection not unique")
-    return PinnedConstants(A=A, B=B, max_rel_err=best_err, samples=samples)
+    return PinnedConstants(A=A, B=B, max_rel_err=best_err, samples=SAMPLES)

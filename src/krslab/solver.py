@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .config import BundleConfig, check_keys, get_field
+from .config import TAU, BundleConfig, check_keys, get_field
 from .geometry import (
     PinnedConstants,
     ProfileGrid,
@@ -82,7 +82,7 @@ def evaluate(grid: ProfileGrid, config: BundleConfig,
         hessian_u=hessian_components(grid, grid.u, grid.du, grid.ddu),
         lap_u=lap,
         drift_lap_u=drift,
-        first_integral=config.tau * (2.0 * lap - grid.du**2 + ric.R) + grid.u,
+        first_integral=TAU * (2.0 * lap - grid.du**2 + ric.R) + grid.u,
         volume=weighted_integral(grid, config, np.ones_like(grid.u)),
     )
 
@@ -159,7 +159,6 @@ class SolitonSolution:
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
         constants = PinnedConstants.from_dict(get_field(meta, "constants",
                                                         dict))
-        constants.require_pinned()
         sch = Scheme.of_kind(get_field(meta, "scheme", str),
                              get_field(meta, "nodes", int), 0.0,
                              get_field(meta, "T", float))
@@ -230,9 +229,9 @@ def _solution(grid, config, constants, c_slope, method):
 def identity_suite(sol: SolitonSolution) -> dict:
     """Deviations of the soliton identities on a gauge-normalized solution:
     drift-Laplacian eigenvalue identity for u, trace identity, first-integral
-    constancy, and the divergence-theorem integral.  Always re-derived from
-    the solution's evaluation record."""
-    r = residual_report(sol)
+    constancy, and the divergence-theorem integral: read off the solution's
+    residual report."""
+    r = sol.residuals
     return {
         "delta_uu_plus_2u": r.delta_uu,
         "trace_R_plus_lap_u_minus_n": r.trace,
@@ -331,7 +330,6 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     closed by the single scalar condition phi(2) = 0 on the slope c, whose
     root is unique (``find_slope_roots``).
     """
-    constants.require_pinned()
     if not (np.isclose(constants.A, _REDUCTION_A)
             and np.isclose(constants.B, _REDUCTION_B)):
         raise SolverError(
@@ -587,6 +585,8 @@ def _default_guess(config, constants, a, u2):
     sol = solve_ivp(_rhs(config, constants), (_EPS, 60.0), y0, method="DOP853",
                     rtol=1e-9, atol=1e-11, events=low, dense_output=True)
     if sol.status != 1 or len(sol.t_events[0]) == 0:
+        # the message reaches diagnostics.json; the explicit initial guess
+        # it asks for is the warm start of method both
         raise SolverError(
             "probe trajectory never approaches a second collapse; "
             "supply an explicit initial guess"
@@ -617,7 +617,6 @@ def _warm_start(config, start):
 
 def solve_shooting(config: BundleConfig, constants: PinnedConstants,
                    nodes: int = 1024, scheme: str = "chebyshev",
-                   x0: Optional[np.ndarray] = None,
                    rtol: float = 1e-12,
                    start: Optional[SolitonSolution] = None
                    ) -> SolitonSolution:
@@ -640,25 +639,17 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     2r+3 branch integrations instead of 4r+8 and is the same matrix.
 
     ``start``, a momentum solution of the same config, gives the trial
-    vector and the matching point (warm start; ``x0`` is not read); without
-    it they come from ``x0`` and a probe integration (cold start).
+    vector and the matching point (warm start).  Without it the near end
+    starts at l_i(0) = 0.7 sqrt(p_i), u''(0)/2 = 1/4, and a probe
+    integration from there gives the far end, T and the matching point
+    (cold start).
     """
-    constants.require_pinned()
     r = config.r
     if start is not None:
         x, t_mid = _warm_start(config, start)
     else:
-        if x0 is None:
-            x0 = np.concatenate([np.sqrt(config.p) * 0.7, [0.25]])
-        x0 = np.asarray(x0, dtype=float)
-        if x0.size not in (r + 1, 2 * r + 4):
-            raise SolverError(
-                f"initial guess must have {r + 1} or {2 * r + 4} entries"
-            )
-        # a near-end guess (l_i(0), u''(0)/2) alone bootstraps the far end
-        # and the interval length from a probe integration
-        guess, t_mid = _default_guess(config, constants, x0[:r], x0[r])
-        x = guess if x0.size == r + 1 else x0.copy()
+        x, t_mid = _default_guess(config, constants,
+                                  np.sqrt(config.p) * 0.7, 0.25)
 
     def match(xv, base=None):
         return _match_residual(config, constants, xv, t_mid, rtol, base)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import algebra
-from .config import PROFILE_KINDS, STABILITY_PREFACTOR, ProfileSpec
+from .config import PROFILE_KINDS, STABILITY_PREFACTOR, TAU, ProfileSpec
 from .geometry import weighted_integral, weighted_laplacian
 from .grids import cheb_lobatto
 from .solver import SolitonSolution, momentum_phi
@@ -417,7 +417,6 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
     volume V0) and returns the resulting entropy value.
     """
     config = sol.config
-    tau = config.tau
     ham = sol.evaluation.first_integral - config.n
     dev = float(np.abs(ham - ham.mean()).max())
     if dev >= 1e-6:
@@ -426,13 +425,13 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
             "refusing to report an entropy value"
         )
     value = float(ham.mean())
-    out = {"mode": gauge.mode, "constancy_deviation": dev, "tau": tau}
+    out = {"mode": gauge.mode, "constancy_deviation": dev, "tau": TAU}
     if gauge.mode == "ratio":
         out["value"] = value
         out["flag"] = "up to additive log-volume constant"
         return out
     mass = gauge.V0 * sol.evaluation.volume
-    shift = float(np.log(mass * (4.0 * np.pi * tau) ** (-config.n / 2.0)))
+    shift = float(np.log(mass * (4.0 * np.pi * TAU) ** (-config.n / 2.0)))
     out["value"] = value + shift
     out["compatibility_shift"] = shift
     return out

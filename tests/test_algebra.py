@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krslab import algebra
 from krslab.algebra import (
     AlgebraError,
     HermitianModel,
@@ -127,6 +128,19 @@ class TestAntiInvariantFacts:
             anti_invariant_facts(2, h)
         # the trace defect the check guards against is visible directly
         assert abs(np.trace(h)) > 0.5
+
+    def test_drawn_partner_is_deterministic(self, monkeypatch):
+        # without k the invariant partner is drawn from a fixed seed
+        drawn = []
+
+        def recorded(rng, m):
+            drawn.append(random_invariant(rng, m))
+            return drawn[-1]
+
+        monkeypatch.setattr(algebra, "random_invariant", recorded)
+        h = random_anti_invariant(np.random.default_rng(3), 2)
+        assert anti_invariant_facts(2, h) == anti_invariant_facts(2, h)
+        assert len(drawn) == 2 and np.array_equal(drawn[0], drawn[1])
 
     def test_pointwise_orthogonality_gate(self):
         assert anti_invariant_pairing_vanishes()

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from krslab import solver
+from krslab import oracle, solver
 from krslab.config import ConfigError
 from krslab.cli import main, profile_csv_header, read_solution, write_solution
 
@@ -66,10 +66,12 @@ class TestPinConstants:
         run("pin-constants", "--out", b, "--seed", "1")
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_coarse_step_exits_2_with_diagnostics(self, tmp_path):
+    def test_coarse_step_exits_2_with_diagnostics(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(oracle, "FD_STEP", 0.3)
+        monkeypatch.setattr(oracle, "FD_TOL", 1e-12)
         out = str(tmp_path / "c.json")
-        assert run("pin-constants", "--out", out, "--fd-step", "0.3",
-                   "--fd-tol", "1e-12") == 2
+        assert run("pin-constants", "--out", out) == 2
         assert "error" in json.loads(open(out).read())
 
 
@@ -182,6 +184,19 @@ class TestSolve:
                    pipeline["constants"], "--out", str(out)) == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"].startswith("non-Kahler root: T=3.265")
+
+    def test_unpinned_constants_exit_4(self, pipeline, tmp_path, capsys):
+        # the constants file fails on load: one line, no traceback
+        constants = str(tmp_path / "constants.json")
+        shutil.copy(pipeline["constants"], constants)
+        _edit_json(constants, lambda raw: raw.update(max_rel_err=1e-3))
+        capsys.readouterr()
+        assert run("solve", "--config", pipeline["config"], "--constants",
+                   constants, "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: GeometryError: ")
+        assert "not pinned" in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_no_slope_root_exits_3(self, pipeline, tmp_path):
         # admissible, but phi(2; c) = 0 has no root with |c| <= 8

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from krslab.config import (
+    TAU,
     BaseFactor,
     BundleConfig,
     ConfigError,
@@ -37,7 +38,7 @@ class TestBundleConfig:
         cfg = koiso_cao()
         assert cfg.r == 1
         assert cfg.n == 4
-        assert cfg.tau == 0.5
+        assert cfg.to_dict()["tau"] == TAU == 0.5
         assert list(cfg.d) == [2.0]
         assert list(cfg.p) == [2.0]
         assert list(cfg.q) == [1.0]
@@ -50,8 +51,8 @@ class TestBundleConfig:
     def test_empty_and_bad_tau_rejected(self):
         with pytest.raises(ConfigError):
             BundleConfig(factors=())
-        with pytest.raises(ConfigError):
-            BundleConfig(factors=(BaseFactor(2, 2.0, 1),), tau=1.0)
+        with pytest.raises(ConfigError, match=r"tau = 1/2"):
+            BundleConfig.from_dict({**koiso_cao().to_dict(), "tau": 1.0})
 
     def test_round_trip_dict(self):
         cfg = koiso_cao()

@@ -27,17 +27,19 @@ def kc():
 
 class TestPinnedConstants:
     def test_unpinned_rejected(self):
-        with pytest.raises(GeometryError):
-            PinnedConstants(A=0.25, B=0.5).require_pinned()
-        with pytest.raises(GeometryError):
-            PinnedConstants(A=0.25, B=0.5, max_rel_err=1e-3).require_pinned()
+        # an unpinned value cannot be made, by construction or by loading
+        for err in (float("nan"), 1e-3):
+            with pytest.raises(GeometryError, match="not pinned"):
+                PinnedConstants(A=0.25, B=0.5, max_rel_err=err, samples=20)
+            raw = {"A": "1/4", "B": "1/2", "max_rel_err": err, "samples": 20}
+            with pytest.raises(GeometryError, match="not pinned"):
+                PinnedConstants.from_dict(raw)
 
     def test_round_trip_file(self, tmp_path, constants):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(constants.to_dict()))
         loaded = PinnedConstants.load(str(path))
         assert (loaded.A, loaded.B) == (constants.A, constants.B)
-        loaded.require_pinned()
 
     def test_from_dict_inverts_to_dict(self, constants):
         raw = json.loads(json.dumps(constants.to_dict()))

@@ -211,3 +211,172 @@ def test_detector_flags_missing_traced_functions():
         "grids.Scheme.legendre", "solver._gone"]
     del sources["solver"]
     assert "solver._rhs" in missing_traced_functions(tracer, sources)
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# defaults that no call in the package or the benchmark sets, each with the
+# reason it stays a parameter
+UNSET_DEFAULTS = {
+    "skew_pairing.check": "the acceptance gate passes it",
+    "v_h_solve.kernel_tol": "the acceptance gate passes it",
+    "EntropyGauge.mode": "the benchmark constructs EntropyGauge()",
+    "EntropyGauge.V0": "the benchmark constructs EntropyGauge()",
+    "uniform_fd4.a": "a test-only reference",
+    "uniform_fd4.b": "a test-only reference",
+    "Scheme.chebyshev.a": "Scheme.of_kind dispatches to it by name",
+    "Scheme.chebyshev.b": "Scheme.of_kind dispatches to it by name",
+    "Scheme.uniform.a": "Scheme.of_kind dispatches to it by name",
+    "Scheme.uniform.b": "Scheme.of_kind dispatches to it by name",
+}
+
+
+def _decorated(node, name: str) -> bool:
+    return any((isinstance(d, ast.Name) and d.id == name)
+               or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == name) for d in node.decorator_list)
+
+
+def settable_defaults(source: str) -> list:
+    """(name, callee, receivers, (param, position)) for every parameter
+    default and dataclass-field default.  name is ``[Class.]function.param`` or
+    ``Class.field``; a call sets it when it names ``callee`` and passes
+    ``param`` by keyword or reaches its position.  ``receivers`` restricts
+    the ``x.callee(...)`` forms that count for a static or class method
+    (``Class.m``, ``cls.m``); None accepts any call by that name."""
+    found = []
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _decorated(child, "dataclass"):
+                    fields = [s for s in child.body
+                              if isinstance(s, ast.AnnAssign)
+                              and isinstance(s.target, ast.Name)]
+                    found.extend(
+                        (f"{child.name}.{s.target.id}", child.name, None,
+                         (s.target.id, pos))
+                        for pos, s in enumerate(fields) if s.value is not None)
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                params = args.posonlyargs + args.args
+                first = len(params) - len(args.defaults)
+                receivers = None
+                if owner is not None:
+                    static = _decorated(child, "staticmethod")
+                    if not static:  # drop self or cls
+                        params, first = params[1:], first - 1
+                    if static or _decorated(child, "classmethod"):
+                        receivers = {owner, "cls"}
+                for pos in range(first, len(params)):
+                    found.append((f"{prefix}{child.name}.{params[pos].arg}",
+                                  child.name, receivers,
+                                  (params[pos].arg, pos)))
+                found.extend(
+                    (f"{prefix}{child.name}.{arg.arg}", child.name,
+                     receivers, (arg.arg, None))
+                    for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None)
+                visit(child, f"{prefix}{child.name}.", None)
+            else:
+                visit(child, prefix, owner)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def call_settings(sources) -> dict:
+    """(callee, keyword or position) -> receivers of every call that sets
+    it; a plain ``callee(...)`` call has receiver None, ``a.b.callee(...)``
+    receiver ``b``."""
+    sets = {}
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, receiver = node.func, None
+            if isinstance(func, ast.Attribute):
+                value = func.value
+                receiver = (value.id if isinstance(value, ast.Name)
+                            else value.attr if isinstance(value, ast.Attribute)
+                            else "")
+                callee = func.attr
+            elif isinstance(func, ast.Name):
+                callee = func.id
+            else:
+                continue
+            keys = [k.arg for k in node.keywords if k.arg is not None]
+            for pos, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                keys.append(pos)
+            for key in keys:
+                sets.setdefault((callee, key), set()).add(receiver)
+    return sets
+
+
+def unset_defaults(package_sources, caller_sources) -> list:
+    """Names of the defaults in the package that no call in the callers
+    sets: a value only tests set is a constant, not an option."""
+    sets = call_settings(caller_sources)
+    unset = []
+    for src in package_sources:
+        for name, callee, receivers, (param, pos) in settable_defaults(src):
+            seen = (sets.get((callee, param), set())
+                    | sets.get((callee, pos), set()))
+            if not (seen if receivers is None else seen & receivers):
+                unset.append(name)
+    return sorted(unset)
+
+
+def _callers() -> list:
+    return [p.read_text() for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
+
+
+def test_every_default_is_set_by_a_caller():
+    assert unset_defaults([p.read_text() for p in MODULES],
+                          _callers()) == sorted(UNSET_DEFAULTS)
+
+
+def test_detector_flags_unset_defaults():
+    package = ("from dataclasses import dataclass\n"
+               "@dataclass(frozen=True)\n"
+               "class Gauge:\n"
+               "    name: str\n"
+               "    mode: str = 'ratio'\n"
+               "    V0: float = 1.0\n"
+               "class Scheme:\n"
+               "    @staticmethod\n"
+               "    def build(n, a=0.0, b=1.0):\n"
+               "        pass\n"
+               "    @classmethod\n"
+               "    def of(cls, n, a=0.0):\n"
+               "        return cls.build(n, a)\n"
+               "    def scaled(self, k=2):\n"
+               "        pass\n"
+               "def solve(config, nodes=8, *, rtol=1e-12, seed=0):\n"
+               "    def match(x, base=None):\n"
+               "        pass\n"
+               "    match(config)\n")
+    caller = ("gauge = stability.Gauge('g', 'abs')\n"
+              "Scheme.of(4)\n"
+              "rng.build(1, 2, 3)\n"
+              "grid.scaled(3)\n"
+              "solver.solve(c, seed=1, *extra)\n")
+    assert unset_defaults([package], [package, caller]) == [
+        "Gauge.V0", "Scheme.build.b", "Scheme.of.a", "solve.match.base",
+        "solve.nodes", "solve.rtol"]
+
+
+def test_detector_flags_a_restored_initial_guess():
+    # solve_shooting(x0) selected a second cold start no caller asked for
+    solver = SRC / "solver.py"
+    old = "                   rtol: float = 1e-12,\n"
+    source = solver.read_text()
+    assert old in source
+    restored = source.replace(
+        old, "                   x0: Optional[np.ndarray] = None,\n" + old)
+    sources = [restored if p == solver else p.read_text() for p in MODULES]
+    assert unset_defaults(sources, _callers()) == sorted(
+        [*UNSET_DEFAULTS, "solve_shooting.x0"])

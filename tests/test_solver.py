@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,24 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from krslab.config import BaseFactor, BundleConfig
-from krslab.geometry import PinnedConstants, ricci_frame
+from krslab.geometry import GeometryError, PinnedConstants, ricci_frame
 from krslab import solver
 
 
 def _bundle(factors):
     return BundleConfig(factors=tuple(
         BaseFactor(d=d, p=float(p), q=q) for d, p, q in factors))
+
+
+def _cold_start_from(monkeypatch, a, u2):
+    """Make shooting's cold start probe from the near-end data (a, u2)
+    instead of its fixed start."""
+    guess = solver._default_guess
+
+    def moved(config, constants, *_):
+        return guess(config, constants, a, u2)
+
+    monkeypatch.setattr(solver, "_default_guess", moved)
 
 
 def _scan_slope_roots(config, b):
@@ -64,8 +76,10 @@ class TestMomentum:
                                                         abs=1e-10)
 
     def test_unpinned_constants_rejected(self, kc_config):
-        with pytest.raises(Exception):
-            solver.solve_momentum(kc_config, PinnedConstants(0.25, 0.5))
+        # the check runs where the value is made, so none reaches a solver
+        with pytest.raises(GeometryError, match="not pinned"):
+            solver.solve_momentum(kc_config, PinnedConstants(
+                0.25, 0.5, max_rel_err=float("nan"), samples=0))
 
     def test_wrong_constants_rejected(self, kc_config):
         wrong = PinnedConstants(A=0.125, B=0.5, max_rel_err=1e-9, samples=5)
@@ -192,9 +206,11 @@ class TestShooting:
             two_factor_momentum.c_slope, abs=1e-8)
 
     def test_explicit_initial_guess_accepted(self, kc_config, constants,
-                                             kc_momentum):
-        x0 = np.array([0.9, 0.3])
-        sho = solver.solve_shooting(kc_config, constants, nodes=256, x0=x0)
+                                             kc_momentum, monkeypatch):
+        # a second cold start, l_1(0) = 0.9 and u''(0)/2 = 0.3, reaches the
+        # same soliton
+        _cold_start_from(monkeypatch, np.array([0.9]), 0.3)
+        sho = solver.solve_shooting(kc_config, constants, nodes=256)
         assert sho.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-8)
 
     def test_cold_start_reproduces_its_result(self, kc_shooting_2048):
@@ -280,16 +296,23 @@ class TestShooting:
         assert solver.cross_method_disagreement(kc_momentum, sho) < 1e-9
 
     def test_non_kaehler_root_rejected(self, kc_config, constants,
-                                       kc_spurious_root):
+                                       kc_spurious_root, monkeypatch):
+        # a cold start placed on a non-Kahler root, at the probe's matching
+        # point: Newton accepts it with no step and the rejection names it
+        guess = solver._default_guess
+
+        def spurious_guess(*args):
+            return kc_spurious_root, guess(*args)[1]
+
+        monkeypatch.setattr(solver, "_default_guess", spurious_guess)
         with pytest.raises(solver.SolverError,
                            match=r"non-Kahler root: T=3\.2651.*residual 1\.0"):
-            solver.solve_shooting(kc_config, constants, nodes=64,
-                                  x0=kc_spurious_root)
+            solver.solve_shooting(kc_config, constants, nodes=64)
 
-    def test_bad_guess_raises(self, kc_config, constants):
-        with pytest.raises(solver.SolverError):
-            solver.solve_shooting(kc_config, constants, nodes=128,
-                                  x0=np.array([-1.0, 0.25]))
+    def test_bad_guess_raises(self, kc_config, constants, monkeypatch):
+        _cold_start_from(monkeypatch, np.array([-1.0]), 0.25)
+        with pytest.raises(solver.SolverError, match="nonpositive"):
+            solver.solve_shooting(kc_config, constants, nodes=128)
 
     def test_branch_states_equal_per_node_reads(self, kc_config, constants):
         # one vector read per branch gives the per-node values bit for bit
@@ -338,6 +361,23 @@ class TestReports:
         tagged = solver.attach_cross_method(kc_momentum, kc_shooting_2048)
         assert tagged.residuals.cross_method is not None
         assert tagged.residuals.cross_method < 1e-8
+
+    def test_identity_suite_reads_the_residual_report(self, kc_momentum,
+                                                      monkeypatch):
+        # a fresh solution: the residuals, then the suite, build one report
+        calls = []
+        report = solver.residual_report
+
+        def counted(sol):
+            calls.append(1)
+            return report(sol)
+
+        monkeypatch.setattr(solver, "residual_report", counted)
+        sol = replace(kc_momentum)
+        residuals = sol.residuals
+        suite = solver.identity_suite(sol)
+        assert len(calls) == 1
+        assert suite["hamilton_constancy"] == residuals.hamilton
 
     def test_identity_suite_keys(self, kc_momentum):
         suite = solver.identity_suite(kc_momentum)

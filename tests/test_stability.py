@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krslab import solver, stability
-from krslab.config import BaseFactor, BundleConfig, ConfigError, ProfileSpec
+from krslab.config import (TAU, BaseFactor, BundleConfig, ConfigError,
+                           ProfileSpec)
 from krslab.geometry import log_weight_slope, weighted_laplacian
 from krslab.grids import cheb_lobatto
 from krslab.stability import (
@@ -378,7 +379,7 @@ class TestEntropy:
 
     def test_tau_comes_from_the_config(self, kc_momentum):
         out = nu_estimate(kc_momentum, EntropyGauge())
-        assert out["tau"] == kc_momentum.config.tau
+        assert out["tau"] == TAU
         with pytest.raises(TypeError):
             EntropyGauge(tau=0.25)
 
