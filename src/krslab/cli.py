@@ -17,7 +17,8 @@ import tempfile
 
 import numpy as np
 
-from .config import ConfigError, Tolerances, load_run_config, read_json
+from .config import (SOLUTION_METHODS, ConfigError, Tolerances,
+                     load_run_config, read_json)
 from .geometry import PinnedConstants, profile_csv_header
 from .oracle import OracleError, pin_constants
 from . import algebra, solver, stability
@@ -67,10 +68,16 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution):
 
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
+    """The solution ``write_solution`` wrote for ``method``; the method
+    stored in the file must be the one its name says."""
     meta = read_json(os.path.join(sol_dir, f"solution_{method}.json"))
     table = np.loadtxt(os.path.join(sol_dir, f"profile_{method}.csv"),
                        delimiter=",", skiprows=1)
-    return solver.SolitonSolution.from_dict(meta, table)
+    sol = solver.SolitonSolution.from_dict(meta, table)
+    if sol.method != method:
+        raise ConfigError(f"solution_{method}.json holds a {sol.method!r} "
+                          "solution")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +103,7 @@ def cmd_solve(args) -> int:
     run = load_run_config(args.config)
     constants = (PinnedConstants.load(args.constants) if args.constants
                  else pin_constants(seed=run.seed))
-    methods = (["momentum", "shooting"] if run.method == "both"
-               else [run.method])
+    methods = SOLUTION_METHODS if run.method == "both" else (run.method,)
     sols = {}
     try:
         for method in methods:
@@ -124,7 +130,7 @@ def cmd_solve(args) -> int:
         write_solution(args.out, sol)
         if sol.residuals.max_equation_residual() >= run.tolerances.residual:
             ok = False
-        cm = sol.residuals.cross_method
+        cm = sol.cross_method
         if cm is not None and cm >= 1e-6:
             ok = False
         print(f"{sol.method}: c={sol.c_slope:.12f} T={sol.grid.T:.9f} "
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--solution", required=True,
                        help="solve output directory")
         p.add_argument("--method", default="momentum",
-                       choices=["momentum", "shooting"])
+                       choices=SOLUTION_METHODS)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default="out")
         p.set_defaults(func=func)

@@ -16,6 +16,8 @@ _REQUIRED = object()
 
 # grid schemes by name; grids.Scheme.of_kind builds them
 SCHEME_KINDS = ("chebyshev", "uniform")
+# the two solver routes; a run config's method "both" runs them in this order
+SOLUTION_METHODS = ("momentum", "shooting")
 # stability profiles by name, default family order; stability.family builds
 PROFILE_KINDS = ("constant", "u_plus", "u_minus", "abs_u")
 # the second-variation integral is 2 * int u psi e^{-u} dV
@@ -162,9 +164,15 @@ def koiso_cao() -> BundleConfig:
 
 @dataclass(frozen=True)
 class Tolerances:
+    """ODE, residual and identity tolerances; each must be positive."""
+
     ode: float = 1e-12
     residual: float = 1e-8
     identity: float = 1e-6
+
+    def __post_init__(self):
+        if not all(v > 0 for v in (self.ode, self.residual, self.identity)):
+            raise ConfigError("tolerances must be positive")
 
 
 def _float_list(raw) -> tuple:
@@ -219,12 +227,8 @@ class RunConfig:
             raise ConfigError("nodes must be >= 64")
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"unknown grid scheme {self.scheme!r}")
-        if self.method not in ("momentum", "shooting", "both"):
+        if self.method not in (*SOLUTION_METHODS, "both"):
             raise ConfigError(f"unknown method {self.method!r}")
-        for v in (self.tolerances.ode, self.tolerances.residual,
-                  self.tolerances.identity):
-            if v <= 0:
-                raise ConfigError("tolerances must be positive")
         for spec in self.stability_profiles:
             spec.check_factors(self.bundle.r)
 
@@ -247,15 +251,15 @@ def load_run_config(path: str) -> RunConfig:
     return RunConfig(
         bundle=BundleConfig.from_dict(
             {k: v for k, v in raw.items() if k not in _RUN_KEYS}),
-        nodes=get_field(grid, "nodes", int, 1024),
-        scheme=get_field(grid, "scheme", str, "chebyshev"),
-        method=get_field(raw, "method", str, "both"),
+        nodes=get_field(grid, "nodes", int, RunConfig.nodes),
+        scheme=get_field(grid, "scheme", str, RunConfig.scheme),
+        method=get_field(raw, "method", str, RunConfig.method),
         tolerances=Tolerances(
-            ode=get_field(tol, "ode", float, 1e-12),
-            residual=get_field(tol, "residual", float, 1e-8),
-            identity=get_field(tol, "identity", float, 1e-6),
+            ode=get_field(tol, "ode", float, Tolerances.ode),
+            residual=get_field(tol, "residual", float, Tolerances.residual),
+            identity=get_field(tol, "identity", float, Tolerances.identity),
         ),
         stability_profiles=tuple(map(ProfileSpec.from_dict, get_field(
             stab, "profiles", list, []))),
-        seed=get_field(raw, "seed", int, 0),
+        seed=get_field(raw, "seed", int, RunConfig.seed),
     )

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import (BundleConfig, ConfigError, check_keys, get_field,
-                     read_json)
+from .config import BundleConfig, check_keys, get_field, read_json
 from .grids import Scheme, fill_even
 
 
@@ -72,7 +71,10 @@ class ProfileGrid:
     """Sampled metric profiles with first and second derivatives.
 
     l profiles are stacked as arrays of shape (r, K+1); the scheme carries the
-    node vector and quadrature weights.
+    node vector and quadrature weights.  A grid that does not close smoothly
+    cannot be made: f vanishes at both ends with |f'| = 1 and is positive
+    between them, l_i > 0, l_i' and u' vanish at both ends, and the nodes
+    increase.
     """
 
     scheme: Scheme
@@ -98,8 +100,7 @@ class ProfileGrid:
     def nfactors(self) -> int:
         return self.l.shape[0]
 
-    def validate(self) -> bool:
-        t = self.t
+    def __post_init__(self):
         ok = (
             abs(self.f[0]) < 1e-10
             and abs(self.f[-1]) < 1e-10
@@ -111,11 +112,10 @@ class ProfileGrid:
             and abs(self.dl[:, -1]).max() < 1e-8
             and abs(self.du[0]) < 1e-8
             and abs(self.du[-1]) < 1e-8
-            and np.all(np.diff(t) > 0)
+            and np.all(np.diff(self.t) > 0)
         )
         if not ok:
             raise GeometryError("profile grid violates collapse/evenness invariants")
-        return True
 
     def with_u(self, u, du, ddu) -> "ProfileGrid":
         return replace(self, u=u, du=du, ddu=ddu)
@@ -169,17 +169,9 @@ class RicciProfiles:
     R: np.ndarray
 
 
-def _check_factors(grid: ProfileGrid, config: BundleConfig):
-    if grid.nfactors != config.r:
-        raise ConfigError(
-            f"grid has {grid.nfactors} factor profiles, config has {config.r}"
-        )
-
-
 def kaehler_residual(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
     """Node-wise value of (l_i^2)' - q_i f per factor; identically zero for a
     Kahler configuration."""
-    _check_factors(grid, config)
     q = config.q[:, None]
     return 2.0 * grid.l * grid.dl - q * grid.f[None, :]
 
@@ -207,15 +199,12 @@ def ricci_components(
     Endpoint values (where f -> 0 makes individual terms 0/0) are filled by
     even extrapolation from the interior nodes.
     """
-    _check_factors(grid, config)
-    # interior nodes only; the endpoints are filled at the end
-    f = grid.f[1:-1]
-    if np.any(f == 0.0):
-        raise GeometryError("f vanishes at an interior node")
+    # interior nodes only (f > 0 there on every grid); the endpoints are
+    # filled at the end
     R_NN, R_UU, R_i = ricci_frame(
-        f, grid.df[1:-1], grid.ddf[1:-1], grid.l[:, 1:-1], grid.dl[:, 1:-1],
-        grid.ddl[:, 1:-1], config.d[:, None], config.p[:, None],
-        config.q[:, None], constants.A, constants.B)
+        grid.f[1:-1], grid.df[1:-1], grid.ddf[1:-1], grid.l[:, 1:-1],
+        grid.dl[:, 1:-1], grid.ddl[:, 1:-1], config.d[:, None],
+        config.p[:, None], config.q[:, None], constants.A, constants.B)
 
     t = grid.t
     R_NN, R_UU = fill_even(t, R_NN), fill_even(t, R_UU)
@@ -247,14 +236,12 @@ def hessian_components(grid: ProfileGrid, v: np.ndarray, dv: np.ndarray,
 def volume_weight(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
     """Reduced volume density w(t) = f * prod l_i^{d_i}; the full measure is
     dV = V0 * w dt for the orbit-volume constant V0."""
-    _check_factors(grid, config)
     return grid.f * np.prod(grid.l ** config.d[:, None], axis=0)
 
 
 def log_weight_slope(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
     """(log w)' = f'/f + sum d_i l_i'/l_i at interior nodes (endpoints are
     never used directly: they enter only multiplied by odd factors)."""
-    _check_factors(grid, config)
     out = np.zeros_like(grid.f)
     out[1:-1] = grid.df[1:-1] / grid.f[1:-1]
     out += (config.d[:, None] * grid.dl / grid.l).sum(axis=0)
@@ -269,7 +256,6 @@ def weighted_laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
     At the collapsed ends (log w)' v' -> v'' (evenness of v), so the limit
     value is 2 v'' + (sum d_i l_i'/l_i - u') v' = 2 v''.
     """
-    _check_factors(grid, config)
     out = np.empty_like(v)
     lw = log_weight_slope(grid, config)
     out[1:-1] = ddv[1:-1] + (lw[1:-1] - grid.du[1:-1]) * dv[1:-1]
@@ -278,16 +264,9 @@ def weighted_laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
     return out
 
 
-def laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
-              dv: np.ndarray, ddv: np.ndarray) -> np.ndarray:
-    """Unweighted Laplacian (trace of the Hessian) of a t-only scalar."""
-    return weighted_laplacian(grid, config, v, dv, ddv) + grid.du * dv
-
-
 def weighted_integral(grid: ProfileGrid, config: BundleConfig,
                       F: np.ndarray) -> float:
     """integral of F over M against e^{-u} dV per unit orbit volume V0,
     reduced to int F w e^{-u} dt with the configured quadrature."""
-    _check_factors(grid, config)
     w = volume_weight(grid, config)
     return grid.scheme.integrate(F * w * np.exp(-grid.u))

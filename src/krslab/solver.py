@@ -21,7 +21,8 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .config import TAU, BundleConfig, check_keys, get_field
+from .config import (SOLUTION_METHODS, TAU, BundleConfig, ConfigError,
+                     check_keys, get_field)
 from .geometry import (
     PinnedConstants,
     ProfileGrid,
@@ -100,14 +101,9 @@ class ResidualReport:
     delta_uu: float
     gauge: float
     div_integral: float
-    cross_method: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["E_i"] = list(self.E_i)
-        if self.cross_method is None:
-            del d["cross_method"]
-        return d
+        return {**asdict(self), "E_i": list(self.E_i)}
 
     def max_equation_residual(self) -> float:
         return max(self.E_N, self.E_U, max(self.E_i), self.kaehler)
@@ -117,7 +113,9 @@ class ResidualReport:
 class SolitonSolution:
     """A solved soliton.  Its evaluation record and residual report are
     computed on first use and cached; ``dataclasses.replace`` gives a new
-    solution that is evaluated afresh."""
+    solution that is evaluated afresh.  A solution whose grid and config
+    disagree on the number of factors, or whose method is not one of
+    SOLUTION_METHODS, cannot be made."""
 
     grid: ProfileGrid
     config: BundleConfig
@@ -126,6 +124,13 @@ class SolitonSolution:
     method: str
     gauge_shift: float = 0.0
     cross_method: Optional[float] = None
+
+    def __post_init__(self):
+        if self.grid.nfactors != self.config.r:
+            raise ConfigError(f"grid has {self.grid.nfactors} factor "
+                              f"profiles, config has {self.config.r}")
+        if self.method not in SOLUTION_METHODS:
+            raise ConfigError(f"unknown solution method {self.method!r}")
 
     @cached_property
     def evaluation(self) -> Evaluation:
@@ -136,12 +141,17 @@ class SolitonSolution:
         return residual_report(self)
 
     def to_dict(self) -> dict:
-        """Metadata of the solution; the profiles go to ``grid.table()``."""
+        """Metadata of the solution; the profiles go to ``grid.table()``.
+        The cross-method disagreement, when known, is one of the
+        residuals."""
+        residuals = self.residuals.to_dict()
+        if self.cross_method is not None:
+            residuals["cross_method"] = self.cross_method
         return {
             "config": self.config.to_dict(),
             "c_slope": self.c_slope,
             "gauge_shift": self.gauge_shift,
-            "residuals": self.residuals.to_dict(),
+            "residuals": residuals,
             "method": self.method,
             "nodes": int(self.grid.t.size - 1),
             "T": self.grid.T,
@@ -163,7 +173,6 @@ class SolitonSolution:
                              get_field(meta, "nodes", int), 0.0,
                              get_field(meta, "T", float))
         grid = ProfileGrid.from_table(sch, table, config.r)
-        grid.validate()
         stored = get_field(meta, "residuals", dict, {})
         return SolitonSolution(
             grid=grid, config=config, constants=constants,
@@ -198,7 +207,6 @@ def residual_report(sol: SolitonSolution) -> ResidualReport:
         delta_uu=float(np.abs(ev.drift_lap_u + 2.0 * grid.u).max()),
         gauge=abs(weighted_integral(grid, config, grid.u)) / ev.volume,
         div_integral=abs(weighted_integral(grid, config, ev.drift_lap_u)),
-        cross_method=sol.cross_method,
     )
 
 
@@ -216,14 +224,6 @@ def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
         return sol
     new_grid = grid.with_u(grid.u - a, grid.du, grid.ddu)
     return replace(sol, grid=new_grid, gauge_shift=sol.gauge_shift + a)
-
-
-def _solution(grid, config, constants, c_slope, method):
-    """A solver's result: validated and gauge-normalized."""
-    grid.validate()
-    return gauge_normalize(SolitonSolution(
-        grid=grid, config=config, constants=constants, c_slope=c_slope,
-        method=method))
 
 
 def identity_suite(sol: SolitonSolution) -> dict:
@@ -412,9 +412,11 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     du = c * f
     ddu = c * dphi / 2.0
 
-    return _solution(ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl,
-                                 ddl=ddl, u=u, du=du, ddu=ddu),
-                     config, constants, c, "momentum")
+    grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
+                       u=u, du=du, ddu=ddu)
+    return gauge_normalize(SolitonSolution(
+        grid=grid, config=config, constants=constants, c_slope=c,
+        method="momentum"))
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +587,12 @@ def _default_guess(config, constants, a, u2):
     sol = solve_ivp(_rhs(config, constants), (_EPS, 60.0), y0, method="DOP853",
                     rtol=1e-9, atol=1e-11, events=low, dense_output=True)
     if sol.status != 1 or len(sol.t_events[0]) == 0:
-        # the message reaches diagnostics.json; the explicit initial guess
-        # it asks for is the warm start of method both
+        # the message reaches diagnostics.json; perfbench classifies a
+        # failure by its first clause
         raise SolverError(
             "probe trajectory never approaches a second collapse; "
-            "supply an explicit initial guess"
+            "solve with method both to start shooting from the momentum "
+            "solution"
         )
     t1 = float(sol.t_events[0][0])
     y1 = sol.sol(t1)
@@ -724,7 +727,9 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
         raise SolverError(f"non-Kahler root: T={T:.9g}, Kahler residual "
                           f"{kaehler:.3e}")
     c_est = 2.0 * x[r]  # u = c s + ... with s ~ t^2/2 at the launch
-    return _solution(grid, config, constants, c_est, "shooting")
+    return gauge_normalize(SolitonSolution(
+        grid=grid, config=config, constants=constants, c_slope=c_est,
+        method="shooting"))
 
 
 # ---------------------------------------------------------------------------

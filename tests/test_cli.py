@@ -7,7 +7,8 @@ import pytest
 
 from krslab import oracle, solver
 from krslab.config import ConfigError
-from krslab.cli import main, profile_csv_header, read_solution, write_solution
+from krslab.cli import (_write_atomic, main, profile_csv_header,
+                        read_solution, write_solution)
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                       "koiso_cao.json")
@@ -198,6 +199,27 @@ class TestSolve:
         assert "not pinned" in err and "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_residual_above_tolerance_exits_4_after_writing(self, pipeline,
+                                                            tmp_path):
+        cfg = _momentum_config(pipeline, tmp_path, method="both",
+                               tolerances={"residual": 1e-20})
+        out = tmp_path / "o"
+        assert run("solve", "--config", cfg, "--constants",
+                   pipeline["constants"], "--out", str(out)) == 4
+        for method in ("momentum", "shooting"):
+            assert (out / f"solution_{method}.json").is_file()
+            assert (out / f"profile_{method}.csv").is_file()
+
+    def test_cross_method_disagreement_exits_4(self, pipeline, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(solver, "cross_method_disagreement",
+                            lambda a, b: 1e-6)
+        out = tmp_path / "o"
+        assert run("solve", "--config", pipeline["config"], "--constants",
+                   pipeline["constants"], "--out", str(out)) == 4
+        meta = json.loads((out / "solution_shooting.json").read_text())
+        assert meta["residuals"]["cross_method"] == 1e-6
+
     def test_no_slope_root_exits_3(self, pipeline, tmp_path):
         # admissible, but phi(2; c) = 0 has no root with |c| <= 8
         cfg = tmp_path / "run.json"
@@ -224,6 +246,12 @@ MALFORMED = {
     "solution-scheme": ("solution",
                         lambda raw: raw.update(scheme="legendre"),
                         "'legendre'"),
+    "solution-method": ("solution", lambda raw: raw.update(method="bogus"),
+                        "'bogus'"),
+    # a shooting solution stored under the momentum file name
+    "solution-method-mismatch": ("solution",
+                                 lambda raw: raw.update(method="shooting"),
+                                 "solution_momentum.json holds a 'shooting'"),
 }
 
 
@@ -397,8 +425,8 @@ class TestSerialization:
         write_solution(str(tmp_path), kc_momentum)
         back = read_solution(str(tmp_path), "momentum")
         assert back.c_slope == kc_momentum.c_slope
-        assert np.abs(back.grid.f - kc_momentum.grid.f).max() == 0.0
-        assert back.grid.validate()
+        assert back.method == "momentum"
+        assert np.array_equal(back.grid.table(), kc_momentum.grid.table())
 
     def test_write_read_write_is_byte_identical(self, kc_momentum, pipeline,
                                                 tmp_path):
@@ -416,6 +444,12 @@ class TestSerialization:
             for name in (f"profile_{method}.csv", f"solution_{method}.json"):
                 assert (open(os.path.join(first, name), "rb").read()
                         == open(os.path.join(second, name), "rb").read())
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out" / "report.json"
+        with pytest.raises(TypeError):
+            _write_atomic(str(path), b"not text")
+        assert os.listdir(tmp_path / "out") == []
 
     def test_unknown_solution_key_rejected(self, pipeline, tmp_path):
         # every key the solution writes reads back; any other is named

@@ -11,6 +11,8 @@ from krslab.config import (
     BundleConfig,
     ConfigError,
     ProfileSpec,
+    RunConfig,
+    Tolerances,
     koiso_cao,
     load_run_config,
 )
@@ -67,6 +69,14 @@ class TestBundleConfig:
             == cfg
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("name", ["ode", "residual", "identity"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
+    def test_nonpositive_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="tolerances must be positive"):
+            Tolerances(**{name: value})
+
+
 class TestRunConfig:
     def test_load_full_config(self, tmp_path):
         path = tmp_path / "run.json"
@@ -92,6 +102,8 @@ class TestRunConfig:
         run = load_run_config(str(path))
         assert run.nodes == 1024
         assert run.method == "both"
+        # every default is the record's own
+        assert run == RunConfig(bundle=koiso_cao())
 
     def test_stability_specs_parsed(self, tmp_path):
         path = tmp_path / "run.json"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from krslab.geometry import (
     PinnedConstants,
     hessian_components,
     kaehler_residual,
-    laplacian,
     log_weight_slope,
     ricci_components,
     volume_weight,
@@ -59,25 +59,44 @@ class TestPinnedConstants:
                                        "max_rel_error": 0.0})
 
 
+def _zero_at_middle(a):
+    a = a.copy()
+    a[..., a.shape[-1] // 2] = 0.0
+    return a
+
+
 class TestProfileInvariants:
-    def test_momentum_solution_validates(self, kc_momentum):
-        assert kc_momentum.grid.validate()
+    def test_momentum_solution_validates(self, kc_momentum,
+                                         two_factor_shooting):
+        # a solved grid rebuilt from its own fields passes the checks
+        for g in (kc_momentum.grid, two_factor_shooting.grid):
+            assert replace(g).f is g.f
 
     def test_corrupt_collapse_detected(self, kc_momentum):
-        from dataclasses import replace
-
         g = kc_momentum.grid
-        bad = replace(g, f=g.f + 0.1)
-        with pytest.raises(GeometryError):
-            bad.validate()
+        with pytest.raises(GeometryError, match="collapse/evenness"):
+            replace(g, f=g.f + 0.1)
+
+    @pytest.mark.parametrize("field, corrupt", [
+        ("f", _zero_at_middle),      # the Ricci formula divides by f inside
+        ("f", lambda f: -f),
+        ("df", lambda df: 1.1 * df),
+        ("l", _zero_at_middle),
+        ("dl", lambda dl: dl + 1e-3),
+        ("du", lambda du: du + 1e-3),
+    ], ids=["f_interior_zero", "f_negative", "df_end", "l_zero", "dl_end",
+            "du_end"])
+    def test_each_invariant_checked_on_construction(self, kc_momentum,
+                                                    field, corrupt):
+        g = kc_momentum.grid
+        with pytest.raises(GeometryError, match="collapse/evenness"):
+            replace(g, **{field: corrupt(getattr(g, field))})
 
     def test_kaehler_residual_zero_on_solution(self, kc_momentum, kc):
         res = kaehler_residual(kc_momentum.grid, kc)
         assert np.abs(res).max() < 1e-12
 
     def test_kaehler_residual_detects_detuned_profile(self, kc_momentum, kc):
-        from dataclasses import replace
-
         g = kc_momentum.grid
         bad = replace(g, l=g.l * 1.01)
         assert np.abs(kaehler_residual(bad, kc)).max() > 1e-3
@@ -110,8 +129,13 @@ class TestRicci:
 
     def test_factor_mismatch_rejected(self, two_factor_momentum, kc,
                                       constants):
-        with pytest.raises(Exception):
-            ricci_components(two_factor_momentum.grid, kc, constants)
+        # a solution pairs a grid with its config; a mismatched pair cannot
+        # be made, so no Ricci evaluation ever sees one
+        with pytest.raises(ConfigError, match="grid has 2 factor profiles, "
+                                              "config has 1"):
+            solver.SolitonSolution(
+                grid=two_factor_momentum.grid, config=kc, constants=constants,
+                c_slope=two_factor_momentum.c_slope, method="momentum")
 
     def test_factor_components_equal_the_per_factor_loop(self, constants):
         # reference: one factor at a time, the same arithmetic as the
@@ -161,15 +185,6 @@ class TestWeightedCalculus:
         z = np.zeros_like(g.u)
         const = np.full_like(g.u, 3.7)
         assert np.abs(weighted_laplacian(g, kc, const, z, z)).max() == 0.0
-
-    def test_laplacian_minus_drift_is_du_dv(self, kc_momentum, kc):
-        g = kc_momentum.grid
-        _, D = cheb_lobatto(g.t.size - 1, 0.0, g.T)
-        v = g.t**2 * (g.T - g.t) ** 2
-        dv, ddv = D @ v, D @ (D @ v)
-        gap = (laplacian(g, kc, v, dv, ddv)
-               - weighted_laplacian(g, kc, v, dv, ddv))
-        assert np.abs(gap - g.du * dv).max() < 1e-12
 
     def test_log_weight_slope_interior_formula(self, kc_momentum, kc):
         g = kc_momentum.grid

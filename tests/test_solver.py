@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from krslab.config import BaseFactor, BundleConfig
+from krslab.config import BaseFactor, BundleConfig, ConfigError
 from krslab.geometry import GeometryError, PinnedConstants, ricci_frame
 from krslab import solver
 
@@ -309,6 +309,16 @@ class TestShooting:
                            match=r"non-Kahler root: T=3\.2651.*residual 1\.0"):
             solver.solve_shooting(kc_config, constants, nodes=64)
 
+    def test_failed_probe_points_to_method_both(self, constants):
+        # cold shooting on the mirrored Koiso-Cao bundle: the probe never
+        # nears the far collapse, and the message names the warm start
+        mirror = BundleConfig(factors=(BaseFactor(d=2, p=2.0, q=-1),))
+        with pytest.raises(solver.SolverError, match=(
+                r"^probe trajectory never approaches a second collapse; "
+                r"solve with method both to start shooting from the "
+                r"momentum solution$")):
+            solver.solve_shooting(mirror, constants, nodes=512)
+
     def test_bad_guess_raises(self, kc_config, constants, monkeypatch):
         _cold_start_from(monkeypatch, np.array([-1.0]), 0.25)
         with pytest.raises(solver.SolverError, match="nonpositive"):
@@ -358,9 +368,19 @@ class TestReports:
         assert d["T"] > 0
 
     def test_attach_cross_method(self, kc_momentum, kc_shooting_2048):
+        # the disagreement is the solution's; it is written with the
+        # residuals, and only when known
         tagged = solver.attach_cross_method(kc_momentum, kc_shooting_2048)
-        assert tagged.residuals.cross_method is not None
-        assert tagged.residuals.cross_method < 1e-8
+        assert tagged.cross_method < 1e-8
+        assert (tagged.to_dict()["residuals"]["cross_method"]
+                == tagged.cross_method)
+        assert "cross_method" not in kc_momentum.to_dict()["residuals"]
+
+    @pytest.mark.parametrize("method", ["bogus", "both", "Momentum"])
+    def test_unknown_method_rejected(self, kc_momentum, method):
+        with pytest.raises(ConfigError, match=f"unknown solution method "
+                                              f"'{method}'"):
+            replace(kc_momentum, method=method)
 
     def test_identity_suite_reads_the_residual_report(self, kc_momentum,
                                                       monkeypatch):

@@ -1,0 +1,118 @@
+"""Digest every output of a fixed set of `krs` runs, to compare two trees.
+
+    PYTHONPATH=src python tools/output_digests.py OUT_DIR
+
+Runs `krs` in-process with the krslab that PYTHONPATH finds, writing into
+OUT_DIR (which must be absent or empty), and prints one line per output
+file, `path sha256` with the path relative to OUT_DIR, then one line per
+command, `label exit code`.  Run it once per tree and diff the two
+listings: equal listings mean byte-identical outputs and equal exit codes.
+
+The set: `krs pin-constants` with seeds 0 and 42; Koiso-Cao and a
+two-factor bundle at N = 1024 through `solve` (method both), then `verify`
+and `stability` of both solutions, with and without `--config`; and the
+twelve crosscheck bundles of perfbench/reference.json at N = 512, solved
+with method both and with method shooting alone (cold shooting on three
+S^2 factors alone takes about 40 s).  Every solve uses the seed-0
+constants.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+from krslab import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCE = os.path.join(ROOT, "perfbench", "reference.json")
+
+# (name, factors as [dim, einstein_constant, twist, deformation_norm2])
+PIPELINES = (
+    ("kc", [[2, 2.0, 1, 1.0]]),
+    ("two_factor", [[2, 2.0, 1, 1.0], [4, 3.0, 1, 0.5]]),
+)
+
+
+def run_config(path, factors, nodes, method):
+    payload = {
+        "factors": [{"dim": d, "einstein_constant": p, "twist": q,
+                     "deformation_norm2": k} for d, p, q, k in factors],
+        "grid": {"nodes": nodes, "scheme": "chebyshev"},
+        "method": method,
+        "stability": {"profiles": [{"kind": "constant"}, {"kind": "u_plus"},
+                                   {"kind": "u_minus"}, {"kind": "abs_u"}]},
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    return path
+
+
+def krs(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([str(a) for a in argv])
+
+
+def commands(out):
+    """(label, argv) of every command, in run order; writes the configs."""
+    inputs = os.path.join(out, "inputs")
+    os.makedirs(inputs)
+    constants = os.path.join(out, "pin", "seed0", "constants.json")
+    for seed in (0, 42):
+        yield (f"pin/seed{seed}", ("pin-constants", "--seed", seed, "--out",
+                                   os.path.join(out, "pin", f"seed{seed}",
+                                                "constants.json")))
+    for name, factors in PIPELINES:
+        cfg = run_config(os.path.join(inputs, f"{name}.json"), factors, 1024,
+                         "both")
+        sol = os.path.join(out, name, "solve")
+        yield f"{name}/solve", ("solve", "--config", cfg, "--constants",
+                                constants, "--out", sol)
+        for cmd in ("verify", "stability"):
+            for method in ("momentum", "shooting"):
+                for extra in ((), ("--config", cfg)):
+                    tag = f"{cmd}-{method}" + ("-config" if extra else "")
+                    yield f"{name}/{tag}", (
+                        cmd, "--solution", sol, "--method", method, *extra,
+                        "--out", os.path.join(out, name, tag))
+    with open(REFERENCE) as fh:
+        reference = json.load(fh)["configs"]
+    for name in sorted(reference):
+        factors = [[d, p, q, 0.0] for d, p, q in reference[name]["factors"]]
+        for method in ("both", "shooting"):
+            cfg = run_config(os.path.join(inputs, f"{name}-{method}.json"),
+                             factors, 512, method)
+            yield f"crosscheck/{name}-{method}", (
+                "solve", "--config", cfg, "--constants", constants, "--out",
+                os.path.join(out, "crosscheck", f"{name}-{method}"))
+
+
+def digests(out) -> list:
+    lines = []
+    for directory, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{os.path.relpath(path, out)} {digest}")
+    return sorted(lines)
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = os.path.abspath(argv[0])
+    if os.path.exists(out) and os.listdir(out):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    codes = [f"{label} exit {krs(*argv)}" for label, argv in commands(out)]
+    print("\n".join(digests(out) + codes))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
