@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import (SOLUTION_METHODS, ConfigError, Tolerances,
                      load_run_config, read_json)
-from .geometry import PinnedConstants, profile_csv_header
+from .geometry import PinnedConstants, TableShapeError, profile_csv_header
 from .oracle import OracleError, pin_constants
 from . import algebra, solver, stability
 
@@ -69,11 +69,19 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution):
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``; the method
-    stored in the file must be the one its name says."""
+    stored in the file must be the one its name says.  A profile table that
+    is missing, has a non-numeric cell or does not fit the metadata is a
+    ConfigError that names it."""
     meta = read_json(os.path.join(sol_dir, f"solution_{method}.json"))
-    table = np.loadtxt(os.path.join(sol_dir, f"profile_{method}.csv"),
-                       delimiter=",", skiprows=1)
-    sol = solver.SolitonSolution.from_dict(meta, table)
+    path = os.path.join(sol_dir, f"profile_{method}.csv")
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        sol = solver.SolitonSolution.from_dict(meta, table)
+    except TableShapeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if sol.method != method:
         raise ConfigError(f"solution_{method}.json holds a {sol.method!r} "
                           "solution")
@@ -81,8 +89,9 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
 
 
 # ---------------------------------------------------------------------------
-# commands; main() maps a ConfigError (malformed config, constants or
-# solution metadata) to exit 1, and any other OSError or ValueError (such
+# commands; main() maps a ConfigError (malformed config, constants,
+# solution metadata, or a profile table that is missing, unparseable or
+# of the wrong shape) to exit 1, and any other OSError or ValueError (such
 # as a solution failing a geometry or stability precondition) to exit 4
 
 

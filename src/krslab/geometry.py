@@ -15,12 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import BundleConfig, check_keys, get_field, read_json
+from .config import BundleConfig, ConfigError, check_keys, get_field, read_json
 from .grids import Scheme, fill_even
 
 
 class GeometryError(ValueError):
     """Singular or inconsistent profile data."""
+
+
+class TableShapeError(ConfigError):
+    """A profile table whose shape does not fit its scheme and factors: a
+    malformed input, not a failed solution."""
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,10 @@ class ProfileGrid:
     def from_table(scheme: Scheme, table: np.ndarray, r: int) -> "ProfileGrid":
         """Inverse of ``table`` for r factors, read from one row per node; the
         node column must agree with the scheme."""
-        if table.shape != (scheme.t.size, 3 * r + 7):
-            raise GeometryError("profile table does not match the scheme")
+        shape = (scheme.t.size, 3 * r + 7)
+        if table.shape != shape:
+            raise TableShapeError(f"profile table has shape {table.shape}, "
+                                  f"the metadata needs {shape}")
         if np.abs(scheme.t - table[:, 0]).max() > 1e-9:
             raise GeometryError("profile nodes disagree with the scheme")
         # factor columns l1, dl1, ddl1, l2, ... -> (factor, derivative, node)

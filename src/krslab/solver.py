@@ -467,29 +467,37 @@ def _launch_state(lc: _Launch, t: float):
 
 
 def _rhs(config: BundleConfig, constants: PinnedConstants):
-    d, p, q = config.d, config.p, config.q
     r = config.r
-    A, B = constants.A, constants.B
+    A = constants.A
+    d, p = config.d.tolist(), config.p.tolist()
+    dq2 = (config.d * config.q**2).tolist()
+    Bq2 = (constants.B * config.q**2).tolist()
+    factors = range(r)
 
+    # Per-factor arithmetic on Python floats: on r <= 3 factors numpy's
+    # per-call overhead was most of the cost.  The bits are those of the
+    # same formulas in numpy array arithmetic (tests/test_solver.py keeps
+    # that form): l^3 and l^4 stay array powers, as numpy's array power can
+    # round differently from the scalar one; every expression keeps its
+    # order of operations, d q^2 and B q^2 being its first products; and a
+    # sum over the factors runs left to right from 0.0, as ndarray.sum()
+    # does on so few elements.
     def rhs(t, y):
-        f, df = y[0], y[1]
-        l = y[2:2 + r]
-        dl = y[2 + r:2 + 2 * r]
-        du = y[3 + 2 * r]
-        lsum = (d * dl / l).sum()
-        q2sum = (d * q**2 / l**4).sum()
+        f, df, *rest = y.tolist()
+        l, dl, du = rest[:r], rest[r:2 * r], rest[2 * r + 1]
+        ly = y[2:2 + r]
+        l3, l4 = (ly**3).tolist(), (ly**4).tolist()
+        lsum = q2sum = dsum = 0.0
+        for i in factors:
+            lsum += d[i] * dl[i] / l[i]
+            q2sum += dq2[i] / l4[i]
         ddf = -f + du * df - df * lsum + A * f**3 * q2sum
-        ddl = (-l + du * dl - dl * (df / f + lsum - dl / l)
-               + p / l - B * q**2 * f * f / l**3)
-        ddu = 1.0 + ddf / f + (d * ddl / l).sum()
-        out = np.empty_like(y)
-        out[0] = df
-        out[1] = ddf
-        out[2:2 + r] = dl
-        out[2 + r:2 + 2 * r] = ddl
-        out[2 + 2 * r] = du
-        out[3 + 2 * r] = ddu
-        return out
+        fl = df / f + lsum
+        ddl = [-l[i] + du * dl[i] - dl[i] * (fl - dl[i] / l[i])
+               + p[i] / l[i] - Bq2[i] * f * f / l3[i] for i in factors]
+        for i in factors:
+            dsum += d[i] * ddl[i] / l[i]
+        return np.array([df, ddf, *dl, *ddl, du, 1.0 + ddf / f + dsum])
 
     return rhs
 

@@ -235,7 +235,15 @@ class TestSolve:
             "no root of phi(2; c) = 0 in the search box |c| <= 8")
 
 
+def _rewrite_lines(path, edit):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
 # each case: the file it corrupts, the edit, and what the error must name
+# (a "table" edit takes the path of the momentum profile table)
 MALFORMED = {
     "factor-dim": ("config", lambda raw: raw["factors"][0].update(dim="two"),
                    "'dim'"),
@@ -252,6 +260,12 @@ MALFORMED = {
     "solution-method-mismatch": ("solution",
                                  lambda raw: raw.update(method="shooting"),
                                  "solution_momentum.json holds a 'shooting'"),
+    "table-missing": ("table", os.remove, "profile_momentum.csv"),
+    "table-non-numeric": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: [lines[0], "zero," + lines[1].split(",", 1)[1],
+                             *lines[2:]]), "profile_momentum.csv"),
+    "table-truncated": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: lines[:len(lines) // 2]), "profile_momentum.csv"),
 }
 
 
@@ -267,10 +281,12 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
         _edit_json(cfg, edit)
     elif target == "constants":
         _edit_json(constants, edit)
+    elif target == "table":
+        edit(str(sol_dir / "profile_momentum.csv"))
     else:
         _edit_json(sol_dir / "solution_momentum.json", edit)
     out = str(tmp_path / "o")
-    if target == "solution":
+    if target in ("solution", "table"):
         commands = [(cmd, "--solution", str(sol_dir), "--out", out)
                     for cmd in ("verify", "stability")]
     else:

@@ -44,6 +44,36 @@ def _scan_slope_roots(config, b):
     return roots
 
 
+def _array_rhs(config, constants):
+    """The shooting RHS in numpy array arithmetic over the factors: the
+    form the scalar per-factor evaluation replaced."""
+    d, p, q = config.d, config.p, config.q
+    r = config.r
+    A, B = constants.A, constants.B
+
+    def rhs(t, y):
+        f, df = y[0], y[1]
+        l = y[2:2 + r]
+        dl = y[2 + r:2 + 2 * r]
+        du = y[3 + 2 * r]
+        lsum = (d * dl / l).sum()
+        q2sum = (d * q**2 / l**4).sum()
+        ddf = -f + du * df - df * lsum + A * f**3 * q2sum
+        ddl = (-l + du * dl - dl * (df / f + lsum - dl / l)
+               + p / l - B * q**2 * f * f / l**3)
+        ddu = 1.0 + ddf / f + (d * ddl / l).sum()
+        out = np.empty_like(y)
+        out[0] = df
+        out[1] = ddf
+        out[2:2 + r] = dl
+        out[2 + r:2 + 2 * r] = ddl
+        out[2 + 2 * r] = du
+        out[3 + 2 * r] = ddu
+        return out
+
+    return rhs
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -222,6 +252,15 @@ class TestShooting:
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
             "54f8ca84f522dea60a42417e9e2afa3201718d9581a61a155e5acd8f13ca8d97")
 
+    def test_cold_start_reproduces_two_factor_result(self,
+                                                     two_factor_shooting):
+        # the cold route on two S^2 factors (r = 2) at N = 512, bit for bit
+        sol = two_factor_shooting
+        assert float(sol.c_slope).hex() == "0x1.0de1d115f83b7p+0"
+        assert sol.grid.T.hex() == "0x1.a0a61a8ce2350p+1"
+        assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
+            "70dbc7d44e55fadd1e9938febe8ae8355cc664af2f7187e1f3159bb143b9d0f8")
+
     # warm start (method both) at N = 512: c, T and the profile table
     @pytest.mark.parametrize("factors,c_hex,T_hex,table_sha", [
         ([(2, 2, 1)] * 2, "0x1.0de1d115f8070p+0", "0x1.a0a61a8ce239fp+1",
@@ -333,6 +372,28 @@ class TestShooting:
         ref = np.array([solver._launch_state(lc, tk) if tk < solver._EPS
                         else sol.sol(tk) for tk in t]).T
         assert np.array_equal(solver._branch_states(lc, sol, t), ref)
+
+    @given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                                      st.integers(1, 3),
+                                      st.sampled_from([-1, 1]),
+                                      st.floats(0.01, 3.0)),
+                            min_size=1, max_size=3),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rhs_is_the_array_form_bit_for_bit(self, constants, factors,
+                                               data):
+        # |q| < p: p exceeds |q| by the drawn gap; f > 0 and l_i > 0
+        config = _bundle([(d, q + gap, sign * q)
+                          for d, q, sign, gap in factors])
+        r = config.r
+        pos = st.floats(1e-3, 3.0)
+        real = st.floats(-3.0, 3.0)
+        y = np.array([data.draw(pos), data.draw(real),
+                      *[data.draw(pos) for _ in range(r)],
+                      *[data.draw(real) for _ in range(r + 2)]])
+        got = solver._rhs(config, constants)(0.5, y)
+        ref = _array_rhs(config, constants)(0.5, y)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_rhs_solves_the_geometry_formula(self, constants, r):

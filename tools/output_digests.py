@@ -13,8 +13,8 @@ two-factor bundle at N = 1024 through `solve` (method both), then `verify`
 and `stability` of both solutions, with and without `--config`; and the
 twelve crosscheck bundles of perfbench/reference.json at N = 512, solved
 with method both and with method shooting alone (cold shooting on three
-S^2 factors alone takes about 40 s).  Every solve uses the seed-0
-constants.
+S^2 factors alone takes about 20 s of the whole run's 30 s on a 2-vCPU
+host).  Every solve uses the seed-0 constants.
 """
 
 import contextlib
