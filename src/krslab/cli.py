@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -70,13 +71,16 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution):
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``; the method
     stored in the file must be the one its name says.  A profile table that
-    is missing, has a non-numeric cell or does not fit the metadata is a
-    ConfigError that names it."""
+    is missing, empty, has a non-numeric cell or does not fit the metadata
+    is a ConfigError that names it."""
     meta = read_json(os.path.join(sol_dir, f"solution_{method}.json"))
     path = os.path.join(sol_dir, f"profile_{method}.csv")
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # loadtxt only warns on a table with no rows
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         sol = solver.SolitonSolution.from_dict(meta, table)

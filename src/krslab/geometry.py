@@ -220,23 +220,21 @@ def ricci_components(
     return RicciProfiles(R_NN=R_NN, R_UU=R_UU, R_i=R_i, R=R)
 
 
-def hessian_components(grid: ProfileGrid, v: np.ndarray, dv: np.ndarray,
-                       ddv: np.ndarray):
-    """Hessian of a t-only scalar in the unit frame.
+def hessian_components(grid: ProfileGrid):
+    """Hessian of the grid's potential u in the unit frame.
 
-    Returns (H_NN, H_UU, H_i) with H_NN = v'', H_UU = v' f'/f,
-    H_i = v' l_i'/l_i; the fiber component at the collapsed ends is the
-    L'Hopital limit v''.
+    Returns (H_NN, H_UU, H_i) with H_NN = u'', H_UU = u' f'/f,
+    H_i = u' l_i'/l_i; the fiber component at the collapsed ends is the
+    L'Hopital limit u''.
     """
-    if v.shape != grid.f.shape:
-        raise GeometryError("scalar profile not sampled on the grid")
-    H_NN = ddv.copy()
-    H_UU = np.empty_like(v)
-    H_UU[1:-1] = dv[1:-1] * grid.df[1:-1] / grid.f[1:-1]
-    # f ~ +-(t - t_end) at the ends, so v' f'/f -> v''
-    H_UU[0] = ddv[0]
-    H_UU[-1] = ddv[-1]
-    H_i = dv[None, :] * grid.dl / grid.l
+    du, ddu = grid.du, grid.ddu
+    H_NN = ddu.copy()
+    H_UU = np.empty_like(grid.u)
+    H_UU[1:-1] = du[1:-1] * grid.df[1:-1] / grid.f[1:-1]
+    # f ~ +-(t - t_end) at the ends, so u' f'/f -> u''
+    H_UU[0] = ddu[0]
+    H_UU[-1] = ddu[-1]
+    H_i = du[None, :] * grid.dl / grid.l
     return H_NN, H_UU, H_i
 
 

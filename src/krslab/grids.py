@@ -1,8 +1,9 @@
-"""Collocation grids: Chebyshev-Lobatto spectral and uniform finite-difference.
+"""Collocation grids, nodes on [0, L]: Chebyshev-Lobatto spectral and
+uniform 4th-order quadrature.
 
 Everything downstream works on a node vector in [0, T] together with
-quadrature weights.  The spectral scheme is the default; a 4th-order uniform
-scheme is kept as a cross-check fallback.
+quadrature weights.  The spectral scheme is the default; the uniform
+4th-order quadrature is kept as a cross-check fallback.
 
 Building a scheme costs O(N log N): the Clenshaw-Curtis weights come from one
 DCT-I of the even Chebyshev moments (Waldvogel, BIT 46, 2006).  A scheme
@@ -20,22 +21,29 @@ import scipy.fft
 from .config import SCHEME_KINDS, ConfigError
 
 
-def _lobatto_nodes(n: int, a: float, b: float):
+def _check_length(length: float):
+    if not 0.0 < length < np.inf:
+        raise ConfigError("interval length must be positive and finite, "
+                          f"got {length!r}")
+
+
+def _lobatto_nodes(n: int, length: float):
     """Standard Chebyshev-Lobatto nodes x on [-1, 1] (descending) and their
-    images t on [a, b] (increasing)."""
+    images t on [0, length] (increasing)."""
     if n < 1:
-        raise ValueError("need at least 2 nodes")
+        raise ConfigError(f"need at least 2 nodes (n >= 1), got n = {n}")
+    _check_length(length)
     x = np.cos(np.pi * np.arange(n + 1) / n)
-    return x, a + (b - a) * (1.0 - x) / 2.0
+    return x, length * (1.0 - x) / 2.0
 
 
-def cheb_lobatto(n: int, a: float = 0.0, b: float = 1.0):
-    """Chebyshev-Lobatto nodes on [a, b], increasing, with the
+def cheb_lobatto(n: int, length: float):
+    """Chebyshev-Lobatto nodes on [0, L], increasing, with the
     differentiation matrix for that ordering.
 
     Returns (t, D) where t has n+1 entries and D @ v approximates v'.
     """
-    x, t = _lobatto_nodes(n, a, b)
+    x, t = _lobatto_nodes(n, length)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
     c *= (-1.0) ** np.arange(n + 1)
@@ -44,13 +52,13 @@ def cheb_lobatto(n: int, a: float = 0.0, b: float = 1.0):
     D = np.outer(c, 1.0 / c) / (dX + np.eye(n + 1))
     # negative-sum trick: diagonal from exact row sums, better roundoff
     D -= np.diag(D.sum(axis=1))
-    # map to [a, b] with increasing nodes
-    D = -D * (2.0 / (b - a))
+    # map to [0, L] with increasing nodes
+    D = -D * (2.0 / length)
     return t, D
 
 
-def clenshaw_curtis_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    """Quadrature weights for the n+1 Chebyshev-Lobatto nodes on [a, b]
+def clenshaw_curtis_weights(n: int, length: float) -> np.ndarray:
+    """Quadrature weights for the n+1 Chebyshev-Lobatto nodes on [0, L]
     (increasing order), exact for polynomials of degree n."""
     c = np.zeros(n + 1)
     c[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)
@@ -59,36 +67,21 @@ def clenshaw_curtis_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarra
     w[0] *= 0.5
     w[-1] *= 0.5
     # nodes were flipped to increasing order; weights are symmetric anyway
-    return w[::-1] * (b - a) / 2.0
+    return w[::-1] * length / 2.0
 
 
-def _uniform_nodes(n: int, a: float, b: float) -> np.ndarray:
+def _uniform_nodes(n: int, length: float) -> np.ndarray:
     if n < 5:
-        raise ValueError("need at least 6 nodes for the 4th-order stencil")
-    return np.linspace(a, b, n + 1)
+        raise ConfigError("need at least 6 nodes (n >= 5) for the "
+                          f"4th-order quadrature, got n = {n}")
+    _check_length(length)
+    return np.linspace(0.0, length, n + 1)
 
 
-def uniform_fd4(n: int, a: float = 0.0, b: float = 1.0):
-    """Uniform nodes with a 4th-order differentiation matrix
-    (centered interior, one-sided at the edges)."""
-    t = _uniform_nodes(n, a, b)
-    h = t[1] - t[0]
-    D = np.zeros((n + 1, n + 1))
-    for i in range(2, n - 1):
-        D[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    near = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    D[0, :5] = edge
-    D[1, :5] = near
-    D[-1, -5:] = -edge[::-1]
-    D[-2, -5:] = -near[::-1]
-    return t, D / h
-
-
-def uniform_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
+def uniform_weights(n: int, length: float) -> np.ndarray:
     """Composite 4th-order (Simpson-like, end-corrected) weights on the
-    uniform grid."""
-    t = _uniform_nodes(n, a, b)
+    uniform grid on [0, L]."""
+    t = _uniform_nodes(n, length)
     h = t[1] - t[0]
     w = np.full(n + 1, 1.0)
     # Gregory-type end correction of order 4
@@ -100,29 +93,28 @@ def uniform_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A node vector with quadrature weights."""
+    """A node vector on [0, L] with quadrature weights."""
 
     t: np.ndarray
     w: np.ndarray
     kind: str
 
     @staticmethod
-    def chebyshev(n: int, a: float = 0.0, b: float = 1.0) -> "Scheme":
-        _, t = _lobatto_nodes(n, a, b)
-        return Scheme(t, clenshaw_curtis_weights(n, a, b), "chebyshev")
+    def chebyshev(n: int, length: float) -> "Scheme":
+        _, t = _lobatto_nodes(n, length)
+        return Scheme(t, clenshaw_curtis_weights(n, length), "chebyshev")
 
     @staticmethod
-    def uniform(n: int, a: float = 0.0, b: float = 1.0) -> "Scheme":
-        return Scheme(_uniform_nodes(n, a, b), uniform_weights(n, a, b),
+    def uniform(n: int, length: float) -> "Scheme":
+        return Scheme(_uniform_nodes(n, length), uniform_weights(n, length),
                       "uniform")
 
     @classmethod
-    def of_kind(cls, kind: str, n: int, a: float = 0.0,
-                b: float = 1.0) -> "Scheme":
-        """The scheme named ``kind`` (one of ``SCHEME_KINDS``) on [a, b]."""
+    def of_kind(cls, kind: str, n: int, length: float) -> "Scheme":
+        """The scheme named ``kind`` (one of ``SCHEME_KINDS``) on [0, L]."""
         if kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown grid scheme {kind!r}")
-        return getattr(cls, kind)(n, a, b)
+        return getattr(cls, kind)(n, length)
 
     def integrate(self, F: np.ndarray) -> float:
         return float(self.w @ F)

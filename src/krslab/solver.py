@@ -80,7 +80,7 @@ def evaluate(grid: ProfileGrid, config: BundleConfig,
     lap = drift + grid.du * grid.du
     return Evaluation(
         ricci=ric,
-        hessian_u=hessian_components(grid, grid.u, grid.du, grid.ddu),
+        hessian_u=hessian_components(grid),
         lap_u=lap,
         drift_lap_u=drift,
         first_integral=TAU * (2.0 * lap - grid.du**2 + ric.R) + grid.u,
@@ -170,7 +170,7 @@ class SolitonSolution:
         constants = PinnedConstants.from_dict(get_field(meta, "constants",
                                                         dict))
         sch = Scheme.of_kind(get_field(meta, "scheme", str),
-                             get_field(meta, "nodes", int), 0.0,
+                             get_field(meta, "nodes", int),
                              get_field(meta, "T", float))
         grid = ProfileGrid.from_table(sch, table, config.r)
         stored = get_field(meta, "residuals", dict, {})
@@ -374,7 +374,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     t_of_xi = cheb.integ(lbnd=0.0)
     T = float(t_of_xi(np.pi))
 
-    sch = Scheme.of_kind(scheme, nodes, 0.0, T)
+    sch = Scheme.of_kind(scheme, nodes, T)
 
     # invert t(xi) at the output nodes by Newton on the integrated series
     xi = np.pi * sch.t / T
@@ -704,7 +704,7 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
 
     *_, u0f, T = _unpack(x, r)
     (lcA, solA), (lcB, solB) = branches
-    sch = Scheme.of_kind(scheme, nodes, 0.0, T)
+    sch = Scheme.of_kind(scheme, nodes, T)
     t = sch.t
     near = t <= t_mid
     Y = np.hstack([_branch_states(lcA, solA, t[near]),

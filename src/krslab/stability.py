@@ -242,7 +242,7 @@ def _s_operator(sol: SolitonSolution, m: int):
     """Chebyshev-Lobatto nodes x on [0, 2] and the collocated drift Laplacian
     on invariant functions, phi(s) v_ss + 2 (1 - s) v_s.  phi vanishes at
     both ends, so the end rows carry the natural boundary conditions."""
-    x, D = cheb_lobatto(m, 0.0, 2.0)
+    x, D = cheb_lobatto(m, 2.0)
     phi = momentum_phi(sol.config, sol.c_slope, x)
     return x, phi[:, None] * (D @ D) + (2.0 * (1.0 - x))[:, None] * D
 

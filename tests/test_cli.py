@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -260,12 +261,22 @@ MALFORMED = {
     "solution-method-mismatch": ("solution",
                                  lambda raw: raw.update(method="shooting"),
                                  "solution_momentum.json holds a 'shooting'"),
+    "solution-no-nodes": ("solution", lambda raw: raw.update(nodes=0),
+                          "n = 0"),
+    "solution-uniform-3-nodes": ("solution",
+                                 lambda raw: raw.update(nodes=3,
+                                                        scheme="uniform"),
+                                 "n = 3"),
+    "solution-negated-T": ("solution", lambda raw: raw.update(T=-raw["T"]),
+                           "interval length"),
     "table-missing": ("table", os.remove, "profile_momentum.csv"),
     "table-non-numeric": ("table", lambda path: _rewrite_lines(
         path, lambda lines: [lines[0], "zero," + lines[1].split(",", 1)[1],
                              *lines[2:]]), "profile_momentum.csv"),
     "table-truncated": ("table", lambda path: _rewrite_lines(
         path, lambda lines: lines[:len(lines) // 2]), "profile_momentum.csv"),
+    "table-header-only": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: lines[:1]), "profile_momentum.csv"),
 }
 
 
@@ -294,9 +305,13 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
                      "--out", out)]
     for argv in commands:
         capsys.readouterr()
-        assert run(*argv) == 1
+        with warnings.catch_warnings():
+            # a warning would reach stderr ahead of the error line
+            warnings.simplefilter("error")
+            assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+        assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -107,7 +107,7 @@ class TestRicci:
         # Ric + Hess u = g on the solved profiles, all frame directions
         g = kc_momentum.grid
         ric = ricci_components(g, kc, constants)
-        H_NN, H_UU, H_i = hessian_components(g, g.u, g.du, g.ddu)
+        H_NN, H_UU, H_i = hessian_components(g)
         assert np.abs(ric.R_NN + H_NN - 1.0).max() < 1e-10
         assert np.abs(ric.R_UU + H_UU - 1.0).max() < 1e-10
         assert np.abs(ric.R_i + H_i - 1.0).max() < 1e-10
@@ -170,7 +170,7 @@ class TestWeightedCalculus:
     def test_drift_laplacian_self_adjoint(self, kc_momentum, kc):
         # int (Delta_u v) w e^{-u} = - int v' w' ... = int v (Delta_u w)
         g = kc_momentum.grid
-        _, D = cheb_lobatto(g.t.size - 1, 0.0, g.T)
+        _, D = cheb_lobatto(g.t.size - 1, g.T)
         t, T = g.t, g.T
         v = np.cos(np.pi * t / T)
         w = np.cos(2.0 * np.pi * t / T)

@@ -222,12 +222,6 @@ UNSET_DEFAULTS = {
     "v_h_solve.kernel_tol": "the acceptance gate passes it",
     "EntropyGauge.mode": "the benchmark constructs EntropyGauge()",
     "EntropyGauge.V0": "the benchmark constructs EntropyGauge()",
-    "uniform_fd4.a": "a test-only reference",
-    "uniform_fd4.b": "a test-only reference",
-    "Scheme.chebyshev.a": "Scheme.of_kind dispatches to it by name",
-    "Scheme.chebyshev.b": "Scheme.of_kind dispatches to it by name",
-    "Scheme.uniform.a": "Scheme.of_kind dispatches to it by name",
-    "Scheme.uniform.b": "Scheme.of_kind dispatches to it by name",
 }
 
 
@@ -337,6 +331,17 @@ def _callers() -> list:
 def test_every_default_is_set_by_a_caller():
     assert unset_defaults([p.read_text() for p in MODULES],
                           _callers()) == sorted(UNSET_DEFAULTS)
+
+
+# the package's settable values (parameter and dataclass-field defaults)
+SETTABLE_CEILING = 41
+
+
+def test_settable_values_do_not_grow():
+    count = sum(len(settable_defaults(p.read_text())) for p in MODULES)
+    assert count <= SETTABLE_CEILING, (
+        f"{count} settable values, more than {SETTABLE_CEILING}: give each "
+        "new one a reason in CHANGES.md and raise the ceiling with it")
 
 
 def test_detector_flags_unset_defaults():

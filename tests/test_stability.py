@@ -171,7 +171,7 @@ class TestVh:
         # the t-nodes with v'(0) = v'(T) = 0
         g = sol192.grid
         t, T = g.t, g.T
-        _, D = cheb_lobatto(t.size - 1, 0.0, T)
+        _, D = cheb_lobatto(t.size - 1, T)
         src = np.cos(2 * np.pi * t / T) + 0.3 * np.cos(4 * np.pi * t / T)
         lw = log_weight_slope(g, sol192.config)
         L = D @ D + (lw - g.du)[:, None] * D + np.eye(t.size)
