@@ -72,8 +72,10 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``; the method
     stored in the file must be the one its name says.  A profile table that
     is missing, empty, has a non-numeric cell or does not fit the metadata
-    is a ConfigError that names it."""
-    meta = read_json(os.path.join(sol_dir, f"solution_{method}.json"))
+    is a ConfigError that names it, and so is metadata that does not make a
+    solution."""
+    meta_path = os.path.join(sol_dir, f"solution_{method}.json")
+    meta = read_json(meta_path)
     path = os.path.join(sol_dir, f"profile_{method}.csv")
     try:
         with warnings.catch_warnings():
@@ -86,9 +88,10 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
         sol = solver.SolitonSolution.from_dict(meta, table)
     except TableShapeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{meta_path}: {exc}") from exc
     if sol.method != method:
-        raise ConfigError(f"solution_{method}.json holds a {sol.method!r} "
-                          "solution")
+        raise ConfigError(f"{meta_path} holds a {sol.method!r} solution")
     return sol
 
 

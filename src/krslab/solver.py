@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
 from .config import (SOLUTION_METHODS, TAU, BundleConfig, ConfigError,
@@ -246,37 +246,60 @@ def identity_suite(sol: SolitonSolution) -> dict:
 # momentum-coordinate solver
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# degree of the Chebyshev series of dt/dxi that the profiles are read off;
+# degrees 32 to 256 give the same T to 3e-15
+_SERIES_DEGREE = 64
 
 
-def _phi_integral(s, c, config, b):
-    """int_0^s m(sig) * 2 (1 - sig) dsig with m = prod l_j^{d_j} e^{-c sig},
-    vectorized over s (Gauss-Legendre, effectively exact for these smooth
-    integrands)."""
+def _phi_sum(half, sig, c, d, q, b):
+    """Gauss-Legendre sums of m(sig) * 2 (1 - sig) with
+    m = prod (q_j sig + b_j)^{d_j/2} e^{-c sig}, one per row of the nodes
+    sig, whose interval has half-length ``half`` (effectively exact for
+    these smooth integrands)."""
+    m = _phi_weight(sig, c, d, q, b)
+    return (m * 2.0 * (1.0 - sig)) @ _GL_WEIGHTS * half
+
+
+def _phi_integral(s, c, d, q, b):
+    """int_0^s m(sig) * 2 (1 - sig) dsig, vectorized over s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    half = s[:, None] / 2.0
-    sig = half * (_GL_NODES[None, :] + 1.0)
-    m = _phi_weight(sig, c, config, b)
-    vals = (m * 2.0 * (1.0 - sig)) @ _GL_WEIGHTS
-    return vals * half[:, 0]
+    half = s / 2.0
+    return _phi_sum(half, half[:, None] * (_GL_NODES + 1.0), c, d, q, b)
 
 
-def _phi_weight(s, c, config, b):
+def _phi_weight(s, c, d, q, b):
     s = np.asarray(s, dtype=float)
     m = np.exp(-c * s)
-    for dj, qj, bj in zip(config.d, config.q, b):
+    for dj, qj, bj in zip(d, q, b):
         m = m * (qj * s + bj) ** (dj / 2.0)
     return m
 
 
-def _phi(s, c, config, b):
-    return _phi_integral(s, c, config, b) / _phi_weight(s, c, config, b)
+def _phi(s, w, c, config):
+    """phi at s in [0, 2], given w = 2 - s to full relative accuracy.
+
+    For s <= 1, phi = int_0^s m 2(1 - sig) dsig / m(s).  At the root c the
+    integral over [0, 2] vanishes, so for s > 1 phi is minus the tail
+    int_s^2 over m(s), with its nodes placed down from 2 over the length w.
+    Both ends are then read off an integral from their own collapse point
+    and reach zero at the same relative accuracy."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    far = s > 1.0
+    half = np.where(far, w, s) / 2.0
+    sig = half[:, None] * (_GL_NODES + 1.0)
+    sig[far] = 2.0 - sig[far]
+    d, q, b = config.d, config.q, config.p - config.q
+    vals = _phi_sum(half, sig, c, d, q, b)
+    return np.where(far, -vals, vals) / _phi_weight(s, c, d, q, b)
 
 
 def momentum_phi(config: BundleConfig, c: float, s) -> np.ndarray:
     """phi = f^2 as a function of the moment coordinate s in [0, 2], for the
     slope c: the solution of the momentum ODE that ``solve_momentum``
-    reconstructs the profiles from."""
-    return _phi(s, c, config, config.p - config.q)
+    reconstructs the profiles from.  2 - s is exact for s >= 1, so the far
+    end is as accurate as the near one."""
+    s = np.asarray(s, dtype=float)
+    return _phi(s, 2.0 - s, c, config)
 
 
 _SLOPE_BOX = 8.0
@@ -298,7 +321,7 @@ def find_slope_roots(config: BundleConfig, b):
     cs = np.linspace(-_SLOPE_BOX, _SLOPE_BOX, 401)
 
     def F(c):
-        return _phi_integral(2.0, c, config, b)[0]
+        return _phi_integral(2.0, c, config.d, config.q, b)[0]
 
     lo, hi = 0, cs.size - 1
     F_lo = F(cs[lo])
@@ -329,6 +352,15 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     phi' + ((1/2) sum d_j q_j / l_j^2 - c) phi = 2 (1 - s),  phi(0) = 0,
     closed by the single scalar condition phi(2) = 0 on the slope c, whose
     root is unique (``find_slope_roots``).
+
+    The t-profiles come from one Chebyshev series of fixed degree, of
+    dt/dxi = sin(xi) / sqrt(phi) in the half-angle variable
+    s = 2 sin^2(xi/2), 2 - s = 2 cos^2(xi/2), with phi in its tail form
+    near s = 2 (``momentum_phi``); so c, T = t(pi) and the series do not
+    depend on ``nodes``.  The output nodes are found by Newton on the
+    integrated series, started from a cubic Hermite fit of xi(t) through
+    the series' sample points, and f = sqrt(phi) = sin(xi) / (dt/dxi) is
+    read off the same series there.
     """
     if not (np.isclose(constants.A, _REDUCTION_A)
             and np.isclose(constants.B, _REDUCTION_B)):
@@ -351,33 +383,31 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
 
     # phi > 0 on the interior
     s_probe = np.linspace(0.0, 2.0, 201)[1:-1]
-    if np.any(_phi(s_probe, c, config, b) <= 0):
+    if np.any(_phi(s_probe, 2.0 - s_probe, c, config) <= 0):
         raise NoSolitonFound(f"phi not positive on (0, 2) at slope c={c}")
 
-    # arc-length reconstruction: s = 1 - cos(xi), dt/dxi = rho^{-1/2},
-    # rho = phi / sin^2(xi), smooth and positive up to the ends
-    def inv_sqrt_rho(xi):
-        xi = np.asarray(xi, dtype=float)
-        s = 1.0 - np.cos(xi)
-        out = np.empty_like(xi)
-        inner = (xi > 1e-8) & (xi < np.pi - 1e-8)
-        out[inner] = np.abs(np.sin(xi[inner])) / np.sqrt(
-            _phi(s[inner], c, config, b)
-        )
-        out[~inner] = 1.0  # rho -> 1 at both collapse points
-        return out
+    # arc-length reconstruction: s = 2 sin^2(xi/2), 2 - s = 2 cos^2(xi/2)
+    # and dt/dxi = sin(xi) / sqrt(phi), smooth and positive up to the ends
+    # (-> 1 at both collapse points)
+    def dt_dxi(xi):
+        return np.sin(xi) / np.sqrt(_phi(2.0 * np.sin(xi / 2.0) ** 2,
+                                         2.0 * np.cos(xi / 2.0) ** 2,
+                                         c, config))
 
-    deg = max(4 * int(np.sqrt(nodes)), 128)
     cheb = np.polynomial.chebyshev.Chebyshev.interpolate(
-        inv_sqrt_rho, deg, domain=[0.0, np.pi]
-    )
+        dt_dxi, _SERIES_DEGREE, domain=[0.0, np.pi])
     t_of_xi = cheb.integ(lbnd=0.0)
-    T = float(t_of_xi(np.pi))
-
+    # t and dt/dxi at the series' sample points and both ends; the last t
+    # is T, and a cubic Hermite fit of xi(t) through them is within 1e-7 or
+    # so of the inverse, and Newton from it takes two or three steps
+    xi_k = np.pi / 2.0 * (1.0 + np.concatenate(
+        [[-1.0], np.polynomial.chebyshev.chebpts1(_SERIES_DEGREE + 1), [1.0]]))
+    t_k = t_of_xi(xi_k)
+    T = float(t_k[-1])
     sch = Scheme.of_kind(scheme, nodes, T)
 
     # invert t(xi) at the output nodes by Newton on the integrated series
-    xi = np.pi * sch.t / T
+    xi = CubicHermiteSpline(t_k, xi_k, 1.0 / cheb(xi_k))(sch.t)
     for _ in range(60):
         step = (t_of_xi(xi) - sch.t) / np.maximum(cheb(xi), 1e-300)
         xi = np.clip(xi - step, 0.0, np.pi)
@@ -385,23 +415,19 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
             break
     xi[0], xi[-1] = 0.0, np.pi
 
-    s = 1.0 - np.cos(xi)
-    s[0], s[-1] = 0.0, 2.0
-    phi = _phi(s, c, config, b)
-    phi[0] = phi[-1] = 0.0
+    # f = sqrt(phi) read off the same series
+    s = 2.0 * np.sin(xi / 2.0) ** 2
+    f = np.sin(xi) / cheb(xi)
+    f[-1] = 0.0
+    phi = f * f
     l2 = config.q[:, None] * s[None, :] + b[:, None]
     P = 0.5 * (config.d[:, None] * config.q[:, None] / l2).sum(axis=0) - c
     dP = -0.5 * (config.d[:, None] * config.q[:, None] ** 2 / l2**2).sum(axis=0)
     dphi = 2.0 * (1.0 - s) - P * phi
     ddphi = -2.0 - dP * phi - P * dphi
 
-    rho = np.empty_like(s)
-    rho[1:-1] = phi[1:-1] / np.sin(xi[1:-1]) ** 2
-    rho[0] = rho[-1] = 1.0
-    f = np.sin(xi) * np.sqrt(rho)
-    f[0] = f[-1] = 0.0
     df = dphi / 2.0
-    ddf = np.sqrt(np.maximum(phi, 0.0)) * ddphi / 2.0
+    ddf = f * ddphi / 2.0
 
     l = np.sqrt(l2)
     dl = config.q[:, None] * f[None, :] / (2.0 * l)

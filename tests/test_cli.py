@@ -312,6 +312,11 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert err.count("\n") == 1, err
+        if target in ("solution", "table"):
+            # the one line names the file at fault
+            bad = ("solution_momentum.json" if target == "solution"
+                   else "profile_momentum.csv")
+            assert str(sol_dir / bad) in err
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -31,16 +31,18 @@ def _cold_start_from(monkeypatch, a, u2):
 def _scan_slope_roots(config, b):
     """Every sign change of phi(2; c) over the 401 nodes of [-8, 8], each
     refined by brentq: the scan the bisection replaced."""
+    def phi2(c):
+        return solver._phi_integral(2.0, c, config.d, config.q, b)[0]
+
     cs = np.linspace(-8.0, 8.0, 401)
-    F = np.array([solver._phi_integral(2.0, c, config, b)[0] for c in cs])
+    F = np.array([phi2(c) for c in cs])
     roots = []
     for k in range(400):
         if F[k] == 0.0:
             roots.append(cs[k])
         elif F[k] * F[k + 1] < 0:
-            roots.append(brentq(
-                lambda c: solver._phi_integral(2.0, c, config, b)[0],
-                cs[k], cs[k + 1], xtol=1e-15, rtol=8.9e-16))
+            roots.append(brentq(phi2, cs[k], cs[k + 1], xtol=1e-15,
+                                rtol=8.9e-16))
     return roots
 
 
@@ -80,12 +82,52 @@ def _hex(values):
 
 class TestMomentum:
     def test_koiso_cao_slope_and_length(self, kc_momentum):
-        # reference values from an independent high-precision run of the
-        # scalar closure condition (the literature's soliton is recovered)
-        assert kc_momentum.c_slope == pytest.approx(0.5276195198969629,
-                                                    abs=1e-12)
-        assert kc_momentum.grid.T == pytest.approx(3.198164957102434,
-                                                   abs=1e-9)
+        # reference values computed with mpmath at 25 digits: c is the root
+        # of int_0^2 m(s) 2 (1 - s) ds = 0, and T = int_0^pi sin(xi) /
+        # sqrt(phi) dxi with s = 2 sin^2(xi/2), phi in its tail-integral
+        # form for s > 1, both by Gauss-Legendre quadrature
+        assert kc_momentum.c_slope == pytest.approx(
+            0.5276195198969628248486071, abs=1e-12)
+        assert kc_momentum.grid.T == pytest.approx(
+            3.198164957109490686234774, abs=1e-13)
+
+    @pytest.mark.parametrize("factors", [[(2, 2, 1)], [(2, 2, 1), (4, 3, 1)]],
+                             ids=["kc", "two_factor"])
+    def test_slope_and_length_do_not_depend_on_nodes(self, constants,
+                                                     factors):
+        cfg = _bundle(factors)
+        sols = [solver.solve_momentum(cfg, constants, nodes=n)
+                for n in (512, 1024, 2048, 4096)]
+        assert len({float(sol.c_slope).hex() for sol in sols}) == 1
+        assert len({sol.grid.T.hex() for sol in sols}) == 1
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 2, 1)], [(2, 2, -1)], [(2, 2, 1), (4, 3, 1)],
+        [(2, 2, 1), (2, 2, -1)],
+    ], ids=["kc", "kc_mirror", "two_factor", "s2xs2_opp"])
+    def test_phi_vanishes_alike_at_both_ends(self, constants, factors):
+        # phi = 2 s + O(s^2) at s = 0 and 2 w + O(w^2) at s = 2 - w: at
+        # w = 2^-30 both ratios are within 1.8 w of 2, where phi(2 - w)
+        # taken as the integral over [0, 2 - w] was 29 w off on kc
+        cfg = _bundle(factors)
+        c, = solver.find_slope_roots(cfg, cfg.p - cfg.q)
+        w = 2.0 ** -30
+        near = solver.momentum_phi(cfg, c, w)[0] / w
+        far = solver.momentum_phi(cfg, c, 2.0 - w)[0] / w
+        assert near == pytest.approx(2.0, abs=4.0 * w)
+        assert far == pytest.approx(2.0, abs=4.0 * w)
+
+    @pytest.mark.parametrize("factors", [[(2, 2, 1)], [(2, 2, 1), (4, 3, 1)]],
+                             ids=["kc", "two_factor"])
+    def test_series_phi_is_the_quadrature_phi(self, constants, factors):
+        # the profiles read phi = f^2 off the series of dt/dxi; at the
+        # N = 4096 nodes it is the quadrature phi to 7.1e-15
+        cfg = _bundle(factors)
+        sol = solver.solve_momentum(cfg, constants, nodes=4096)
+        # s from the Kahler relation l_1^2 = q_1 s + p_1 - q_1
+        s = (sol.grid.l[0] ** 2 - (cfg.p[0] - cfg.q[0])) / cfg.q[0]
+        quad = solver.momentum_phi(cfg, sol.c_slope, s)
+        assert np.abs(quad - sol.grid.f ** 2).max() <= 1e-14
 
     def test_residuals_at_machine_precision(self, kc_momentum):
         rep = kc_momentum.residuals
@@ -263,10 +305,10 @@ class TestShooting:
 
     # warm start (method both) at N = 512: c, T and the profile table
     @pytest.mark.parametrize("factors,c_hex,T_hex,table_sha", [
-        ([(2, 2, 1)] * 2, "0x1.0de1d115f8070p+0", "0x1.a0a61a8ce239fp+1",
-         "8636744dac55cd100d6ea3f7bae828f01a9cc5a15c9b68188dba7f1e449dac87"),
-        ([(2, 2, 1)] * 3, "0x1.946ec4802ce02p+0", "0x1.a7f7ea4f4729dp+1",
-         "f88328f29150e74a99c7643d58636dc1a5faa87fbbe4fbafc12e12beba5c3caf"),
+        ([(2, 2, 1)] * 2, "0x1.0de1d115f8070p+0", "0x1.a0a61a8ce23a0p+1",
+         "c10988edc5f46fc141e3ea8d46d43f72c5de4c6710f5b1d4d5fc16553f0fa40d"),
+        ([(2, 2, 1)] * 3, "0x1.946ec4802ce02p+0", "0x1.a7f7ea4f4729ep+1",
+         "b29e8f4771b306a9525a9f4fe6bcd50b7eaf2784c36e07e09360c438a9cd4592"),
     ], ids=["two_s2", "three_s2"])
     def test_warm_start_reproduces_its_result(self, constants, factors,
                                               c_hex, T_hex, table_sha):

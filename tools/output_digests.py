@@ -5,8 +5,10 @@
 Runs `krs` in-process with the krslab that PYTHONPATH finds, writing into
 OUT_DIR (which must be absent or empty), and prints one line per output
 file, `path sha256` with the path relative to OUT_DIR, then one line per
-command, `label exit code`.  Run it once per tree and diff the two
-listings: equal listings mean byte-identical outputs and equal exit codes.
+solution file, `path c=<repr> T=<repr>` (its slope and length, so a diff
+shows how far a moved solution moved), then one line per command,
+`label exit code`.  Run it once per tree and diff the two listings: equal
+listings mean byte-identical outputs and equal exit codes.
 
 The set: `krs pin-constants` with seeds 0 and 42; Koiso-Cao and a
 two-factor bundle at N = 1024 through `solve` (method both), then `verify`
@@ -91,14 +93,21 @@ def commands(out):
 
 
 def digests(out) -> list:
-    lines = []
+    """`path sha256` of every file, then `path c=.. T=..` of every
+    solution file, each block sorted."""
+    lines, solutions = [], []
     for directory, _, files in os.walk(out):
         for name in files:
             path = os.path.join(directory, name)
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            lines.append(f"{os.path.relpath(path, out)} {digest}")
-    return sorted(lines)
+                content = fh.read()
+            label = os.path.relpath(path, out)
+            lines.append(f"{label} {hashlib.sha256(content).hexdigest()}")
+            if name.startswith("solution_") and name.endswith(".json"):
+                meta = json.loads(content)
+                solutions.append(f"{label} c={meta['c_slope']!r} "
+                                 f"T={meta['T']!r}")
+    return sorted(lines) + sorted(solutions)
 
 
 def main(argv) -> int:
