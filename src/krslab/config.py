@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,13 +131,16 @@ class BundleConfig:
         return 2 + sum(f.d for f in self.factors)
 
     def _column(self, attr: str) -> np.ndarray:
-        return np.array([getattr(f, attr) for f in self.factors], dtype=float)
+        col = np.array([getattr(f, attr) for f in self.factors], dtype=float)
+        col.flags.writeable = False
+        return col
 
-    # per-factor data as float arrays, in factor order
-    d = property(lambda self: self._column("d"))
-    p = property(lambda self: self._column("p"))
-    q = property(lambda self: self._column("q"))
-    kappa = property(lambda self: self._column("kappa"))
+    # per-factor data as read-only float arrays, in factor order, built on
+    # first use
+    d = cached_property(lambda self: self._column("d"))
+    p = cached_property(lambda self: self._column("p"))
+    q = cached_property(lambda self: self._column("q"))
+    kappa = cached_property(lambda self: self._column("kappa"))
 
     def to_dict(self) -> dict:
         return {"factors": [f.to_dict() for f in self.factors],

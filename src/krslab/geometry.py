@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,10 @@ class PinnedConstants:
         return PinnedConstants.from_dict(read_json(path))
 
 
+# the sampled profiles of a ProfileGrid: every field but the scheme
+_PROFILE_FIELDS = ("f", "df", "ddf", "l", "dl", "ddl", "u", "du", "ddu")
+
+
 @dataclass(frozen=True)
 class ProfileGrid:
     """Sampled metric profiles with first and second derivatives.
@@ -106,6 +111,15 @@ class ProfileGrid:
         return self.l.shape[0]
 
     def __post_init__(self):
+        # profiles are read-only arrays that own their data (copied unless
+        # they already are), so nothing writes into them after the checks
+        # below or behind the measure cached on the grid
+        for name in _PROFILE_FIELDS:
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.flags.writeable or arr.base is not None:
+                arr = arr.copy()
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         ok = (
             abs(self.f[0]) < 1e-10
             and abs(self.f[-1]) < 1e-10
@@ -121,6 +135,12 @@ class ProfileGrid:
         )
         if not ok:
             raise GeometryError("profile grid violates collapse/evenness invariants")
+
+    @cached_property
+    def _measures(self) -> dict:
+        """(w, e^{-u}) of ``weighted_integral``, one entry per tuple of
+        factor dimensions; a new grid, ``with_u`` included, starts empty."""
+        return {}
 
     def with_u(self, u, du, ddu) -> "ProfileGrid":
         return replace(self, u=u, du=du, ddu=ddu)
@@ -272,6 +292,11 @@ def weighted_laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
 def weighted_integral(grid: ProfileGrid, config: BundleConfig,
                       F: np.ndarray) -> float:
     """integral of F over M against e^{-u} dV per unit orbit volume V0,
-    reduced to int F w e^{-u} dt with the configured quadrature."""
-    w = volume_weight(grid, config)
-    return grid.scheme.integrate(F * w * np.exp(-grid.u))
+    reduced to int F w e^{-u} dt with the configured quadrature.  w and
+    e^{-u} are computed on the first call for a grid and the config's factor
+    dimensions, and kept on the grid."""
+    key = config.d.tobytes()
+    if key not in grid._measures:
+        grid._measures[key] = (volume_weight(grid, config), np.exp(-grid.u))
+    w, e_u = grid._measures[key]
+    return grid.scheme.integrate(F * w * e_u)

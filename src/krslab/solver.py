@@ -111,11 +111,12 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SolitonSolution:
-    """A solved soliton.  Its evaluation record and residual report are
-    computed on first use and cached; ``dataclasses.replace`` gives a new
-    solution that is evaluated afresh.  A solution whose grid and config
-    disagree on the number of factors, or whose method is not one of
-    SOLUTION_METHODS, cannot be made."""
+    """A solved soliton.  Its evaluation record, residual report and the
+    stability layer's per-solution work are computed on first use and
+    cached; ``dataclasses.replace`` gives a new solution that is evaluated
+    afresh.  A solution whose grid and config disagree on the number of
+    factors, or whose method is not one of SOLUTION_METHODS, cannot be
+    made."""
 
     grid: ProfileGrid
     config: BundleConfig
@@ -139,6 +140,13 @@ class SolitonSolution:
     @cached_property
     def residuals(self) -> ResidualReport:
         return residual_report(self)
+
+    @cached_property
+    def stability_cache(self) -> dict:
+        """The source-independent work of :mod:`krslab.stability` on this
+        solution (the moment coordinate and the per-degree operators),
+        filled there on first use."""
+        return {}
 
     def to_dict(self) -> dict:
         """Metadata of the solution; the profiles go to ``grid.table()``.
@@ -302,39 +310,50 @@ def momentum_phi(config: BundleConfig, c: float, s) -> np.ndarray:
     return _phi(s, 2.0 - s, c, config)
 
 
+# the first search box for the slope, |c| <= 8, and the largest one, where
+# e^{-cs} on [0, 2] still stays far from overflow
 _SLOPE_BOX = 8.0
+_SLOPE_BOX_MAX = 256.0
 
 
 def find_slope_roots(config: BundleConfig, b):
-    """The root of the far-end closure condition phi(2; c) = 0 in the search
-    box [-8, 8], as a list with at most one entry.
+    """The root of the far-end closure condition phi(2; c) = 0 with
+    |c| <= 256, as a list with at most one entry.
 
     With G(c) = int_0^2 m0(s) e^{-c(s-1)} ds and m0 = prod l_j^{d_j} > 0,
     the integral read here is int_0^2 m0 e^{-cs} 2(1-s) ds = 2 e^{-c} G'(c),
     which has the sign of phi(2; c), and
     G''(c) = int_0^2 (1-s)^2 m0 e^{-c(s-1)} ds > 0.  So G' is strictly
-    increasing and the sign changes at most once: the root is unique.  The
-    box is cut into 400 equal brackets; equal signs at its two ends mean no
-    root, else bisection over the bracket indices finds the one sign change
-    (or a node where the integral is exactly zero) and brentq refines it.
+    increasing and the sign changes at most once: the root is unique (and
+    exists, as G' < 0 for c -> -inf and > 0 for c -> inf).  The search box
+    starts at [-8, 8] and doubles while the signs at its two ends agree,
+    up to [-256, 256], where equal signs mean no root.  The first box whose
+    ends differ in sign is cut into 400 equal brackets, and bisection over
+    the bracket indices finds the one sign change (or a node where the
+    integral is exactly zero) and brentq refines it.
     """
-    cs = np.linspace(-_SLOPE_BOX, _SLOPE_BOX, 401)
-
     def F(c):
         return _phi_integral(2.0, c, config.d, config.q, b)[0]
 
-    lo, hi = 0, cs.size - 1
-    F_lo = F(cs[lo])
-    if F_lo == 0.0:
-        return [cs[lo]]
-    if not F_lo * F(cs[hi]) < 0:
-        return []
+    box = _SLOPE_BOX
+    while True:
+        cs = np.linspace(-box, box, 401)
+        lo, hi = 0, cs.size - 1
+        F_lo = F(cs[lo])
+        if F_lo == 0.0:
+            return [cs[lo]]
+        # signs, not products: far boxes reach |F| ~ 1e200
+        if (F_lo > 0) != (F(cs[hi]) > 0):
+            break
+        if box >= _SLOPE_BOX_MAX:
+            return []
+        box *= 2.0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         F_mid = F(cs[mid])
         if F_mid == 0.0:
             return [cs[mid]]
-        if F_mid * F_lo > 0:
+        if (F_mid > 0) == (F_lo > 0):
             lo = mid
         else:
             hi = mid
@@ -378,7 +397,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     roots = find_slope_roots(config, b)
     if not roots:
         raise NoSolitonFound("no root of phi(2; c) = 0 in the search box "
-                             f"|c| <= {_SLOPE_BOX:g}")
+                             f"|c| <= {_SLOPE_BOX_MAX:g}")
     c, = roots
 
     # phi > 0 on the interior

@@ -8,6 +8,13 @@ grid.  The drift Laplacian on invariant functions is a Sturm-Liouville
 operator in the moment coordinate s (ds = f dt, s in [0, 2]); the auxiliary
 potential equation and the drift spectrum are collocated there, in a small
 Chebyshev basis, and mapped back to the profile grid.
+
+Everything of that which does not depend on the source is computed once per
+solution and kept on it (``SolitonSolution.stability_cache``): the moment
+coordinate at the nodes and, per Chebyshev degree, the fit's inverse Gram
+matrix and the collocation, which ``v_h_solve`` and ``drift_spectrum``
+share.  The first call on a solution pays for them; a new solution,
+``dataclasses.replace`` included, starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -229,22 +236,67 @@ _DEGREES = (16, 32, 64, 128, 256)
 _TAIL_TOL = 1e-12
 
 
+def _cached(sol: SolitonSolution, key, build: Callable):
+    """``sol.stability_cache[key]``, made by ``build()`` on first use."""
+    cache = sol.stability_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def _moment_coordinate(sol: SolitonSolution) -> np.ndarray:
-    """s at the solution's nodes, from the Kahler relation
-    l_j^2 = q_j s + p_j - q_j (least squares over the factors)."""
-    cf = sol.config
-    excess = sol.grid.l ** 2 - (cf.p - cf.q)[:, None]
-    s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
-    return np.clip(s, 0.0, 2.0)
+    """X = s - 1 in [-1, 1] at the solution's nodes, with s from the Kahler
+    relation l_j^2 = q_j s + p_j - q_j (least squares over the factors);
+    computed once per solution."""
+    def build():
+        cf = sol.config
+        excess = sol.grid.l ** 2 - (cf.p - cf.q)[:, None]
+        s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
+        return np.clip(s, 0.0, 2.0) - 1.0
+
+    return _cached(sol, "X", build)
 
 
-def _s_operator(sol: SolitonSolution, m: int):
-    """Chebyshev-Lobatto nodes x on [0, 2] and the collocated drift Laplacian
-    on invariant functions, phi(s) v_ss + 2 (1 - s) v_s.  phi vanishes at
-    both ends, so the end rows carry the natural boundary conditions."""
-    x, D = cheb_lobatto(m, 2.0)
-    phi = momentum_phi(sol.config, sol.c_slope, x)
-    return x, phi[:, None] * (D @ D) + (2.0 * (1.0 - x))[:, None] * D
+@dataclass(frozen=True)
+class _Collocation:
+    """The drift Laplacian on invariant functions collocated at degree m, on
+    one solution, at the m+1 Chebyshev-Lobatto nodes x on [0, 2]: the
+    operator A = phi(s) d^2/ds^2 + 2 (1 - s) d/ds (phi vanishes at both
+    ends, so the end rows carry the natural boundary conditions), the
+    smallest singular value of A + I and, on Chebyshev coefficients of
+    degree m, the solution map of (A + I) v = s and the derivative d/ds."""
+
+    x: np.ndarray
+    A: np.ndarray
+    sigma_min: float
+    solve: np.ndarray
+    deriv: np.ndarray
+
+
+def _collocation(sol: SolitonSolution, m: int) -> _Collocation:
+    """The degree-m collocation of ``sol``, built once per solution."""
+    def build():
+        x, D = cheb_lobatto(m, 2.0)
+        phi = momentum_phi(sol.config, sol.c_slope, x)
+        A = phi[:, None] * (D @ D) + (2.0 * (1.0 - x))[:, None] * D
+        L = A + np.eye(m + 1)
+        # B holds the Chebyshev basis at x: B^-1 L^-1 B = (L B)^-1 B
+        B = cheb.chebvander(x - 1.0, m)
+        deriv = np.zeros((m + 1, m + 1))
+        deriv[:m] = cheb.chebder(np.eye(m + 1))
+        return _Collocation(
+            x=x, A=A, sigma_min=float(np.linalg.svd(L, compute_uv=False)[-1]),
+            solve=np.linalg.solve(L @ B, B), deriv=deriv)
+
+    return _cached(sol, ("collocation", m), build)
+
+
+def _inverse_gram(vander: np.ndarray) -> np.ndarray:
+    """(V V^T)^-1 for a Vandermonde V with one row per degree, from the
+    triangular factor of its QR: the least-squares fit to nodal values y is
+    then (V V^T)^-1 V y."""
+    r_inv = np.linalg.inv(np.linalg.qr(vander.T, mode="r"))
+    return r_inv @ r_inv.T
 
 
 def _tail(coef: np.ndarray) -> float:
@@ -272,6 +324,21 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     operator is reported; below ``kernel_tol`` it is solved in the
     least-squares sense and flagged.  The solution is mapped back to the
     nodes with v' = v_s f, v'' = v_ss f^2 + v_s f'.
+
+    What does not depend on the source is kept on the solution (see
+    ``SolitonSolution.stability_cache``): the moment coordinate at the
+    nodes and, per degree m tried, the inverse Gram matrix of the nodal
+    Chebyshev Vandermonde V (from its triangular factor) and the
+    collocation: the operator, its smallest singular value, and its
+    solution map and d/ds on Chebyshev coefficients.  That is four
+    (m+1)^2 arrays, 32 (m+1)^2 bytes per degree: 9 kB at degree 16,
+    2.1 MB at 256, 2.8 MB for all five.  No array with a row per node is
+    kept but the moment coordinate.  The first call on a solution builds
+    them, at about the cost of a call without them; a later call pays only
+    for V, the fit (V V^T)^-1 V s (cond V < 5 on the solvers' nodes, so
+    the normal equations lose under two digits), small matrix-vector
+    products and the map back.  A new solution, ``dataclasses.replace`` included, starts with an
+    empty cache.
     """
     _require_normalized(sol)
     grid, config = sol.grid, sol.config
@@ -282,23 +349,23 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     if not degrees:
         raise StabilityError(f"{grid.t.size} nodes are too few to fit the "
                              f"source in s (need {2 * _DEGREES[0] + 1})")
-    X = _moment_coordinate(sol) - 1.0  # s mapped to [-1, 1]
+    X = _moment_coordinate(sol)
     for m in degrees:
-        vander = cheb.chebvander(X, m)
-        coef = np.linalg.lstsq(vander, src, rcond=None)[0]
+        vander = cheb.chebvander(X, m).T  # one row per degree
+        gram_inv = _cached(sol, ("fit", m), lambda: _inverse_gram(vander))
+        coef = gram_inv @ (vander @ src)
         what, tail = "source", _tail(coef)
         if tail > _TAIL_TOL:
             continue
-        x, A = _s_operator(sol, m)
-        L = A + np.eye(m + 1)
-        rhs = cheb.chebval(x - 1.0, coef)
-        sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
-        near = sigma_min < kernel_tol
+        op = _collocation(sol, m)
+        near = op.sigma_min < kernel_tol
         if near:
-            V, *_ = np.linalg.lstsq(L, rhs, rcond=None)
+            x = op.x - 1.0
+            V, *_ = np.linalg.lstsq(op.A + np.eye(m + 1),
+                                    cheb.chebval(x, coef), rcond=None)
+            vcoef = cheb.chebfit(x, V, m)
         else:
-            V = np.linalg.solve(L, rhs)
-        vcoef = cheb.chebfit(x - 1.0, V, m)
+            vcoef = op.solve @ coef
         what, tail = "solution", _tail(vcoef)
         if tail <= _TAIL_TOL:
             break
@@ -309,17 +376,15 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
             f"the {what} is not resolved as a Chebyshev series in s at "
             f"degree {m}, {limit} (coefficient tail {tail:.1e}); a smooth "
             "invariant source is a smooth function of s")
-    dcoef = cheb.chebder(vcoef)
-    v = vander @ vcoef
-    v_s = vander[:, :m] @ dcoef
-    v_ss = vander[:, :m - 1] @ cheb.chebder(dcoef)
+    dcoef = op.deriv @ vcoef
+    v, v_s, v_ss = np.stack([vcoef, dcoef, op.deriv @ dcoef]) @ vander
     dv = v_s * grid.f
     ddv = v_ss * grid.f ** 2 + v_s * grid.df
     res = weighted_laplacian(grid, config, v, dv, ddv) + v - src
     # the equation at the interior nodes, on the solution's own profiles
     residual = float(np.abs(res[1:-1]).max())
     return VhSolution(v=v, residual=residual,
-                      smallest_singular_value=sigma_min, near_kernel=near,
+                      smallest_singular_value=op.sigma_min, near_kernel=near,
                       least_squares=near)
 
 
@@ -328,10 +393,10 @@ def drift_spectrum(sol: SolitonSolution, k: int) -> np.ndarray:
     ascending.
 
     They are the eigenvalues of the collocated s-operator of ``v_h_solve``,
-    whose degree doubles until the k values agree with those of the
-    previous degree to 1e-10 (relative).  The first two are exactly 0
-    (constants) and 2 (s - 1, the moment map, up to a constant), and
-    Futaki's bound puts the rest above 2.
+    the same cached per-degree collocation, whose degree doubles until the
+    k values agree with those of the previous degree to 1e-10 (relative).
+    The first two are exactly 0 (constants) and 2 (s - 1, the moment map,
+    up to a constant), and Futaki's bound puts the rest above 2.
     """
     if k < 1:
         raise StabilityError(f"need k >= 1 eigenvalues, got {k}")
@@ -339,7 +404,7 @@ def drift_spectrum(sol: SolitonSolution, k: int) -> np.ndarray:
     for m in _DEGREES:
         if m < 2 * k:
             continue
-        _, A = _s_operator(sol, m)
+        A = _collocation(sol, m).A
         lam = np.sort(np.linalg.eigvals(-A).real)[:k]
         if prev is not None and (np.abs(lam - prev).max()
                                  <= 1e-10 * max(1.0, np.abs(lam).max())):

@@ -222,10 +222,11 @@ class TestSolve:
         assert meta["residuals"]["cross_method"] == 1e-6
 
     def test_no_slope_root_exits_3(self, pipeline, tmp_path):
-        # admissible, but phi(2; c) = 0 has no root with |c| <= 8
+        # admissible, but phi(2; c) = 0 has no root with |c| <= 256
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
-            "factors": [{"dim": 20, "einstein_constant": 1.05, "twist": 1}],
+            "factors": [{"dim": 600, "einstein_constant": 1.05,
+                         "twist": -1}],
             "grid": {"nodes": 64}, "method": "both",
         }))
         out = tmp_path / "o"
@@ -233,7 +234,7 @@ class TestSolve:
                    pipeline["constants"], "--out", str(out)) == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == (
-            "no root of phi(2; c) = 0 in the search box |c| <= 8")
+            "no root of phi(2; c) = 0 in the search box |c| <= 256")
 
 
 def _rewrite_lines(path, edit):

@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from krslab.config import (
@@ -67,6 +68,18 @@ class TestBundleConfig:
                                     BaseFactor(4, 3.0, -2)))
         assert BundleConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) \
             == cfg
+
+
+    def test_columns_are_built_once_and_read_only(self):
+        cfg = BundleConfig(factors=(BaseFactor(2, 2.0, 1, kappa=0.5),
+                                    BaseFactor(4, 3.0, -2)))
+        for name in ("d", "p", "q", "kappa"):
+            col = getattr(cfg, name)
+            assert getattr(cfg, name) is col
+            assert col.tobytes() == np.array(
+                [getattr(f, name) for f in cfg.factors], dtype=float).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 7.0
 
 
 class TestTolerances:

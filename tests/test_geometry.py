@@ -9,6 +9,7 @@ from krslab.config import BaseFactor, BundleConfig, ConfigError, koiso_cao
 from krslab.geometry import (
     GeometryError,
     PinnedConstants,
+    ProfileGrid,
     hessian_components,
     kaehler_residual,
     log_weight_slope,
@@ -166,6 +167,47 @@ class TestWeightedCalculus:
         b = weighted_integral(g, kc, np.ones_like(g.u))
         combo = weighted_integral(g, kc, 2.0 * g.u + 3.0)
         assert combo == pytest.approx(2.0 * a + 3.0 * b, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["momentum", "shooting", "uniform",
+                                       "gauge_shifted"])
+    def test_cached_measure_is_the_direct_product(self, kc_momentum,
+                                                  two_factor_shooting,
+                                                  constants, which):
+        if which == "shooting":
+            sol = two_factor_shooting
+        elif which == "uniform":
+            sol = solver.solve_momentum(koiso_cao(), constants, nodes=256,
+                                        scheme="uniform")
+        elif which == "momentum":
+            sol = kc_momentum
+        else:
+            # the unshifted grid's measure is cached first; the shifted
+            # solution is a new grid and must not reuse it
+            g = kc_momentum.grid
+            raw = replace(kc_momentum, grid=g.with_u(g.u + 0.3, g.du, g.ddu))
+            weighted_integral(raw.grid, raw.config, raw.grid.u)
+            sol = solver.gauge_normalize(raw)
+            assert sol.grid is not raw.grid
+        g, cfg = sol.grid, sol.config
+        for F in (np.ones_like(g.u), g.u, np.cos(g.t)):
+            direct = g.scheme.integrate(
+                F * volume_weight(g, cfg) * np.exp(-g.u))
+            for _ in range(2):  # cold, then from the cache
+                assert weighted_integral(g, cfg, F) == direct
+
+    def test_profiles_are_read_only(self, kc_momentum, kc):
+        g = kc_momentum.grid
+        for name in ("f", "df", "ddf", "l", "dl", "ddl", "u", "du", "ddu"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[..., 1] = 0.0
+        # a grid read from a table owns copies: writing the table later
+        # reaches neither the profiles nor the cached measure
+        table = g.table().T.copy()
+        read = ProfileGrid.from_table(g.scheme, table, kc.r)
+        mass = weighted_integral(read, kc, np.ones_like(read.u))
+        table[:, 1:] *= 2.0
+        assert np.array_equal(read.f, g.f) and np.array_equal(read.u, g.u)
+        assert weighted_integral(read, kc, np.ones_like(read.u)) == mass
 
     def test_drift_laplacian_self_adjoint(self, kc_momentum, kc):
         # int (Delta_u v) w e^{-u} = - int v' w' ... = int v (Delta_u w)

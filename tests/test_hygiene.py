@@ -95,6 +95,119 @@ def test_detector_flags_nested_imports_and_dunder_import():
                                    (8, "__import__")]
 
 
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter", "deque"}
+_FILLING_METHODS = {"append", "appendleft", "extend", "insert", "update",
+                    "setdefault", "add", "__setitem__"}
+
+
+def _is_container(value: ast.expr) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                          ast.ListComp, ast.SetComp)):
+        return True
+    func = value.func if isinstance(value, ast.Call) else None
+    name = (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+    return name in _CONTAINER_CALLS
+
+
+def _memoized(node: ast.FunctionDef) -> bool:
+    """A functools ``cache`` / ``lru_cache`` decorator on a function that
+    takes arguments: a memo keyed by them, kept for the process."""
+    names = set()
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        names.add(dec.id if isinstance(dec, ast.Name)
+                  else dec.attr if isinstance(dec, ast.Attribute) else "")
+    args = node.args
+    takes = (args.posonlyargs or args.args or args.kwonlyargs
+             or args.vararg or args.kwarg)
+    return bool(names & {"cache", "lru_cache"}) and bool(takes)
+
+
+def module_level_caches(source: str) -> list:
+    """(line, name) of every module-level dict, list or set (a display, a
+    comprehension or a constructor call) that a function of the module
+    fills, by item assignment, a filling method or a ``global`` rebinding,
+    and of every function memoized on its arguments.  Such a cache outlives
+    the solutions it was filled from and grows with them; a cache belongs
+    on the record it is computed from, where ``dataclasses.replace`` drops
+    it."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_container(value):
+            bound.update((t.id, node.lineno) for t in targets
+                         if isinstance(t, ast.Name))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _memoized(func):
+            found.add((func.lineno, f"{func.name}()"))
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name)):
+                names = [node.value.id]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _FILLING_METHODS
+                  and isinstance(node.func.value, ast.Name)):
+                names = [node.func.value.id]
+            elif isinstance(node, ast.Global):
+                names = node.names
+            else:
+                continue
+            found.update((bound[n], n) for n in names if n in bound)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_caches(path):
+    assert module_level_caches(path.read_text()) == []
+
+
+def test_detector_flags_module_level_caches():
+    src = ("import functools\n"
+           "from functools import cache\n"
+           "_MEMO = {}\n"
+           "_SEEN: list = []\n"
+           "_BY_N = dict()\n"
+           "_TOTAL = []\n"
+           "NAMES = {'a': 1}\n"
+           "KINDS = ['x', 'y']\n"
+           "def solve(key, sol):\n"
+           "    if key not in _MEMO:\n"
+           "        _MEMO[key] = sol\n"
+           "    _SEEN.append(key)\n"
+           "    _BY_N.setdefault(key, sol)\n"
+           "    return NAMES[key], KINDS[0]\n"
+           "def reset():\n"
+           "    global _TOTAL\n"
+           "    _TOTAL = _TOTAL + [1]\n"
+           "@cache\n"
+           "def frozen():\n"
+           "    return 1\n"
+           "@functools.lru_cache(maxsize=None)\n"
+           "def grid(n):\n"
+           "    return n\n"
+           "class Record:\n"
+           "    def measure(self):\n"
+           "        local = {}\n"
+           "        local['w'] = 1\n"
+           "        return local\n")
+    assert module_level_caches(src) == [
+        (3, "_MEMO"), (4, "_SEEN"), (5, "_BY_N"), (6, "_TOTAL"),
+        (22, "grid()")]
+
+
 def dataclass_fields(source: str, classes: tuple) -> dict:
     """Annotated field names of the named classes, mapped to the class."""
     fields = {}

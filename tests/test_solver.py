@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -29,21 +29,27 @@ def _cold_start_from(monkeypatch, a, u2):
 
 
 def _scan_slope_roots(config, b):
-    """Every sign change of phi(2; c) over the 401 nodes of [-8, 8], each
-    refined by brentq: the scan the bisection replaced."""
+    """Every sign change of phi(2; c) over the 401 nodes of the first of the
+    boxes [-8, 8], [-16, 16], ..., [-256, 256] that has one, each refined by
+    brentq: the scan the bisection replaced, over the box it bisects."""
     def phi2(c):
         return solver._phi_integral(2.0, c, config.d, config.q, b)[0]
 
-    cs = np.linspace(-8.0, 8.0, 401)
-    F = np.array([phi2(c) for c in cs])
-    roots = []
-    for k in range(400):
-        if F[k] == 0.0:
-            roots.append(cs[k])
-        elif F[k] * F[k + 1] < 0:
-            roots.append(brentq(phi2, cs[k], cs[k + 1], xtol=1e-15,
-                                rtol=8.9e-16))
-    return roots
+    box = 8.0
+    while box <= 256.0:
+        cs = np.linspace(-box, box, 401)
+        F = np.array([phi2(c) for c in cs])
+        roots = []
+        for k in range(400):
+            if F[k] == 0.0:
+                roots.append(cs[k])
+            elif (F[k] > 0) != (F[k + 1] > 0):
+                roots.append(brentq(phi2, cs[k], cs[k + 1], xtol=1e-15,
+                                    rtol=8.9e-16))
+        if roots:
+            return roots
+        box *= 2.0
+    return []
 
 
 def _array_rhs(config, constants):
@@ -171,12 +177,22 @@ class TestMomentum:
         assert uni.residuals.max_equation_residual() < 1e-10
 
     def test_no_root_names_the_search_box(self, constants):
-        # admissible (p - q = 0.05 > 0), but phi(2; c) keeps one sign on
-        # the whole box (the scan finds no root either, see TestSlopeRoot)
+        # admissible (l^2 = 2.05 - s > 0 on [0, 2]), but the root lies
+        # beyond the largest box, below c = -256 (the scan finds no root
+        # either, see TestSlopeRoot)
         with pytest.raises(solver.NoSolitonFound,
-                           match=r"search box \|c\| <= 8$"):
-            solver.solve_momentum(_bundle([(20, 1.05, 1)]), constants,
+                           match=r"search box \|c\| <= 256$"):
+            solver.solve_momentum(_bundle([(600, 1.05, -1)]), constants,
                                   nodes=64)
+
+    @pytest.mark.parametrize("factors, c", [
+        ([(6, 1.25, -1), (6, 1.25, -1), (6, 3.5, -3)], -8.0627135245457),
+        ([(20, 1.05, 1)], 10.417116550533),
+    ], ids=["three_cp3", "cp10"])
+    def test_root_outside_the_first_box(self, constants, factors, c):
+        # the box doubles to [-16, 16], which brackets the root
+        sol = solver.solve_momentum(_bundle(factors), constants, nodes=64)
+        assert sol.c_slope == pytest.approx(c, abs=1e-12)
 
 
 class TestSlopeRoot:
@@ -186,6 +202,10 @@ class TestSlopeRoot:
                                       st.floats(0.25, 3.0)),
                             min_size=1, max_size=3))
     @settings(max_examples=25, deadline=None)
+    # all twists negative and small gaps p - |q|: the roots are at
+    # c = -8.063 and -8.177, just outside the first box
+    @example(factors=[(6, 1, -1, 0.25), (6, 1, -1, 0.25), (6, 3, -1, 0.5)])
+    @example(factors=[(6, 1, -1, 0.25), (6, 1, -1, 0.25), (6, 2, -1, 0.25)])
     def test_bisection_is_the_scan_bit_for_bit(self, factors):
         # |q| < p and q != 0: p exceeds |q| by the drawn gap
         cfg = _bundle([(d, q + gap, sign * q) for d, q, sign, gap in factors])
@@ -194,14 +214,18 @@ class TestSlopeRoot:
         assert len(roots) == 1
         assert _hex(roots) == _hex(_scan_slope_roots(cfg, b))
 
-    @pytest.mark.parametrize("factors", [
-        [(2, 2, 1)], [(2, 2, 1), (2, 2, -1)], [(4, 3, 2)], [(20, 1.05, 1)],
-    ], ids=["kc", "s2xs2_opp", "cp2_q2", "no_root"])
-    def test_named_configs_match_the_scan(self, factors):
+    # roots in the boxes of half-width 8, 8, 8, 16 and 256, and none
+    # with |c| <= 256 for the last (its root is below -256)
+    @pytest.mark.parametrize("factors, roots", [
+        ([(2, 2, 1)], 1), ([(2, 2, 1), (2, 2, -1)], 1), ([(4, 3, 2)], 1),
+        ([(20, 1.05, 1)], 1), ([(400, 1.05, -1)], 1), ([(600, 1.05, -1)], 0),
+    ], ids=["kc", "s2xs2_opp", "cp2_q2", "box_16", "box_256", "no_root"])
+    def test_named_configs_match_the_scan(self, factors, roots):
         cfg = _bundle(factors)
         b = cfg.p - cfg.q
-        assert _hex(solver.find_slope_roots(cfg, b)) == _hex(
-            _scan_slope_roots(cfg, b))
+        found = solver.find_slope_roots(cfg, b)
+        assert len(found) == roots
+        assert _hex(found) == _hex(_scan_slope_roots(cfg, b))
 
     def test_bisection_evaluates_few_points(self, kc_config, monkeypatch):
         # two box ends, nine bisection steps over 400 brackets, then brentq:

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from krslab import solver, stability
 from krslab.config import (TAU, BaseFactor, BundleConfig, ConfigError,
@@ -207,6 +208,96 @@ class TestVh:
             assert out.residual < 1e-9 and not out.near_kernel
 
 
+def _cached_arrays(sol):
+    """(key, array) for every array in the solution's stability cache."""
+    for key, entry in sol.stability_cache.items():
+        values = vars(entry).values() if is_dataclass(entry) else [entry]
+        for value in values:
+            if isinstance(value, np.ndarray):
+                yield key, value
+
+
+def _assert_well_conditioned_fit(sol):
+    # v_h_solve fits the source from the normal equations of the nodal
+    # Chebyshev Vandermonde, which lose nothing while it is this close to
+    # orthogonal columns
+    X = stability._moment_coordinate(sol)
+    for m in stability._DEGREES:
+        if 2 * m < X.size:
+            assert np.linalg.cond(cheb.chebvander(X, m)) < 5.0
+
+
+class TestVhCache:
+    @staticmethod
+    def _source(sol):
+        t, T = sol.grid.t, sol.grid.T
+        return np.cos(2 * np.pi * t / T) + 0.3 * np.cos(4 * np.pi * t / T)
+
+    def test_warm_and_cold_calls_agree_bit_for_bit(self, sol192):
+        sol = replace(sol192)
+        src = self._source(sol)
+        first = v_h_solve(sol, src)
+        warm = v_h_solve(sol, src)
+        cold = v_h_solve(replace(sol192), src)
+        for out in (warm, cold):
+            assert out.v.tobytes() == first.v.tobytes()
+            assert out.residual == first.residual
+            assert (out.smallest_singular_value
+                    == first.smallest_singular_value)
+
+    def test_replace_starts_empty(self, sol192):
+        v_h_solve(sol192, self._source(sol192))
+        assert sol192.stability_cache
+        fresh = replace(sol192)
+        assert fresh.stability_cache == {}
+        assert fresh.stability_cache is not sol192.stability_cache
+
+    def test_no_array_with_a_row_per_node_but_the_moment_coordinate(
+            self, kc_config, constants):
+        sol = solver.solve_momentum(kc_config, constants, nodes=4096)
+        t, T = sol.grid.t, sol.grid.T
+        with pytest.raises(StabilityError, match="degree 256, the largest "
+                                                 "tried"):
+            v_h_solve(sol, np.sin(np.pi * t / T))
+        v_h_solve(sol, self._source(sol))
+        drift_spectrum(sol, 3)
+        arrays = list(_cached_arrays(sol))
+        assert [key for key, a in arrays if t.size in a.shape] == ["X"]
+        # four (m+1)^2 arrays per degree at most, and the nodal X
+        small = sum(a.nbytes for key, a in arrays if key != "X")
+        assert small <= sum(4 * 8 * (m + 1) ** 2 + 8 * (m + 1)
+                            for m in stability._DEGREES)
+
+    def test_drift_spectrum_shares_the_operator_of_each_degree(
+            self, sol192, monkeypatch):
+        built = []
+        lobatto = stability.cheb_lobatto
+
+        def counted(m, length):
+            built.append(m)
+            return lobatto(m, length)
+
+        monkeypatch.setattr(stability, "cheb_lobatto", counted)
+        sol = replace(sol192)
+        src = self._source(sol)
+        for _ in range(2):
+            v_h_solve(sol, src)
+            lam = drift_spectrum(sol, 3)
+        # each degree built once, and the spectrum is read off one of them
+        assert built and len(built) == len(set(built))
+        assert any(np.array_equal(
+            lam, np.sort(np.linalg.eigvals(
+                -sol.stability_cache["collocation", m].A).real)[:3])
+            for m in built)
+
+    def test_fit_is_well_conditioned_on_every_scheme_and_route(
+            self, kc_config, constants, two_factor_shooting):
+        for scheme in ("chebyshev", "uniform"):
+            _assert_well_conditioned_fit(solver.solve_momentum(
+                kc_config, constants, nodes=1024, scheme=scheme))
+        _assert_well_conditioned_fit(two_factor_shooting)
+
+
 # the configs the test suite solves elsewhere, as (d, p, q) per factor
 SPECTRUM_CONFIGS = {
     "kc": [(2, 2.0, 1)],
@@ -287,6 +378,7 @@ class TestAdmissibleSweep:
         src = sum(a * np.cos(k * np.pi * t / T) for k, a in enumerate(coeffs))
         assert v_h_solve(sol, src).residual < 1e-8
         _assert_spectrum_facts(sol)
+        _assert_well_conditioned_fit(sol)
 
 
 class TestIbp:
