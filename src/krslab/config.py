@@ -25,6 +25,8 @@ PROFILE_KINDS = ("constant", "u_plus", "u_minus", "abs_u")
 STABILITY_PREFACTOR = 2.0
 # the normalized shrinker (soliton constant 1): Ric + Hess u = g / (2 tau)
 TAU = 0.5
+# scipy's solve_ivp raises a smaller rtol to this (with a warning on stderr)
+ODE_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 def read_json(path: str) -> dict:
@@ -168,7 +170,9 @@ def koiso_cao() -> BundleConfig:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """ODE, residual and identity tolerances; each must be positive."""
+    """ODE, residual and identity tolerances; each must be positive, and the
+    ODE tolerance finite and at least ODE_RTOL_FLOOR (100 eps), the floor
+    that the integrator would otherwise raise it to with only a warning."""
 
     ode: float = 1e-12
     residual: float = 1e-8
@@ -177,6 +181,10 @@ class Tolerances:
     def __post_init__(self):
         if not all(v > 0 for v in (self.ode, self.residual, self.identity)):
             raise ConfigError("tolerances must be positive")
+        if not ODE_RTOL_FLOOR <= self.ode < np.inf:
+            raise ConfigError(f"tolerances.ode must be finite and at least "
+                              f"{ODE_RTOL_FLOOR:.7g} (100 eps, the ODE "
+                              f"integrator's floor), got {self.ode!r}")
 
 
 def _float_list(raw) -> tuple:

@@ -470,20 +470,27 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
 
 @dataclass(frozen=True)
 class _Launch:
-    """Series coefficients at the collapsing circle for one trial."""
+    """Series coefficients at the collapsing circle for one trial, to sixth
+    order: f odd through t^7, l_i and u even through t^6."""
 
     a: np.ndarray       # l_i(0)
     b: np.ndarray       # l_i t^2 coefficient (Kahler-imposed)
-    e: np.ndarray       # l_i t^4 coefficient
+    e: np.ndarray       # l_i t^4 coefficient (Kahler-imposed)
+    g: np.ndarray       # l_i t^6 coefficient (Kahler-imposed)
     f3: float
     f5: float
+    f7: float
     u2: float
     u4: float
+    u6: float
 
 
 def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
                          constants: PinnedConstants,
                          twist_sign: float = 1.0) -> _Launch:
+    """The coefficients of l_i come from the Kahler relation (l_i^2)' = q_i f
+    order by order; f3, f5, f7 and u4, u6 from the f and u equations, with
+    the sums over the factors of l'/l, q^2/l^4 and l''/l expanded in t."""
     if np.any(a <= 0):
         raise SolverError("trial with nonpositive collapse size l_i")
     d, p, q = config.d, config.p, twist_sign * config.q
@@ -497,17 +504,30 @@ def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
     sum_q2 = (d * q**2 / a**4).sum()
     u4 = (8.0 * sum_e - 4.0 * f3 * sum_b + A * sum_q2 + 4.0 * u2 * f3) / 8.0
     f5 = (6.0 * f3**2 - 12.0 * sum_e + 2.0 * sum_b2 + 12.0 * u4) / 20.0
-    return _Launch(a=a, b=b, e=e, f3=f3, f5=f5, u2=u2, u4=u4)
+    g = (q * f5 / 12.0 - b * e) / a
+    # t^k coefficients L_k of sum d l'/l, Q_k of sum d q^2/l^4 and M4 of
+    # sum d l''/l
+    L1 = 2.0 * sum_b
+    L3 = (d * 2.0 * (2.0 * a * e - b**2) / a**2).sum()
+    L5 = (d * 2.0 * (3.0 * a**2 * g - 3.0 * a * b * e + b**3) / a**3).sum()
+    Q2 = -(d * 4.0 * b * q**2 / a**5).sum()
+    M4 = (d * 2.0 * (15.0 * a**2 * g - 7.0 * a * b * e + b**3) / a**3).sum()
+    C = A * (3.0 * sum_q2 * f3 + Q2) - 5.0 * L1 * f5 - 3.0 * L3 * f3 - L5
+    R = M4 + 6.0 * f3**3 - 26.0 * f3 * f5
+    f7 = (5.0 * C + R + 60.0 * f3 * u4 + 50.0 * f5 * u2 - 5.0 * f5) / 168.0
+    u6 = (C + R + 12.0 * f3 * u4 + 10.0 * f5 * u2 - f5) / 24.0
+    return _Launch(a=a, b=b, e=e, g=g, f3=f3, f5=f5, f7=f7, u2=u2, u4=u4,
+                   u6=u6)
 
 
 def _launch_state(lc: _Launch, t: float):
     """State vector [f, f', l_i, l_i', u, u'] of the series at small t."""
-    f = t + lc.f3 * t**3 + lc.f5 * t**5
-    df = 1.0 + 3.0 * lc.f3 * t**2 + 5.0 * lc.f5 * t**4
-    l = lc.a + lc.b * t**2 + lc.e * t**4
-    dl = 2.0 * lc.b * t + 4.0 * lc.e * t**3
-    u = lc.u2 * t**2 + lc.u4 * t**4
-    du = 2.0 * lc.u2 * t + 4.0 * lc.u4 * t**3
+    f = t + lc.f3 * t**3 + lc.f5 * t**5 + lc.f7 * t**7
+    df = 1.0 + 3.0 * lc.f3 * t**2 + 5.0 * lc.f5 * t**4 + 7.0 * lc.f7 * t**6
+    l = lc.a + lc.b * t**2 + lc.e * t**4 + lc.g * t**6
+    dl = 2.0 * lc.b * t + 4.0 * lc.e * t**3 + 6.0 * lc.g * t**5
+    u = lc.u2 * t**2 + lc.u4 * t**4 + lc.u6 * t**6
+    du = 2.0 * lc.u2 * t + 4.0 * lc.u4 * t**3 + 6.0 * lc.u6 * t**5
     return np.concatenate([[f, df], l, dl, [u, du]])
 
 
@@ -676,7 +696,7 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
                    rtol: float = 1e-12,
                    start: Optional[SolitonSolution] = None
                    ) -> SolitonSolution:
-    """Shoot the full second-order system from 4th-order series launches at
+    """Shoot the full second-order system from 6th-order series launches at
     both collapse points and match in the interior.
 
     The collapse points are exponentially repelling for the linearized flow
@@ -695,7 +715,9 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     2r+3 branch integrations instead of 4r+8 and is the same matrix.
 
     ``start``, a momentum solution of the same config, gives the trial
-    vector and the matching point (warm start).  Without it the near end
+    vector and the matching point (warm start); on the reference configs
+    its defect is already below the Newton tolerance, so the solve makes
+    one matching call and takes no step.  Without it the near end
     starts at l_i(0) = 0.7 sqrt(p_i), u''(0)/2 = 1/4, and a probe
     integration from there gives the far end, T and the matching point
     (cold start).

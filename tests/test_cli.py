@@ -251,6 +251,10 @@ MALFORMED = {
                    "'dim'"),
     "grid-nodes": ("config", lambda raw: raw.update(grid={"nodes": "lots"}),
                    "'nodes'"),
+    # below the ODE integrator's rtol floor of 100 eps
+    "tolerance-ode": ("config",
+                      lambda raw: raw.update(tolerances={"ode": 1e-15}),
+                      "tolerances.ode"),
     "constants-without-B": ("constants", lambda raw: raw.pop("B"), "'B'"),
     "constants-A": ("constants", lambda raw: raw.update(A="quarter"), "'A'"),
     "solution-scheme": ("solution",

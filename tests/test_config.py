@@ -89,6 +89,19 @@ class TestTolerances:
         with pytest.raises(ConfigError, match="tolerances must be positive"):
             Tolerances(**{name: value})
 
+    @pytest.mark.parametrize("value", [1e-15, 2.2e-14, float("inf")])
+    def test_ode_outside_the_integrators_range_rejected(self, value):
+        # solve_ivp would raise an rtol below 100 eps to that floor with a
+        # warning on stderr, and an infinite one is no tolerance
+        with pytest.raises(ConfigError, match=r"tolerances\.ode must be "
+                           r"finite and at least 2\.220446e-14 .* got "
+                           + repr(value)):
+            Tolerances(ode=value)
+
+    def test_ode_at_the_floor_accepted(self):
+        floor = 100 * np.finfo(float).eps
+        assert Tolerances(ode=floor).ode == floor
+
 
 class TestRunConfig:
     def test_load_full_config(self, tmp_path):

@@ -313,26 +313,33 @@ class TestShooting:
         # the cold route (probe guess, damped Newton, sampling the branches
         # of the accepted iterate) gives this kc result bit for bit
         sol = kc_shooting_2048
-        assert float(sol.c_slope).hex() == "0x1.0e24254d584a2p-1"
-        assert sol.grid.T.hex() == "0x1.995d7824ffda8p+1"
+        assert float(sol.c_slope).hex() == "0x1.0e24254d6043dp-1"
+        assert sol.grid.T.hex() == "0x1.995d7824ffdadp+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
-            "54f8ca84f522dea60a42417e9e2afa3201718d9581a61a155e5acd8f13ca8d97")
+            "644bfafdcefe5efb9b266fbf33a6f6a512ecffb95c85e7b61166133563f40b52")
+        # the 25-digit mpmath slope (TestMomentum): 1.5e-13 off with the
+        # sixth-order launch, 3.8e-12 with the fourth-order one
+        assert abs(sol.c_slope - 0.5276195198969628) <= 5e-13
 
     def test_cold_start_reproduces_two_factor_result(self,
-                                                     two_factor_shooting):
+                                                     two_factor_shooting,
+                                                     two_factor_momentum):
         # the cold route on two S^2 factors (r = 2) at N = 512, bit for bit
         sol = two_factor_shooting
-        assert float(sol.c_slope).hex() == "0x1.0de1d115f83b7p+0"
-        assert sol.grid.T.hex() == "0x1.a0a61a8ce2350p+1"
+        assert float(sol.c_slope).hex() == "0x1.0de1d11602cbdp+0"
+        assert sol.grid.T.hex() == "0x1.a0a61a8ce235bp+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
-            "70dbc7d44e55fadd1e9938febe8ae8355cc664af2f7187e1f3159bb143b9d0f8")
+            "96428356ab89370085d344b3b1c80d63ac75d2ea5d5c2556aafeba048e83bcdb")
+        # 6.2e-14 from the momentum slope with the sixth-order launch,
+        # 9.7e-12 with the fourth-order one
+        assert abs(sol.c_slope - two_factor_momentum.c_slope) <= 5e-13
 
     # warm start (method both) at N = 512: c, T and the profile table
     @pytest.mark.parametrize("factors,c_hex,T_hex,table_sha", [
-        ([(2, 2, 1)] * 2, "0x1.0de1d115f8070p+0", "0x1.a0a61a8ce23a0p+1",
-         "c10988edc5f46fc141e3ea8d46d43f72c5de4c6710f5b1d4d5fc16553f0fa40d"),
-        ([(2, 2, 1)] * 3, "0x1.946ec4802ce02p+0", "0x1.a7f7ea4f4729ep+1",
-         "b29e8f4771b306a9525a9f4fe6bcd50b7eaf2784c36e07e09360c438a9cd4592"),
+        ([(2, 2, 1)] * 2, "0x1.0de1d11602dd3p+0", "0x1.a0a61a8ce21b6p+1",
+         "09e4db62c137524accffe26dd79ce1b139f1804f49c55d1a7b9c6c9a7a87f9d4"),
+        ([(2, 2, 1)] * 3, "0x1.946ec480415bbp+0", "0x1.a7f7ea4f47011p+1",
+         "7346e690d4b3b072b4de7688ccf7c4de40c61ba03670675d7a229c0131015ed1"),
     ], ids=["two_s2", "three_s2"])
     def test_warm_start_reproduces_its_result(self, constants, factors,
                                               c_hex, T_hex, table_sha):
@@ -345,13 +352,71 @@ class TestShooting:
         assert hashlib.sha256(
             sol.grid.table().tobytes()).hexdigest() == table_sha
 
+    @pytest.mark.parametrize("factors", [
+        [(2, 3, 2)], [(2, 2, 1)] * 2, [(2, 2, 1)] * 3, [(4, 3, 2)],
+        [(2, 2, 1), (4, 3, 1)],
+    ], ids=["s2_p3_q2", "two_s2", "three_s2", "cp2_q2", "s2_cp2"])
+    def test_warm_start_matches_without_a_step(self, constants, factors,
+                                               monkeypatch):
+        # the five configs whose fourth-order launch left a warm defect of
+        # 1.2e-11 to 1.6e-10, above the 1e-11 Newton tolerance: the
+        # sixth-order one meets it at the first matching call
+        defects = []
+        match = solver._match_residual
+
+        def recorded(*args, **kwargs):
+            defect, branches = match(*args, **kwargs)
+            defects.append(np.linalg.norm(defect))
+            return defect, branches
+
+        monkeypatch.setattr(solver, "_match_residual", recorded)
+        cfg = _bundle(factors)
+        solver.solve_shooting(
+            cfg, constants, nodes=512,
+            start=solver.solve_momentum(cfg, constants, nodes=512))
+        assert len(defects) == 1
+        assert defects[0] < 5e-12
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 2, 1)], [(2, 2, 1)] * 3, [(2, 3, 2)],
+    ], ids=["kc", "three_s2", "s2_p3_q2"])
+    def test_launch_series_is_sixth_order(self, constants, factors):
+        # the series' derivative (complex step) against the right-hand side
+        # at its own state, at the warm-start data of both ends: halving t
+        # shrinks the defect 64x for a sixth-order launch (16x for the
+        # fourth-order one)
+        cfg = _bundle(factors)
+        r = cfg.r
+        x, _ = solver._warm_start(
+            cfg, solver.solve_momentum(cfg, constants, nodes=64))
+        rhs = solver._rhs(cfg, constants)
+        for a, u2, sign in ((x[:r], x[r], 1.0),
+                            (x[r + 1:2 * r + 1], x[2 * r + 1], -1.0)):
+            lc = solver._launch_coefficients(cfg, a, u2, constants, sign)
+
+            def defect(t):
+                dy = solver._launch_state(lc, complex(t, 1e-30)).imag / 1e-30
+                return np.abs(dy - rhs(t, solver._launch_state(lc, t))).max()
+
+            assert defect(0.04) >= 50.0 * defect(0.02)
+
     def test_jacobian_column_integrates_one_branch(
             self, two_factor_config, two_factor_momentum, constants,
             monkeypatch):
-        # warm two_s2 (r = 2) takes one Newton step: the first matching
-        # call, 2r+4 Jacobian columns, one accepted line-search trial
-        counts = {"match": 0, "branch": 0}
-        match, branch = solver._match_residual, solver._integrate_branch
+        # warm two_s2 (r = 2) matches at once; with one entry of its trial
+        # vector moved by 1e-9 (near a_1 or u2, far a_1 or u2, the offset
+        # u0f, T) it takes one Newton step: the first matching call, 2r+4
+        # Jacobian columns, one accepted line-search trial
+        r = two_factor_config.r
+        warm, match, branch = (solver._warm_start, solver._match_residual,
+                               solver._integrate_branch)
+        counts = {}
+
+        def moved(config, start):
+            x, t_mid = warm(config, start)
+            x = x.copy()
+            x[j] += 1e-9
+            return x, t_mid
 
         def counted_match(*args, **kwargs):
             counts["match"] += 1
@@ -361,14 +426,16 @@ class TestShooting:
             counts["branch"] += 1
             return branch(*args, **kwargs)
 
+        monkeypatch.setattr(solver, "_warm_start", moved)
         monkeypatch.setattr(solver, "_match_residual", counted_match)
         monkeypatch.setattr(solver, "_integrate_branch", counted_branch)
-        solver.solve_shooting(two_factor_config, constants, nodes=512,
-                              start=two_factor_momentum)
-        r = two_factor_config.r
-        assert counts["match"] == 1 + (2 * r + 4) + 1
-        # a column integrates the branch it moves, u0f's column none
-        assert counts["branch"] == 2 + (2 * r + 3) + 2
+        for j in (0, r, r + 1, 2 * r + 1, 2 * r + 2, 2 * r + 3):
+            counts.update(match=0, branch=0)
+            solver.solve_shooting(two_factor_config, constants, nodes=512,
+                                  start=two_factor_momentum)
+            assert counts["match"] == 1 + (2 * r + 4) + 1, j
+            # a column integrates the branch it moves, u0f's column none
+            assert counts["branch"] == 2 + (2 * r + 3) + 2, j
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5],
                              ids=["near_a", "near_u2", "far_a", "far_u2",
