@@ -75,9 +75,10 @@ def check_keys(raw: dict, known: tuple) -> dict:
 
 @dataclass(frozen=True)
 class BaseFactor:
-    """One Einstein factor of the base: real dimension d (even), Einstein
-    constant p > 0, bundle twist q != 0, and the squared norm kappa >= 0 of a
-    harmonic complex-structure deformation carried by the factor (0 if rigid).
+    """One Einstein factor of the base: real dimension d (even), finite
+    Einstein constant p > 0, bundle twist q != 0, and the finite squared norm
+    kappa >= 0 of a harmonic complex-structure deformation on the factor (0
+    if rigid).
     """
 
     d: int
@@ -103,12 +104,14 @@ class BaseFactor:
     def __post_init__(self):
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError(f"factor dimension must be even and >= 2, got {self.d}")
-        if self.p <= 0:
-            raise ConfigError(f"Einstein constant must be positive, got {self.p}")
+        if not 0 < self.p < np.inf:
+            raise ConfigError(f"Einstein constant must be positive and "
+                              f"finite, got {self.p}")
         if self.q == 0:
             raise ConfigError("twist must be a nonzero integer")
-        if self.kappa < 0:
-            raise ConfigError(f"deformation norm must be >= 0, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:
+            raise ConfigError(f"deformation norm must be finite and >= 0, "
+                              f"got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ def _float_list(raw) -> tuple:
 class ProfileSpec:
     """One stability profile named by a run config: a kind from
     PROFILE_KINDS and, for the constant kind only, optional per-factor
-    deformation norms kappas >= 0."""
+    deformation norms kappas >= 0, finite."""
 
     kind: str
     kappas: tuple | None = None
@@ -207,8 +210,9 @@ class ProfileSpec:
             raise ConfigError(f"unknown stability profile kind {self.kind!r}")
         if self.kappas is not None and self.kind != "constant":
             raise ConfigError(f"profile kind {self.kind!r} takes no kappas")
-        if not all(k >= 0 for k in self.kappas or ()):
-            raise ConfigError(f"kappas must be >= 0, got {self.kappas}")
+        if not all(0 <= k < np.inf for k in self.kappas or ()):
+            raise ConfigError(f"kappas must be finite and >= 0, "
+                              f"got {self.kappas}")
 
     def check_factors(self, r: int):
         if self.kappas is not None and len(self.kappas) != r:

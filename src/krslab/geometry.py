@@ -205,16 +205,27 @@ def kaehler_residual(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
 
 def ricci_frame(f, df, ddf, l, dl, ddl, d, p, q, A, B):
     """Closed-form Ricci components (R_NN, R_UU, R_i) in the unit frame
-    where f > 0, for the oracle-pinned coefficients A, B.  f, df, ddf hold
-    one value per point; l, dl, ddl, d, p, q lead with a factor axis."""
-    lr = dl / l
-    lsum = (d * lr).sum(axis=0)
-    fr = df / f
-    R_NN = -ddf / f - (d * ddl / l).sum(axis=0)
-    R_UU = (-ddf / f - fr * lsum
-            + A * f**2 * (d * q**2 / l**4).sum(axis=0))
-    R_i = (-ddl / l - lr * (fr + lsum - lr) + p / l**2
-           - B * q**2 * f**2 / l**4)
+    where f > 0, for the oracle-pinned coefficients A, B.  f, df, ddf are
+    floats or arrays over points; l, dl, ddl, d, p, q (and the returned R_i)
+    hold one entry per factor: the rows of an (r, K) array, or floats.
+    Products and quotients only, summed over the factors left to right from
+    0.0, so one point alone gets the bits it gets among many."""
+    fr, ff = df / f, f * f
+    lsum = nsum = qsum = 0.0
+    per_factor = []
+    for di, qi, li, dli, ddli in zip(d, q, l, dl, ddl):
+        lri, l2 = dli / li, li * li
+        l4, qq = l2 * l2, qi * qi
+        lsum = lsum + di * lri
+        nsum = nsum + di * ddli / li
+        qsum = qsum + di * qq / l4
+        per_factor.append((lri, l2, l4, qq))
+    R_NN = -ddf / f - nsum
+    R_UU = -ddf / f - fr * lsum + A * ff * qsum
+    fl = fr + lsum
+    R_i = [-ddli / li - lri * (fl - lri) + pi / l2 - B * qq * ff / l4
+           for pi, li, ddli, (lri, l2, l4, qq)
+           in zip(p, l, ddl, per_factor)]
     return R_NN, R_UU, R_i
 
 
@@ -230,8 +241,8 @@ def ricci_components(
     # filled at the end
     R_NN, R_UU, R_i = ricci_frame(
         grid.f[1:-1], grid.df[1:-1], grid.ddf[1:-1], grid.l[:, 1:-1],
-        grid.dl[:, 1:-1], grid.ddl[:, 1:-1], config.d[:, None],
-        config.p[:, None], config.q[:, None], constants.A, constants.B)
+        grid.dl[:, 1:-1], grid.ddl[:, 1:-1], config.d, config.p, config.q,
+        constants.A, constants.B)
 
     t = grid.t
     R_NN, R_UU = fill_even(t, R_NN), fill_even(t, R_UU)

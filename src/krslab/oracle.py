@@ -7,7 +7,8 @@ da = q * (area form of r).  Ricci is computed by brute-force central
 differences of the coordinate metric with Richardson extrapolation and is
 deliberately independent of the closed-form components in
 :mod:`krslab.geometry`; it is the provenance for the pinned coefficients,
-which it selects by scoring ``geometry.ricci_frame`` itself.
+which it selects by scoring ``geometry.ricci_frame``, the formula that
+both solver routes evaluate.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def pin_constants(seed: int = 0) -> PinnedConstants:
         [(s.f, s.df, s.ddf, s.l, s.dl, s.ddl, s.q) for s in states]).T
 
     def max_rel_err(A, B):
-        R_NN, R_UU, R_i = ricci_frame(f, df, ddf, l[None], dl[None],
-                                      ddl[None], 2.0, 2.0, q[None], A, B)
+        R_NN, R_UU, R_i = ricci_frame(f, df, ddf, [l], [dl], [ddl], [2.0],
+                                      [2.0], [q], A, B)
         fv = np.array([R_NN, R_UU, R_i[0]])
         rel = np.abs(fv - oracle_vals) / np.maximum(np.abs(oracle_vals), 1.0)
         return float(rel.max())

@@ -30,6 +30,7 @@ from .geometry import (
     hessian_components,
     kaehler_residual,
     ricci_components,
+    ricci_frame,
     weighted_integral,
     weighted_laplacian,
 )
@@ -520,48 +521,47 @@ def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
                    u6=u6)
 
 
-def _launch_state(lc: _Launch, t: float):
-    """State vector [f, f', l_i, l_i', u, u'] of the series at small t."""
-    f = t + lc.f3 * t**3 + lc.f5 * t**5 + lc.f7 * t**7
-    df = 1.0 + 3.0 * lc.f3 * t**2 + 5.0 * lc.f5 * t**4 + 7.0 * lc.f7 * t**6
-    l = lc.a + lc.b * t**2 + lc.e * t**4 + lc.g * t**6
-    dl = 2.0 * lc.b * t + 4.0 * lc.e * t**3 + 6.0 * lc.g * t**5
-    u = lc.u2 * t**2 + lc.u4 * t**4 + lc.u6 * t**6
-    du = 2.0 * lc.u2 * t + 4.0 * lc.u4 * t**3 + 6.0 * lc.u6 * t**5
-    return np.concatenate([[f, df], l, dl, [u, du]])
+def _launch_state(lc: _Launch, t):
+    """State [f, f', l_i, l_i', u, u'] of the series at small t: a vector
+    for a float t, one column per point for an array, in Horner form in t^2
+    (so a point has the same bits alone as among many)."""
+    s = t * t
+    f = t * (1.0 + s * (lc.f3 + s * (lc.f5 + s * lc.f7)))
+    df = 1.0 + s * (3.0 * lc.f3 + s * (5.0 * lc.f5 + s * (7.0 * lc.f7)))
+    l = [a + s * (b + s * (e + s * g))
+         for a, b, e, g in zip(lc.a, lc.b, lc.e, lc.g)]
+    dl = [t * (2.0 * b + s * (4.0 * e + s * (6.0 * g)))
+          for b, e, g in zip(lc.b, lc.e, lc.g)]
+    u = s * (lc.u2 + s * (lc.u4 + s * lc.u6))
+    du = t * (2.0 * lc.u2 + s * (4.0 * lc.u4 + s * (6.0 * lc.u6)))
+    return np.array([f, df, *l, *dl, u, du])
 
 
 def _rhs(config: BundleConfig, constants: PinnedConstants):
-    r = config.r
-    A = constants.A
-    d, p = config.d.tolist(), config.p.tolist()
-    dq2 = (config.d * config.q**2).tolist()
-    Bq2 = (constants.B * config.q**2).tolist()
-    factors = range(r)
+    """rhs(t, y) = y' for y = [f, f', l_i, l_i', u, u'].
 
-    # Per-factor arithmetic on Python floats: on r <= 3 factors numpy's
-    # per-call overhead was most of the cost.  The bits are those of the
-    # same formulas in numpy array arithmetic (tests/test_solver.py keeps
-    # that form): l^3 and l^4 stay array powers, as numpy's array power can
-    # round differently from the scalar one; every expression keeps its
-    # order of operations, d q^2 and B q^2 being its first products; and a
-    # sum over the factors runs left to right from 0.0, as ndarray.sum()
-    # does on so few elements.
+    Ric + Hess u = g, with Ric by ``geometry.ricci_frame``, is affine in
+    f'', l_i'', u''; with them 0 in Ric it gives f'' = f (R_UU - 1) + u' f',
+    l_i'' = l_i (R_i - 1) + u' l_i' and u'' = 1 + f''/f + sum d_i l_i''/l_i.
+    y is one state (a vector, read as Python floats: numpy's per-call
+    overhead dominates on r <= 3 factors) or many (one column per point,
+    read as row arrays), with the same bits per point.
+    """
+    r = config.r
+    A, B = constants.A, constants.B
+    d, p, q = config.d.tolist(), config.p.tolist(), config.q.tolist()
+    zeros = [0.0] * r
+
     def rhs(t, y):
-        f, df, *rest = y.tolist()
+        f, df, *rest = y.tolist() if y.ndim == 1 else y
         l, dl, du = rest[:r], rest[r:2 * r], rest[2 * r + 1]
-        ly = y[2:2 + r]
-        l3, l4 = (ly**3).tolist(), (ly**4).tolist()
-        lsum = q2sum = dsum = 0.0
-        for i in factors:
-            lsum += d[i] * dl[i] / l[i]
-            q2sum += dq2[i] / l4[i]
-        ddf = -f + du * df - df * lsum + A * f**3 * q2sum
-        fl = df / f + lsum
-        ddl = [-l[i] + du * dl[i] - dl[i] * (fl - dl[i] / l[i])
-               + p[i] / l[i] - Bq2[i] * f * f / l3[i] for i in factors]
-        for i in factors:
-            dsum += d[i] * ddl[i] / l[i]
+        _, R_UU, R_i = ricci_frame(f, df, 0.0, l, dl, zeros, d, p, q, A, B)
+        ddf = f * (R_UU - 1.0) + du * df
+        dsum, ddl = 0.0, []
+        for di, li, dli, Ri in zip(d, l, dl, R_i):
+            ddli = li * (Ri - 1.0) + du * dli
+            dsum = dsum + di * ddli / li
+            ddl.append(ddli)
         return np.array([df, ddf, *dl, *ddl, du, 1.0 + ddf / f + dsum])
 
     return rhs
@@ -600,13 +600,12 @@ def _reflect(y, r, u0f):
 
 def _branch_states(lc, sol, t):
     """States of a launched branch at the points t, one column each: the
-    series below _EPS (point by point: numpy's array power can round
-    differently from its scalar power), the dense output beyond."""
+    launch series below _EPS, read for all those points at once, and the
+    dense output beyond."""
     series = t < _EPS
     Y = np.empty((sol.y.shape[0], t.size))
     Y[:, ~series] = sol.sol(t[~series])
-    for k in np.flatnonzero(series):
-        Y[:, k] = _launch_state(lc, t[k])
+    Y[:, series] = _launch_state(lc, t[series])
     return Y
 
 
@@ -785,10 +784,9 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     dl[:, 0] = dl[:, -1] = 0.0
     du[0] = du[-1] = 0.0
 
-    # second derivatives from the equations at the interior nodes; at the
-    # collapse points f'' is odd (vanishes) and l'', u'' are even
-    rhs = _rhs(config, constants)
-    dY = np.array([rhs(tk, yk) for tk, yk in zip(t[1:-1], Y[:, 1:-1].T)]).T
+    # second derivatives at the interior nodes in one call; at the collapse
+    # points f'' is odd (vanishes) and l'', u'' are even
+    dY = _rhs(config, constants)(t[1:-1], Y[:, 1:-1])
     ddf = np.pad(dY[1], 1)
     ddl = np.array([fill_even(t, row) for row in dY[2 + r:2 + 2 * r]])
     ddu = fill_even(t, dY[3 + 2 * r])

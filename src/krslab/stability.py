@@ -96,16 +96,10 @@ def constant_profile(kappas) -> PerturbationProfile:
 
 @dataclass(frozen=True)
 class EntropyGauge:
-    """Additive normalization of the potential for entropy evaluation."""
-
-    mode: str = "ratio"          # "ratio" or "absolute"
-    V0: Optional[float] = None   # orbit-volume constant, absolute mode only
-
-    def __post_init__(self):
-        if self.mode not in ("ratio", "absolute"):
-            raise StabilityError(f"unknown gauge mode {self.mode!r}")
-        if self.mode == "absolute" and (self.V0 is None or self.V0 <= 0):
-            raise StabilityError("absolute mode requires a positive V0")
+    """Additive normalization of the potential for entropy evaluation: the
+    ratio gauge, in which the entropy is known only up to the additive
+    log-volume constant (the factor data (d, p) do not determine the orbit
+    volume that would fix it)."""
 
 
 @dataclass(frozen=True)
@@ -476,10 +470,8 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
     """Entropy of the solved soliton from the constancy of the first
     integral tau (2 Delta u - |grad u|^2 + R) + u - n.
 
-    ratio mode: returns that constant as-is, flagged as determined only up
-    to the additive log-volume constant.  absolute mode: shifts u so the
-    measure e^{-u} (4 pi tau)^{-n/2} dV has unit mass (requires the orbit
-    volume V0) and returns the resulting entropy value.
+    Returns that constant as-is, flagged as determined only up to the
+    additive log-volume constant.
     """
     config = sol.config
     ham = sol.evaluation.first_integral - config.n
@@ -489,14 +481,6 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
             f"first integral is not constant (deviation {dev:.3e}); "
             "refusing to report an entropy value"
         )
-    value = float(ham.mean())
-    out = {"mode": gauge.mode, "constancy_deviation": dev, "tau": TAU}
-    if gauge.mode == "ratio":
-        out["value"] = value
-        out["flag"] = "up to additive log-volume constant"
-        return out
-    mass = gauge.V0 * sol.evaluation.volume
-    shift = float(np.log(mass * (4.0 * np.pi * TAU) ** (-config.n / 2.0)))
-    out["value"] = value + shift
-    out["compatibility_shift"] = shift
-    return out
+    return {"mode": "ratio", "constancy_deviation": dev, "tau": TAU,
+            "value": float(ham.mean()),
+            "flag": "up to additive log-volume constant"}

@@ -251,6 +251,21 @@ MALFORMED = {
                    "'dim'"),
     "grid-nodes": ("config", lambda raw: raw.update(grid={"nodes": "lots"}),
                    "'nodes'"),
+    # non-finite numbers (JSON's NaN and Infinity tokens)
+    "factor-einstein-nan": ("config", lambda raw: raw["factors"][0].update(
+        einstein_constant=float("nan")), "Einstein constant"),
+    "factor-einstein-inf": ("config", lambda raw: raw["factors"][0].update(
+        einstein_constant=float("inf")), "Einstein constant"),
+    "factor-deformation-nan": ("config", lambda raw: raw["factors"][0].update(
+        deformation_norm2=float("nan")), "deformation norm"),
+    "profile-kappas-inf": ("config", lambda raw: raw.update(stability={
+        "profiles": [{"kind": "constant",
+                      "kappas": [float("inf")] * len(raw["factors"])}]}),
+        "kappas"),
+    "solution-einstein-inf": ("solution",
+                              lambda raw: raw["config"]["factors"][0].update(
+                                  einstein_constant=float("inf")),
+                              "Einstein constant"),
     # below the ODE integrator's rtol floor of 100 eps
     "tolerance-ode": ("config",
                       lambda raw: raw.update(tolerances={"ode": 1e-15}),

@@ -14,6 +14,7 @@ from krslab.geometry import (
     kaehler_residual,
     log_weight_slope,
     ricci_components,
+    ricci_frame,
     volume_weight,
     weighted_integral,
     weighted_laplacian,
@@ -139,20 +140,21 @@ class TestRicci:
                 c_slope=two_factor_momentum.c_slope, method="momentum")
 
     def test_factor_components_equal_the_per_factor_loop(self, constants):
-        # reference: one factor at a time, the same arithmetic as the
-        # vectorized interior formula, so the results must be bit-equal
+        # reference: the formula on Python floats, one interior node at a
+        # time; the vectorized components must be bit-equal to it
         cfg = BundleConfig(factors=(BaseFactor(2, 2.0, 1), BaseFactor(4, 3.0, 1),
                                     BaseFactor(2, 3.0, -1)))
         g = solver.solve_momentum(cfg, constants, nodes=128).grid
         ric = ricci_components(g, cfg, constants)
-        f, df = g.f[1:-1], g.df[1:-1]
-        lr = g.dl[:, 1:-1] / g.l[:, 1:-1]
-        lsum = (cfg.d[:, None] * lr).sum(axis=0)
-        for i in range(cfg.r):
-            l = g.l[i, 1:-1]
-            ref = (-g.ddl[i, 1:-1] / l - lr[i] * (df / f + lsum - lr[i])
-                   + cfg.p[i] / l**2 - constants.B * cfg.q[i]**2 * f**2 / l**4)
-            assert np.array_equal(ric.R_i[i, 1:-1], ref)
+        d, p, q = cfg.d.tolist(), cfg.p.tolist(), cfg.q.tolist()
+        for k in range(1, g.t.size - 1):
+            R_NN, R_UU, R_i = ricci_frame(
+                float(g.f[k]), float(g.df[k]), float(g.ddf[k]),
+                g.l[:, k].tolist(), g.dl[:, k].tolist(),
+                g.ddl[:, k].tolist(), d, p, q, constants.A, constants.B)
+            got = np.array([ric.R_NN[k], ric.R_UU[k], *ric.R_i[:, k]])
+            ref = np.array([R_NN, R_UU, *R_i])
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestWeightedCalculus:

@@ -46,9 +46,8 @@ class TestOracleRicci:
         state = random_state(rng)
         vals, err = oracle_ricci(state)
         R_NN, R_UU, R_i = ricci_frame(
-            state.f, state.df, state.ddf, np.array([state.l]),
-            np.array([state.dl]), np.array([state.ddl]), 2.0, 2.0,
-            np.array([state.q]), 0.25, 0.5)
+            state.f, state.df, state.ddf, [state.l], [state.dl], [state.ddl],
+            [2.0], [2.0], [state.q], 0.25, 0.5)
         assert np.abs(np.array([R_NN, R_UU, R_i[0]]) - vals).max() < 1e-7
 
     def test_chart_point_independence(self, round_state, tight_tol):
@@ -100,7 +99,8 @@ class TestPinConstants:
         # pinning scores the formula every solution evaluates: with the sign
         # of the Einstein term p/l^2 flipped in it, no candidate pair passes
         def flipped(f, df, ddf, l, dl, ddl, d, p, q, A, B):
-            return ricci_frame(f, df, ddf, l, dl, ddl, d, -p, q, A, B)
+            return ricci_frame(f, df, ddf, l, dl, ddl, d,
+                               [-pi for pi in p], q, A, B)
 
         monkeypatch.setattr(oracle, "ricci_frame", flipped)
         with pytest.raises(OracleError, match="no candidate pair"):

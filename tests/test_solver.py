@@ -52,36 +52,6 @@ def _scan_slope_roots(config, b):
     return []
 
 
-def _array_rhs(config, constants):
-    """The shooting RHS in numpy array arithmetic over the factors: the
-    form the scalar per-factor evaluation replaced."""
-    d, p, q = config.d, config.p, config.q
-    r = config.r
-    A, B = constants.A, constants.B
-
-    def rhs(t, y):
-        f, df = y[0], y[1]
-        l = y[2:2 + r]
-        dl = y[2 + r:2 + 2 * r]
-        du = y[3 + 2 * r]
-        lsum = (d * dl / l).sum()
-        q2sum = (d * q**2 / l**4).sum()
-        ddf = -f + du * df - df * lsum + A * f**3 * q2sum
-        ddl = (-l + du * dl - dl * (df / f + lsum - dl / l)
-               + p / l - B * q**2 * f * f / l**3)
-        ddu = 1.0 + ddf / f + (d * ddl / l).sum()
-        out = np.empty_like(y)
-        out[0] = df
-        out[1] = ddf
-        out[2:2 + r] = dl
-        out[2 + r:2 + 2 * r] = ddl
-        out[2 + 2 * r] = du
-        out[3 + 2 * r] = ddu
-        return out
-
-    return rhs
-
-
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -313,11 +283,11 @@ class TestShooting:
         # the cold route (probe guess, damped Newton, sampling the branches
         # of the accepted iterate) gives this kc result bit for bit
         sol = kc_shooting_2048
-        assert float(sol.c_slope).hex() == "0x1.0e24254d6043dp-1"
-        assert sol.grid.T.hex() == "0x1.995d7824ffdadp+1"
+        assert float(sol.c_slope).hex() == "0x1.0e24254d6041ap-1"
+        assert sol.grid.T.hex() == "0x1.995d7824ffdaap+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
-            "644bfafdcefe5efb9b266fbf33a6f6a512ecffb95c85e7b61166133563f40b52")
-        # the 25-digit mpmath slope (TestMomentum): 1.5e-13 off with the
+            "804ad86a4f513e6cd4728312658c560fd5aef8df176d63417a410704ecbc4511")
+        # the 25-digit mpmath slope (TestMomentum): 1.6e-13 off with the
         # sixth-order launch, 3.8e-12 with the fourth-order one
         assert abs(sol.c_slope - 0.5276195198969628) <= 5e-13
 
@@ -326,20 +296,20 @@ class TestShooting:
                                                      two_factor_momentum):
         # the cold route on two S^2 factors (r = 2) at N = 512, bit for bit
         sol = two_factor_shooting
-        assert float(sol.c_slope).hex() == "0x1.0de1d11602cbdp+0"
+        assert float(sol.c_slope).hex() == "0x1.0de1d11602c78p+0"
         assert sol.grid.T.hex() == "0x1.a0a61a8ce235bp+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
-            "96428356ab89370085d344b3b1c80d63ac75d2ea5d5c2556aafeba048e83bcdb")
-        # 6.2e-14 from the momentum slope with the sixth-order launch,
+            "4176a53709bd1758d9fa26fe6840306ba422e6efbbc1db3c7c03613e4204181f")
+        # 7.7e-14 from the momentum slope with the sixth-order launch,
         # 9.7e-12 with the fourth-order one
         assert abs(sol.c_slope - two_factor_momentum.c_slope) <= 5e-13
 
     # warm start (method both) at N = 512: c, T and the profile table
     @pytest.mark.parametrize("factors,c_hex,T_hex,table_sha", [
         ([(2, 2, 1)] * 2, "0x1.0de1d11602dd3p+0", "0x1.a0a61a8ce21b6p+1",
-         "09e4db62c137524accffe26dd79ce1b139f1804f49c55d1a7b9c6c9a7a87f9d4"),
+         "0acc50764826538c0957d1d23ce1b7cc6f0c5efd3e0abab5146061cce42af6c7"),
         ([(2, 2, 1)] * 3, "0x1.946ec480415bbp+0", "0x1.a7f7ea4f47011p+1",
-         "7346e690d4b3b072b4de7688ccf7c4de40c61ba03670675d7a229c0131015ed1"),
+         "f7c1e6cdfa77b30875d6b17388dd66228687e843e2cd73e90f9e4367773c7b43"),
     ], ids=["two_s2", "three_s2"])
     def test_warm_start_reproduces_its_result(self, constants, factors,
                                               c_hex, T_hex, table_sha):
@@ -497,7 +467,8 @@ class TestShooting:
             solver.solve_shooting(kc_config, constants, nodes=128)
 
     def test_branch_states_equal_per_node_reads(self, kc_config, constants):
-        # one vector read per branch gives the per-node values bit for bit
+        # one read of the series and one of the dense output per branch
+        # give the per-node values bit for bit
         lc, sol = solver._integrate_branch(kc_config, constants,
                                            np.array([1.0]), 0.26, 1.5, 1e-12)
         t = np.concatenate([np.linspace(0.0, 2.0 * solver._EPS, 7),
@@ -511,22 +482,27 @@ class TestShooting:
                                       st.sampled_from([-1, 1]),
                                       st.floats(0.01, 3.0)),
                             min_size=1, max_size=3),
-           data=st.data())
+           points=st.integers(1, 4), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_rhs_is_the_array_form_bit_for_bit(self, constants, factors,
-                                               data):
-        # |q| < p: p exceeds |q| by the drawn gap; f > 0 and l_i > 0
+                                               points, data):
+        # |q| < p: p exceeds |q| by the drawn gap; f > 0 and l_i > 0.  One
+        # state, read as Python floats, gives the bits of its column among
+        # many, read as row arrays
         config = _bundle([(d, q + gap, sign * q)
                           for d, q, sign, gap in factors])
         r = config.r
         pos = st.floats(1e-3, 3.0)
         real = st.floats(-3.0, 3.0)
-        y = np.array([data.draw(pos), data.draw(real),
-                      *[data.draw(pos) for _ in range(r)],
-                      *[data.draw(real) for _ in range(r + 2)]])
-        got = solver._rhs(config, constants)(0.5, y)
-        ref = _array_rhs(config, constants)(0.5, y)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        Y = np.array([[data.draw(kind) for _ in range(points)]
+                      for kind in (pos, real, *[pos] * r,
+                                   *[real] * (r + 2))])
+        rhs = solver._rhs(config, constants)
+        many = rhs(0.5, Y)
+        for k in range(points):
+            one = rhs(0.5, Y[:, k])
+            assert np.array_equal(one.view(np.int64),
+                                  many[:, k].view(np.int64))
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_rhs_solves_the_geometry_formula(self, constants, r):
@@ -537,21 +513,20 @@ class TestShooting:
             BaseFactor(d=int(rng.choice([2, 4, 6])),
                        p=float(rng.uniform(1.0, 4.0)),
                        q=int(rng.choice([-2, -1, 1, 2]))) for _ in range(r)))
-        rhs = solver._rhs(config, constants)
         S = 200
         f, df = rng.uniform(0.3, 1.5, S), rng.uniform(-1.0, 1.0, S)
         l, dl = rng.uniform(0.7, 1.8, (r, S)), rng.uniform(-0.5, 0.5, (r, S))
         u, du = rng.uniform(-1.0, 1.0, S), rng.uniform(-1.0, 1.0, S)
-        states = np.vstack([f, df, l, dl, u, du])
-        dy = np.array([rhs(0.0, y) for y in states.T]).T
+        dy = solver._rhs(config, constants)(0.0,
+                                            np.vstack([f, df, l, dl, u, du]))
         ddf, ddl, ddu = dy[1], dy[2 + r:2 + 2 * r], dy[3 + 2 * r]
         R_NN, R_UU, R_i = ricci_frame(
-            f, df, ddf, l, dl, ddl, config.d[:, None], config.p[:, None],
-            config.q[:, None], constants.A, constants.B)
+            f, df, ddf, l, dl, ddl, config.d, config.p, config.q,
+            constants.A, constants.B)
         # Ric + Hess u - g in the unit frame
         assert np.abs(R_NN + ddu - 1.0).max() < 1e-12
         assert np.abs(R_UU + du * df / f - 1.0).max() < 1e-12
-        assert np.abs(R_i + du * dl / l - 1.0).max() < 1e-12
+        assert np.abs(np.array(R_i) + du * dl / l - 1.0).max() < 1e-12
 
 
 class TestReports:

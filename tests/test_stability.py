@@ -445,17 +445,6 @@ class TestEntropy:
         b = nu_estimate(kc_momentum_2048, EntropyGauge())["value"]
         assert abs(a - b) < 1e-6
 
-    def test_absolute_mode_gauge_invariant(self, kc_momentum):
-        from dataclasses import replace
-
-        gauge = EntropyGauge(mode="absolute", V0=2.0)
-        base = nu_estimate(kc_momentum, gauge)["value"]
-        g = kc_momentum.grid
-        shifted = replace(kc_momentum,
-                          grid=g.with_u(g.u + 0.3, g.du, g.ddu))
-        moved = nu_estimate(shifted, gauge)["value"]
-        assert moved == pytest.approx(base, abs=1e-10)
-
     def test_corrupted_potential_refused(self, kc_momentum):
         from dataclasses import replace
 
@@ -464,10 +453,6 @@ class TestEntropy:
                       grid=g.with_u(g.u + 0.1 * np.sin(g.t), g.du, g.ddu))
         with pytest.raises(StabilityError):
             nu_estimate(bad, EntropyGauge())
-
-    def test_absolute_mode_requires_volume(self):
-        with pytest.raises(StabilityError):
-            EntropyGauge(mode="absolute")
 
     def test_tau_comes_from_the_config(self, kc_momentum):
         out = nu_estimate(kc_momentum, EntropyGauge())
