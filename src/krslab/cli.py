@@ -3,8 +3,8 @@ randomized algebra fuzzer.
 
 All outputs are JSON (reports) or CSV (profiles, tables), written atomically
 (temp file + rename) and deterministic for a fixed seed.  Exit codes:
-0 ok, 1 config error, 2 oracle failure, 3 no soliton found, 4 identity
-failure.
+0 ok, 1 config error (a usage error too), 2 oracle failure, 3 no soliton
+found, 4 identity failure.
 """
 
 from __future__ import annotations
@@ -209,7 +209,9 @@ def cmd_fuzz_algebra(args) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``krs`` parser; ``command`` names the subcommand, whose handler
+    is ``cmd_<command>`` with dashes as underscores."""
     parser = argparse.ArgumentParser(
         prog="krs",
         description="Cohomogeneity-one soliton laboratory: solve, verify "
@@ -222,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the finite-difference oracle")
     p.add_argument("--out", default="constants.json")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_pin_constants)
 
     p = sub.add_parser("solve", help="solve the soliton boundary-value "
                                      "problem for a JSON config")
@@ -231,12 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", default=None,
                    help="pinned-constants JSON (default: re-pin with the "
                         "config's seed)")
-    p.set_defaults(func=cmd_solve)
 
-    for name, func, text in (
-            ("verify", cmd_verify, "identity suite on a solved solution"),
-            ("stability", cmd_stability,
-             "second-variation table on a solved solution")):
+    for name, text in (
+            ("verify", "identity suite on a solved solution"),
+            ("stability", "second-variation table on a solved solution")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--solution", required=True,
                        help="solve output directory")
@@ -244,22 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=SOLUTION_METHODS)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default="out")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("fuzz-algebra", help="randomized pointwise-algebra "
                                             "suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--out", default="fuzz_algebra.json")
-    p.set_defaults(func=cmd_fuzz_algebra)
-
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; argparse's usage errors exit 2, which is krs's
+        # oracle failure, so a usage error is reported as a config error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    # looked up per call: a wrapper set on the module is the one that runs
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
+    try:
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,7 +25,9 @@ PROFILE_KINDS = ("constant", "u_plus", "u_minus", "abs_u")
 STABILITY_PREFACTOR = 2.0
 # the normalized shrinker (soliton constant 1): Ric + Hess u = g / (2 tau)
 TAU = 0.5
-# scipy's solve_ivp raises a smaller rtol to this (with a warning on stderr)
+# the least relative tolerance of the shooting integrator (numerics.dop853,
+# whose floor it was in scipy): below it the step control asks for local
+# errors at the level of the rounding in the stage sums
 ODE_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
@@ -174,8 +176,8 @@ def koiso_cao() -> BundleConfig:
 @dataclass(frozen=True)
 class Tolerances:
     """ODE, residual and identity tolerances; each must be positive, and the
-    ODE tolerance finite and at least ODE_RTOL_FLOOR (100 eps), the floor
-    that the integrator would otherwise raise it to with only a warning."""
+    ODE tolerance finite and at least ODE_RTOL_FLOOR (100 eps), the least
+    the integrator's step control can meet."""
 
     ode: float = 1e-12
     residual: float = 1e-8

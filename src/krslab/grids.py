@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .config import SCHEME_KINDS, ConfigError
+from .numerics import dct1
 
 
 def _check_length(length: float):
@@ -63,7 +63,7 @@ def clenshaw_curtis_weights(n: int, length: float) -> np.ndarray:
     c = np.zeros(n + 1)
     c[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)
     # inverse DCT-I of the even-moment sequence
-    w = scipy.fft.dct(c, type=1) / n
+    w = dct1(c) / n
     w[0] *= 0.5
     w[-1] *= 0.5
     # nodes were flipped to increasing order; weights are symmetric anyway

@@ -17,9 +17,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
 
 from .config import (SOLUTION_METHODS, TAU, BundleConfig, ConfigError,
                      check_keys, get_field)
@@ -35,6 +32,7 @@ from .geometry import (
     weighted_laplacian,
 )
 from .grids import Scheme, fill_even
+from .numerics import brentq, cubic_hermite, dop853
 
 
 class NoSolitonFound(RuntimeError):
@@ -358,7 +356,7 @@ def find_slope_roots(config: BundleConfig, b):
             lo = mid
         else:
             hi = mid
-    return [brentq(F, cs[lo], cs[hi], xtol=1e-15, rtol=8.9e-16)]
+    return [brentq(F, cs[lo], cs[hi], 1e-15, 8.9e-16)]
 
 
 def solve_momentum(config: BundleConfig, constants: PinnedConstants,
@@ -427,7 +425,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     sch = Scheme.of_kind(scheme, nodes, T)
 
     # invert t(xi) at the output nodes by Newton on the integrated series
-    xi = CubicHermiteSpline(t_k, xi_k, 1.0 / cheb(xi_k))(sch.t)
+    xi = cubic_hermite(t_k, xi_k, 1.0 / cheb(xi_k), sch.t)
     for _ in range(60):
         step = (t_of_xi(xi) - sch.t) / np.maximum(cheb(xi), 1e-300)
         xi = np.clip(xi - step, 0.0, np.pi)
@@ -578,10 +576,7 @@ def _integrate_branch(config, constants, a, u2, span, rtol, twist_sign=1.0):
     if span <= _EPS:
         raise SolverError("degenerate branch span")
     y0 = _launch_state(lc, _EPS)
-    sol = solve_ivp(
-        _rhs(config, constants), (_EPS, span), y0, method="DOP853",
-        rtol=rtol, atol=_ATOL, dense_output=True,
-    )
+    sol = dop853(_rhs(config, constants), _EPS, span, y0, rtol, _ATOL, None)
     if sol.status != 0:
         raise SolverError(f"branch integration failed: {sol.message}")
     return lc, sol
@@ -654,11 +649,9 @@ def _default_guess(config, constants, a, u2):
     def low(t, y):
         return y[0] - 0.1
 
-    low.terminal = True
-    low.direction = -1.0
-    sol = solve_ivp(_rhs(config, constants), (_EPS, 60.0), y0, method="DOP853",
-                    rtol=1e-9, atol=1e-11, events=low, dense_output=True)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
+    # the probe ends where f falls through 0.1
+    sol = dop853(_rhs(config, constants), _EPS, 60.0, y0, 1e-9, 1e-11, low)
+    if sol.status != 1:
         # the message reaches diagnostics.json; perfbench classifies a
         # failure by its first clause
         raise SolverError(
@@ -666,8 +659,7 @@ def _default_guess(config, constants, a, u2):
             "solve with method both to start shooting from the momentum "
             "solution"
         )
-    t1 = float(sol.t_events[0][0])
-    y1 = sol.sol(t1)
+    t1, y1 = float(sol.t[-1]), sol.y[:, -1]
     f1, df1 = y1[0], y1[1]
     tau = -f1 / df1 if df1 < 0 else f1
     T = t1 + tau
@@ -814,17 +806,20 @@ def cross_method_disagreement(sol_a: SolitonSolution,
     """Sup-norm disagreement of (f, l_i, u) between two gauge-normalized
     solutions, evaluated on the first solution's nodes.
 
-    Cubic-spline resampling: on the clustered spectral grids its
-    interpolation error is far below the comparison tolerances, and the
-    banded solve keeps the diagnostic bit-reproducible.
+    The second solution is resampled by cubic Hermite interpolation through
+    its own values and first derivatives (f', l_i', u' are columns of every
+    grid), so no system is solved.  On one shared grid it is read at its
+    own knots; across grids its interpolation error on the clustered
+    spectral nodes is far below the comparison tolerances.
     """
     ga, gb = sol_a.grid, sol_b.grid
     t = np.clip(ga.t, 0.0, gb.T)
     worst = 0.0
-    for va, vb in [(ga.f, gb.f), (ga.u, gb.u),
-                   *[(ga.l[i], gb.l[i]) for i in range(ga.nfactors)]]:
-        interp = CubicSpline(gb.t, vb)
-        worst = max(worst, float(np.abs(interp(t) - va).max()))
+    for va, vb, dvb in [(ga.f, gb.f, gb.df), (ga.u, gb.u, gb.du),
+                        *[(ga.l[i], gb.l[i], gb.dl[i])
+                          for i in range(ga.nfactors)]]:
+        interp = cubic_hermite(gb.t, vb, dvb, t)
+        worst = max(worst, float(np.abs(interp - va).max()))
     return worst
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from krslab import oracle, solver
+from krslab import cli, oracle, solver
 from krslab.config import ConfigError
 from krslab.cli import (_write_atomic, main, profile_csv_header,
                         read_solution, write_solution)
@@ -459,6 +459,35 @@ class TestStability:
         err = capsys.readouterr().err
         assert "gauge-normalized" in err and "Traceback" not in err
         assert err.count("\n") == 1
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [[], ["solve"], ["bogus"],
+                                      ["pin-constants", "--seed", "x"],
+                                      ["verify", "--method", "spline"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own code, 2, is krs's oracle failure
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: krs") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: krs")
+
+    def test_parser_built_once_handler_looked_up_per_call(self, monkeypatch,
+                                                          tmp_path):
+        def rebuilt():
+            raise AssertionError("parser built again")
+
+        trials = []
+        monkeypatch.setattr(cli, "_build_parser", rebuilt)
+        monkeypatch.setattr(cli, "cmd_fuzz_algebra",
+                            lambda args: trials.append(args.trials) or 0)
+        assert run("fuzz-algebra", "--trials", "3",
+                   "--out", str(tmp_path / "f.json")) == 0
+        assert trials == [3]
 
 
 class TestFuzzAlgebra:

@@ -91,8 +91,8 @@ class TestTolerances:
 
     @pytest.mark.parametrize("value", [1e-15, 2.2e-14, float("inf")])
     def test_ode_outside_the_integrators_range_rejected(self, value):
-        # solve_ivp would raise an rtol below 100 eps to that floor with a
-        # warning on stderr, and an infinite one is no tolerance
+        # below 100 eps DOP853's step control would chase the rounding of
+        # its own stage sums, and an infinite tolerance is no tolerance
         with pytest.raises(ConfigError, match=r"tolerances\.ode must be "
                            r"finite and at least 2\.220446e-14 .* got "
                            + repr(value)):

@@ -1,0 +1,299 @@
+"""krslab.numerics against the scipy routines it ports, bit for bit, and
+the import guard that keeps scipy out of every ``krs`` process.
+
+scipy is a test dependency only: it is the reference here and nowhere in
+the package."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.fft
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq as scipy_brentq
+
+from krslab import numerics, solver
+from krslab.config import BaseFactor, BundleConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = json.loads((ROOT / "perfbench" / "reference.json").read_text())[
+    "configs"]
+EPS = np.finfo(float).eps
+
+
+def _bundle(factors):
+    return BundleConfig(factors=tuple(
+        BaseFactor(d=d, p=float(p), q=q) for d, p, q in factors))
+
+
+def _same_trajectory(ours, ref, points):
+    """Equal status, step points, states and dense output at the points
+    (read all at once and one by one), bit for bit."""
+    assert ours.status == ref.status
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+    assert np.array_equal(ours.sol(points), ref.sol(points))
+    for tk in points[::37]:
+        assert np.array_equal(ours.sol(tk), ref.sol(tk))
+
+
+def _read_points(t):
+    """300 equispaced points over the step points' span, plus every step
+    point and every step midpoint."""
+    return np.sort(np.concatenate([np.linspace(t[0], t[-1], 300), t,
+                                   (t[:-1] + t[1:]) / 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# DOP853
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def warm_branches(request, constants):
+    """The near and far branch a warm-started shooting solve integrates:
+    right-hand side, launch state and span of each."""
+    config = _bundle(CONFIGS[request.param]["factors"])
+    start = solver.solve_momentum(config, constants, nodes=512)
+    x, t_mid = solver._warm_start(config, start)
+    a, u2, af, u2f, _, T = solver._unpack(x, config.r)
+    rhs = solver._rhs(config, constants)
+    near = solver._launch_coefficients(config, a, u2, constants)
+    far = solver._launch_coefficients(config, af, u2f, constants, -1.0)
+    return {"near": (rhs, solver._launch_state(near, solver._EPS), t_mid),
+            "far": (rhs, solver._launch_state(far, solver._EPS), T - t_mid)}
+
+
+@pytest.mark.parametrize("branch", ["near", "far"])
+def test_dop853_is_solve_ivp_on_the_warm_branches(warm_branches, branch):
+    rhs, y0, span = warm_branches[branch]
+    ours = numerics.dop853(rhs, solver._EPS, span, y0, 1e-12, solver._ATOL,
+                           None)
+    ref = solve_ivp(rhs, (solver._EPS, span), y0, method="DOP853",
+                    rtol=1e-12, atol=solver._ATOL, dense_output=True)
+    assert ours.status == 0
+    _same_trajectory(ours, ref, _read_points(ref.t))
+
+
+def _probe(config, constants, terminal):
+    """The cold start's probe: right-hand side, launch state and the event
+    f = 0.1 (with scipy's attributes when ``terminal``)."""
+    lc = solver._launch_coefficients(config, np.sqrt(config.p) * 0.7, 0.25,
+                                     constants)
+
+    def low(t, y):
+        return y[0] - 0.1
+
+    if terminal:
+        low.terminal, low.direction = True, -1.0
+    return (solver._rhs(config, constants),
+            solver._launch_state(lc, solver._EPS), low)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_probe_event_is_solve_ivp(name, constants):
+    config = _bundle(CONFIGS[name]["factors"])
+    rhs, y0, low = _probe(config, constants, terminal=False)
+    ours = numerics.dop853(rhs, solver._EPS, 60.0, y0, 1e-9, 1e-11, low)
+    rhs, y0, low = _probe(config, constants, terminal=True)
+    ref = solve_ivp(rhs, (solver._EPS, 60.0), y0, method="DOP853",
+                    rtol=1e-9, atol=1e-11, events=low, dense_output=True)
+    # kc_mirror and s2xs2_opp never reach f = 0.1: their probes fail in
+    # integration, and so does cold shooting there
+    if ref.status == 1:
+        assert ours.t[-1] == ref.t_events[0][0]
+    else:
+        assert ours.message == ref.message == numerics.STEP_TOO_SMALL
+    _same_trajectory(ours, ref, _read_points(ref.t))
+
+
+def test_failed_integration_keeps_its_message(constants):
+    # cold shooting on cp2_q2 fails on its first far branch (from the
+    # probe): the step size falls below the spacing of the floats
+    config = _bundle(CONFIGS["cp2_q2"]["factors"])
+    x, t_mid = solver._default_guess(config, constants,
+                                     np.sqrt(config.p) * 0.7, 0.25)
+    _, _, af, u2f, _, T = solver._unpack(x, config.r)
+    lc = solver._launch_coefficients(config, af, u2f, constants, -1.0)
+    rhs, y0 = solver._rhs(config, constants), solver._launch_state(
+        lc, solver._EPS)
+    ours = numerics.dop853(rhs, solver._EPS, T - t_mid, y0, 1e-12,
+                           solver._ATOL, None)
+    ref = solve_ivp(rhs, (solver._EPS, T - t_mid), y0, method="DOP853",
+                    rtol=1e-12, atol=solver._ATOL, dense_output=True)
+    assert ours.status == ref.status == -1
+    assert ours.message == ref.message == numerics.STEP_TOO_SMALL
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    with pytest.raises(solver.SolverError, match=r"^branch integration "
+                       r"failed: Required step size is less than spacing "
+                       r"between numbers\.$"):
+        solver._integrate_branch(config, constants, af, u2f, T - t_mid,
+                                 1e-12, twist_sign=-1.0)
+
+
+def test_dop853_on_a_stiffening_oscillator():
+    # away from krslab's system: a growing-frequency oscillator over many
+    # steps, with rejected steps, and an event on a falling coordinate
+    def rhs(t, y):
+        return np.array([y[1], -(1.0 + t * t) * y[0]])
+
+    def low(t, y):
+        return y[0] + 0.5
+
+    y0 = np.array([1.0, 0.0])
+    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12, None)
+    ref = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, dense_output=True)
+    _same_trajectory(ours, ref, _read_points(ref.t))
+    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12, low)
+    low.terminal, low.direction = True, -1.0
+    ref = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, dense_output=True, events=low)
+    assert ours.status == ref.status == 1
+    _same_trajectory(ours, ref, _read_points(ref.t))
+
+
+# ---------------------------------------------------------------------------
+# brentq
+
+
+def _slope_bracket(config, monkeypatch):
+    """The function and bracket ``find_slope_roots`` hands to brentq, or
+    None when a node of the box is a root."""
+    seen = []
+
+    def record(F, a, b, xtol, rtol):
+        seen.append((F, a, b, xtol, rtol))
+        return numerics.brentq(F, a, b, xtol, rtol)
+
+    monkeypatch.setattr(solver, "brentq", record)
+    roots = solver.find_slope_roots(config, config.p - config.q)
+    assert len(roots) == 1 and len(seen) <= 1
+    return seen[0] if seen else None
+
+
+def _same_brentq(F, a, b, xtol, rtol):
+    """The same root from the same sequence of evaluation points."""
+    def run(root_finder):
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return F(x)
+
+        return root_finder(f), xs
+
+    assert (run(lambda f: numerics.brentq(f, a, b, xtol, rtol))
+            == run(lambda f: scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)))
+
+
+@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"s2xs2_opp"}))
+def test_brentq_on_the_reference_slope_brackets(name, monkeypatch):
+    # s2xs2_opp has c = 0 on a node of the box: no bracket to refine
+    _same_brentq(*_slope_bracket(_bundle(CONFIGS[name]["factors"]),
+                                 monkeypatch))
+
+
+@given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                                  st.integers(1, 3), st.sampled_from([-1, 1]),
+                                  st.floats(0.05, 3.0)),
+                        min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_brentq_on_admissible_slope_brackets(factors):
+    # |q| < p: p exceeds |q| by the drawn gap
+    config = _bundle([(d, abs(q) * k + gap, q * k)
+                      for d, k, q, gap in factors])
+    with pytest.MonkeyPatch.context() as mp:
+        found = _slope_bracket(config, mp)
+    assume(found is not None)
+    _same_brentq(*found)
+
+
+def test_brentq_on_cubics_and_its_errors():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        c = rng.normal(size=4)
+
+        def g(x):
+            return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        if (g(a) > 0) != (g(b) > 0):
+            _same_brentq(g, float(a), float(b), 1e-15, 8.9e-16)
+            _same_brentq(g, float(a), float(b), 4 * EPS, 4 * EPS)
+    for fn in (numerics.brentq,
+               lambda *a: scipy_brentq(*a[:3], xtol=a[3], rtol=a[4])):
+        with pytest.raises(ValueError, match="must have different signs"):
+            fn(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 4 * EPS)
+        # a jump at 0 is bisected towards 0 with a shrinking tolerance
+        with pytest.raises(RuntimeError, match=r"^Failed to converge after "
+                           r"100 iterations"):
+            fn(lambda x: -1.0 if x < 0 else 1.0, -1.0, 2.0, 1e-300, 4 * EPS)
+
+
+# ---------------------------------------------------------------------------
+# cubic Hermite interpolation and the DCT-I
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cubic_hermite_is_the_scipy_spline(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    y, dydx = rng.normal(size=n), rng.normal(size=n)
+    xq = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 500), x])
+    assert np.array_equal(numerics.cubic_hermite(x, y, dydx, xq),
+                          CubicHermiteSpline(x, y, dydx)(xq))
+
+
+def test_cubic_hermite_on_the_momentum_inverse(kc_config, constants,
+                                               monkeypatch):
+    # the fit of xi(t) that starts the momentum route's Newton inversion
+    seen = []
+
+    def record(x, y, dydx, xq):
+        seen.append((x, y, dydx, xq))
+        return numerics.cubic_hermite(x, y, dydx, xq)
+
+    monkeypatch.setattr(solver, "cubic_hermite", record)
+    for scheme in ("chebyshev", "uniform"):
+        solver.solve_momentum(kc_config, constants, nodes=1024, scheme=scheme)
+    assert len(seen) == 2
+    for x, y, dydx, xq in seen:
+        assert np.array_equal(numerics.cubic_hermite(x, y, dydx, xq),
+                              CubicHermiteSpline(x, y, dydx)(xq))
+
+
+def test_dct1_is_scipy_dct_type_1():
+    # on the Clenshaw-Curtis moments and on random data, n + 1 entries
+    for n in [*range(1, 300), *(2 ** k for k in range(9, 14))]:
+        c = np.zeros(n + 1)
+        c[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)
+        assert np.array_equal(numerics.dct1(c), scipy.fft.dct(c, type=1)), n
+        c = np.random.default_rng(n).normal(size=n + 1)
+        assert np.array_equal(numerics.dct1(c), scipy.fft.dct(c, type=1)), n
+    # one entry has no DCT-I: scipy raises a RuntimeError
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        numerics.dct1(np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# no scipy at run time
+
+
+def test_krs_imports_no_scipy():
+    code = ("import sys, krslab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH",
+                                                               "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"
