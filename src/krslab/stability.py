@@ -312,8 +312,9 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     in s, whose degree doubles from 16 until the last quarter of its
     coefficients, and of the solution's, is negligible; the degree follows
     the source and the operator, not the number of nodes, which only bounds
-    it (at most half of them).  A source still unresolved at the largest
-    degree (not a smooth invariant function) is an error.  The equation is
+    it (at most half of them).  A source with a NaN or inf, checked before
+    any degree is tried, and a source still unresolved at the largest
+    degree (not a smooth invariant function) are errors.  The equation is
     collocated at that degree, and the smallest singular value of the small
     operator is reported; below ``kernel_tol`` it is solved in the
     least-squares sense and flagged.  The solution is mapped back to the
@@ -339,6 +340,9 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     src = np.asarray(source, dtype=float)
     if src.shape != grid.t.shape:
         raise StabilityError("source not sampled on the solution grid")
+    if not np.isfinite(src).all():
+        raise StabilityError("the source is not finite (NaN or inf at a "
+                             "node)")
     degrees = [m for m in _DEGREES if 2 * m < grid.t.size]
     if not degrees:
         raise StabilityError(f"{grid.t.size} nodes are too few to fit the "
@@ -389,11 +393,17 @@ def drift_spectrum(sol: SolitonSolution, k: int) -> np.ndarray:
     They are the eigenvalues of the collocated s-operator of ``v_h_solve``,
     the same cached per-degree collocation, whose degree doubles until the
     k values agree with those of the previous degree to 1e-10 (relative).
-    The first two are exactly 0 (constants) and 2 (s - 1, the moment map,
-    up to a constant), and Futaki's bound puts the rest above 2.
+    Two degrees of at least 2k are compared, so k is at most a quarter of
+    the largest degree, 64; a larger k is an error.  The first two are
+    exactly 0 (constants) and 2 (s - 1, the moment map, up to a constant),
+    and Futaki's bound puts the rest above 2.
     """
     if k < 1:
         raise StabilityError(f"need k >= 1 eigenvalues, got {k}")
+    if k > _DEGREES[-1] // 4:
+        raise StabilityError(
+            f"at most {_DEGREES[-1] // 4} eigenvalues can converge (two "
+            f"degrees >= 2k up to {_DEGREES[-1]} are compared), got {k}")
     prev = None
     for m in _DEGREES:
         if m < 2 * k:

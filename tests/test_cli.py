@@ -1,15 +1,17 @@
 import json
 import os
 import shutil
+import stat
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from krslab import cli, oracle, solver
-from krslab.config import ConfigError
-from krslab.cli import (_write_atomic, main, profile_csv_header,
-                        read_solution, write_solution)
+from krslab.config import BaseFactor, BundleConfig, ConfigError
+from krslab.cli import (_write_atomic, _write_chunks_atomic, main,
+                        profile_csv_header, read_solution, write_solution)
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                       "koiso_cao.json")
@@ -536,6 +538,38 @@ class TestSerialization:
             _write_atomic(str(path), b"not text")
         assert os.listdir(tmp_path / "out") == []
 
+    def test_failed_stream_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "t,f\n0,0\n"
+            raise RuntimeError("second block failed")
+
+        path = tmp_path / "out" / "profile_momentum.csv"
+        with pytest.raises(RuntimeError, match="second block failed"):
+            _write_chunks_atomic(str(path), chunks())
+        assert os.listdir(tmp_path / "out") == []
+        # a file already there is left as it was
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="second block failed"):
+            _write_chunks_atomic(str(path), chunks())
+        assert os.listdir(tmp_path / "out") == [path.name]
+        assert path.read_text() == "old\n"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_file_modes_follow_the_umask(self, pipeline, tmp_path, umask,
+                                         mode):
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert run("solve", "--config", pipeline["config"],
+                       "--constants", pipeline["constants"],
+                       "--out", str(out)) == 0
+        finally:
+            os.umask(previous)
+        modes = {name: stat.S_IMODE(os.stat(out / name).st_mode)
+                 for name in os.listdir(out)}
+        assert len(modes) == 4 and set(modes.values()) == {mode}
+
     def test_unknown_solution_key_rejected(self, pipeline, tmp_path):
         # every key the solution writes reads back; any other is named
         sol_dir = tmp_path / "sol"
@@ -560,3 +594,49 @@ class TestSerialization:
                 row += [g.l[i, k], g.dl[i, k], g.ddl[i, k]]
             row += [g.u[k], g.du[k], g.ddu[k]]
             assert lines[k + 1] == ",".join(format(v, ".17g") for v in row)
+
+
+# factors of the streamed-table tests: one, two or three of them
+STREAM_FACTORS = (BaseFactor(d=2, p=2.0, q=1), BaseFactor(d=4, p=3.0, q=1),
+                  BaseFactor(d=2, p=3.0, q=-1))
+
+
+def _one_shot_table(sol) -> bytes:
+    """The profile table formatted whole, every row's string at once."""
+    cols = sol.grid.table()
+    fmt = ",".join(["%.17g"] * cols.shape[0])
+    lines = [profile_csv_header(sol.grid.nfactors)]
+    lines += [fmt % tuple(row) for row in cols.T.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestStreamedTable:
+    @pytest.mark.parametrize("rows", [255, 256, 257, 512, 513, 1025])
+    @pytest.mark.parametrize("nfactors", [1, 2, 3])
+    def test_blocks_equal_the_one_shot_table(self, constants, tmp_path,
+                                             rows, nfactors):
+        # row counts on both sides of the block edges
+        assert cli.PROFILE_BLOCK_ROWS == 256
+        config = BundleConfig(factors=STREAM_FACTORS[:nfactors])
+        momentum = solver.solve_momentum(config, constants, nodes=rows - 1)
+        shooting = solver.solve_shooting(config, constants, nodes=rows - 1,
+                                         start=momentum)
+        for sol in (momentum, shooting):
+            assert sol.grid.t.size == rows
+            write_solution(str(tmp_path), sol)
+            with open(tmp_path / f"profile_{sol.method}.csv", "rb") as fh:
+                assert fh.read() == _one_shot_table(sol)
+
+    def test_write_holds_one_block_of_strings(self, constants, tmp_path):
+        # three factors at N = 4096: the (16, 4097) float table is 0.5 MB,
+        # a string per cell would be about 4.5 MB
+        sol = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
+                                    constants, nodes=4096)
+        sol.to_dict()  # the residuals, computed on first use
+        tracemalloc.start()
+        try:
+            write_solution(str(tmp_path), sol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6

@@ -167,6 +167,18 @@ class TestVh:
         with pytest.raises(StabilityError):
             v_h_solve(sol192, np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_source_rejected_before_any_degree(self, sol192,
+                                                          bad):
+        # a NaN tail is never "resolved": without the check every degree's
+        # fit and collocation would be built and cached on the solution
+        sol = replace(sol192)
+        src = np.cos(2 * np.pi * sol.grid.t / sol.grid.T)
+        src[sol.grid.t.size // 3] = bad
+        with pytest.raises(StabilityError, match="source is not finite"):
+            v_h_solve(sol, src)
+        assert sol.stability_cache == {}
+
     def test_agrees_with_a_dense_t_grid_solve(self, sol192):
         # independent route: collocate v'' + ((log w)' - u') v' + v = s on
         # the t-nodes with v'(0) = v'(T) = 0
@@ -358,6 +370,18 @@ class TestDriftSpectrum:
     def test_k_must_be_positive(self, kc_momentum):
         with pytest.raises(StabilityError):
             drift_spectrum(kc_momentum, 0)
+
+    def test_k_at_most_a_quarter_of_the_largest_degree(self, kc_config,
+                                                       constants):
+        # two degrees >= 2k are compared, 128 and 256 for k = 64
+        sol = solver.solve_momentum(kc_config, constants, nodes=1024)
+        with pytest.raises(StabilityError,
+                           match="at most 64 eigenvalues can converge .* "
+                                 "got 65"):
+            drift_spectrum(sol, 65)
+        assert sol.stability_cache == {}
+        lam = drift_spectrum(sol, 64)
+        assert lam.size == 64 and np.all(np.diff(lam) > 0)
 
 
 class TestAdmissibleSweep:

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -7,14 +9,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture
-def digest_moves(monkeypatch):
+def _tool(monkeypatch, name):
     spec = importlib.util.spec_from_file_location(
-        "digest_moves", ROOT / "tools" / "digest_moves.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def digest_moves(monkeypatch):
+    return _tool(monkeypatch, "digest_moves")
+
+
+@pytest.fixture
+def output_digests(monkeypatch):
+    return _tool(monkeypatch, "output_digests")
 
 
 def _listing(path, lines):
@@ -28,12 +39,15 @@ SHA = {k: k * 64 for k in "abcd"}
 def test_moves_names_files_solutions_and_exit_codes(digest_moves, tmp_path,
                                                     capsys):
     # the layout output_digests.py prints: file digests, solution lines,
-    # exit codes
+    # file modes, exit codes
     old = _listing(tmp_path / "old.txt", [
         f"kc/solve/profile_shooting.csv {SHA['a']}",
         f"kc/solve/solution_shooting.json {SHA['b']}",
         f"pin/seed0/constants.json {SHA['c']}",
         "kc/solve/solution_shooting.json c=0.5 T=3.25",
+        "kc/solve/profile_shooting.csv mode 600",
+        "kc/solve/solution_shooting.json mode 644",
+        "pin/seed0/constants.json mode 600",
         "pin/seed0 exit 0",
         "kc/solve exit 0",
     ])
@@ -43,6 +57,10 @@ def test_moves_names_files_solutions_and_exit_codes(digest_moves, tmp_path,
         f"pin/seed0/constants.json {SHA['c']}",
         f"kc/verify/verify_shooting.json {SHA['a']}",
         "kc/solve/solution_shooting.json c=0.625 T=3.25",
+        "kc/solve/profile_shooting.csv mode 644",
+        "kc/solve/solution_shooting.json mode 644",
+        "kc/verify/verify_shooting.json mode 644",
+        "pin/seed0/constants.json mode 600",
         "pin/seed0 exit 0",
         "kc/solve exit 3",
     ])
@@ -50,10 +68,55 @@ def test_moves_names_files_solutions_and_exit_codes(digest_moves, tmp_path,
     assert capsys.readouterr().out.splitlines() == [
         f"kc/solve/profile_shooting.csv {SHA['a']} -> {SHA['d']}",
         f"kc/verify/verify_shooting.json - -> {SHA['a']}",
+        "kc/solve/profile_shooting.csv mode 600 -> 644",
+        "kc/verify/verify_shooting.json mode - -> 644",
         "kc/solve/solution_shooting.json |dc|=0.12 |dT|=0",
         "kc/solve exit 0 -> 3",
-        "2 file digests moved, 1 c/T lines moved, 1 exit codes changed",
+        "2 file digests moved, 2 file modes changed, 1 c/T lines moved, "
+        "1 exit codes changed",
     ]
+
+
+def test_mode_change_alone_is_not_a_digest_move(digest_moves, tmp_path,
+                                                capsys):
+    # equal bytes written with another mode: only the mode line moves
+    old = _listing(tmp_path / "old.txt", [f"a.csv {SHA['a']}",
+                                          "a.csv mode 600", "run exit 0"])
+    new = _listing(tmp_path / "new.txt", [f"a.csv {SHA['a']}",
+                                          "a.csv mode 644", "run exit 0"])
+    assert digest_moves.main([old, new]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.csv mode 600 -> 644",
+        "0 file digests moved, 1 file modes changed, 0 c/T lines moved, "
+        "0 exit codes changed",
+    ]
+
+
+def test_digests_list_contents_solutions_then_modes(output_digests,
+                                                    digest_moves, tmp_path):
+    (tmp_path / "solve").mkdir()
+    meta = tmp_path / "solve" / "solution_momentum.json"
+    meta.write_text('{"c_slope": 0.5, "T": 3.25}')
+    table = tmp_path / "solve" / "profile_momentum.csv"
+    table.write_text("t,f\n")
+    os.chmod(meta, 0o644)
+    os.chmod(table, 0o600)
+    lines = output_digests.digests(str(tmp_path))
+    sha = {p: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (meta, table)}
+    assert lines == [
+        f"solve/profile_momentum.csv {sha[table]}",
+        f"solve/solution_momentum.json {sha[meta]}",
+        "solve/solution_momentum.json c=0.5 T=3.25",
+        "solve/profile_momentum.csv mode 600",
+        "solve/solution_momentum.json mode 644",
+    ]
+    # and digest_moves reads every line of it back
+    digests, modes, solutions, _ = digest_moves.parse(
+        _listing(tmp_path / "listing.txt", lines))
+    assert modes == {"solve/profile_momentum.csv": "600",
+                     "solve/solution_momentum.json": "644"}
+    assert len(digests) == 2 and len(solutions) == 1
 
 
 def test_equal_listings_move_nothing(digest_moves, tmp_path, capsys):
@@ -61,7 +124,8 @@ def test_equal_listings_move_nothing(digest_moves, tmp_path, capsys):
     path = _listing(tmp_path / "a.txt", lines)
     assert digest_moves.main([path, path]) == 0
     assert capsys.readouterr().out == (
-        "0 file digests moved, 0 c/T lines moved, 0 exit codes changed\n")
+        "0 file digests moved, 0 file modes changed, 0 c/T lines moved, "
+        "0 exit codes changed\n")
 
 
 def test_foreign_line_rejected(digest_moves, tmp_path, capsys):

@@ -5,8 +5,9 @@
 OLD and NEW are the listings `tools/output_digests.py` printed for two
 trees.  Prints one line per output file whose sha256 moved,
 `path old_sha256 -> new_sha256` (a file in one listing only shows `-` for
-the other), then one line per moved solution file,
-`path |dc|=<g> |dT|=<g>`, then one line per command whose exit code
+the other), then one line per output file whose mode changed,
+`path mode old -> new` (`-` likewise), then one line per moved solution
+file, `path |dc|=<g> |dT|=<g>`, then one line per command whose exit code
 changed, `label exit old -> new`, and last a count of each.  Equal
 listings print only the counts, all zero.
 """
@@ -17,12 +18,13 @@ import sys
 EXIT = re.compile(r"^(\S+) exit (-?\d+)$")
 SOLUTION = re.compile(r"^(\S+) c=(\S+) T=(\S+)$")
 DIGEST = re.compile(r"^(\S+) ([0-9a-f]{64})$")
+MODE = re.compile(r"^(\S+) mode ([0-7]+)$")
 
 
 def parse(path):
-    """(digests, solutions, exits) of one listing: path -> sha256,
-    path -> (c, T), label -> exit code."""
-    digests, solutions, exits = {}, {}, {}
+    """(digests, modes, solutions, exits) of one listing: path -> sha256,
+    path -> octal mode, path -> (c, T), label -> exit code."""
+    digests, modes, solutions, exits = {}, {}, {}, {}
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -34,31 +36,37 @@ def parse(path):
                 solutions[m[1]] = (float(m[2]), float(m[3]))
             elif m := DIGEST.match(line):
                 digests[m[1]] = m[2]
+            elif m := MODE.match(line):
+                modes[m[1]] = m[2]
             else:
                 raise ValueError(f"{path}:{number}: not a digest listing "
                                  f"line: {line!r}")
-    return digests, solutions, exits
+    return digests, modes, solutions, exits
+
+
+def _changed(old: dict, new: dict, kind: str) -> list:
+    """`key kind old -> new` for every key whose value differs, `-` for a
+    key in one dict only."""
+    return [f"{key} {kind}{old.get(key, '-')} -> {new.get(key, '-')}"
+            for key in sorted(old.keys() | new.keys())
+            if old.get(key) != new.get(key)]
 
 
 def moves(old, new) -> list:
     """The report lines for listings ``old`` and ``new`` (parsed)."""
-    (dig_a, sol_a, exit_a), (dig_b, sol_b, exit_b) = old, new
-    files = [f"{path} {dig_a.get(path, '-')} -> {dig_b.get(path, '-')}"
-             for path in sorted(dig_a.keys() | dig_b.keys())
-             if dig_a.get(path) != dig_b.get(path)]
+    (dig_a, mode_a, sol_a, exit_a), (dig_b, mode_b, sol_b, exit_b) = old, new
+    files = _changed(dig_a, dig_b, "")
+    modes = _changed(mode_a, mode_b, "mode ")
     solutions = []
     for path in sorted(sol_a.keys() & sol_b.keys()):
         (c_a, T_a), (c_b, T_b) = sol_a[path], sol_b[path]
         if (c_a, T_a) != (c_b, T_b):
             solutions.append(f"{path} |dc|={abs(c_b - c_a):.2g} "
                              f"|dT|={abs(T_b - T_a):.2g}")
-    exits = [f"{label} exit {exit_a.get(label, '-')} -> "
-             f"{exit_b.get(label, '-')}"
-             for label in sorted(exit_a.keys() | exit_b.keys())
-             if exit_a.get(label) != exit_b.get(label)]
-    return files + solutions + exits + [
-        f"{len(files)} file digests moved, {len(solutions)} c/T lines "
-        f"moved, {len(exits)} exit codes changed"]
+    exits = _changed(exit_a, exit_b, "exit ")
+    return files + modes + solutions + exits + [
+        f"{len(files)} file digests moved, {len(modes)} file modes changed, "
+        f"{len(solutions)} c/T lines moved, {len(exits)} exit codes changed"]
 
 
 def main(argv) -> int:

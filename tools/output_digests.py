@@ -6,9 +6,12 @@ Runs `krs` in-process with the krslab that PYTHONPATH finds, writing into
 OUT_DIR (which must be absent or empty), and prints one line per output
 file, `path sha256` with the path relative to OUT_DIR, then one line per
 solution file, `path c=<repr> T=<repr>` (its slope and length, so a diff
-shows how far a moved solution moved), then one line per command,
-`label exit code`.  Run it once per tree and diff the two listings: equal
-listings mean byte-identical outputs and equal exit codes.
+shows how far a moved solution moved), then one line per output file,
+`path mode 644` (its permission bits in octal, which follow the umask),
+then one line per command, `label exit code`.  Run it once per tree, under
+the same umask, and diff the two listings: equal listings mean
+byte-identical outputs, created with the same modes, and equal exit
+codes.
 
 The set: `krs pin-constants` with seeds 0 and 42; Koiso-Cao and a
 two-factor bundle at N = 1024 through `solve` (method both), then `verify`
@@ -24,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import sys
 
 from krslab import cli
@@ -94,8 +98,8 @@ def commands(out):
 
 def digests(out) -> list:
     """`path sha256` of every file, then `path c=.. T=..` of every
-    solution file, each block sorted."""
-    lines, solutions = [], []
+    solution file, then `path mode ...` of every file, each block sorted."""
+    lines, solutions, modes = [], [], []
     for directory, _, files in os.walk(out):
         for name in files:
             path = os.path.join(directory, name)
@@ -103,11 +107,13 @@ def digests(out) -> list:
                 content = fh.read()
             label = os.path.relpath(path, out)
             lines.append(f"{label} {hashlib.sha256(content).hexdigest()}")
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+            modes.append(f"{label} mode {mode:o}")
             if name.startswith("solution_") and name.endswith(".json"):
                 meta = json.loads(content)
                 solutions.append(f"{label} c={meta['c_slope']!r} "
                                  f"T={meta['T']!r}")
-    return sorted(lines) + sorted(solutions)
+    return sorted(lines) + sorted(solutions) + sorted(modes)
 
 
 def main(argv) -> int:
