@@ -150,10 +150,11 @@ class ProfileGrid:
         u, du, ddu: the column layout of the profile CSV, transposed (see
         ``profile_csv_header``)."""
         r = self.nfactors
-        return np.vstack([self.t, self.f, self.df, self.ddf,
-                          np.stack([self.l, self.dl, self.ddl],
-                                   axis=1).reshape(3 * r, -1),
-                          self.u, self.du, self.ddu])
+        out = np.empty((3 * r + 7, self.t.size))
+        out[0], out[1], out[2], out[3] = self.t, self.f, self.df, self.ddf
+        out[4:-3:3], out[5:-3:3], out[6:-3:3] = self.l, self.dl, self.ddl
+        out[-3], out[-2], out[-1] = self.u, self.du, self.ddu
+        return out
 
     @staticmethod
     def from_table(scheme: Scheme, table: np.ndarray, r: int) -> "ProfileGrid":

@@ -9,7 +9,7 @@ compares each with scipy, which the tests keep as their reference):
 - ``cubic_hermite``: ``CubicHermiteSpline(x, y, dydx)(xq)``, its coefficients
   and the piecewise-polynomial evaluation;
 - ``dop853``: ``solve_ivp(method="DOP853", dense_output=True)`` forward in
-  time, with one optional terminal event, without the ``OdeSolver`` classes.
+  time, without the ``OdeSolver`` classes.
 
 Loading scipy costs about 0.75 s per process, more than any ``krs`` command
 spends on its work.  Arithmetic that is not IEEE-exact elementwise (the
@@ -234,7 +234,6 @@ _STAGES = 12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 STEP_TOO_SMALL = "Required step size is less than spacing between numbers."
-_EPS = np.finfo(float).eps
 
 
 def _rms(x):
@@ -306,8 +305,7 @@ class DenseSolution:
 @dataclass(frozen=True)
 class Trajectory:
     """``t``: step points; ``y``: the states there, one column each;
-    ``sol``: the dense output; ``status``: 0 when t_bound was reached, 1
-    when the event ended the integration (then ``t[-1]`` is its root), -1
+    ``sol``: the dense output; ``status``: 0 when t_bound was reached, -1
     on failure, with the reason in ``message``."""
 
     t: np.ndarray
@@ -346,18 +344,14 @@ def _error_norm(K, h, scale):
 
 
 def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
-           atol: float, event) -> Trajectory:
+           atol: float) -> Trajectory:
     """Integrate y' = fun(t, y) from t0 forward to t_bound > t0 with
     DOP853 at relative and absolute tolerances rtol (at least 100 eps) and
     atol: ``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
-    atol=atol, dense_output=True, events=event)``.  ``event(t, y)`` is None
-    or a terminal event of direction -1: the integration ends at the first
-    step over which it falls to zero, at its root on the step's interpolant
-    (``brentq``, xtol = rtol = 4 eps)."""
+    atol=atol, dense_output=True)``."""
     t, y = float(t0), y0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
-    g = None if event is None else event(t, y)
     ts, ys, steps = [t], [y], []
     status, message = None, ""
     while status is None:
@@ -390,19 +384,10 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
             rejected = True
         if status is not None:
             break
-        step = _Step(fun, t, t_new, y, y_new, K)
-        steps.append(step)
+        steps.append(_Step(fun, t, t_new, y, y_new, K))
         t, y, f = t_new, y_new, f_new
         if t - t_bound >= 0:
             status = 0
-        if event is not None:
-            g_new = event(t, y)
-            if g >= 0 and g_new <= 0:
-                t = brentq(lambda tk: event(tk, step(tk)), step.t_old, t,
-                           4 * _EPS, 4 * _EPS)
-                y = step(t)
-                status = 1
-            g = g_new
         ts.append(t)
         ys.append(y)
     ts = np.array(ts)

@@ -52,6 +52,10 @@ _REDUCTION_B = 0.5
 # integrator tolerance
 _EPS = 2e-3
 _ATOL = 1e-13
+# Newton: tolerance on the matching defect and most steps per solve; the
+# cold start's twist ladder: first step and least (halved) step
+_NEWTON_TOL, _NEWTON_ITERS = 1e-11, 12
+_TWIST_STEP, _TWIST_STEP_MIN = 0.5, 1.0 / 32.0
 # a Newton root whose sup-norm Kahler residual reaches this is rejected
 # (solved roots sit below 1e-10, the non-Kahler ones near 1)
 _KAEHLER_ROOT_TOL = 1e-6
@@ -485,15 +489,13 @@ class _Launch:
 
 
 def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
-                         constants: PinnedConstants,
-                         twist_sign: float = 1.0) -> _Launch:
+                         constants: PinnedConstants, q: np.ndarray) -> _Launch:
     """The coefficients of l_i come from the Kahler relation (l_i^2)' = q_i f
     order by order; f3, f5, f7 and u4, u6 from the f and u equations, with
     the sums over the factors of l'/l, q^2/l^4 and l''/l expanded in t."""
     if np.any(a <= 0):
         raise SolverError("trial with nonpositive collapse size l_i")
-    d, p, q = config.d, config.p, twist_sign * config.q
-    A = constants.A
+    d, A = config.d, constants.A
     b = q / (4.0 * a)
     f3 = (2.0 * u2 - 1.0 - (d * q / (2.0 * a**2)).sum()) / 6.0
     e = (q * f3 - 4.0 * b**2) / (8.0 * a)
@@ -535,8 +537,8 @@ def _launch_state(lc: _Launch, t):
     return np.array([f, df, *l, *dl, u, du])
 
 
-def _rhs(config: BundleConfig, constants: PinnedConstants):
-    """rhs(t, y) = y' for y = [f, f', l_i, l_i', u, u'].
+def _rhs(config: BundleConfig, constants: PinnedConstants, q: np.ndarray):
+    """rhs(t, y) = y' for y = [f, f', l_i, l_i', u, u'] and the twists q.
 
     Ric + Hess u = g, with Ric by ``geometry.ricci_frame``, is affine in
     f'', l_i'', u''; with them 0 in Ric it gives f'' = f (R_UU - 1) + u' f',
@@ -547,7 +549,7 @@ def _rhs(config: BundleConfig, constants: PinnedConstants):
     """
     r = config.r
     A, B = constants.A, constants.B
-    d, p, q = config.d.tolist(), config.p.tolist(), config.q.tolist()
+    d, p, q = config.d.tolist(), config.p.tolist(), q.tolist()
     zeros = [0.0] * r
 
     def rhs(t, y):
@@ -565,18 +567,16 @@ def _rhs(config: BundleConfig, constants: PinnedConstants):
     return rhs
 
 
-def _integrate_branch(config, constants, a, u2, span, rtol, twist_sign=1.0):
-    """Integrate one series-launched branch over [_EPS, span].
-
-    The far-end branch runs in tau = T - t; the orientation flip reverses
-    the fiber twist there, which enters only the launch series (the bulk
-    equations are even in q).
+def _integrate_branch(config, constants, a, u2, span, rtol, q):
+    """Integrate one series-launched branch over [_EPS, span].  The far-end
+    branch runs in tau = T - t, where the orientation flip reverses the
+    twists (the bulk equations are even in q, the launch series are not).
     """
-    lc = _launch_coefficients(config, a, u2, constants, twist_sign)
+    lc = _launch_coefficients(config, a, u2, constants, q)
     if span <= _EPS:
         raise SolverError("degenerate branch span")
     y0 = _launch_state(lc, _EPS)
-    sol = dop853(_rhs(config, constants), _EPS, span, y0, rtol, _ATOL, None)
+    sol = dop853(_rhs(config, constants, q), _EPS, span, y0, rtol, _ATOL)
     if sol.status != 0:
         raise SolverError(f"branch integration failed: {sol.message}")
     return lc, sol
@@ -610,16 +610,20 @@ def _unpack(x, r):
             x[2 * r + 3])
 
 
-def _match_residual(config, constants, x, t_mid, rtol, base=None):
-    """Continuity defect of both branches at the interior matching point,
-    and the two (launch, integration) pairs it was read from.
+def _match_residual(config, constants, x, t_mid, rtol, q, base=None):
+    """Matching defect at the interior point t_mid for the twists q, and the
+    two (launch, integration) pairs it was read from.
+
+    The continuity defect of the branches (2r+4 rows), then the Kahler
+    rows 2 l_i l_i' - q_i f of the near branch and the far one (in tau,
+    twists -q), which the bulk flow does not keep: 4r+4 rows in all.
 
     ``base = (x_b, (near_b, far_b))`` is an iterate of the same solve (same
-    ``t_mid`` and ``rtol``) with its branches.  A branch whose inputs equal
-    the iterate's exactly is taken from it instead of integrated again: the
-    near branch depends on x[:r+1] only, the far branch on x[r+1:2r+2] and
-    T; the potential offset u0f enters neither.  The defect is then the same
-    float operations on the same states, bit for bit.
+    ``t_mid``, ``rtol`` and ``q``) with its branches.  A branch whose inputs
+    equal the iterate's exactly is taken from it instead of integrated
+    again: the near branch depends on x[:r+1] only, the far branch on
+    x[r+1:2r+2] and T; the potential offset u0f enters neither.  The defect
+    is then the same float operations on the same states, bit for bit.
     """
     r = config.r
     a, u2, af, u2f, u0f, T = _unpack(x, r)
@@ -632,106 +636,40 @@ def _match_residual(config, constants, x, t_mid, rtol, base=None):
                 and T == xb[2 * r + 3]):
             far = far_b
     if near is None:
-        near = _integrate_branch(config, constants, a, u2, t_mid, rtol)
+        near = _integrate_branch(config, constants, a, u2, t_mid, rtol, q)
     if far is None:
         far = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
-                                twist_sign=-1.0)
-    defect = near[1].sol(t_mid) - _reflect(far[1].sol(T - t_mid), r, u0f)
-    return defect, (near, far)
+                                -q)
+    y_near, y_far = near[1].sol(t_mid), far[1].sol(T - t_mid)
+    kaehler = [2.0 * y[2:2 + r] * y[2 + r:2 + 2 * r] - qb * y[0]
+               for y, qb in ((y_near, q), (y_far, -q))]
+    return (np.concatenate([y_near - _reflect(y_far, r, u0f), *kaehler]),
+            (near, far))
 
 
-def _default_guess(config, constants, a, u2):
-    """Probe the near branch to its collapse approach and read off far-end
-    guesses (sizes, potential offset and curvature, total length)."""
-    y0 = _launch_state(_launch_coefficients(config, a, u2, constants), _EPS)
-    r = config.r
-
-    def low(t, y):
-        return y[0] - 0.1
-
-    # the probe ends where f falls through 0.1
-    sol = dop853(_rhs(config, constants), _EPS, 60.0, y0, 1e-9, 1e-11, low)
-    if sol.status != 1:
-        # the message reaches diagnostics.json; perfbench classifies a
-        # failure by its first clause
-        raise SolverError(
-            "probe trajectory never approaches a second collapse; "
-            "solve with method both to start shooting from the momentum "
-            "solution"
-        )
-    t1, y1 = float(sol.t[-1]), sol.y[:, -1]
-    f1, df1 = y1[0], y1[1]
-    tau = -f1 / df1 if df1 < 0 else f1
-    T = t1 + tau
-    af = y1[2:2 + r]
-    u0f = y1[2 + 2 * r] + y1[3 + 2 * r] * tau
-    u2f = -y1[3 + 2 * r] / (2.0 * tau)
-    # matching point: near the peak of f
-    tpk = sol.t[np.argmax(sol.y[0])]
-    return np.concatenate([a, [u2], af, [u2f, u0f, T]]), float(tpk)
-
-
-def _warm_start(config, start):
-    """Trial vector and matching point read off a momentum solution: in its
-    un-normalized gauge u = c s with s ~ t^2/2 at the near end and
-    s ~ 2 - tau^2/2 at the far end, and l_i^2 = q_i s + p_i - q_i."""
-    p, q, c = config.p, config.q, start.c_slope
-    g = start.grid
-    x = np.concatenate([np.sqrt(p - q), [c / 2.0], np.sqrt(p + q),
-                        [-c / 2.0, 2.0 * c, g.T]])
-    return x, float(g.t[np.argmax(g.f)])
-
-
-def solve_shooting(config: BundleConfig, constants: PinnedConstants,
-                   nodes: int = 1024, scheme: str = "chebyshev",
-                   rtol: float = 1e-12,
-                   start: Optional[SolitonSolution] = None
-                   ) -> SolitonSolution:
-    """Shoot the full second-order system from 6th-order series launches at
-    both collapse points and match in the interior.
-
-    The collapse points are exponentially repelling for the linearized flow
-    (the 1/f terms), so a single-ended shot cannot reach the far smoothness
-    conditions; instead both ends are launched with free series data
-    (near: l_i(0), u''(0)/2; far: the mirrored data plus the potential
-    offset and the interval length T) and a damped Newton iteration zeroes
-    the continuity defect of the two branches at an interior point.  The
-    Kahler condition is imposed in the launch series and only monitored
-    along the trajectories; a root that breaks it is rejected.
+def _newton(config, constants, x, t_mid, rtol, q):
+    """Damped Gauss-Newton on the matching defect for the twists q from the
+    trial vector x: the root and the branches of its last matching call,
+    or a SolverError.
 
     The Jacobian is a forward difference, one matching call per variable.
     Each column integrates only the branch its variable moves (a near-end
     variable the near branch; a far-end variable or T the far branch; the
     offset u0f neither) and reuses the iterate's other branch, so it costs
     2r+3 branch integrations instead of 4r+8 and is the same matrix.
-
-    ``start``, a momentum solution of the same config, gives the trial
-    vector and the matching point (warm start); on the reference configs
-    its defect is already below the Newton tolerance, so the solve makes
-    one matching call and takes no step.  Without it the near end
-    starts at l_i(0) = 0.7 sqrt(p_i), u''(0)/2 = 1/4, and a probe
-    integration from there gives the far end, T and the matching point
-    (cold start).
     """
-    r = config.r
-    if start is not None:
-        x, t_mid = _warm_start(config, start)
-    else:
-        x, t_mid = _default_guess(config, constants,
-                                  np.sqrt(config.p) * 0.7, 0.25)
-
     def match(xv, base=None):
-        return _match_residual(config, constants, xv, t_mid, rtol, base)
+        return _match_residual(config, constants, xv, t_mid, rtol, q, base)
 
-    nx = 2 * r + 4
-    # the branches of the accepted iterate are the ones sampled below
     res, branches = match(x)
-    for it in range(40):
+    for steps in range(_NEWTON_ITERS + 1):
         nrm = np.linalg.norm(res)
-        if nrm < 1e-11:
+        if nrm < _NEWTON_TOL:
+            return x, branches
+        if steps == _NEWTON_ITERS:
             break
-        J = np.empty((nx, nx))
-        for j in range(nx):
+        J = np.empty((res.size, x.size))
+        for j in range(x.size):
             h = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += h
@@ -755,11 +693,55 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
                 f"Newton line search stalled at |res|={nrm:.3e}, "
                 f"iterate {x.tolist()}"
             )
-    else:
-        raise SolverError(
-            f"Newton did not converge (|res|={np.linalg.norm(res):.3e})"
-        )
+    raise SolverError(f"Newton did not converge (|res|={nrm:.3e})")
 
+
+def _default_guess(config):
+    """The cold start, integrating nothing: the soliton at twist 0, the
+    product Kahler-Einstein metric f = sin t on [0, pi], l_i = sqrt(p_i),
+    u = 0, as a trial vector, and its matching point pi/2."""
+    root_p = np.sqrt(config.p)
+    x = np.concatenate([root_p, [0.0], root_p, [0.0, 0.0, np.pi]])
+    return x, np.pi / 2.0
+
+
+def _warm_start(config, start):
+    """Trial vector and matching point read off a momentum solution: in its
+    un-normalized gauge u = c s with s ~ t^2/2 at the near end and
+    s ~ 2 - tau^2/2 at the far end, and l_i^2 = q_i s + p_i - q_i."""
+    p, q, c = config.p, config.q, start.c_slope
+    g = start.grid
+    x = np.concatenate([np.sqrt(p - q), [c / 2.0], np.sqrt(p + q),
+                        [-c / 2.0, 2.0 * c, g.T]])
+    return x, float(g.t[np.argmax(g.f)])
+
+
+def _follow_twist(config, constants, x, t_mid, rtol):
+    """The root at the twists q and its branches, by Newton at lambda q for
+    lambda from 0 (where x is the root) to 1, each rung started from the
+    last root.  A failed step is halved; a failed step of _TWIST_STEP_MIN
+    is a SolverError that names the lambda reached."""
+    lam, step = 0.0, _TWIST_STEP
+    while lam < 1.0:
+        rung = lam + step  # dyadic: exact, and never beyond 1
+        try:
+            x, branches = _newton(config, constants, x, t_mid, rtol,
+                                  rung * config.q)
+            lam = rung
+        except SolverError as err:
+            if step <= _TWIST_STEP_MIN:
+                raise SolverError(
+                    f"twist continuation stopped at lambda={lam:g}: the "
+                    f"step to lambda={rung:g} failed: {err}") from None
+            step /= 2.0
+    return x, branches
+
+
+def _sample(config, constants, x, t_mid, branches, nodes, scheme):
+    """The solution on the nodes from a root x and its branches (near up to
+    t_mid, far beyond); a SolverError if its Kahler residual reaches
+    _KAEHLER_ROOT_TOL."""
+    r = config.r
     *_, u0f, T = _unpack(x, r)
     (lcA, solA), (lcB, solB) = branches
     sch = Scheme.of_kind(scheme, nodes, T)
@@ -778,15 +760,13 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
 
     # second derivatives at the interior nodes in one call; at the collapse
     # points f'' is odd (vanishes) and l'', u'' are even
-    dY = _rhs(config, constants)(t[1:-1], Y[:, 1:-1])
+    dY = _rhs(config, constants, config.q)(t[1:-1], Y[:, 1:-1])
     ddf = np.pad(dY[1], 1)
     ddl = np.array([fill_even(t, row) for row in dY[2 + r:2 + 2 * r]])
     ddu = fill_even(t, dY[3 + 2 * r])
 
     grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
                        u=u, du=du, ddu=ddu)
-    # the launch series impose the Kahler condition but the bulk flow does
-    # not: the matching also has non-Kahler roots (Einstein in the interior)
     kaehler = float(np.abs(kaehler_residual(grid, config)).max())
     if kaehler >= _KAEHLER_ROOT_TOL:
         raise SolverError(f"non-Kahler root: T={T:.9g}, Kahler residual "
@@ -795,6 +775,38 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     return gauge_normalize(SolitonSolution(
         grid=grid, config=config, constants=constants, c_slope=c_est,
         method="shooting"))
+
+
+def solve_shooting(config: BundleConfig, constants: PinnedConstants,
+                   nodes: int = 1024, scheme: str = "chebyshev",
+                   rtol: float = 1e-12,
+                   start: Optional[SolitonSolution] = None
+                   ) -> SolitonSolution:
+    """Shoot the full second-order system from 6th-order series launches at
+    both collapse points and match in the interior.
+
+    The collapse points are exponentially repelling for the linearized flow
+    (the 1/f terms), so a single-ended shot cannot reach the far smoothness
+    conditions; instead both ends are launched with free series data
+    (near: l_i(0), u''(0)/2; far: the mirrored data plus the potential
+    offset and the interval length T), and damped Gauss-Newton zeroes the
+    matching defect at an interior point (``_match_residual``).  A sampled
+    root that breaks the Kahler condition is rejected.
+
+    ``start``, a momentum solution of the same config, gives the trial
+    vector and the matching point (warm start); on the reference configs
+    its defect is already below the Newton tolerance, so the solve makes
+    one matching call and takes no step.  Without it (cold start) the
+    solve follows the twist from the product Kahler-Einstein metric, the
+    soliton at twist 0 (``_default_guess``, ``_follow_twist``).
+    """
+    if start is not None:
+        x, t_mid = _warm_start(config, start)
+        x, branches = _newton(config, constants, x, t_mid, rtol, config.q)
+    else:
+        x, t_mid = _default_guess(config)
+        x, branches = _follow_twist(config, constants, x, t_mid, rtol)
+    return _sample(config, constants, x, t_mid, branches, nodes, scheme)
 
 
 # ---------------------------------------------------------------------------

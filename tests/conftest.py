@@ -55,13 +55,27 @@ def two_factor_shooting(two_factor_config, constants):
 @pytest.fixture(scope="session")
 def kc_spurious_root():
     """A shooting trial vector (near a_1, u2; far a_1, u2, u-offset; T) that
-    zeroes the kc matching defect but is not the soliton.  Newton from 1.1
-    (or 0.9) times the kc warm-start vector converges to it, |res| ~ 1e-15;
+    zeroes the continuity defect of the kc matching but not its Kahler rows,
+    so it is not the soliton.  Newton without those rows, from 1.1 (or 0.9)
+    times the kc warm-start vector, converged to it, |res| ~ 1e-15;
     T = 3.2652 instead of 3.1982 and the Kahler residual is near 1.04 (most
     likely the Page metric seen through the Kahler launch series)."""
     return np.array([1.3108705933023035, 0.20900597324778578,
                      1.310812536797047, -0.37297402534783647,
                      -8.079204859601818e-05, 3.265186135505004])
+
+
+@pytest.fixture
+def spurious_newton(monkeypatch, kc_spurious_root):
+    """Make shooting's Newton return kc_spurious_root, with the branches of
+    its matching call, from any start: the root then reaches the sampling
+    and its Kahler gate."""
+    def newton(config, constants, x, t_mid, rtol, q):
+        _, branches = solver._match_residual(config, constants,
+                                             kc_spurious_root, t_mid, rtol, q)
+        return kc_spurious_root, branches
+
+    monkeypatch.setattr(solver, "_newton", newton)
 
 
 @pytest.fixture

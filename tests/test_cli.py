@@ -150,8 +150,7 @@ class TestSolve:
             else:
                 assert start.method == "momentum" and start.grid.t.size == 257
 
-    # configs on which shooting's cold start fails (probe, integration,
-    # line search, time) and the warm start of method both converges
+    # the configs that are hardest for a cold start (see TestColdShooting)
     @pytest.mark.parametrize("factors", [
         [[2, 2, -1]], [[2, 2, 1], [2, 2, -1]], [[2, 3, 2]], [[4, 3, 2]],
         [[6, 4, 1]], [[2, 2, 1], [2, 2, 1], [2, 2, 1]],
@@ -173,16 +172,10 @@ class TestSolve:
         assert abs(sho["T"] - mom["T"]) < 1e-9
         assert sho["residuals"]["cross_method"] <= 1e-9
 
-    def test_non_kaehler_root_exits_3(self, pipeline, tmp_path, monkeypatch,
-                                      kc_spurious_root):
-        # a warm start placed on a non-Kahler root: Newton accepts it with
-        # no step, the rejection names it and reaches diagnostics.json
-        warm_start = solver._warm_start
-
-        def spurious_start(config, start):
-            return kc_spurious_root, warm_start(config, start)[1]
-
-        monkeypatch.setattr(solver, "_warm_start", spurious_start)
+    def test_non_kaehler_root_exits_3(self, pipeline, tmp_path,
+                                      spurious_newton):
+        # a Newton that lands on a non-Kahler root: the rejection at
+        # sampling names it and reaches diagnostics.json
         out = tmp_path / "o"
         assert run("solve", "--config", pipeline["config"], "--constants",
                    pipeline["constants"], "--out", str(out)) == 3
@@ -370,6 +363,67 @@ def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
         assert run(*argv) == 0
         per_command.append(len(ricci_calls) - before)
     assert per_command == [1, 1, 1]
+
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "reference.json")
+# the configs on which a cold start from a probe integration of the near
+# branch failed (the probe, the integration, the line search or Newton's
+# step cap), and the two images of kc under maps that fix the soliton up to
+# the sign of c
+FORMER_FAILURES = ("kc_mirror", "s2xs2_opp", "s2_p3_q2", "cp2_q2", "cp3_q1",
+                   "three_s2")
+COLD_CONFIGS = ("kc", "kc_scaled", *FORMER_FAILURES)
+
+
+@pytest.fixture(scope="module")
+def cold_solves(pipeline, constants, tmp_path_factory):
+    """`krs solve` with method shooting alone at N = 512, per name: its exit
+    code, its solution metadata, and the momentum solution of the same
+    config."""
+    with open(REFERENCE) as fh:
+        configs = json.load(fh)["configs"]
+    root = tmp_path_factory.mktemp("cold")
+    solved = {}
+    for name in COLD_CONFIGS:
+        factors = configs[name]["factors"]
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "factors": [{"dim": d, "einstein_constant": p, "twist": q}
+                        for d, p, q in factors],
+            "grid": {"nodes": 512}, "method": "shooting",
+        }))
+        out = root / name
+        code = run("solve", "--config", str(cfg), "--constants",
+                   pipeline["constants"], "--out", str(out))
+        meta = (json.loads((out / "solution_shooting.json").read_text())
+                if code == 0 else None)
+        config = BundleConfig(factors=tuple(
+            BaseFactor(d=d, p=float(p), q=q) for d, p, q in factors))
+        momentum = solver.solve_momentum(config, constants, nodes=512)
+        solved[name] = (code, meta, momentum)
+    return solved
+
+
+class TestColdShooting:
+    @pytest.mark.parametrize("name", FORMER_FAILURES)
+    def test_former_failures_agree_with_momentum(self, cold_solves, name):
+        code, meta, momentum = cold_solves[name]
+        assert code == 0
+        assert abs(meta["c_slope"] - momentum.c_slope) <= 1e-9
+        assert abs(meta["T"] - momentum.grid.T) <= 1e-9
+
+    def test_mirror_twist_flips_the_slope(self, cold_solves):
+        (_, kc, _), (_, mirror, _) = (cold_solves[n]
+                                      for n in ("kc", "kc_mirror"))
+        assert abs(mirror["c_slope"] + kc["c_slope"]) <= 1e-9
+        assert abs(mirror["T"] - kc["T"]) <= 1e-9
+
+    def test_scaled_p_and_q_keep_the_soliton(self, cold_solves):
+        (_, kc, _), (_, scaled, _) = (cold_solves[n]
+                                      for n in ("kc", "kc_scaled"))
+        assert abs(scaled["c_slope"] - kc["c_slope"]) <= 1e-9
+        assert abs(scaled["T"] - kc["T"]) <= 1e-9
 
 
 class TestVerify:
@@ -640,3 +694,20 @@ class TestStreamedTable:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+    def test_table_fills_one_array(self, constants):
+        # three factors at N = 4096: the profile rows are copied once into
+        # the (16, 4097) result, in the CSV's column order
+        g = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
+                                  constants, nodes=4096).grid
+        tracemalloc.start()
+        try:
+            table = g.table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * table.nbytes
+        factor_rows = [row for i in range(3)
+                       for row in (g.l[i], g.dl[i], g.ddl[i])]
+        assert np.array_equal(table, np.array([
+            g.t, g.f, g.df, g.ddf, *factor_rows, g.u, g.du, g.ddu]))

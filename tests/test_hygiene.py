@@ -445,7 +445,7 @@ def test_every_default_is_set_by_a_caller():
 
 
 # the package's settable values (parameter and dataclass-field defaults)
-SETTABLE_CEILING = 39
+SETTABLE_CEILING = 37
 
 
 def test_settable_values_do_not_grow():

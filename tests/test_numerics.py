@@ -63,9 +63,10 @@ def warm_branches(request, constants):
     start = solver.solve_momentum(config, constants, nodes=512)
     x, t_mid = solver._warm_start(config, start)
     a, u2, af, u2f, _, T = solver._unpack(x, config.r)
-    rhs = solver._rhs(config, constants)
-    near = solver._launch_coefficients(config, a, u2, constants)
-    far = solver._launch_coefficients(config, af, u2f, constants, -1.0)
+    q = config.q
+    rhs = solver._rhs(config, constants, q)
+    near = solver._launch_coefficients(config, a, u2, constants, q)
+    far = solver._launch_coefficients(config, af, u2f, constants, -q)
     return {"near": (rhs, solver._launch_state(near, solver._EPS), t_mid),
             "far": (rhs, solver._launch_state(far, solver._EPS), T - t_mid)}
 
@@ -73,89 +74,71 @@ def warm_branches(request, constants):
 @pytest.mark.parametrize("branch", ["near", "far"])
 def test_dop853_is_solve_ivp_on_the_warm_branches(warm_branches, branch):
     rhs, y0, span = warm_branches[branch]
-    ours = numerics.dop853(rhs, solver._EPS, span, y0, 1e-12, solver._ATOL,
-                           None)
+    ours = numerics.dop853(rhs, solver._EPS, span, y0, 1e-12, solver._ATOL)
     ref = solve_ivp(rhs, (solver._EPS, span), y0, method="DOP853",
                     rtol=1e-12, atol=solver._ATOL, dense_output=True)
     assert ours.status == 0
     _same_trajectory(ours, ref, _read_points(ref.t))
 
 
-def _probe(config, constants, terminal):
-    """The cold start's probe: right-hand side, launch state and the event
-    f = 0.1 (with scipy's attributes when ``terminal``)."""
-    lc = solver._launch_coefficients(config, np.sqrt(config.p) * 0.7, 0.25,
-                                     constants)
-
-    def low(t, y):
-        return y[0] - 0.1
-
-    if terminal:
-        low.terminal, low.direction = True, -1.0
-    return (solver._rhs(config, constants),
-            solver._launch_state(lc, solver._EPS), low)
-
-
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_probe_event_is_solve_ivp(name, constants):
+def test_dop853_is_solve_ivp_on_the_cold_branches(name, constants):
+    # the first matching call of the cold start: both branches of the
+    # product Kahler-Einstein trial at the twists q/2, launched from sizes
+    # sqrt(p_i) that do not fit them
     config = _bundle(CONFIGS[name]["factors"])
-    rhs, y0, low = _probe(config, constants, terminal=False)
-    ours = numerics.dop853(rhs, solver._EPS, 60.0, y0, 1e-9, 1e-11, low)
-    rhs, y0, low = _probe(config, constants, terminal=True)
-    ref = solve_ivp(rhs, (solver._EPS, 60.0), y0, method="DOP853",
-                    rtol=1e-9, atol=1e-11, events=low, dense_output=True)
-    # kc_mirror and s2xs2_opp never reach f = 0.1: their probes fail in
-    # integration, and so does cold shooting there
-    if ref.status == 1:
-        assert ours.t[-1] == ref.t_events[0][0]
-    else:
-        assert ours.message == ref.message == numerics.STEP_TOO_SMALL
-    _same_trajectory(ours, ref, _read_points(ref.t))
+    x, t_mid = solver._default_guess(config)
+    a, u2, af, u2f, _, T = solver._unpack(x, config.r)
+    q = 0.5 * config.q
+    rhs = solver._rhs(config, constants, q)
+    for a, u2, q, span in ((a, u2, q, t_mid), (af, u2f, -q, T - t_mid)):
+        y0 = solver._launch_state(
+            solver._launch_coefficients(config, a, u2, constants, q),
+            solver._EPS)
+        ours = numerics.dop853(rhs, solver._EPS, span, y0, 1e-12,
+                               solver._ATOL)
+        ref = solve_ivp(rhs, (solver._EPS, span), y0, method="DOP853",
+                        rtol=1e-12, atol=solver._ATOL, dense_output=True)
+        assert ours.status == ref.status == 0
+        _same_trajectory(ours, ref, _read_points(ref.t))
 
 
-def test_failed_integration_keeps_its_message(constants):
-    # cold shooting on cp2_q2 fails on its first far branch (from the
-    # probe): the step size falls below the spacing of the floats
-    config = _bundle(CONFIGS["cp2_q2"]["factors"])
-    x, t_mid = solver._default_guess(config, constants,
-                                     np.sqrt(config.p) * 0.7, 0.25)
-    _, _, af, u2f, _, T = solver._unpack(x, config.r)
-    lc = solver._launch_coefficients(config, af, u2f, constants, -1.0)
-    rhs, y0 = solver._rhs(config, constants), solver._launch_state(
-        lc, solver._EPS)
-    ours = numerics.dop853(rhs, solver._EPS, T - t_mid, y0, 1e-12,
-                           solver._ATOL, None)
-    ref = solve_ivp(rhs, (solver._EPS, T - t_mid), y0, method="DOP853",
-                    rtol=1e-12, atol=solver._ATOL, dense_output=True)
+def _blow_up(t, y):
+    return y * y
+
+
+def test_failed_integration_keeps_its_message(kc_config, constants,
+                                              monkeypatch):
+    # y' = y^2, y(0) = 1 is 1/(1 - t): the steps shrink at t = 1 until
+    # they fall below the spacing of the floats
+    y0 = np.array([1.0])
+    ours = numerics.dop853(_blow_up, 0.0, 2.0, y0, 1e-10, 1e-12)
+    ref = solve_ivp(_blow_up, (0.0, 2.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, dense_output=True)
     assert ours.status == ref.status == -1
     assert ours.message == ref.message == numerics.STEP_TOO_SMALL
-    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    assert ours.t[-1] == pytest.approx(1.0, abs=1e-9)
+    _same_trajectory(ours, ref, _read_points(ref.t))
+    # a shooting branch on that flow fails with the integrator's message
+    monkeypatch.setattr(solver, "_rhs", lambda *args: _blow_up)
     with pytest.raises(solver.SolverError, match=r"^branch integration "
                        r"failed: Required step size is less than spacing "
                        r"between numbers\.$"):
-        solver._integrate_branch(config, constants, af, u2f, T - t_mid,
-                                 1e-12, twist_sign=-1.0)
+        solver._integrate_branch(kc_config, constants, np.array([1.0]), 0.0,
+                                 2.0, 1e-12, kc_config.q)
 
 
 def test_dop853_on_a_stiffening_oscillator():
     # away from krslab's system: a growing-frequency oscillator over many
-    # steps, with rejected steps, and an event on a falling coordinate
+    # steps, with rejected steps
     def rhs(t, y):
         return np.array([y[1], -(1.0 + t * t) * y[0]])
 
-    def low(t, y):
-        return y[0] + 0.5
-
     y0 = np.array([1.0, 0.0])
-    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12, None)
+    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
     ref = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", rtol=1e-10,
                     atol=1e-12, dense_output=True)
-    _same_trajectory(ours, ref, _read_points(ref.t))
-    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12, low)
-    low.terminal, low.direction = True, -1.0
-    ref = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", rtol=1e-10,
-                    atol=1e-12, dense_output=True, events=low)
-    assert ours.status == ref.status == 1
+    assert ours.status == ref.status == 0
     _same_trajectory(ours, ref, _read_points(ref.t))
 
 

@@ -18,12 +18,15 @@ def _bundle(factors):
 
 
 def _cold_start_from(monkeypatch, a, u2):
-    """Make shooting's cold start probe from the near-end data (a, u2)
-    instead of its fixed start."""
+    """Make shooting's cold start begin with the near-end data (a, u2) in
+    place of the product Kahler-Einstein one."""
     guess = solver._default_guess
 
-    def moved(config, constants, *_):
-        return guess(config, constants, a, u2)
+    def moved(config):
+        x, t_mid = guess(config)
+        x = x.copy()
+        x[:config.r], x[config.r] = a, u2
+        return x, t_mid
 
     monkeypatch.setattr(solver, "_default_guess", moved)
 
@@ -280,15 +283,15 @@ class TestShooting:
         assert sho.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-8)
 
     def test_cold_start_reproduces_its_result(self, kc_shooting_2048):
-        # the cold route (probe guess, damped Newton, sampling the branches
-        # of the accepted iterate) gives this kc result bit for bit
+        # the cold route (product Kahler-Einstein start, Newton with the
+        # Kahler rows at the twists q/2 and q, sampling the branches of the
+        # accepted iterate) gives this kc result bit for bit
         sol = kc_shooting_2048
-        assert float(sol.c_slope).hex() == "0x1.0e24254d6041ap-1"
-        assert sol.grid.T.hex() == "0x1.995d7824ffdaap+1"
+        assert float(sol.c_slope).hex() == "0x1.0e24254d604eep-1"
+        assert sol.grid.T.hex() == "0x1.995d7824ffd19p+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
-            "804ad86a4f513e6cd4728312658c560fd5aef8df176d63417a410704ecbc4511")
-        # the 25-digit mpmath slope (TestMomentum): 1.6e-13 off with the
-        # sixth-order launch, 3.8e-12 with the fourth-order one
+            "86c0a252e0c397ae5047a9c49c8b2815ae73c4b12d0da3776e95fd53ee856460")
+        # the 25-digit mpmath slope (TestMomentum): 1.3e-13 off
         assert abs(sol.c_slope - 0.5276195198969628) <= 5e-13
 
     def test_cold_start_reproduces_two_factor_result(self,
@@ -296,12 +299,11 @@ class TestShooting:
                                                      two_factor_momentum):
         # the cold route on two S^2 factors (r = 2) at N = 512, bit for bit
         sol = two_factor_shooting
-        assert float(sol.c_slope).hex() == "0x1.0de1d11602c78p+0"
-        assert sol.grid.T.hex() == "0x1.a0a61a8ce235bp+1"
+        assert float(sol.c_slope).hex() == "0x1.0de1d116028e6p+0"
+        assert sol.grid.T.hex() == "0x1.a0a61a8ce230cp+1"
         assert hashlib.sha256(sol.grid.table().tobytes()).hexdigest() == (
-            "4176a53709bd1758d9fa26fe6840306ba422e6efbbc1db3c7c03613e4204181f")
-        # 7.7e-14 from the momentum slope with the sixth-order launch,
-        # 9.7e-12 with the fourth-order one
+            "56c4e86791d65b12e40d4774c78ddb24f8f98ce1174a435bdbf2d626710e9200")
+        # 2.8e-13 from the momentum slope
         assert abs(sol.c_slope - two_factor_momentum.c_slope) <= 5e-13
 
     # warm start (method both) at N = 512: c, T and the profile table
@@ -359,10 +361,11 @@ class TestShooting:
         r = cfg.r
         x, _ = solver._warm_start(
             cfg, solver.solve_momentum(cfg, constants, nodes=64))
-        rhs = solver._rhs(cfg, constants)
+        rhs = solver._rhs(cfg, constants, cfg.q)
         for a, u2, sign in ((x[:r], x[r], 1.0),
                             (x[r + 1:2 * r + 1], x[2 * r + 1], -1.0)):
-            lc = solver._launch_coefficients(cfg, a, u2, constants, sign)
+            lc = solver._launch_coefficients(cfg, a, u2, constants,
+                                             sign * cfg.q)
 
             def defect(t):
                 dy = solver._launch_state(lc, complex(t, 1e-30)).imag / 1e-30
@@ -412,25 +415,26 @@ class TestShooting:
                                   "u0f", "T"])
     def test_reused_branch_gives_the_fresh_defect(self, kc_config, constants,
                                                   kc_momentum, j):
+        q = kc_config.q
         x, t_mid = solver._warm_start(kc_config, kc_momentum)
         _, branches = solver._match_residual(kc_config, constants, x, t_mid,
-                                             1e-12)
+                                             1e-12, q)
         xp = x.copy()
         xp[j] += 1e-7 * max(1.0, abs(x[j]))
         reused, (near, far) = solver._match_residual(
-            kc_config, constants, xp, t_mid, 1e-12, base=(x, branches))
+            kc_config, constants, xp, t_mid, 1e-12, q, base=(x, branches))
         fresh, _ = solver._match_residual(kc_config, constants, xp, t_mid,
-                                          1e-12)
+                                          1e-12, q)
         assert np.array_equal(reused, fresh)
         assert (near is branches[0]) == (j > 1)
         assert (far is branches[1]) == (j in (0, 1, 4))
 
     def test_warm_start_skips_the_probe(self, kc_config, constants,
                                         kc_momentum, monkeypatch):
-        def no_probe(*args, **kwargs):
-            raise AssertionError("the probe ran on a warm start")
+        def no_cold_start(*args, **kwargs):
+            raise AssertionError("the cold start ran on a warm start")
 
-        monkeypatch.setattr(solver, "_default_guess", no_probe)
+        monkeypatch.setattr(solver, "_default_guess", no_cold_start)
         sho = solver.solve_shooting(kc_config, constants, nodes=512,
                                     start=kc_momentum)
         assert sho.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-9)
@@ -438,30 +442,83 @@ class TestShooting:
         assert solver.cross_method_disagreement(kc_momentum, sho) < 1e-9
 
     def test_non_kaehler_root_rejected(self, kc_config, constants,
-                                       kc_spurious_root, monkeypatch):
-        # a cold start placed on a non-Kahler root, at the probe's matching
-        # point: Newton accepts it with no step and the rejection names it
-        guess = solver._default_guess
-
-        def spurious_guess(*args):
-            return kc_spurious_root, guess(*args)[1]
-
-        monkeypatch.setattr(solver, "_default_guess", spurious_guess)
+                                       spurious_newton):
+        # a Newton that lands on a non-Kahler root: sampling rejects it and
+        # the message names it
         with pytest.raises(solver.SolverError,
                            match=r"non-Kahler root: T=3\.2651.*residual 1\.0"):
             solver.solve_shooting(kc_config, constants, nodes=64)
 
-    def test_failed_probe_points_to_method_both(self, constants):
-        # cold shooting on the mirrored Koiso-Cao bundle: the probe never
-        # nears the far collapse, and the message names the warm start
-        mirror = BundleConfig(factors=(BaseFactor(d=2, p=2.0, q=-1),))
-        with pytest.raises(solver.SolverError, match=(
-                r"^probe trajectory never approaches a second collapse; "
-                r"solve with method both to start shooting from the "
-                r"momentum solution$")):
-            solver.solve_shooting(mirror, constants, nodes=512)
+    def test_kaehler_rows_separate_the_spurious_root(
+            self, kc_config, constants, kc_momentum, kc_spurious_root):
+        # the spurious root zeroes the continuity defect, not the Kahler
+        # rows: with them it is no root of the matching defect
+        _, t_mid = solver._warm_start(kc_config, kc_momentum)
+        defect, _ = solver._match_residual(kc_config, constants,
+                                           kc_spurious_root, t_mid, 1e-12,
+                                           kc_config.q)
+        r = kc_config.r
+        assert defect.shape == (4 * r + 4,)
+        assert np.abs(defect[:2 * r + 4]).max() < 1e-9
+        assert np.abs(defect[2 * r + 4:]).max() > 0.1
+
+    def test_cold_start_is_the_product_einstein_metric(self, constants,
+                                                       monkeypatch):
+        # closed form, no integration: f = sin t on [0, pi], l_i = sqrt p_i
+        def no_integration(*args):
+            raise AssertionError("the cold start integrated")
+
+        monkeypatch.setattr(solver, "dop853", no_integration)
+        x, t_mid = solver._default_guess(_bundle([(2, 4, 1), (4, 9, -2)]))
+        assert x.tolist() == [2.0, 3.0, 0.0, 2.0, 3.0, 0.0, 0.0, np.pi]
+        assert t_mid == np.pi / 2.0
+
+    def test_continuation_halves_a_failed_step(self, kc_config, constants,
+                                               kc_momentum, monkeypatch):
+        # the first rung (twist q/2) fails; from half that step the ladder
+        # climbs q/4, q/2, 3q/4, q, and Newton at q alone finds kc
+        newton, twists = solver._newton, []
+
+        def first_fails(config, constants, x, t_mid, rtol, q):
+            twists.append(float(q[0] / config.q[0]))
+            if len(twists) == 1:
+                raise solver.SolverError("Newton did not converge")
+            if twists[-1] < 1.0:
+                return x, None
+            return newton(config, constants, x, t_mid, rtol, q)
+
+        monkeypatch.setattr(solver, "_newton", first_fails)
+        sol = solver.solve_shooting(kc_config, constants, nodes=128)
+        assert twists == [0.5, 0.25, 0.5, 0.75, 1.0]
+        assert sol.c_slope == pytest.approx(kc_momentum.c_slope, abs=1e-9)
+
+    @pytest.mark.parametrize("message", [
+        "Newton did not converge (|res|=4.287e+01)",
+        "Newton line search stalled at |res|=8.461e+00",
+        "branch integration failed: Required step size",
+    ])
+    def test_continuation_stops_after_five_halvings(self, kc_config,
+                                                    constants, monkeypatch,
+                                                    message):
+        # steps of 1/2 down to 1/32 from lambda = 0, then a SolverError
+        # that names the lambda reached and keeps Newton's message (a
+        # failure's class is read off it)
+        twists = []
+
+        def failing(config, constants, x, t_mid, rtol, q):
+            twists.append(float(q[0] / config.q[0]))
+            raise solver.SolverError(message)
+
+        monkeypatch.setattr(solver, "_newton", failing)
+        with pytest.raises(solver.SolverError) as err:
+            solver.solve_shooting(kc_config, constants, nodes=64)
+        assert twists == [0.5, 0.25, 0.125, 0.0625, 0.03125]
+        assert str(err.value) == (
+            "twist continuation stopped at lambda=0: the step to "
+            f"lambda=0.03125 failed: {message}")
 
     def test_bad_guess_raises(self, kc_config, constants, monkeypatch):
+        # every rung's first matching call meets l_1(0) = -1
         _cold_start_from(monkeypatch, np.array([-1.0]), 0.25)
         with pytest.raises(solver.SolverError, match="nonpositive"):
             solver.solve_shooting(kc_config, constants, nodes=128)
@@ -470,7 +527,8 @@ class TestShooting:
         # one read of the series and one of the dense output per branch
         # give the per-node values bit for bit
         lc, sol = solver._integrate_branch(kc_config, constants,
-                                           np.array([1.0]), 0.26, 1.5, 1e-12)
+                                           np.array([1.0]), 0.26, 1.5, 1e-12,
+                                           kc_config.q)
         t = np.concatenate([np.linspace(0.0, 2.0 * solver._EPS, 7),
                             np.linspace(0.01, 1.5, 50)])
         ref = np.array([solver._launch_state(lc, tk) if tk < solver._EPS
@@ -497,7 +555,7 @@ class TestShooting:
         Y = np.array([[data.draw(kind) for _ in range(points)]
                       for kind in (pos, real, *[pos] * r,
                                    *[real] * (r + 2))])
-        rhs = solver._rhs(config, constants)
+        rhs = solver._rhs(config, constants, config.q)
         many = rhs(0.5, Y)
         for k in range(points):
             one = rhs(0.5, Y[:, k])
@@ -517,8 +575,8 @@ class TestShooting:
         f, df = rng.uniform(0.3, 1.5, S), rng.uniform(-1.0, 1.0, S)
         l, dl = rng.uniform(0.7, 1.8, (r, S)), rng.uniform(-0.5, 0.5, (r, S))
         u, du = rng.uniform(-1.0, 1.0, S), rng.uniform(-1.0, 1.0, S)
-        dy = solver._rhs(config, constants)(0.0,
-                                            np.vstack([f, df, l, dl, u, du]))
+        dy = solver._rhs(config, constants, config.q)(
+            0.0, np.vstack([f, df, l, dl, u, du]))
         ddf, ddl, ddu = dy[1], dy[2 + r:2 + 2 * r], dy[3 + 2 * r]
         R_NN, R_UU, R_i = ricci_frame(
             f, df, ddf, l, dl, ddl, config.d, config.p, config.q,

@@ -17,9 +17,9 @@ The set: `krs pin-constants` with seeds 0 and 42; Koiso-Cao and a
 two-factor bundle at N = 1024 through `solve` (method both), then `verify`
 and `stability` of both solutions, with and without `--config`; and the
 twelve crosscheck bundles of perfbench/reference.json at N = 512, solved
-with method both and with method shooting alone (cold shooting on three
-S^2 factors alone takes about 20 s of the whole run's 30 s on a 2-vCPU
-host).  Every solve uses the seed-0 constants.
+with method both and with method shooting alone (cold shooting takes
+about 0.4 to 1.5 s per bundle, about 1 s on three S^2 factors, on a
+2-vCPU host).  Every solve uses the seed-0 constants.
 """
 
 import contextlib
