@@ -45,21 +45,6 @@ class HermitianModel:
             raise AlgebraError("h must be symmetric")
 
 
-def _check_blocks(m: int, h: np.ndarray):
-    """Skew-Hermitian block conditions h_{ij} = -h_{(i+m)(j+m)},
-    h_{i(j+m)} = h_{(i+m)j}; raise with the first violating index pair."""
-    for i in range(m):
-        for j in range(m):
-            if abs(h[i, j] + h[i + m, j + m]) > 1e-13 * (1 + abs(h[i, j])):
-                raise AlgebraError(
-                    f"block condition h[{i},{j}] = -h[{i + m},{j + m}] violated"
-                )
-            if abs(h[i, j + m] - h[i + m, j]) > 1e-13 * (1 + abs(h[i, j + m])):
-                raise AlgebraError(
-                    f"block condition h[{i},{j + m}] = h[{i + m},{j}] violated"
-                )
-
-
 def skew_pairing(model: HermitianModel, check: bool = True) -> float:
     """Difference of the two expressions for (Ric o h - h o i rho, h) with
     diagonalized Ricci: sum_i c_i h_{ij}^2 against twice the mixed double
@@ -68,7 +53,7 @@ def skew_pairing(model: HermitianModel, check: bool = True) -> float:
     controls), where the cancellation fails."""
     m, c, h = model.m, model.c, model.h
     if check:
-        _check_blocks(m, h)
+        require_anti_invariant(m, h)
     expr1 = float(np.einsum("i,ij,ij->", c, h, h))
     expr2 = 0.0
     for j in range(m):
@@ -79,10 +64,25 @@ def skew_pairing(model: HermitianModel, check: bool = True) -> float:
     return expr1 - expr2
 
 
-def is_anti_invariant(m: int, h: np.ndarray) -> bool:
+def _anti_invariance_defect(m: int, h: np.ndarray):
+    """Worst entry of |J^T h J + h|, its index, and 1e-13 max(max |h|, 1)."""
     J = standard_J(m)
-    scale = max(float(np.abs(h).max()), 1.0)
-    return bool(np.abs(J.T @ h @ J + h).max() <= 1e-13 * scale)
+    defect = np.abs(J.T @ h @ J + h)
+    ij = np.unravel_index(np.argmax(defect), defect.shape)
+    return defect[ij], ij, 1e-13 * max(float(np.abs(h).max()), 1.0)
+
+
+def is_anti_invariant(m: int, h: np.ndarray) -> bool:
+    worst, _, bound = _anti_invariance_defect(m, h)
+    return bool(worst <= bound)
+
+
+def require_anti_invariant(m: int, h: np.ndarray):
+    """AlgebraError unless ``is_anti_invariant``, naming the worst entry."""
+    worst, (i, j), bound = _anti_invariance_defect(m, h)
+    if not worst <= bound:
+        raise AlgebraError(f"h must be J-anti-invariant: |J^T h J + h| is "
+                           f"{worst:.3e} at h[{i},{j}], above {bound:.1e}")
 
 
 def _unitary_frame_matrix(m: int, h: np.ndarray) -> np.ndarray:
@@ -113,8 +113,7 @@ def frame_pairing_check(m: int, h: np.ndarray, h_tilde: np.ndarray,
     for mat in (h, h_tilde):
         if not np.array_equal(mat, mat.T):
             raise AlgebraError("inputs must be symmetric")
-        if not is_anti_invariant(m, mat):
-            raise AlgebraError("inputs must be J-anti-invariant")
+        require_anti_invariant(m, mat)
     H = _unitary_frame_matrix(m, h)
     Ht = _unitary_frame_matrix(m, h_tilde)
     if unitary is not None:
@@ -131,8 +130,7 @@ def anti_invariant_facts(m: int, h: np.ndarray,
     """(trace, pairing with a J-invariant symmetric k); both vanish for
     anti-invariant h.  If k is not supplied a random invariant one is drawn
     from the fixed seed 0, so the result is deterministic."""
-    if not is_anti_invariant(m, h):
-        raise AlgebraError("h must be J-anti-invariant")
+    require_anti_invariant(m, h)
     if k is None:
         k = random_invariant(np.random.default_rng(0), m)
     return float(np.trace(h)), float(np.sum(h * k))
@@ -193,7 +191,7 @@ def anti_invariant_pairing_vanishes() -> bool:
     return True
 
 
-def fuzz_suite(seed: int = 0, trials: int = 1000) -> dict:
+def fuzz_suite(seed: int, trials: int) -> dict:
     """Randomized suite over all three operations, m in {1..4}; returns the
     worst scale-normalized residual seen."""
     rng = np.random.default_rng(seed)

@@ -126,10 +126,8 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
 
 
 # ---------------------------------------------------------------------------
-# commands; main() maps a ConfigError (malformed config, constants,
-# solution metadata, or a profile table that is missing, unparseable or
-# of the wrong shape) to exit 1, and any other OSError or ValueError (such
-# as a solution failing a geometry or stability precondition) to exit 4
+# commands; main() maps a ConfigError to exit 1, an OracleError to exit 2,
+# and any other OSError or ValueError (a failed precondition) to exit 4
 
 
 def cmd_pin_constants(args) -> int:
@@ -137,8 +135,7 @@ def cmd_pin_constants(args) -> int:
         pc = pin_constants(seed=args.seed)
     except OracleError as exc:
         _write_json(args.out, {"error": str(exc)})
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+        raise
     _write_json(args.out, pc.to_dict())
     print(f"pinned constants written to {args.out} "
           f"(A={pc.A}, B={pc.B}, max_rel_err={pc.max_rel_err:.3e})")
@@ -299,6 +296,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OracleError as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     except (OSError, ValueError) as exc:
         print(f"{args.command} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -132,23 +132,19 @@ def _frame(state: LocalState, x: np.ndarray) -> np.ndarray:
     return frame  # frame[:, a] is the a-th vector
 
 
-def oracle_ricci(state: LocalState, x: np.ndarray | None = None):
-    """Ricci components (R_NN, R_UU, R_H) in the unit frame, with Richardson
-    extrapolation in the finite-difference step (FD_STEP, then at most
-    ROMBERG_LEVELS halvings) until the estimated absolute error is below
-    FD_TOL.
+def oracle_ricci(state: LocalState, x: np.ndarray):
+    """Ricci components (R_NN, R_UU, R_H) in the unit frame at the chart
+    point x, with Richardson extrapolation in the finite-difference step
+    (FD_STEP, then at most ROMBERG_LEVELS halvings) until the estimated
+    absolute error is below FD_TOL.
 
     Returns (components, err_estimate).  Raises OracleError on
     non-convergence.
     """
-    if x is None:
-        x = np.array([0.0, 0.3, 1.4, 0.7])
     frame = _frame(state, x)
 
     def components(step):
-        ric = _ricci_once(state, x, step)
-        vals = frame.T @ ric @ frame
-        return np.array([vals[0, 0], vals[1, 1], vals[2, 2], vals[3, 3]])
+        return np.diag(frame.T @ _ricci_once(state, x, step) @ frame)
 
     # Romberg table over step halvings; error from successive diagonal entries
     rows = [[components(FD_STEP)]]

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (SOLUTION_METHODS, TAU, BundleConfig, ConfigError,
-                     check_keys, get_field)
+                     RunConfig, Tolerances, check_keys, get_field)
 from .geometry import (
     PinnedConstants,
     ProfileGrid,
@@ -363,8 +363,17 @@ def find_slope_roots(config: BundleConfig, b):
     return [brentq(F, cs[lo], cs[hi], 1e-15, 8.9e-16)]
 
 
+def _require_admissible(config: BundleConfig):
+    """NoSolitonFound unless l_i^2 = q_i s + p_i - q_i > 0 on [0, 2]."""
+    l2_ends = np.minimum(config.p - config.q, config.p + config.q)
+    if np.any(l2_ends <= 0):
+        raise NoSolitonFound("factor size l_i^2 = q_i s + p_i - q_i is not "
+                             f"positive on [0, 2] (endpoint values "
+                             f"{l2_ends.tolist()})")
+
+
 def solve_momentum(config: BundleConfig, constants: PinnedConstants,
-                   nodes: int = 1024, scheme: str = "chebyshev"
+                   nodes: int, scheme: str = RunConfig.scheme
                    ) -> SolitonSolution:
     """Solve by the momentum reduction and reconstruct the t-profiles.
 
@@ -384,6 +393,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     the series' sample points, and f = sqrt(phi) = sin(xi) / (dt/dxi) is
     read off the same series there.
     """
+    _require_admissible(config)
     if not (np.isclose(constants.A, _REDUCTION_A)
             and np.isclose(constants.B, _REDUCTION_B)):
         raise SolverError(
@@ -391,12 +401,6 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
             f"reduction was derived for: got (A,B)=({constants.A},{constants.B})"
         )
     b = config.p - config.q
-    l2_ends = np.minimum(b, 2.0 * config.q + b)
-    if np.any(l2_ends <= 0):
-        raise NoSolitonFound(
-            "factor size l_i^2 = q_i s + p_i - q_i is not positive on "
-            f"[0, 2] (endpoint values {l2_ends.tolist()})"
-        )
     roots = find_slope_roots(config, b)
     if not roots:
         raise NoSolitonFound("no root of phi(2; c) = 0 in the search box "
@@ -610,7 +614,7 @@ def _unpack(x, r):
             x[2 * r + 3])
 
 
-def _match_residual(config, constants, x, t_mid, rtol, q, base=None):
+def _match_residual(config, constants, x, t_mid, rtol, q, base):
     """Matching defect at the interior point t_mid for the twists q, and the
     two (launch, integration) pairs it was read from.
 
@@ -618,10 +622,10 @@ def _match_residual(config, constants, x, t_mid, rtol, q, base=None):
     rows 2 l_i l_i' - q_i f of the near branch and the far one (in tau,
     twists -q), which the bulk flow does not keep: 4r+4 rows in all.
 
-    ``base = (x_b, (near_b, far_b))`` is an iterate of the same solve (same
-    ``t_mid``, ``rtol`` and ``q``) with its branches.  A branch whose inputs
-    equal the iterate's exactly is taken from it instead of integrated
-    again: the near branch depends on x[:r+1] only, the far branch on
+    ``base`` is None or ``(x_b, (near_b, far_b))``, an iterate of the same
+    solve (same ``t_mid``, ``rtol``, ``q``) and its branches.  A branch whose
+    inputs equal the iterate's exactly is taken from it, not integrated
+    again: the near branch depends on x[:r+1] only, the far one on
     x[r+1:2r+2] and T; the potential offset u0f enters neither.  The defect
     is then the same float operations on the same states, bit for bit.
     """
@@ -771,27 +775,27 @@ def _sample(config, constants, x, t_mid, branches, nodes, scheme):
     if kaehler >= _KAEHLER_ROOT_TOL:
         raise SolverError(f"non-Kahler root: T={T:.9g}, Kahler residual "
                           f"{kaehler:.3e}")
-    c_est = 2.0 * x[r]  # u = c s + ... with s ~ t^2/2 at the launch
+    c_est = u0f / 2.0  # u = c s + const, s from 0 to 2: u(T) - u(0) = 2c
     return gauge_normalize(SolitonSolution(
         grid=grid, config=config, constants=constants, c_slope=c_est,
         method="shooting"))
 
 
 def solve_shooting(config: BundleConfig, constants: PinnedConstants,
-                   nodes: int = 1024, scheme: str = "chebyshev",
-                   rtol: float = 1e-12,
+                   nodes: int, scheme: str = RunConfig.scheme,
+                   rtol: float = Tolerances.ode,
                    start: Optional[SolitonSolution] = None
                    ) -> SolitonSolution:
     """Shoot the full second-order system from 6th-order series launches at
     both collapse points and match in the interior.
 
-    The collapse points are exponentially repelling for the linearized flow
-    (the 1/f terms), so a single-ended shot cannot reach the far smoothness
-    conditions; instead both ends are launched with free series data
-    (near: l_i(0), u''(0)/2; far: the mirrored data plus the potential
-    offset and the interval length T), and damped Gauss-Newton zeroes the
-    matching defect at an interior point (``_match_residual``).  A sampled
-    root that breaks the Kahler condition is rejected.
+    The collapse points repel exponentially under the linearized flow (the
+    1/f terms), so a single-ended shot cannot reach the far smoothness
+    conditions: both ends are launched with free series data (near: l_i(0),
+    u''(0)/2; far: the mirrored data, the potential offset u0f = 2c and the
+    length T), and damped Gauss-Newton zeroes the matching defect at an
+    interior point (``_match_residual``).  An inadmissible bundle is
+    rejected before any integration, a non-Kahler root at sampling.
 
     ``start``, a momentum solution of the same config, gives the trial
     vector and the matching point (warm start); on the reference configs
@@ -800,6 +804,7 @@ def solve_shooting(config: BundleConfig, constants: PinnedConstants,
     solve follows the twist from the product Kahler-Einstein metric, the
     soliton at twist 0 (``_default_guess``, ``_follow_twist``).
     """
+    _require_admissible(config)
     if start is not None:
         x, t_mid = _warm_start(config, start)
         x, branches = _newton(config, constants, x, t_mid, rtol, config.q)

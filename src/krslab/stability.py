@@ -48,7 +48,7 @@ class PerturbationProfile:
     Either constant per-factor norms ``kappas`` (the geometric construction,
     and the only essential one) or a synthetic sampled total profile
     ``psi_fn`` with optional derivative ``dpsi_fn``, both callables taking
-    the node vector.  psi must be nonnegative.
+    the node vector.  kappas must be finite and >= 0, psi nonnegative.
     """
 
     name: str
@@ -61,8 +61,9 @@ class PerturbationProfile:
             raise StabilityError(
                 "profile needs exactly one of constant kappas or a sampled psi"
             )
-        if self.kappas is not None and any(k < 0 for k in self.kappas):
-            raise StabilityError("constant norms must be >= 0")
+        if not all(0 <= k < np.inf for k in self.kappas or ()):
+            raise StabilityError(f"constant norms must be finite and >= 0, "
+                                 f"got {self.kappas}")
 
     @property
     def is_constant(self) -> bool:

@@ -71,8 +71,8 @@ def spurious_newton(monkeypatch, kc_spurious_root):
     its matching call, from any start: the root then reaches the sampling
     and its Kahler gate."""
     def newton(config, constants, x, t_mid, rtol, q):
-        _, branches = solver._match_residual(config, constants,
-                                             kc_spurious_root, t_mid, rtol, q)
+        _, branches = solver._match_residual(
+            config, constants, kc_spurious_root, t_mid, rtol, q, None)
         return kc_spurious_root, branches
 
     monkeypatch.setattr(solver, "_newton", newton)

@@ -146,6 +146,45 @@ class TestAntiInvariantFacts:
         assert anti_invariant_pairing_vanishes()
 
 
+class TestOnePredicate:
+    """skew_pairing, frame_pairing_check and anti_invariant_facts reject
+    through is_anti_invariant's defect, |J^T h J + h| within 1e-13 of
+    max(max |h|, 1)."""
+
+    @staticmethod
+    def _checks(h):
+        m = h.shape[0] // 2
+        c = np.ones(2 * m)
+        return (lambda: skew_pairing(HermitianModel(m, c, h)),
+                lambda: frame_pairing_check(m, h, h),
+                lambda: anti_invariant_facts(m, h, k=np.eye(2 * m)))
+
+    @pytest.mark.parametrize("defect, accepted", [(1e-12, True),
+                                                  (2e-11, False)])
+    def test_the_three_checks_share_one_bound(self, defect, accepted):
+        # h_00 + h_11 = defect next to |h_01| = 100: within 1e-13 of the
+        # largest entry, not of the entry it sits at
+        h = np.array([[0.0, 100.0], [100.0, defect]])
+        assert is_anti_invariant(1, h) == accepted
+        for check in self._checks(h):
+            if accepted:
+                check()
+            else:
+                with pytest.raises(AlgebraError, match=r"at h\[0,0\]"):
+                    check()
+
+    def test_error_names_the_largest_entry(self):
+        A = np.array([[1.0, 2.0], [2.0, 3.0]])
+        B = np.array([[4.0, 5.0], [5.0, 6.0]])
+        h = np.block([[A, B], [B, -A]])
+        h[0, 0] += 2.0**-20  # a defect of 2^-20 at (0, 0) and (2, 2)
+        h[0, 3] += 0.5  # and of 1/2 at (0, 3), (1, 2), (2, 1), (3, 0)
+        h[3, 0] += 0.5
+        for check in self._checks(h):
+            with pytest.raises(AlgebraError, match=r"5\.000e-01 at h\[0,3\]"):
+                check()
+
+
 class TestFuzzSuite:
     def test_thousand_trials_within_bound(self):
         report = fuzz_suite(seed=0, trials=1000)

@@ -71,12 +71,14 @@ class TestPinConstants:
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_coarse_step_exits_2_with_diagnostics(self, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, capsys):
         monkeypatch.setattr(oracle, "FD_STEP", 0.3)
         monkeypatch.setattr(oracle, "FD_TOL", 1e-12)
         out = str(tmp_path / "c.json")
         assert run("pin-constants", "--out", out) == 2
         assert "error" in json.loads(open(out).read())
+        err = capsys.readouterr().err
+        assert err.startswith("oracle failure: ") and err.count("\n") == 1
 
 
 class TestSolve:
@@ -111,6 +113,33 @@ class TestSolve:
                    pipeline["constants"], "--out", out) == 3
         diag = json.loads(open(os.path.join(out, "diagnostics.json")).read())
         assert "error" in diag
+
+    def test_inadmissible_bundle_rejected_before_shooting(
+            self, tmp_path, pipeline, monkeypatch):
+        # l^2 = 2 s - 1 is negative at the near end: the cold start exits 3
+        # with the momentum route's reason, before it integrates anything
+        def no_start(config):
+            raise AssertionError("an inadmissible bundle reached the start")
+
+        monkeypatch.setattr(solver, "_default_guess", no_start)
+        out = tmp_path / "o"
+        assert _solve_factors(pipeline, out, [[2, 1.0, 2]], "shooting") == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"].startswith("factor size l_i^2 = q_i s + p_i - "
+                                        "q_i is not positive on [0, 2]")
+
+    def test_oracle_failure_exits_2(self, pipeline, tmp_path, monkeypatch,
+                                    capsys):
+        # without --constants the solve pins them itself: a failure there
+        # is the oracle's exit code and one line, as for pin-constants
+        monkeypatch.setattr(oracle, "FD_STEP", 0.3)
+        monkeypatch.setattr(oracle, "FD_TOL", 1e-12)
+        capsys.readouterr()
+        assert run("solve", "--config", pipeline["config"],
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oracle failure: Richardson stalled")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_round_trip_read_back(self, pipeline):
         sol = read_solution(pipeline["out"], "momentum")
@@ -376,6 +405,20 @@ FORMER_FAILURES = ("kc_mirror", "s2xs2_opp", "s2_p3_q2", "cp2_q2", "cp3_q1",
 COLD_CONFIGS = ("kc", "kc_scaled", *FORMER_FAILURES)
 
 
+def _solve_factors(pipeline, out, factors, method):
+    """`krs solve` of the bundle ``factors`` ([d, p, q] each) at N = 512
+    into the directory ``out``: its exit code."""
+    out.mkdir(parents=True)
+    cfg = out / "run.json"
+    cfg.write_text(json.dumps({
+        "factors": [{"dim": d, "einstein_constant": p, "twist": q}
+                    for d, p, q in factors],
+        "grid": {"nodes": 512}, "method": method,
+    }))
+    return run("solve", "--config", str(cfg), "--constants",
+               pipeline["constants"], "--out", str(out))
+
+
 @pytest.fixture(scope="module")
 def cold_solves(pipeline, constants, tmp_path_factory):
     """`krs solve` with method shooting alone at N = 512, per name: its exit
@@ -387,15 +430,8 @@ def cold_solves(pipeline, constants, tmp_path_factory):
     solved = {}
     for name in COLD_CONFIGS:
         factors = configs[name]["factors"]
-        cfg = root / f"{name}.json"
-        cfg.write_text(json.dumps({
-            "factors": [{"dim": d, "einstein_constant": p, "twist": q}
-                        for d, p, q in factors],
-            "grid": {"nodes": 512}, "method": "shooting",
-        }))
         out = root / name
-        code = run("solve", "--config", str(cfg), "--constants",
-                   pipeline["constants"], "--out", str(out))
+        code = _solve_factors(pipeline, out, factors, "shooting")
         meta = (json.loads((out / "solution_shooting.json").read_text())
                 if code == 0 else None)
         config = BundleConfig(factors=tuple(
@@ -424,6 +460,47 @@ class TestColdShooting:
                                       for n in ("kc", "kc_scaled"))
         assert abs(scaled["c_slope"] - kc["c_slope"]) <= 1e-9
         assert abs(scaled["T"] - kc["T"]) <= 1e-9
+
+
+# two bundles with small gaps p - |q| (0.034 to 0.226) on which c read off
+# the launch curvature u''(0)/2 was 2.9e-9 (D) and 6.8e-9 (E) from the
+# momentum slope, cold and warm; read off the potential offset it is within
+# 1e-12
+SMALL_GAPS = {"D": [[4, 3.034, 3], [2, 1.226, 1]],
+              "E": [[6, 3.036, 3], [2, 2.076, -2]]}
+
+
+@pytest.fixture(scope="module")
+def small_gap_solves(pipeline, tmp_path_factory):
+    """`krs solve` at N = 512 with method shooting (the cold start) and
+    method both (the warm one), per name: the exit codes and the (c, T) of
+    the cold, the warm and the momentum solution."""
+    root = tmp_path_factory.mktemp("gaps")
+    solved = {}
+    for name, factors in SMALL_GAPS.items():
+        codes, read = [], {}
+        for start, method in (("cold", "shooting"), ("warm", "both")):
+            out = root / f"{name}_{method}"
+            codes.append(_solve_factors(pipeline, out, factors, method))
+            for found, key in (("shooting", start), ("momentum", "momentum")):
+                path = out / f"solution_{found}.json"
+                if path.is_file():
+                    meta = json.loads(path.read_text())
+                    read[key] = (meta["c_slope"], meta["T"])
+        solved[name] = (codes, read)
+    return solved
+
+
+class TestSmallGaps:
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("name", sorted(SMALL_GAPS))
+    def test_slope_agrees_with_momentum(self, small_gap_solves, name,
+                                        start):
+        codes, read = small_gap_solves[name]
+        assert codes == [0, 0]
+        (c, T), (c_mom, T_mom) = read[start], read["momentum"]
+        assert abs(c - c_mom) <= 1e-9
+        assert abs(T - T_mom) <= 1e-9
 
 
 class TestVerify:

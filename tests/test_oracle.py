@@ -13,6 +13,10 @@ from krslab.oracle import (
 )
 
 
+# a chart point x = (t, psi, theta, phi) with theta clear of the poles
+POINT = np.array([0.0, 0.3, 1.4, 0.7])
+
+
 @pytest.fixture
 def tight_tol(monkeypatch):
     monkeypatch.setattr(oracle, "FD_TOL", 1e-8)
@@ -26,7 +30,7 @@ def round_state():
 
 class TestOracleRicci:
     def test_converges_below_tolerance(self, round_state):
-        vals, err = oracle_ricci(round_state)
+        vals, err = oracle_ricci(round_state, POINT)
         assert err < 1e-7
         assert vals.shape == (3,)
 
@@ -34,7 +38,7 @@ class TestOracleRicci:
         # with all profile derivatives zero the components reduce to pure
         # fiber-curvature terms: R_NN = 0, R_UU = A f^2 d q^2 / l^4,
         # R_H = p/l^2 - B q^2 f^2 / l^4 with (A, B) = (1/4, 1/2)
-        vals, _ = oracle_ricci(round_state)
+        vals, _ = oracle_ricci(round_state, POINT)
         f, l = round_state.f, round_state.l
         assert vals[0] == pytest.approx(0.0, abs=1e-8)
         assert vals[1] == pytest.approx(0.25 * f**2 * 2.0 / l**4, abs=1e-8)
@@ -44,7 +48,7 @@ class TestOracleRicci:
     def test_agrees_with_formula_at_generic_state(self, tight_tol):
         rng = np.random.default_rng(5)
         state = random_state(rng)
-        vals, err = oracle_ricci(state)
+        vals, err = oracle_ricci(state, POINT)
         R_NN, R_UU, R_i = ricci_frame(
             state.f, state.df, state.ddf, [state.l], [state.dl], [state.ddl],
             [2.0], [2.0], [state.q], 0.25, 0.5)
@@ -53,9 +57,8 @@ class TestOracleRicci:
     def test_chart_point_independence(self, round_state, tight_tol):
         # the components are scalars: they cannot depend on where in the
         # chart the finite differences are centered
-        x1 = np.array([0.0, 0.3, 1.4, 0.7])
         x2 = np.array([0.0, 2.1, 1.9, 4.0])
-        v1, _ = oracle_ricci(round_state, x1)
+        v1, _ = oracle_ricci(round_state, POINT)
         v2, _ = oracle_ricci(round_state, x2)
         assert np.abs(v1 - v2).max() < 1e-7
 
@@ -68,7 +71,7 @@ class TestOracleRicci:
         monkeypatch.setattr(oracle, "FD_STEP", 0.3)
         monkeypatch.setattr(oracle, "FD_TOL", 1e-12)
         with pytest.raises(OracleError):
-            oracle_ricci(round_state)
+            oracle_ricci(round_state, POINT)
 
 
 class TestPinConstants:

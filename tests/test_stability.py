@@ -48,6 +48,13 @@ class TestProfiles:
         with pytest.raises(StabilityError):
             constant_profile([-1.0])
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # as in ProfileSpec and BaseFactor; a nan norm would give a nan value
+        # with the sign "negative"
+        with pytest.raises(StabilityError, match="finite and >= 0"):
+            constant_profile([kappa])
+
     def test_sampled_cannot_be_essential(self):
         p = PerturbationProfile(name="sampled", psi_fn=lambda t: t)
         assert not p.essential
