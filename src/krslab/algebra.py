@@ -39,7 +39,7 @@ class HermitianModel:
         m = self.m
         if self.c.shape != (2 * m,) or self.h.shape != (2 * m, 2 * m):
             raise AlgebraError("shape mismatch with the stated dimension")
-        if not np.allclose(self.c[:m], self.c[m:], atol=0.0):
+        if not np.array_equal(self.c[:m], self.c[m:]):
             raise AlgebraError("Ricci eigenvalues must satisfy c[m+i] = c[i]")
         if not np.array_equal(self.h, self.h.T):
             raise AlgebraError("h must be symmetric")

@@ -207,7 +207,7 @@ def cmd_stability(args) -> int:
     specs = (load_run_config(args.config).stability_profiles if args.config
              else ())
     sol = read_solution(args.solution, args.method)
-    reports = stability.sign_explorer(sol, stability.family(sol, specs))
+    reports = stability.sign_explorer(sol, specs)
     lines = ["profile,value,sign,C_hg,v_h_norm"]
     for rep in reports:
         lines.append(f"{rep.profile},{rep.value:.17g},{rep.sign},"
@@ -236,6 +236,17 @@ def cmd_fuzz_algebra(args) -> int:
 # argument parsing
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no less than ``least``."""
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The ``krs`` parser; ``command`` names the subcommand, whose handler
     is ``cmd_<command>`` with dashes as underscores."""
@@ -250,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pin the ansatz curvature coefficients against "
                             "the finite-difference oracle")
     p.add_argument("--out", default="constants.json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("solve", help="solve the soliton boundary-value "
                                      "problem for a JSON config")
@@ -273,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz-algebra", help="randomized pointwise-algebra "
                                             "suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--out", default="fuzz_algebra.json")
     return parser
 

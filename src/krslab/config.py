@@ -175,9 +175,9 @@ def koiso_cao() -> BundleConfig:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """ODE, residual and identity tolerances; each must be positive, and the
-    ODE tolerance finite and at least ODE_RTOL_FLOOR (100 eps), the least
-    the integrator's step control can meet."""
+    """ODE, residual and identity tolerances; each must be positive and
+    finite, and the ODE tolerance at least ODE_RTOL_FLOOR (100 eps), the
+    least the integrator's step control can meet."""
 
     ode: float = 1e-12
     residual: float = 1e-8
@@ -190,6 +190,9 @@ class Tolerances:
             raise ConfigError(f"tolerances.ode must be finite and at least "
                               f"{ODE_RTOL_FLOOR:.7g} (100 eps, the ODE "
                               f"integrator's floor), got {self.ode!r}")
+        for name in ("residual", "identity"):
+            if getattr(self, name) == np.inf:
+                raise ConfigError(f"tolerances.{name} must be finite")
 
 
 def _float_list(raw) -> tuple:
@@ -243,6 +246,8 @@ class RunConfig:
     def __post_init__(self):
         if self.nodes < 64:
             raise ConfigError("nodes must be >= 64")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"unknown grid scheme {self.scheme!r}")
         if self.method not in (*SOLUTION_METHODS, "both"):

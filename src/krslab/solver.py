@@ -231,8 +231,6 @@ def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     a = weighted_integral(grid, config, grid.u) / weighted_integral(
         grid, config, np.ones_like(grid.u)
     )
-    if a == 0.0:
-        return sol
     new_grid = grid.with_u(grid.u - a, grid.du, grid.ddu)
     return replace(sol, grid=new_grid, gauge_shift=sol.gauge_shift + a)
 
@@ -262,26 +260,25 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _SERIES_DEGREE = 64
 
 
-def _phi_sum(half, sig, c, d, q, b):
+def _phi_sum(half, sig, c, config):
     """Gauss-Legendre sums of m(sig) * 2 (1 - sig) with
-    m = prod (q_j sig + b_j)^{d_j/2} e^{-c sig}, one per row of the nodes
-    sig, whose interval has half-length ``half`` (effectively exact for
-    these smooth integrands)."""
-    m = _phi_weight(sig, c, d, q, b)
+    m = prod (q_j sig + p_j - q_j)^{d_j/2} e^{-c sig}, one per row of the
+    nodes sig, whose interval has half-length ``half`` (effectively exact
+    for these smooth integrands)."""
+    m = _phi_weight(sig, c, config)
     return (m * 2.0 * (1.0 - sig)) @ _GL_WEIGHTS * half
 
 
-def _phi_integral(s, c, d, q, b):
-    """int_0^s m(sig) * 2 (1 - sig) dsig, vectorized over s."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    half = s / 2.0
-    return _phi_sum(half, half[:, None] * (_GL_NODES + 1.0), c, d, q, b)
+def _phi_integral(c, config):
+    """The closure integral int_0^2 m(sig) * 2 (1 - sig) dsig, over the
+    nodes of [0, 2] as one row."""
+    return _phi_sum(1.0, (_GL_NODES + 1.0)[None, :], c, config)[0]
 
 
-def _phi_weight(s, c, d, q, b):
+def _phi_weight(s, c, config):
     s = np.asarray(s, dtype=float)
     m = np.exp(-c * s)
-    for dj, qj, bj in zip(d, q, b):
+    for dj, qj, bj in zip(config.d, config.q, config.p - config.q):
         m = m * (qj * s + bj) ** (dj / 2.0)
     return m
 
@@ -299,9 +296,8 @@ def _phi(s, w, c, config):
     half = np.where(far, w, s) / 2.0
     sig = half[:, None] * (_GL_NODES + 1.0)
     sig[far] = 2.0 - sig[far]
-    d, q, b = config.d, config.q, config.p - config.q
-    vals = _phi_sum(half, sig, c, d, q, b)
-    return np.where(far, -vals, vals) / _phi_weight(s, c, d, q, b)
+    vals = _phi_sum(half, sig, c, config)
+    return np.where(far, -vals, vals) / _phi_weight(s, c, config)
 
 
 def momentum_phi(config: BundleConfig, c: float, s) -> np.ndarray:
@@ -319,7 +315,7 @@ _SLOPE_BOX = 8.0
 _SLOPE_BOX_MAX = 256.0
 
 
-def find_slope_roots(config: BundleConfig, b):
+def find_slope_roots(config: BundleConfig):
     """The root of the far-end closure condition phi(2; c) = 0 with
     |c| <= 256, as a list with at most one entry.
 
@@ -332,19 +328,17 @@ def find_slope_roots(config: BundleConfig, b):
     starts at [-8, 8] and doubles while the signs at its two ends agree,
     up to [-256, 256], where equal signs mean no root.  The first box whose
     ends differ in sign is cut into 400 equal brackets, and bisection over
-    the bracket indices finds the one sign change (or a node where the
-    integral is exactly zero) and brentq refines it.
+    the bracket indices finds the one sign change, which brentq refines (a
+    node where the integral is exactly zero ends the bracket and is returned).
     """
     def F(c):
-        return _phi_integral(2.0, c, config.d, config.q, b)[0]
+        return _phi_integral(c, config)
 
     box = _SLOPE_BOX
     while True:
         cs = np.linspace(-box, box, 401)
         lo, hi = 0, cs.size - 1
         F_lo = F(cs[lo])
-        if F_lo == 0.0:
-            return [cs[lo]]
         # signs, not products: far boxes reach |F| ~ 1e200
         if (F_lo > 0) != (F(cs[hi]) > 0):
             break
@@ -353,10 +347,7 @@ def find_slope_roots(config: BundleConfig, b):
         box *= 2.0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        F_mid = F(cs[mid])
-        if F_mid == 0.0:
-            return [cs[mid]]
-        if (F_mid > 0) == (F_lo > 0):
+        if (F(cs[mid]) > 0) == (F_lo > 0):
             lo = mid
         else:
             hi = mid
@@ -400,8 +391,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
             "pinned constants disagree with the coefficients the momentum "
             f"reduction was derived for: got (A,B)=({constants.A},{constants.B})"
         )
-    b = config.p - config.q
-    roots = find_slope_roots(config, b)
+    roots = find_slope_roots(config)
     if not roots:
         raise NoSolitonFound("no root of phi(2; c) = 0 in the search box "
                              f"|c| <= {_SLOPE_BOX_MAX:g}")
@@ -446,7 +436,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     f = np.sin(xi) / cheb(xi)
     f[-1] = 0.0
     phi = f * f
-    l2 = config.q[:, None] * s[None, :] + b[:, None]
+    l2 = config.q[:, None] * s[None, :] + (config.p - config.q)[:, None]
     P = 0.5 * (config.d[:, None] * config.q[:, None] / l2).sum(axis=0) - c
     dP = -0.5 * (config.d[:, None] * config.q[:, None] ** 2 / l2**2).sum(axis=0)
     dphi = 2.0 * (1.0 - s) - P * phi

@@ -440,7 +440,7 @@ def ibp_identity_check(sol: SolitonSolution,
     return abs(direct - by_parts)
 
 
-def family(sol: SolitonSolution, specs: tuple = ()) -> list:
+def family(sol: SolitonSolution, specs: tuple) -> list:
     """The profiles named by ``specs`` (config.ProfileSpec, in order), or one
     of each kind in PROFILE_KINDS: the constant profile plus the synthetic
     split of the potential into positive part, negative part and modulus.
@@ -468,13 +468,9 @@ def family(sol: SolitonSolution, specs: tuple = ()) -> list:
     return profiles
 
 
-def sign_explorer(sol: SolitonSolution,
-                  profiles: Optional[list] = None) -> list:
-    """Evaluate the stability integral over a family of profiles (by
-    default ``family(sol)``)."""
-    if profiles is None:
-        profiles = family(sol)
-    return [second_variation_main(sol, pert) for pert in profiles]
+def sign_explorer(sol: SolitonSolution, specs: tuple = ()) -> list:
+    """Evaluate the stability integral over ``family(sol, specs)``."""
+    return [second_variation_main(sol, pert) for pert in family(sol, specs)]
 
 
 def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:

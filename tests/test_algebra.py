@@ -41,6 +41,10 @@ class TestStructure:
         with pytest.raises(AlgebraError):
             HermitianModel(2, np.array([1.0, 2.0, 1.0, 3.0]), h)  # bad c
         with pytest.raises(AlgebraError):
+            # within numpy's default rtol of 1e-5, but not equal
+            HermitianModel(1, np.array([1.0, 1.000009]),
+                           random_anti_invariant(rng, 1))
+        with pytest.raises(AlgebraError):
             HermitianModel(2, random_doubled_c(rng, 2),
                            rng.standard_normal((4, 4)))  # not symmetric
 

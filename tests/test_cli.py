@@ -294,6 +294,11 @@ MALFORMED = {
     "tolerance-ode": ("config",
                       lambda raw: raw.update(tolerances={"ode": 1e-15}),
                       "tolerances.ode"),
+    "tolerance-residual-inf": ("config", lambda raw: raw.update(
+        tolerances={"residual": float("inf")}), "tolerances.residual"),
+    "tolerance-identity-inf": ("config", lambda raw: raw.update(
+        tolerances={"identity": float("inf")}), "tolerances.identity"),
+    "seed-negative": ("config", lambda raw: raw.update(seed=-1), "seed"),
     "constants-without-B": ("constants", lambda raw: raw.pop("B"), "'B'"),
     "constants-A": ("constants", lambda raw: raw.update(A="quarter"), "'A'"),
     "solution-scheme": ("solution",
@@ -597,7 +602,11 @@ class TestStability:
 class TestUsage:
     @pytest.mark.parametrize("argv", [[], ["solve"], ["bogus"],
                                       ["pin-constants", "--seed", "x"],
-                                      ["verify", "--method", "spline"]])
+                                      ["verify", "--method", "spline"],
+                                      ["pin-constants", "--seed", "-1"],
+                                      ["fuzz-algebra", "--seed", "-3"],
+                                      ["fuzz-algebra", "--trials", "0"],
+                                      ["fuzz-algebra", "--trials", "-5"]])
     def test_usage_error_exits_1(self, argv, capsys):
         # argparse's own code, 2, is krs's oracle failure
         assert run(*argv) == 1

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
@@ -147,8 +147,7 @@ def test_dop853_on_a_stiffening_oscillator():
 
 
 def _slope_bracket(config, monkeypatch):
-    """The function and bracket ``find_slope_roots`` hands to brentq, or
-    None when a node of the box is a root."""
+    """The function and bracket ``find_slope_roots`` hands to brentq."""
     seen = []
 
     def record(F, a, b, xtol, rtol):
@@ -156,9 +155,9 @@ def _slope_bracket(config, monkeypatch):
         return numerics.brentq(F, a, b, xtol, rtol)
 
     monkeypatch.setattr(solver, "brentq", record)
-    roots = solver.find_slope_roots(config, config.p - config.q)
-    assert len(roots) == 1 and len(seen) <= 1
-    return seen[0] if seen else None
+    roots = solver.find_slope_roots(config)
+    assert len(roots) == 1 and len(seen) == 1
+    return seen[0]
 
 
 def _same_brentq(F, a, b, xtol, rtol):
@@ -176,9 +175,8 @@ def _same_brentq(F, a, b, xtol, rtol):
             == run(lambda f: scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)))
 
 
-@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"s2xs2_opp"}))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_brentq_on_the_reference_slope_brackets(name, monkeypatch):
-    # s2xs2_opp has c = 0 on a node of the box: no bracket to refine
     _same_brentq(*_slope_bracket(_bundle(CONFIGS[name]["factors"]),
                                  monkeypatch))
 
@@ -193,9 +191,7 @@ def test_brentq_on_admissible_slope_brackets(factors):
     config = _bundle([(d, abs(q) * k + gap, q * k)
                       for d, k, q, gap in factors])
     with pytest.MonkeyPatch.context() as mp:
-        found = _slope_bracket(config, mp)
-    assume(found is not None)
-    _same_brentq(*found)
+        _same_brentq(*_slope_bracket(config, mp))
 
 
 def test_brentq_on_cubics_and_its_errors():

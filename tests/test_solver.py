@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from krslab.config import BaseFactor, BundleConfig, ConfigError
 from krslab.geometry import GeometryError, PinnedConstants, ricci_frame
-from krslab import solver
+from krslab import solver, stability
 
 
 def _bundle(factors):
@@ -31,12 +31,12 @@ def _cold_start_from(monkeypatch, a, u2):
     monkeypatch.setattr(solver, "_default_guess", moved)
 
 
-def _scan_slope_roots(config, b):
+def _scan_slope_roots(config):
     """Every sign change of phi(2; c) over the 401 nodes of the first of the
     boxes [-8, 8], [-16, 16], ..., [-256, 256] that has one, each refined by
     brentq: the scan the bisection replaced, over the box it bisects."""
     def phi2(c):
-        return solver._phi_integral(2.0, c, config.d, config.q, b)[0]
+        return solver._phi_integral(c, config)
 
     box = 8.0
     while box <= 256.0:
@@ -89,7 +89,7 @@ class TestMomentum:
         # w = 2^-30 both ratios are within 1.8 w of 2, where phi(2 - w)
         # taken as the integral over [0, 2 - w] was 29 w off on kc
         cfg = _bundle(factors)
-        c, = solver.find_slope_roots(cfg, cfg.p - cfg.q)
+        c, = solver.find_slope_roots(cfg)
         w = 2.0 ** -30
         near = solver.momentum_phi(cfg, c, w)[0] / w
         far = solver.momentum_phi(cfg, c, 2.0 - w)[0] / w
@@ -182,10 +182,9 @@ class TestSlopeRoot:
     def test_bisection_is_the_scan_bit_for_bit(self, factors):
         # |q| < p and q != 0: p exceeds |q| by the drawn gap
         cfg = _bundle([(d, q + gap, sign * q) for d, q, sign, gap in factors])
-        b = cfg.p - cfg.q
-        roots = solver.find_slope_roots(cfg, b)
+        roots = solver.find_slope_roots(cfg)
         assert len(roots) == 1
-        assert _hex(roots) == _hex(_scan_slope_roots(cfg, b))
+        assert _hex(roots) == _hex(_scan_slope_roots(cfg))
 
     # roots in the boxes of half-width 8, 8, 8, 16 and 256, and none
     # with |c| <= 256 for the last (its root is below -256)
@@ -195,10 +194,9 @@ class TestSlopeRoot:
     ], ids=["kc", "s2xs2_opp", "cp2_q2", "box_16", "box_256", "no_root"])
     def test_named_configs_match_the_scan(self, factors, roots):
         cfg = _bundle(factors)
-        b = cfg.p - cfg.q
-        found = solver.find_slope_roots(cfg, b)
+        found = solver.find_slope_roots(cfg)
         assert len(found) == roots
-        assert _hex(found) == _hex(_scan_slope_roots(cfg, b))
+        assert _hex(found) == _hex(_scan_slope_roots(cfg))
 
     def test_bisection_evaluates_few_points(self, kc_config, monkeypatch):
         # two box ends, nine bisection steps over 400 brackets, then brentq:
@@ -211,8 +209,40 @@ class TestSlopeRoot:
             return phi_integral(*args)
 
         monkeypatch.setattr(solver, "_phi_integral", counted)
-        solver.find_slope_roots(kc_config, kc_config.p - kc_config.q)
+        solver.find_slope_roots(kc_config)
         assert len(calls) <= 25
+
+    @pytest.mark.parametrize("root", [-8.0, 0.0], ids=["box_end", "midpoint"])
+    def test_exact_zero_on_a_node_is_returned(self, kc_config, monkeypatch,
+                                              root):
+        # a node where the integral is exactly 0 ends the bisected bracket
+        # as its left end, and brentq returns it unchanged
+        monkeypatch.setattr(solver, "_phi_integral",
+                            lambda c, config: c - root)
+        assert solver.find_slope_roots(kc_config) == [root]
+
+    def test_kaehler_einstein_root_is_zero(self, constants, monkeypatch):
+        # S^2 x S^2 with opposite twists is Kahler-Einstein: the slope is
+        # c = 0.0 exactly (brentq's bracket starts at the box node 0.0,
+        # where the integral reads -6.8e-17), so u = c s is 0 everywhere
+        # and gauge normalization shifts it by 0.0
+        cfg = _bundle([(2, 2, 1), (2, 2, -1)])
+        calls = []
+        phi_integral = solver._phi_integral
+
+        def counted(*args):
+            calls.append(1)
+            return phi_integral(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_phi_integral", counted)
+            assert solver.find_slope_roots(cfg) == [0.0]
+        assert len(calls) <= 25
+        sol = solver.solve_momentum(cfg, constants, nodes=512)
+        assert sol.c_slope == 0.0 and sol.gauge_shift == 0.0
+        assert np.all(sol.grid.u == 0.0)
+        rows = stability.sign_explorer(sol)
+        assert [(r.sign, r.value) for r in rows] == [("zero", 0.0)] * 4
 
 
 class TestMomentumInvariances:

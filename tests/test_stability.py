@@ -430,7 +430,7 @@ class TestIbp:
 
 class TestFamily:
     def test_default_is_one_profile_per_kind(self, kc_momentum):
-        profiles = family(kc_momentum)
+        profiles = family(kc_momentum, ())
         assert [p.name for p in profiles] == [
             "constant", "u_plus", "u_minus", "abs_u"]
         assert [p.essential for p in profiles] == [True, False, False, False]
@@ -442,7 +442,7 @@ class TestFamily:
 
     def test_constant_norms_from_the_solution(self, kc_momentum):
         # Koiso-Cao carries no deformation: unit norms stand in
-        assert family(kc_momentum)[0].kappas == (1.0,)
+        assert family(kc_momentum, ())[0].kappas == (1.0,)
         deformed = BundleConfig(factors=(BaseFactor(2, 2.0, 1, kappa=3.0),))
         sol = replace(kc_momentum, config=deformed)
         assert family(sol, (ProfileSpec("constant"),))[0].kappas == (3.0,)

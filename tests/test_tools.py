@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -117,6 +118,22 @@ def test_digests_list_contents_solutions_then_modes(output_digests,
     assert modes == {"solve/profile_momentum.csv": "600",
                      "solve/solution_momentum.json": "644"}
     assert len(digests) == 2 and len(solutions) == 1
+
+
+def test_command_set_covers_fuzz_and_the_uniform_scheme(output_digests,
+                                                       tmp_path):
+    runs = dict(output_digests.commands(str(tmp_path)))
+    for seed in (0, 42):
+        argv = runs[f"fuzz/seed{seed}"]
+        assert argv[:5] == ("fuzz-algebra", "--seed", seed, "--trials", 200)
+    config = json.loads((tmp_path / "inputs" / "kc_uniform.json").read_text())
+    assert config["grid"] == {"nodes": 256, "scheme": "uniform"}
+    assert config["method"] == "both"
+    labels = [k for k in runs if k.startswith("kc_uniform/")]
+    assert labels == ["kc_uniform/solve"] + [
+        f"kc_uniform/{cmd}-{method}{extra}"
+        for cmd in ("verify", "stability")
+        for method in ("momentum", "shooting") for extra in ("", "-config")]
 
 
 def test_equal_listings_move_nothing(digest_moves, tmp_path, capsys):

@@ -13,10 +13,12 @@ the same umask, and diff the two listings: equal listings mean
 byte-identical outputs, created with the same modes, and equal exit
 codes.
 
-The set: `krs pin-constants` with seeds 0 and 42; Koiso-Cao and a
-two-factor bundle at N = 1024 through `solve` (method both), then `verify`
-and `stability` of both solutions, with and without `--config`; and the
-twelve crosscheck bundles of perfbench/reference.json at N = 512, solved
+The set: `krs pin-constants` with seeds 0 and 42; `krs fuzz-algebra` with
+seeds 0 and 42, 200 trials each; Koiso-Cao and a two-factor bundle at
+N = 1024 on the Chebyshev scheme, and Koiso-Cao at N = 256 on the uniform
+scheme, through `solve` (method both), then `verify` and `stability` of
+both solutions, with and without `--config`; and the twelve crosscheck
+bundles of perfbench/reference.json at N = 512, solved
 with method both and with method shooting alone (cold shooting takes
 about 0.4 to 1.5 s per bundle, about 1 s on three S^2 factors, on a
 2-vCPU host).  Every solve uses the seed-0 constants.
@@ -35,18 +37,20 @@ from krslab import cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCE = os.path.join(ROOT, "perfbench", "reference.json")
 
-# (name, factors as [dim, einstein_constant, twist, deformation_norm2])
+# (name, factors as [dim, einstein_constant, twist, deformation_norm2],
+#  nodes, grid scheme)
 PIPELINES = (
-    ("kc", [[2, 2.0, 1, 1.0]]),
-    ("two_factor", [[2, 2.0, 1, 1.0], [4, 3.0, 1, 0.5]]),
+    ("kc", [[2, 2.0, 1, 1.0]], 1024, "chebyshev"),
+    ("two_factor", [[2, 2.0, 1, 1.0], [4, 3.0, 1, 0.5]], 1024, "chebyshev"),
+    ("kc_uniform", [[2, 2.0, 1, 1.0]], 256, "uniform"),
 )
 
 
-def run_config(path, factors, nodes, method):
+def run_config(path, factors, nodes, method, scheme):
     payload = {
         "factors": [{"dim": d, "einstein_constant": p, "twist": q,
                      "deformation_norm2": k} for d, p, q, k in factors],
-        "grid": {"nodes": nodes, "scheme": "chebyshev"},
+        "grid": {"nodes": nodes, "scheme": scheme},
         "method": method,
         "stability": {"profiles": [{"kind": "constant"}, {"kind": "u_plus"},
                                    {"kind": "u_minus"}, {"kind": "abs_u"}]},
@@ -71,9 +75,14 @@ def commands(out):
         yield (f"pin/seed{seed}", ("pin-constants", "--seed", seed, "--out",
                                    os.path.join(out, "pin", f"seed{seed}",
                                                 "constants.json")))
-    for name, factors in PIPELINES:
-        cfg = run_config(os.path.join(inputs, f"{name}.json"), factors, 1024,
-                         "both")
+    for seed in (0, 42):
+        yield (f"fuzz/seed{seed}", ("fuzz-algebra", "--seed", seed,
+                                    "--trials", 200, "--out",
+                                    os.path.join(out, "fuzz",
+                                                 f"seed{seed}.json")))
+    for name, factors, nodes, scheme in PIPELINES:
+        cfg = run_config(os.path.join(inputs, f"{name}.json"), factors, nodes,
+                         "both", scheme)
         sol = os.path.join(out, name, "solve")
         yield f"{name}/solve", ("solve", "--config", cfg, "--constants",
                                 constants, "--out", sol)
@@ -90,7 +99,7 @@ def commands(out):
         factors = [[d, p, q, 0.0] for d, p, q in reference[name]["factors"]]
         for method in ("both", "shooting"):
             cfg = run_config(os.path.join(inputs, f"{name}-{method}.json"),
-                             factors, 512, method)
+                             factors, 512, method, "chebyshev")
             yield f"crosscheck/{name}-{method}", (
                 "solve", "--config", cfg, "--constants", constants, "--out",
                 os.path.join(out, "crosscheck", f"{name}-{method}"))
