@@ -147,8 +147,8 @@ class SolitonSolution:
     @cached_property
     def stability_cache(self) -> dict:
         """The source-independent work of :mod:`krslab.stability` on this
-        solution (the moment coordinate and the per-degree operators),
-        filled there on first use."""
+        solution (the moment coordinate, the nodal Vandermonde and the
+        per-degree operators), filled there on first use."""
         return {}
 
     def to_dict(self) -> dict:

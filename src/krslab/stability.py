@@ -11,10 +11,11 @@ Chebyshev basis, and mapped back to the profile grid.
 
 Everything of that which does not depend on the source is computed once per
 solution and kept on it (``SolitonSolution.stability_cache``): the moment
-coordinate at the nodes and, per Chebyshev degree, the fit's inverse Gram
-matrix and the collocation, which ``v_h_solve`` and ``drift_spectrum``
-share.  The first call on a solution pays for them; a new solution,
-``dataclasses.replace`` included, starts with an empty cache.
+coordinate at the nodes, one nodal Chebyshev Vandermonde at the largest
+degree a ``v_h_solve`` settled on, and, per Chebyshev degree, the fit's
+inverse Gram matrix and the collocation, which ``v_h_solve`` and
+``drift_spectrum`` share.  The first call on a solution pays for them; a
+new solution, ``dataclasses.replace`` included, starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ class VhSolution:
     interior t-node residual of the equation evaluated on the solution's own
     profiles.  ``smallest_singular_value`` is that of the small collocation
     operator in the moment coordinate; below ``kernel_tol`` it is
-    ``near_kernel`` and solved in the least-squares sense.
+    ``near_kernel`` and solved in the least-squares sense.  ``degree`` is
+    the Chebyshev degree in s the solve settled on.
     """
 
     v: np.ndarray
@@ -223,6 +225,7 @@ class VhSolution:
     smallest_singular_value: float
     near_kernel: bool
     least_squares: bool
+    degree: int
 
 
 # degrees of the s-series tried in turn, and the size of the last quarter of
@@ -323,18 +326,21 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
 
     What does not depend on the source is kept on the solution (see
     ``SolitonSolution.stability_cache``): the moment coordinate at the
-    nodes and, per degree m tried, the inverse Gram matrix of the nodal
-    Chebyshev Vandermonde V (from its triangular factor) and the
-    collocation: the operator, its smallest singular value, and its
+    nodes; the nodal Chebyshev Vandermonde V, one row per degree, as one
+    (m+1) x (N+1) array at the largest degree m a returning call settled
+    on (a lower degree reads its first rows, bit for bit what a fresh V
+    holds; a call that raises keeps none), 270 kB at N = 1024 and degree
+    32, at most 257 (N+1) 8 bytes (8.4 MB at N = 4096); and, per degree m
+    tried, the inverse Gram matrix of V (from its triangular factor) and
+    the collocation: the operator, its smallest singular value, and its
     solution map and d/ds on Chebyshev coefficients.  That is four
     (m+1)^2 arrays, 32 (m+1)^2 bytes per degree: 9 kB at degree 16,
-    2.1 MB at 256, 2.8 MB for all five.  No array with a row per node is
-    kept but the moment coordinate.  The first call on a solution builds
-    them, at about the cost of a call without them; a later call pays only
-    for V, the fit (V V^T)^-1 V s (cond V < 5 on the solvers' nodes, so
-    the normal equations lose under two digits), small matrix-vector
-    products and the map back.  A new solution, ``dataclasses.replace`` included, starts with an
-    empty cache.
+    2.1 MB at 256, 2.8 MB for all five.  The first call on a solution
+    builds them, at about the cost of a call without them; a later call at
+    a degree no higher pays only for the fit (V V^T)^-1 V s (cond V < 5 on
+    the solvers' nodes, so the normal equations lose under two digits),
+    small matrix-vector products and the map back.  A new solution,
+    ``dataclasses.replace`` included, starts with an empty cache.
     """
     _require_normalized(sol)
     grid, config = sol.grid, sol.config
@@ -349,10 +355,14 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
         raise StabilityError(f"{grid.t.size} nodes are too few to fit the "
                              f"source in s (need {2 * _DEGREES[0] + 1})")
     X = _moment_coordinate(sol)
+    kept = sol.stability_cache.get("vander")
     for m in degrees:
-        vander = cheb.chebvander(X, m).T  # one row per degree
-        gram_inv = _cached(sol, ("fit", m), lambda: _inverse_gram(vander))
-        coef = gram_inv @ (vander @ src)
+        if kept is not None and m < kept.shape[0]:
+            nodal = kept[:m + 1]  # the same rows, in the same layout
+        else:
+            nodal = cheb.chebvander(X, m).T  # one row per degree
+        gram_inv = _cached(sol, ("fit", m), lambda: _inverse_gram(nodal))
+        coef = gram_inv @ (nodal @ src)
         what, tail = "source", _tail(coef)
         if tail > _TAIL_TOL:
             continue
@@ -376,15 +386,17 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
             f"degree {m}, {limit} (coefficient tail {tail:.1e}); a smooth "
             "invariant source is a smooth function of s")
     dcoef = op.deriv @ vcoef
-    v, v_s, v_ss = np.stack([vcoef, dcoef, op.deriv @ dcoef]) @ vander
+    v, v_s, v_ss = np.stack([vcoef, dcoef, op.deriv @ dcoef]) @ nodal
     dv = v_s * grid.f
     ddv = v_ss * grid.f ** 2 + v_s * grid.df
     res = weighted_laplacian(grid, config, v, dv, ddv) + v - src
     # the equation at the interior nodes, on the solution's own profiles
     residual = float(np.abs(res[1:-1]).max())
+    if kept is None or m >= kept.shape[0]:
+        sol.stability_cache["vander"] = nodal
     return VhSolution(v=v, residual=residual,
                       smallest_singular_value=op.sigma_min, near_kernel=near,
-                      least_squares=near)
+                      least_squares=near, degree=m)
 
 
 def drift_spectrum(sol: SolitonSolution, k: int) -> np.ndarray:

@@ -146,6 +146,11 @@ def sol192(kc_config, constants):
     return solver.solve_momentum(kc_config, constants, nodes=192)
 
 
+@pytest.fixture(scope="module")
+def kc4096(kc_config, constants):
+    return solver.solve_momentum(kc_config, constants, nodes=4096)
+
+
 class TestVh:
     def test_zero_source_gives_zero(self, sol192):
         out = v_h_solve(sol192, np.zeros_like(sol192.grid.u))
@@ -271,21 +276,77 @@ class TestVhCache:
         assert fresh.stability_cache == {}
         assert fresh.stability_cache is not sol192.stability_cache
 
-    def test_no_array_with_a_row_per_node_but_the_moment_coordinate(
-            self, kc_config, constants):
-        sol = solver.solve_momentum(kc_config, constants, nodes=4096)
+    def test_nodal_arrays_are_the_moment_coordinate_and_one_vandermonde(
+            self, kc4096):
+        sol = replace(kc4096)
         t, T = sol.grid.t, sol.grid.T
         with pytest.raises(StabilityError, match="degree 256, the largest "
                                                  "tried"):
             v_h_solve(sol, np.sin(np.pi * t / T))
-        v_h_solve(sol, self._source(sol))
+        # a call that raises keeps none of its 257-row Vandermonde
+        assert "vander" not in sol.stability_cache
+        out = v_h_solve(sol, self._source(sol))
         drift_spectrum(sol, 3)
         arrays = list(_cached_arrays(sol))
-        assert [key for key, a in arrays if t.size in a.shape] == ["X"]
-        # four (m+1)^2 arrays per degree at most, and the nodal X
-        small = sum(a.nbytes for key, a in arrays if key != "X")
+        assert [key for key, a in arrays if t.size in a.shape] == ["X",
+                                                                   "vander"]
+        assert out.degree == 32
+        assert sol.stability_cache["vander"].shape == (33, t.size)
+        # four (m+1)^2 arrays per degree at most, and the nodal X and V
+        small = sum(a.nbytes for key, a in arrays
+                    if key not in ("X", "vander"))
         assert small <= sum(4 * 8 * (m + 1) ** 2 + 8 * (m + 1)
                             for m in stability._DEGREES)
+
+    def test_warm_call_builds_no_vandermonde(self, sol192, monkeypatch):
+        built = []
+        vander = stability.cheb.chebvander
+
+        def counted(x, m):
+            built.append(m)
+            return vander(x, m)
+
+        monkeypatch.setattr(stability.cheb, "chebvander", counted)
+        sol = replace(sol192)
+        src = self._source(sol)
+        assert v_h_solve(sol, src).degree == 32
+        assert built
+        built.clear()
+        v_h_solve(sol, src)
+        assert built == []
+
+    def test_lower_degrees_read_a_prefix_bit_for_bit(self, kc4096):
+        sol = replace(kc4096)
+        t, T = sol.grid.t, sol.grid.T
+        assert v_h_solve(sol, np.cos(20 * np.pi * t / T)).degree == 64
+        kept = sol.stability_cache["vander"]
+        assert kept.shape == (65, t.size)
+        moment_map = 0.5 + stability._moment_coordinate(sol)
+        for degree, src in ((16, moment_map), (32, self._source(sol))):
+            out = v_h_solve(sol, src)
+            cold = v_h_solve(replace(kc4096), src)
+            assert out.degree == cold.degree == degree
+            assert out.v.tobytes() == cold.v.tobytes()
+            assert out.residual == cold.residual
+            assert (out.smallest_singular_value
+                    == cold.smallest_singular_value)
+        # the largest degree a call settled on stays
+        assert sol.stability_cache["vander"] is kept
+
+    def test_a_raising_call_leaves_the_vandermonde(self, sol192):
+        # on an empty cache the 4096-node test above and the non-finite
+        # source test cover it
+        sol = replace(sol192)
+        t, T = sol.grid.t, sol.grid.T
+        v_h_solve(sol, self._source(sol))
+        kept = sol.stability_cache["vander"]
+        unresolved = np.sin(np.pi * t / T)
+        nan = self._source(sol)
+        nan[t.size // 3] = np.nan
+        for src in (unresolved, nan):
+            with pytest.raises(StabilityError):
+                v_h_solve(sol, src)
+            assert sol.stability_cache.get("vander") is kept
 
     def test_drift_spectrum_shares_the_operator_of_each_degree(
             self, sol192, monkeypatch):

@@ -136,6 +136,34 @@ def test_command_set_covers_fuzz_and_the_uniform_scheme(output_digests,
         for method in ("momentum", "shooting") for extra in ("", "-config")]
 
 
+def test_listing_names_the_stability_layer_files(output_digests, tmp_path,
+                                                 monkeypatch):
+    kc = [[2, 2.0, 1, 1.0]]
+    monkeypatch.setattr(output_digests, "PIPELINES",
+                        (("kc", kc, 256, "chebyshev"),))
+    constants = tmp_path / "constants.json"
+    assert output_digests.krs("pin-constants", "--seed", 0, "--out",
+                              constants) == 0
+    config = output_digests.run_config(str(tmp_path / "kc.json"), kc, 256,
+                                       "both", "chebyshev")
+    assert output_digests.krs("solve", "--config", config, "--constants",
+                              constants, "--out",
+                              tmp_path / "kc" / "solve") == 0
+    output_digests.stability_layer(str(tmp_path))
+    names = {line.split()[0]
+             for line in output_digests.digests(str(tmp_path))}
+    calls = ["0-T20", "1-T8", "2-T1", "3-T20"]
+    for method in ("momentum", "shooting"):
+        vh = f"kc/vh-{method}"
+        assert f"{vh}/spectrum.txt" in names
+        for call in calls:
+            assert {f"{vh}/{call}/{key}.txt" for key in (
+                "v", "residual", "smallest_singular_value", "degree")} <= names
+        # highest degree first, then prefixes of it, then a warm call
+        assert [(tmp_path / vh / call / "degree.txt").read_text()
+                for call in calls] == ["64\n", "32\n", "16\n", "64\n"]
+
+
 def test_equal_listings_move_nothing(digest_moves, tmp_path, capsys):
     lines = [f"a.csv {SHA['a']}", "a.json c=1.0 T=2.0", "run exit 0"]
     path = _listing(tmp_path / "a.txt", lines)

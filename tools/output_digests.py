@@ -22,9 +22,21 @@ bundles of perfbench/reference.json at N = 512, solved
 with method both and with method shooting alone (cold shooting takes
 about 0.4 to 1.5 s per bundle, about 1 s on three S^2 factors, on a
 2-vCPU host).  Every solve uses the seed-0 constants.
+
+No `krs` command reaches the v_h solve, so the stability layer is run
+in-process on each pipeline's two solutions, read back with
+`cli.read_solution`: `v_h_solve` on the sources of VH_SOURCES, which
+settle at degrees 64, 32 and 16, in that order (the first builds the
+cached nodal Vandermonde, the others read a prefix of it), then the first
+again (a warm call), and `drift_spectrum(sol, 3)`.  Each call's `v`,
+`residual`, `smallest_singular_value` and `degree` are written as `%.17g`
+text files under OUT/<pipeline>/vh-<method>/<call>-T<k>/, and the
+spectrum as OUT/<pipeline>/vh-<method>/spectrum.txt, so the `path sha256`
+lines cover them (a StabilityError there stops the tool).
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,7 +44,10 @@ import os
 import stat
 import sys
 
-from krslab import cli
+import numpy as np
+from numpy.polynomial import chebyshev as cheb
+
+from krslab import cli, stability
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCE = os.path.join(ROOT, "perfbench", "reference.json")
@@ -44,6 +59,12 @@ PIPELINES = (
     ("two_factor", [[2, 2.0, 1, 1.0], [4, 3.0, 1, 0.5]], 1024, "chebyshev"),
     ("kc_uniform", [[2, 2.0, 1, 1.0]], 256, "uniform"),
 )
+
+# v_h sources, in the order they are solved: the Chebyshev polynomials T_k
+# of the moment coordinate X = s - 1, which settle at degrees 64, 32 and 16
+# on both methods' solutions (a source in t/T needs degree 256 on some
+# shooting solutions, or does not resolve)
+VH_SOURCES = (20, 8, 1)
 
 
 def run_config(path, factors, nodes, method, scheme):
@@ -105,6 +126,44 @@ def commands(out):
                 os.path.join(out, "crosscheck", f"{name}-{method}"))
 
 
+def _write_values(directory, **values):
+    os.makedirs(directory, exist_ok=True)
+    for key, value in values.items():
+        np.savetxt(os.path.join(directory, f"{key}.txt"),
+                   np.atleast_1d(value), fmt="%.17g")
+
+
+def _degree(sol, src, vh) -> int:
+    """``vh.degree``; for a krslab whose VhSolution has no degree, the
+    largest degree a cold call on a copy of ``sol`` collocates at."""
+    if hasattr(vh, "degree"):
+        return vh.degree
+    fresh = dataclasses.replace(sol)
+    stability.v_h_solve(fresh, src)
+    return max(key[1] for key in fresh.stability_cache
+               if isinstance(key, tuple) and key[0] == "collocation")
+
+
+def stability_layer(out):
+    """Run the v_h solves and the drift spectrum on every PIPELINES
+    solution under ``out`` and write their values there."""
+    for name, *_ in PIPELINES:
+        for method in ("momentum", "shooting"):
+            sol = cli.read_solution(os.path.join(out, name, "solve"), method)
+            target = os.path.join(out, name, f"vh-{method}")
+            X = stability._moment_coordinate(sol)
+            for call, k in enumerate(VH_SOURCES + VH_SOURCES[:1]):
+                src = cheb.Chebyshev.basis(k)(X)
+                vh = stability.v_h_solve(sol, src)
+                _write_values(
+                    os.path.join(target, f"{call}-T{k}"),
+                    v=vh.v, residual=vh.residual,
+                    smallest_singular_value=vh.smallest_singular_value,
+                    degree=_degree(sol, src, vh))
+            _write_values(target,
+                          spectrum=stability.drift_spectrum(sol, 3))
+
+
 def digests(out) -> list:
     """`path sha256` of every file, then `path c=.. T=..` of every
     solution file, then `path mode ...` of every file, each block sorted."""
@@ -134,6 +193,7 @@ def main(argv) -> int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     codes = [f"{label} exit {krs(*argv)}" for label, argv in commands(out)]
+    stability_layer(out)
     print("\n".join(digests(out) + codes))
     return 0
 
