@@ -101,21 +101,22 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution):
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``; the method
     stored in the file must be the one its name says.  A profile table that
-    is missing, empty, has a non-numeric cell or does not fit the metadata
-    is a ConfigError that names it, and so is metadata that does not make a
-    solution."""
+    is missing, empty, has a non-numeric cell, does not fit the metadata or
+    has a header other than ``profile_csv_header`` is a ConfigError that
+    names it, and so is metadata that does not make a solution."""
     meta_path = os.path.join(sol_dir, f"solution_{method}.json")
     meta = read_json(meta_path)
     path = os.path.join(sol_dir, f"profile_{method}.csv")
     try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             # loadtxt only warns on a table with no rows
             warnings.simplefilter("error", UserWarning)
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            header = fh.readline().rstrip("\n")
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        sol = solver.SolitonSolution.from_dict(meta, table)
+        sol = solver.SolitonSolution.from_dict(meta, table, header)
     except TableShapeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except ConfigError as exc:

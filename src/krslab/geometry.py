@@ -25,8 +25,8 @@ class GeometryError(ValueError):
 
 
 class TableShapeError(ConfigError):
-    """A profile table whose shape does not fit its scheme and factors: a
-    malformed input, not a failed solution."""
+    """A profile table whose shape or header does not fit its scheme and
+    factors: a malformed input, not a failed solution."""
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,8 @@ def ricci_components(
         grid.dl[:, 1:-1], grid.ddl[:, 1:-1], config.d, config.p, config.q,
         constants.A, constants.B)
 
-    t = grid.t
-    R_NN, R_UU = fill_even(t, R_NN), fill_even(t, R_UU)
-    R_i = np.array([fill_even(t, row) for row in R_i])
+    filled = fill_even(grid.t, np.array([R_NN, R_UU, *R_i]))
+    R_NN, R_UU, R_i = filled[0], filled[1], filled[2:]
     R = R_NN + R_UU + (config.d[:, None] * R_i).sum(axis=0)
     return RicciProfiles(R_NN=R_NN, R_UU=R_UU, R_i=R_i, R=R)
 

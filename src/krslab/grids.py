@@ -120,9 +120,10 @@ class Scheme:
         return float(self.w @ F)
 
 
-def even_extrapolate(t: np.ndarray, v: np.ndarray, idx_end: int) -> float:
+def even_extrapolate(t: np.ndarray, v: np.ndarray, idx_end: int):
     """Fill a boundary value of a function known to be even in (t - t_end)
-    by polynomial extrapolation in the squared distance.
+    by polynomial extrapolation in the squared distance: one value for a
+    profile v, one per row for a stack of rows (one fit for all of them).
 
     idx_end is 0 or -1; the nearest npts interior nodes are used.
     """
@@ -135,14 +136,16 @@ def even_extrapolate(t: np.ndarray, v: np.ndarray, idx_end: int) -> float:
         te = t[-1]
     x = (t[sel] - te) ** 2
     scale = x.max()  # normalize for conditioning on clustered spectral nodes
-    coeffs = np.polynomial.polynomial.polyfit(x / scale, v[sel], npts - 1)
-    return float(np.polynomial.polynomial.polyval(0.0, coeffs))
+    coeffs = np.polynomial.polynomial.polyfit(x / scale, v[..., sel].T,
+                                              npts - 1)
+    return np.polynomial.polynomial.polyval(0.0, coeffs)
 
 
 def fill_even(t: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Full-length profile from its interior values, both endpoint values by
-    ``even_extrapolate``; used for 0/0 limits at the collapsing circle."""
-    out = np.pad(inner, 1)
-    out[0] = even_extrapolate(t, out, 0)
-    out[-1] = even_extrapolate(t, out, -1)
+    """Full-length profile from its interior values (or a stack of such
+    rows), both endpoint values by ``even_extrapolate``; used for 0/0
+    limits at the collapsing circle."""
+    out = np.pad(inner, [(0, 0)] * (inner.ndim - 1) + [(1, 1)])
+    out[..., 0] = even_extrapolate(t, out, 0)
+    out[..., -1] = even_extrapolate(t, out, -1)
     return out

@@ -7,9 +7,10 @@ compares each with scipy, which the tests keep as their reference):
 - ``dct1``: ``scipy.fft.dct(c, type=1)``, the real FFT of the even extension;
 - ``brentq``: ``scipy.optimize.brentq`` (its C loop, ``Zeros/brentq.c``);
 - ``cubic_hermite``: ``CubicHermiteSpline(x, y, dydx)(xq)``, its coefficients
-  and the piecewise-polynomial evaluation;
+  and the piecewise-polynomial evaluation, for one profile or a stack;
 - ``dop853``: ``solve_ivp(method="DOP853", dense_output=True)`` forward in
-  time, without the ``OdeSolver`` classes.
+  time, without the ``OdeSolver`` classes; its dense output builds all the
+  steps a read reaches with one right-hand-side call per extra stage.
 
 Loading scipy costs about 0.75 s per process, more than any ``krs`` command
 spends on its work.  Arithmetic that is not IEEE-exact elementwise (the
@@ -104,16 +105,19 @@ def cubic_hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray,
                   xq: np.ndarray) -> np.ndarray:
     """The piecewise cubic through (x_k, y_k) with slopes dydx_k (x strictly
     increasing), at the points xq: ``CubicHermiteSpline(x, y, dydx)(xq)``.
-    Interval k holds x_k <= xq < x_{k+1}; the last one is closed on the
-    right and the end intervals extrapolate."""
+    y and dydx are one profile or a stack of rows (one spline per row, each
+    with the bits it gets alone).  Interval k holds x_k <= xq < x_{k+1};
+    the last one is closed on the right and the end intervals
+    extrapolate."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c0, c1 = t / dx, (slope - dydx[:-1]) / dx - t
+    t = (dydx[..., :-1] + dydx[..., 1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - dydx[..., :-1]) / dx - t
     k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     s = xq - x[k]
     s2 = s * s
-    return y[k] + dydx[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
+    return (y[..., k] + dydx[..., k] * s + c1[..., k] * s2
+            + c0[..., k] * (s2 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -240,66 +244,51 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-class _Step:
-    """One accepted step from t_old to t.  Its 13 stages are kept (the last
-    is y' at t), and the three extra stages and the 7 coefficient rows of
-    the interpolant are computed when the step is first read."""
-
-    def __init__(self, fun, t_old, t, y_old, y, K):
-        self.fun, self.t_old, self.h = fun, t_old, t - t_old
-        self.y_old, self.y, self.K = y_old, y, K
-        self.F = None
-
-    def _interpolant(self):
-        K, h = self.K, self.h
-        for s in range(_STAGES + 1, 16):
-            dy = np.dot(K[:s].T, _A[s, :s]) * h
-            K[s] = self.fun(self.t_old + _C[s] * h, self.y_old + dy)
-        F = np.empty((7, self.y.size))
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (K[_STAGES] + K[0])
-        F[3:] = h * np.dot(_D, K)
-        return F
-
-    def __call__(self, t):
-        """States at t (a scalar, or an array: one column per point)."""
-        if self.F is None:
-            self.F = self._interpolant()
-        x = (t - self.t_old) / self.h
-        if np.ndim(t) == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), self.y_old.size))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
 class DenseSolution:
-    """The piecewise interpolant of an integration; a point on a step
-    boundary is read on the step that ends there."""
+    """The piecewise interpolant of an integration from its step points
+    ``ts``, the states there ``ys`` (one row each) and the stages ``K`` of
+    its steps, shape (steps, 16, n), rows 13-15 spare; a point on a step
+    boundary is read on the step that ends there.  A read builds the steps
+    it is the first to reach all at once: one ``fun`` call per extra stage,
+    one column per step."""
 
-    def __init__(self, ts, steps):
-        self.ts, self.steps = ts, steps
+    def __init__(self, fun, ts, ys, K):
+        self.fun, self.ts, self.ys, self.K = fun, ts, ys, K
+        self.h = np.diff(ts)
+        self.F = np.empty((len(K), 7, ys.shape[1]))
+        self.built = np.zeros(len(K), dtype=bool)
+
+    def _build(self, steps):
+        K, h, y_old = self.K[steps], self.h[steps], self.ys[steps]
+        for s in range(_STAGES + 1, 16):
+            dy = np.array([np.dot(Kj[:s].T, _A[s, :s]) * hj
+                           for Kj, hj in zip(K, h)])
+            K[:, s] = self.fun(self.ts[steps] + _C[s] * h, (y_old + dy).T).T
+        F, delta_y, hc = self.F, self.ys[steps + 1] - y_old, h[:, None]
+        F[steps, 0] = delta_y
+        F[steps, 1] = hc * K[:, 0] - delta_y
+        F[steps, 2] = 2 * delta_y - hc * (K[:, _STAGES] + K[:, 0])
+        F[steps, 3:] = [hj * np.dot(_D, Kj) for Kj, hj in zip(K, h)]
+        self.built[steps] = True
 
     def __call__(self, t):
-        t = np.asarray(t)
-        seg = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.steps) - 1)
-        if t.ndim == 0:
-            return self.steps[seg](t)
-        out = np.empty((self.steps[0].y.size, t.size))
-        for k in np.unique(seg):
-            at = seg == k
-            out[:, at] = self.steps[k](t[at])
-        return out
+        """The state at t: a vector for a scalar t, one column per point
+        for an array."""
+        points = np.reshape(t, -1)
+        seg = np.clip(np.searchsorted(self.ts, points) - 1, 0,
+                      self.h.size - 1)
+        new = np.zeros_like(self.built)
+        new[seg] = ~self.built[seg]
+        if new.any():
+            self._build(np.flatnonzero(new))
+        x = ((points - self.ts[seg]) / self.h[seg])[:, None]
+        F = self.F[seg]
+        y = np.zeros((points.size, self.ys.shape[1]))
+        for j in range(6, -1, -1):
+            y += F[:, j]
+            y *= x if j % 2 == 0 else 1 - x
+        y += self.ys[seg]
+        return y[0] if np.ndim(t) == 0 else y.T
 
 
 @dataclass(frozen=True)
@@ -348,11 +337,13 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
     """Integrate y' = fun(t, y) from t0 forward to t_bound > t0 with
     DOP853 at relative and absolute tolerances rtol (at least 100 eps) and
     atol: ``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
-    atol=atol, dense_output=True)``."""
+    atol=atol, dense_output=True)``.  ``fun`` takes a float t and one
+    state, or an array of t and many states (one column per point, as
+    ``DenseSolution`` builds its steps), with the same bits per column."""
     t, y = float(t0), y0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
-    ts, ys, steps = [t], [y], []
+    ts, ys, stages = [t], [y], []
     status, message = None, ""
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -384,12 +375,13 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
             rejected = True
         if status is not None:
             break
-        steps.append(_Step(fun, t, t_new, y, y_new, K))
+        stages.append(K)
         t, y, f = t_new, y_new, f_new
         if t - t_bound >= 0:
             status = 0
         ts.append(t)
         ys.append(y)
-    ts = np.array(ts)
-    return Trajectory(ts, np.vstack(ys).T, DenseSolution(ts, steps), status,
+    ts, ys = np.array(ts), np.vstack(ys)
+    K = np.array(stages).reshape(-1, 16, y0.size)
+    return Trajectory(ts, ys.T, DenseSolution(fun, ts, ys, K), status,
                       message)

@@ -24,8 +24,10 @@ from .geometry import (
     PinnedConstants,
     ProfileGrid,
     RicciProfiles,
+    TableShapeError,
     hessian_components,
     kaehler_residual,
+    profile_csv_header,
     ricci_components,
     ricci_frame,
     weighted_integral,
@@ -171,9 +173,11 @@ class SolitonSolution:
         }
 
     @staticmethod
-    def from_dict(meta: dict, table: np.ndarray) -> "SolitonSolution":
-        """Inverse of ``to_dict`` plus the profile table.  The residuals are
-        re-evaluated on the profiles; only the cross-method disagreement,
+    def from_dict(meta: dict, table: np.ndarray,
+                  header: str) -> "SolitonSolution":
+        """Inverse of ``to_dict`` plus the profile table and its CSV header
+        (``profile_csv_header``: columns are read by position).  The residuals
+        are re-evaluated on the profiles; only the cross-method disagreement,
         which needs the other solution, is taken from the metadata."""
         check_keys(meta, ("config", "c_slope", "gauge_shift", "residuals",
                           "method", "nodes", "T", "scheme", "constants"))
@@ -183,6 +187,9 @@ class SolitonSolution:
         sch = Scheme.of_kind(get_field(meta, "scheme", str),
                              get_field(meta, "nodes", int),
                              get_field(meta, "T", float))
+        expected = profile_csv_header(config.r)
+        if header != expected:
+            raise TableShapeError(f"header {header!r} is not {expected!r}")
         grid = ProfileGrid.from_table(sch, table, config.r)
         stored = get_field(meta, "residuals", dict, {})
         return SolitonSolution(
@@ -756,8 +763,8 @@ def _sample(config, constants, x, t_mid, branches, nodes, scheme):
     # points f'' is odd (vanishes) and l'', u'' are even
     dY = _rhs(config, constants, config.q)(t[1:-1], Y[:, 1:-1])
     ddf = np.pad(dY[1], 1)
-    ddl = np.array([fill_even(t, row) for row in dY[2 + r:2 + 2 * r]])
-    ddu = fill_even(t, dY[3 + 2 * r])
+    filled = fill_even(t, dY[[*range(2 + r, 2 + 2 * r), 3 + 2 * r]])
+    ddl, ddu = filled[:-1], filled[-1]
 
     grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
                        u=u, du=du, ddu=ddu)
@@ -821,13 +828,9 @@ def cross_method_disagreement(sol_a: SolitonSolution,
     """
     ga, gb = sol_a.grid, sol_b.grid
     t = np.clip(ga.t, 0.0, gb.T)
-    worst = 0.0
-    for va, vb, dvb in [(ga.f, gb.f, gb.df), (ga.u, gb.u, gb.du),
-                        *[(ga.l[i], gb.l[i], gb.dl[i])
-                          for i in range(ga.nfactors)]]:
-        interp = cubic_hermite(gb.t, vb, dvb, t)
-        worst = max(worst, float(np.abs(interp - va).max()))
-    return worst
+    interp = cubic_hermite(gb.t, np.vstack([gb.f, gb.u, gb.l]),
+                           np.vstack([gb.df, gb.du, gb.dl]), t)
+    return float(np.abs(interp - np.vstack([ga.f, ga.u, ga.l])).max())
 
 
 def attach_cross_method(sol: SolitonSolution, other: SolitonSolution

@@ -268,6 +268,12 @@ def _rewrite_lines(path, edit):
         fh.write("\n".join(edit(lines)) + "\n")
 
 
+def _swap_cells(line, i, j):
+    cells = line.split(",")
+    cells[i], cells[j] = cells[j], cells[i]
+    return ",".join(cells)
+
+
 # each case: the file it corrupts, the edit, and what the error must name
 # (a "table" edit takes the path of the momentum profile table)
 MALFORMED = {
@@ -326,6 +332,14 @@ MALFORMED = {
         path, lambda lines: lines[:len(lines) // 2]), "profile_momentum.csv"),
     "table-header-only": ("table", lambda path: _rewrite_lines(
         path, lambda lines: lines[:1]), "profile_momentum.csv"),
+    # columns are read by position, so a header that moves or renames one
+    # would read a table other than the one it describes
+    "table-header-reordered": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: [_swap_cells(line, 3, -1) for line in lines]),
+        "'t,f,df,ddu,"),
+    "table-header-renamed": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: [lines[0].replace(",du,", ",dU,"), *lines[1:]]),
+        "u,dU,ddu' is not "),
 }
 
 

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq as scipy_brentq
 
-from krslab import numerics, solver
+from krslab import geometry, grids, numerics, solver
 from krslab.config import BaseFactor, BundleConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -276,3 +276,85 @@ def test_krs_imports_no_scipy():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# batched reads: the dense output and the stacked rows
+
+
+def test_dense_output_builds_the_steps_a_read_reaches_in_one_batch():
+    # the stiffening oscillator with a right-hand side that records the
+    # shape of the states it is handed
+    shapes = []
+
+    def rhs(t, y):
+        shapes.append(np.shape(y))
+        return np.array([y[1], -(1.0 + t * t) * y[0]])
+
+    y0 = np.array([1.0, 0.0])
+    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
+    fresh = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
+    mid = (ours.t[:-1] + ours.t[1:]) / 2.0
+    assert mid.size > 20
+    # steps 3-9: three calls of 7 columns, then none on a second read
+    shapes.clear()
+    first = ours.sol(mid[3:10])
+    assert shapes == [(2, 7)] * 3
+    assert np.array_equal(ours.sol(mid[3:10:2]), first[:, ::2])
+    assert np.array_equal(ours.sol(mid[5]), first[:, 2])
+    assert shapes == [(2, 7)] * 3
+    # steps 0-12: only the 6 new ones are built
+    shapes.clear()
+    ours.sol(mid[:13])
+    assert shapes == [(2, 6)] * 3
+    # every point read in two calls has the bits it gets in one
+    points = _read_points(ours.t)
+    assert np.array_equal(
+        np.hstack([ours.sol(points[::2]), ours.sol(points[1::2])]),
+        fresh.sol(np.concatenate([points[::2], points[1::2]])))
+
+
+@pytest.fixture(scope="module")
+def reference_momentum(constants):
+    return {name: solver.solve_momentum(_bundle(c["factors"]), constants,
+                                        nodes=512)
+            for name, c in CONFIGS.items()}
+
+
+def test_stacked_rows_have_the_bits_of_single_rows(reference_momentum):
+    # one least-squares fit per end for a stack of Ricci rows, and one
+    # spline call for a stack of profiles, give each row its own bits
+    for name, sol in reference_momentum.items():
+        g, config = sol.grid, sol.config
+        R_NN, R_UU, R_i = geometry.ricci_frame(
+            g.f[1:-1], g.df[1:-1], g.ddf[1:-1], g.l[:, 1:-1], g.dl[:, 1:-1],
+            g.ddl[:, 1:-1], config.d, config.p, config.q, sol.constants.A,
+            sol.constants.B)
+        rows = np.array([R_NN, R_UU, *R_i])
+        assert np.array_equal(grids.fill_even(g.t, rows),
+                              [grids.fill_even(g.t, row) for row in rows]), \
+            name
+        y = np.vstack([g.f, g.u, g.l])
+        dydx = np.vstack([g.df, g.du, g.dl])
+        xq = np.sort(np.concatenate([g.t, (g.t[:-1] + g.t[1:]) / 2.0]))
+        assert np.array_equal(
+            numerics.cubic_hermite(g.t, y, dydx, xq),
+            [numerics.cubic_hermite(g.t, yk, dk, xq)
+             for yk, dk in zip(y, dydx)]), name
+
+
+def test_warm_shooting_solve_imports_no_numpy_ma():
+    code = ("import sys\n"
+            "from krslab import solver\n"
+            "from krslab.config import koiso_cao\n"
+            "from krslab.oracle import pin_constants\n"
+            "c, kc = pin_constants(seed=0), koiso_cao()\n"
+            "start = solver.solve_momentum(kc, c, nodes=64)\n"
+            "solver.solve_shooting(kc, c, nodes=64, start=start)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH",
+                                                               "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "False"
