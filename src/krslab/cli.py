@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -167,8 +168,10 @@ def cmd_solve(args) -> int:
         return EXIT_NO_SOLITON
     if len(sols) == 2:
         a, b = sols["momentum"], sols["shooting"]
-        sols["momentum"] = solver.attach_cross_method(a, b)
-        sols["shooting"] = solver.attach_cross_method(b, a)
+        sols["momentum"] = replace(
+            a, cross_method=solver.cross_method_disagreement(a, b))
+        sols["shooting"] = replace(
+            b, cross_method=solver.cross_method_disagreement(b, a))
     ok = True
     for sol in sols.values():
         write_solution(args.out, sol)

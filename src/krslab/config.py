@@ -155,12 +155,16 @@ class BundleConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "BundleConfig":
-        """Inverse of ``to_dict``; the derived ``n`` is not read back, and
-        ``tau``, when given, must be TAU."""
+        """Inverse of ``to_dict``; ``n``, when given, must be the derived
+        2 + sum(d_i), and ``tau``, when given, must be TAU."""
         check_keys(raw, ("factors", "n", "tau"))
         factors = get_field(raw, "factors", list)
         config = BundleConfig(
             factors=tuple(BaseFactor.from_dict(f) for f in factors))
+        n = get_field(raw, "n", int, config.n)
+        if n != config.n:
+            raise ConfigError(f"n = {n} disagrees with the factors, whose "
+                              f"dimensions give n = {config.n}")
         if get_field(raw, "tau", float, TAU) != TAU:
             raise ConfigError(
                 "only the normalized soliton (tau = 1/2) is supported")

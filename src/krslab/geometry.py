@@ -10,7 +10,7 @@ oracle in :mod:`krslab.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -139,11 +139,9 @@ class ProfileGrid:
     @cached_property
     def _measures(self) -> dict:
         """(w, e^{-u}) of ``weighted_integral``, one entry per tuple of
-        factor dimensions; a new grid, ``with_u`` included, starts empty."""
+        factor dimensions; a new grid, ``dataclasses.replace`` included,
+        starts empty."""
         return {}
-
-    def with_u(self, u, du, ddu) -> "ProfileGrid":
-        return replace(self, u=u, du=du, ddu=ddu)
 
     def table(self) -> np.ndarray:
         """The profiles as rows t, f, df, ddf, l_i, dl_i, ddl_i (per factor),

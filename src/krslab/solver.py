@@ -149,8 +149,8 @@ class SolitonSolution:
     @cached_property
     def stability_cache(self) -> dict:
         """The source-independent work of :mod:`krslab.stability` on this
-        solution (the moment coordinate, the nodal Vandermonde and the
-        per-degree operators), filled there on first use."""
+        solution, filled there on first use; that module's docstring lays
+        it out."""
         return {}
 
     def to_dict(self) -> dict:
@@ -238,8 +238,8 @@ def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     a = weighted_integral(grid, config, grid.u) / weighted_integral(
         grid, config, np.ones_like(grid.u)
     )
-    new_grid = grid.with_u(grid.u - a, grid.du, grid.ddu)
-    return replace(sol, grid=new_grid, gauge_shift=sol.gauge_shift + a)
+    return replace(sol, grid=replace(grid, u=grid.u - a),
+                   gauge_shift=sol.gauge_shift + a)
 
 
 def identity_suite(sol: SolitonSolution) -> dict:
@@ -297,7 +297,10 @@ def _phi(s, w, c, config):
     integral over [0, 2] vanishes, so for s > 1 phi is minus the tail
     int_s^2 over m(s), with its nodes placed down from 2 over the length w.
     Both ends are then read off an integral from their own collapse point
-    and reach zero at the same relative accuracy."""
+    and reach zero at the same relative accuracy.  Each form is a
+    positive-weight sum of terms of one sign (1 - sig > 0 below 1, < 0
+    above) over m(s) > 0 on an admissible bundle, so phi > 0 on (0, 2) at
+    any c: the momentum solve relies on it and does not probe it."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     far = s > 1.0
     half = np.where(far, w, s) / 2.0
@@ -404,11 +407,6 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
                              f"|c| <= {_SLOPE_BOX_MAX:g}")
     c, = roots
 
-    # phi > 0 on the interior
-    s_probe = np.linspace(0.0, 2.0, 201)[1:-1]
-    if np.any(_phi(s_probe, 2.0 - s_probe, c, config) <= 0):
-        raise NoSolitonFound(f"phi not positive on (0, 2) at slope c={c}")
-
     # arc-length reconstruction: s = 2 sin^2(xi/2), 2 - s = 2 cos^2(xi/2)
     # and dt/dxi = sin(xi) / sqrt(phi), smooth and positive up to the ends
     # (-> 1 at both collapse points)
@@ -432,7 +430,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     # invert t(xi) at the output nodes by Newton on the integrated series
     xi = cubic_hermite(t_k, xi_k, 1.0 / cheb(xi_k), sch.t)
     for _ in range(60):
-        step = (t_of_xi(xi) - sch.t) / np.maximum(cheb(xi), 1e-300)
+        step = (t_of_xi(xi) - sch.t) / cheb(xi)
         xi = np.clip(xi - step, 0.0, np.pi)
         if np.abs(step).max() < 1e-14:
             break
@@ -659,10 +657,10 @@ def _newton(config, constants, x, t_mid, rtol, q):
     offset u0f neither) and reuses the iterate's other branch, so it costs
     2r+3 branch integrations instead of 4r+8 and is the same matrix.
     """
-    def match(xv, base=None):
+    def match(xv, base):
         return _match_residual(config, constants, xv, t_mid, rtol, q, base)
 
-    res, branches = match(x)
+    res, branches = match(x, None)
     for steps in range(_NEWTON_ITERS + 1):
         nrm = np.linalg.norm(res)
         if nrm < _NEWTON_TOL:
@@ -681,7 +679,7 @@ def _newton(config, constants, x, t_mid, rtol, q):
         for _ in range(25):
             trial = x + lam * step
             try:
-                res_trial, branches_trial = match(trial)
+                res_trial, branches_trial = match(trial, None)
             except SolverError:
                 lam *= 0.5
                 continue
@@ -831,8 +829,3 @@ def cross_method_disagreement(sol_a: SolitonSolution,
     interp = cubic_hermite(gb.t, np.vstack([gb.f, gb.u, gb.l]),
                            np.vstack([gb.df, gb.du, gb.dl]), t)
     return float(np.abs(interp - np.vstack([ga.f, ga.u, ga.l])).max())
-
-
-def attach_cross_method(sol: SolitonSolution, other: SolitonSolution
-                        ) -> SolitonSolution:
-    return replace(sol, cross_method=cross_method_disagreement(sol, other))

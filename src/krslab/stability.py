@@ -10,11 +10,26 @@ potential equation and the drift spectrum are collocated there, in a small
 Chebyshev basis, and mapped back to the profile grid.
 
 Everything of that which does not depend on the source is computed once per
-solution and kept on it (``SolitonSolution.stability_cache``): the moment
-coordinate at the nodes, one nodal Chebyshev Vandermonde at the largest
-degree a ``v_h_solve`` settled on, and, per Chebyshev degree, the fit's
-inverse Gram matrix and the collocation, which ``v_h_solve`` and
-``drift_spectrum`` share.  The first call on a solution pays for them; a
+solution and kept on it, in ``SolitonSolution.stability_cache``, under these
+keys (N + 1 nodes, Chebyshev degree m):
+
+- ``"X"``: the moment coordinate at the nodes;
+- ``"vander"``: the nodal Chebyshev Vandermonde V, one row per degree, as
+  one (m+1) x (N+1) array at the largest degree m a returning
+  ``v_h_solve`` settled on (a lower degree reads its first rows, bit for
+  bit what a fresh V holds; a call that raises keeps none): 270 kB at
+  N = 1024 and degree 32, at most 257 (N+1) 8 bytes (8.4 MB at N = 4096);
+- per degree m tried, ``("fit", m)``, the inverse Gram matrix of V (from
+  its triangular factor), and ``("collocation", m)``, the operator, its
+  smallest singular value, and its solution map and d/ds on Chebyshev
+  coefficients, which ``v_h_solve`` and ``drift_spectrum`` share: four
+  (m+1)^2 arrays, 32 (m+1)^2 bytes per degree, 9 kB at degree 16, 2.1 MB
+  at 256, 2.8 MB for all five.
+
+The first call on a solution builds them, at about the cost of a call
+without them; a later call at a degree no higher pays only for the fit
+(V V^T)^-1 V s (cond V < 5 on the solvers' nodes, so the normal equations
+lose under two digits), small matrix-vector products and the map back.  A
 new solution, ``dataclasses.replace`` included, starts with an empty cache.
 """
 
@@ -67,16 +82,12 @@ class PerturbationProfile:
                                  f"got {self.kappas}")
 
     @property
-    def is_constant(self) -> bool:
-        return self.kappas is not None
-
-    @property
     def essential(self) -> bool:
         """Essentiality is established only for constant profiles."""
-        return self.is_constant
+        return self.kappas is not None
 
     def psi(self, t: np.ndarray) -> np.ndarray:
-        if self.is_constant:
+        if self.kappas is not None:
             return np.full_like(t, float(sum(self.kappas)))
         vals = np.asarray(self.psi_fn(t), dtype=float)
         if np.any(vals < -1e-12):
@@ -84,7 +95,7 @@ class PerturbationProfile:
         return np.maximum(vals, 0.0)
 
     def dpsi(self, t: np.ndarray) -> np.ndarray:
-        if self.is_constant:
+        if self.kappas is not None:
             return np.zeros_like(t)
         if self.dpsi_fn is None:
             raise StabilityError(f"profile {self.name!r} has no derivative")
@@ -162,7 +173,7 @@ def dw_theorem_check(sol: SolitonSolution, pert: PerturbationProfile) -> float:
     the integral factorizes as (sum kappa) * int (Delta_u u) e^{-u} dV, which
     the divergence theorem kills.  Returns the absolute value of the direct
     quadrature of that product."""
-    if not pert.is_constant:
+    if pert.kappas is None:
         raise StabilityError(
             "the factorization requires a t-independent profile"
         )
@@ -224,8 +235,12 @@ class VhSolution:
     residual: float
     smallest_singular_value: float
     near_kernel: bool
-    least_squares: bool
     degree: int
+
+    @property
+    def least_squares(self) -> bool:
+        """A near-kernel operator is solved in the least-squares sense."""
+        return self.near_kernel
 
 
 # degrees of the s-series tried in turn, and the size of the last quarter of
@@ -324,23 +339,8 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     least-squares sense and flagged.  The solution is mapped back to the
     nodes with v' = v_s f, v'' = v_ss f^2 + v_s f'.
 
-    What does not depend on the source is kept on the solution (see
-    ``SolitonSolution.stability_cache``): the moment coordinate at the
-    nodes; the nodal Chebyshev Vandermonde V, one row per degree, as one
-    (m+1) x (N+1) array at the largest degree m a returning call settled
-    on (a lower degree reads its first rows, bit for bit what a fresh V
-    holds; a call that raises keeps none), 270 kB at N = 1024 and degree
-    32, at most 257 (N+1) 8 bytes (8.4 MB at N = 4096); and, per degree m
-    tried, the inverse Gram matrix of V (from its triangular factor) and
-    the collocation: the operator, its smallest singular value, and its
-    solution map and d/ds on Chebyshev coefficients.  That is four
-    (m+1)^2 arrays, 32 (m+1)^2 bytes per degree: 9 kB at degree 16,
-    2.1 MB at 256, 2.8 MB for all five.  The first call on a solution
-    builds them, at about the cost of a call without them; a later call at
-    a degree no higher pays only for the fit (V V^T)^-1 V s (cond V < 5 on
-    the solvers' nodes, so the normal equations lose under two digits),
-    small matrix-vector products and the map back.  A new solution,
-    ``dataclasses.replace`` included, starts with an empty cache.
+    What does not depend on the source is kept on the solution, in the
+    cache the module docstring lays out.
     """
     _require_normalized(sol)
     grid, config = sol.grid, sol.config
@@ -396,7 +396,7 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
         sol.stability_cache["vander"] = nodal
     return VhSolution(v=v, residual=residual,
                       smallest_singular_value=op.sigma_min, near_kernel=near,
-                      least_squares=near, degree=m)
+                      degree=m)
 
 
 def drift_spectrum(sol: SolitonSolution, k: int) -> np.ndarray:

@@ -48,6 +48,12 @@ class TestStructure:
             HermitianModel(2, random_doubled_c(rng, 2),
                            rng.standard_normal((4, 4)))  # not symmetric
 
+    def test_model_shape_must_match_dimension(self, rng):
+        # a 2x2 h is symmetric and c doubled, so only the shape is wrong
+        with pytest.raises(AlgebraError, match="shape mismatch"):
+            HermitianModel(2, random_doubled_c(rng, 2),
+                           random_anti_invariant(rng, 1))
+
 
 class TestSkewPairing:
     def test_zero_tensor(self):
@@ -104,6 +110,18 @@ class TestFramePairing:
         k = random_invariant(rng, 2)
         with pytest.raises(AlgebraError):
             frame_pairing_check(2, k, k)
+
+    def test_non_symmetric_input_rejected(self, rng):
+        # h plus a skew J-anti-invariant part: anti-invariant, not symmetric
+        m = 2
+        J = standard_J(m)
+        x = rng.standard_normal((2 * m, 2 * m))
+        a = (x - J.T @ x @ J) / 2.0
+        skew = (a - a.T) / 2.0
+        h = random_anti_invariant(rng, m) + skew
+        assert is_anti_invariant(m, h) and not np.array_equal(h, h.T)
+        with pytest.raises(AlgebraError, match="must be symmetric"):
+            frame_pairing_check(m, h, h)
 
 
 class TestAntiInvariantFacts:

@@ -292,6 +292,10 @@ MALFORMED = {
         "profiles": [{"kind": "constant",
                       "kappas": [float("inf")] * len(raw["factors"])}]}),
         "kappas"),
+    # n is derived from the factors, 4 for Koiso-Cao
+    "solution-dimension": ("solution",
+                           lambda raw: raw["config"].update(n=99),
+                           "n = 99 disagrees with the factors"),
     "solution-einstein-inf": ("solution",
                               lambda raw: raw["config"]["factors"][0].update(
                                   einstein_constant=float("inf")),
@@ -546,6 +550,25 @@ class TestVerify:
             np.savetxt(fh, data, delimiter=",", fmt="%.17g")
         assert run("verify", "--solution", str(bad),
                    "--out", str(tmp_path / "v")) == 4
+
+
+    def test_moved_node_exits_4(self, pipeline, tmp_path, capsys):
+        # one interior t off its scheme node by a relative 1e-6: the table
+        # is read by the scheme's nodes, so it no longer describes them
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline["out"], bad)
+        path = bad / "profile_momentum.csv"
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data[len(data) // 2, 0] *= 1.0 + 1e-6
+        with open(path, "w") as fh:
+            fh.write(profile_csv_header(1) + "\n")
+            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+        capsys.readouterr()
+        assert run("verify", "--solution", str(bad),
+                   "--out", str(tmp_path / "v")) == 4
+        assert capsys.readouterr().err == (
+            "verify failed: GeometryError: profile nodes disagree with the "
+            "scheme\n")
 
 
 class TestStability:

@@ -57,6 +57,16 @@ class TestBundleConfig:
         with pytest.raises(ConfigError, match=r"tau = 1/2"):
             BundleConfig.from_dict({**koiso_cao().to_dict(), "tau": 1.0})
 
+    def test_wrong_dimension_rejected(self, tmp_path):
+        # n is derived from the factors; a run config that states another
+        # one describes a different bundle
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**koiso_cao().to_dict(), "n": 99}))
+        with pytest.raises(ConfigError, match=r"n = 99 .* n = 4"):
+            load_run_config(str(path))
+        assert BundleConfig.from_dict(
+            {**koiso_cao().to_dict(), "n": 4}) == koiso_cao()
+
     def test_round_trip_dict(self):
         cfg = koiso_cao()
         d = cfg.to_dict()

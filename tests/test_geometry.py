@@ -186,7 +186,7 @@ class TestWeightedCalculus:
             # the unshifted grid's measure is cached first; the shifted
             # solution is a new grid and must not reuse it
             g = kc_momentum.grid
-            raw = replace(kc_momentum, grid=g.with_u(g.u + 0.3, g.du, g.ddu))
+            raw = replace(kc_momentum, grid=replace(g, u=g.u + 0.3))
             weighted_integral(raw.grid, raw.config, raw.grid.u)
             sol = solver.gauge_normalize(raw)
             assert sol.grid is not raw.grid

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krslab import solver
 from krslab.config import ConfigError
 from krslab.grids import (
     Scheme,
@@ -129,9 +130,9 @@ class TestLazyDifferentiation:
         assert np.array_equal(Scheme.chebyshev(n, length).t,
                               cheb_lobatto(n, length)[0])
 
-    def test_profile_grid_with_u_shares_the_scheme(self, kc_momentum):
+    def test_gauge_normalized_grid_shares_the_scheme(self, kc_momentum):
         g = kc_momentum.grid
-        assert g.with_u(g.u + 1.0, g.du, g.ddu).scheme is g.scheme
+        assert solver.gauge_normalize(kc_momentum).grid.scheme is g.scheme
 
 
 class TestEvenExtrapolate:

@@ -59,6 +59,20 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+# a dense grid of (0, 2) that reaches within 1e-12 of both collapse points
+_ENDS = np.geomspace(1e-12, 1e-2, 41)
+_S_DENSE = np.concatenate([_ENDS, np.linspace(0.0, 2.0, 2001)[1:-1],
+                           2.0 - _ENDS[::-1]])
+
+
+def _assert_phi_positive(cfg, roots):
+    """phi = f^2 > 0 on the open interval at every slope root: the
+    momentum solve takes it from the construction and does not probe it."""
+    for c in roots:
+        phi = solver.momentum_phi(cfg, c, _S_DENSE)
+        assert np.all(phi > 0), (c, _S_DENSE[phi <= 0][:5])
+
+
 class TestMomentum:
     def test_koiso_cao_slope_and_length(self, kc_momentum):
         # reference values computed with mpmath at 25 digits: c is the root
@@ -185,6 +199,7 @@ class TestSlopeRoot:
         roots = solver.find_slope_roots(cfg)
         assert len(roots) == 1
         assert _hex(roots) == _hex(_scan_slope_roots(cfg))
+        _assert_phi_positive(cfg, roots)
 
     # roots in the boxes of half-width 8, 8, 8, 16 and 256, and none
     # with |c| <= 256 for the last (its root is below -256)
@@ -197,6 +212,7 @@ class TestSlopeRoot:
         found = solver.find_slope_roots(cfg)
         assert len(found) == roots
         assert _hex(found) == _hex(_scan_slope_roots(cfg))
+        _assert_phi_positive(cfg, found)
 
     def test_bisection_evaluates_few_points(self, kc_config, monkeypatch):
         # two box ends, nine bisection steps over 400 brackets, then brentq:
@@ -548,6 +564,21 @@ class TestShooting:
             "twist continuation stopped at lambda=0: the step to "
             f"lambda=0.03125 failed: {message}")
 
+    def test_line_search_stall_raises(self, kc_config, constants,
+                                      kc_momentum, monkeypatch):
+        # a defect floored at 1e-3 (1 + |x|): no damped step lowers it
+        match = solver._match_residual
+
+        def floored(config, constants, x, *args):
+            res, branches = match(config, constants, x, *args)
+            return res + 1e-3 * (1.0 + np.linalg.norm(x)), branches
+
+        monkeypatch.setattr(solver, "_match_residual", floored)
+        with pytest.raises(solver.SolverError,
+                           match="Newton line search stalled"):
+            solver.solve_shooting(kc_config, constants, nodes=64,
+                                  start=kc_momentum)
+
     def test_bad_guess_raises(self, kc_config, constants, monkeypatch):
         # every rung's first matching call meets l_1(0) = -1
         _cold_start_from(monkeypatch, np.array([-1.0]), 0.25)
@@ -625,10 +656,13 @@ class TestReports:
         assert "E_N" in d["residuals"]
         assert d["T"] > 0
 
-    def test_attach_cross_method(self, kc_momentum, kc_shooting_2048):
+    def test_cross_method_is_written_with_the_residuals(
+            self, kc_momentum, kc_shooting_2048):
         # the disagreement is the solution's; it is written with the
         # residuals, and only when known
-        tagged = solver.attach_cross_method(kc_momentum, kc_shooting_2048)
+        tagged = replace(kc_momentum,
+                         cross_method=solver.cross_method_disagreement(
+                             kc_momentum, kc_shooting_2048))
         assert tagged.cross_method < 1e-8
         assert (tagged.to_dict()["residuals"]["cross_method"]
                 == tagged.cross_method)

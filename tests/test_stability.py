@@ -55,6 +55,12 @@ class TestProfiles:
         with pytest.raises(StabilityError, match="finite and >= 0"):
             constant_profile([kappa])
 
+    @pytest.mark.parametrize("sources", [
+        {}, {"kappas": (1.0,), "psi_fn": np.cos}], ids=["neither", "both"])
+    def test_profile_needs_exactly_one_source(self, sources):
+        with pytest.raises(StabilityError, match="exactly one"):
+            PerturbationProfile(name="p", **sources)
+
     def test_sampled_cannot_be_essential(self):
         p = PerturbationProfile(name="sampled", psi_fn=lambda t: t)
         assert not p.essential
@@ -81,7 +87,7 @@ class TestSecondVariation:
 
     def test_unnormalized_solution_rejected(self, kc_momentum):
         g = kc_momentum.grid
-        raw = replace(kc_momentum, grid=g.with_u(g.u + 0.3, g.du, g.ddu))
+        raw = replace(kc_momentum, grid=replace(g, u=g.u + 0.3))
         with pytest.raises(StabilityError):
             second_variation_main(raw, constant_profile([1.0]))
 
@@ -120,6 +126,10 @@ class TestCConstant:
     def test_unknown_kind_rejected(self, kc_momentum):
         with pytest.raises(StabilityError):
             c_constant(kc_momentum, "skew")
+
+    def test_custom_kind_needs_profiles(self, kc_momentum):
+        with pytest.raises(StabilityError, match="needs diagonal profiles"):
+            c_constant(kc_momentum, "custom")
 
     def test_anti_invariant_consults_the_algebra_check(self, kc_momentum,
                                                        monkeypatch):
@@ -542,7 +552,7 @@ class TestEntropy:
 
         g = kc_momentum.grid
         bad = replace(kc_momentum,
-                      grid=g.with_u(g.u + 0.1 * np.sin(g.t), g.du, g.ddu))
+                      grid=replace(g, u=g.u + 0.1 * np.sin(g.t)))
         with pytest.raises(StabilityError):
             nu_estimate(bad, EntropyGauge())
 
@@ -576,7 +586,7 @@ class TestSingleEvaluation:
         from dataclasses import replace
 
         g = kc_momentum.grid
-        moved = replace(kc_momentum, grid=g.with_u(g.u + 0.3, g.du, g.ddu))
+        moved = replace(kc_momentum, grid=replace(g, u=g.u + 0.3))
         assert moved.evaluation is not kc_momentum.evaluation
         assert np.allclose(moved.evaluation.first_integral,
                            kc_momentum.evaluation.first_integral + 0.3,

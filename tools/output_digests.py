@@ -36,7 +36,6 @@ lines cover them (a StabilityError there stops the tool).
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -133,17 +132,6 @@ def _write_values(directory, **values):
                    np.atleast_1d(value), fmt="%.17g")
 
 
-def _degree(sol, src, vh) -> int:
-    """``vh.degree``; for a krslab whose VhSolution has no degree, the
-    largest degree a cold call on a copy of ``sol`` collocates at."""
-    if hasattr(vh, "degree"):
-        return vh.degree
-    fresh = dataclasses.replace(sol)
-    stability.v_h_solve(fresh, src)
-    return max(key[1] for key in fresh.stability_cache
-               if isinstance(key, tuple) and key[0] == "collocation")
-
-
 def stability_layer(out):
     """Run the v_h solves and the drift spectrum on every PIPELINES
     solution under ``out`` and write their values there."""
@@ -159,7 +147,7 @@ def stability_layer(out):
                     os.path.join(target, f"{call}-T{k}"),
                     v=vh.v, residual=vh.residual,
                     smallest_singular_value=vh.smallest_singular_value,
-                    degree=_degree(sol, src, vh))
+                    degree=vh.degree)
             _write_values(target,
                           spectrum=stability.drift_spectrum(sol, 3))
 
