@@ -138,9 +138,11 @@ class ProfileGrid:
 
     @cached_property
     def _measures(self) -> dict:
-        """(w, e^{-u}) of ``weighted_integral``, one entry per tuple of
-        factor dimensions; a new grid, ``dataclasses.replace`` included,
-        starts empty."""
+        """(w, e^{-u}) of ``weighted_integral`` under the key
+        ``d.tobytes()``, and the drift coefficient (log w)' - u' of
+        ``weighted_laplacian`` under ``("drift", d.tobytes())``, one entry
+        per tuple d of factor dimensions; a new grid,
+        ``dataclasses.replace`` included, starts empty."""
         return {}
 
     def table(self) -> np.ndarray:
@@ -288,13 +290,19 @@ def weighted_laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
     Delta_u v = v'' + (log w)' v' - u' v'.
 
     At the collapsed ends (log w)' v' -> v'' (evenness of v), so the limit
-    value is 2 v'' + (sum d_i l_i'/l_i - u') v' = 2 v''.
+    value is 2 v'' + (sum d_i l_i'/l_i - u') v' = 2 v''.  The drift
+    coefficient (log w)' - u' is computed on the first call for a grid and
+    the config's factor dimensions, and kept on the grid.
     """
+    key = ("drift", config.d.tobytes())
+    drift = grid._measures.get(key)
+    if drift is None:
+        drift = log_weight_slope(grid, config) - grid.du
+        grid._measures[key] = drift
     out = np.empty_like(v)
-    lw = log_weight_slope(grid, config)
-    out[1:-1] = ddv[1:-1] + (lw[1:-1] - grid.du[1:-1]) * dv[1:-1]
+    out[1:-1] = ddv[1:-1] + drift[1:-1] * dv[1:-1]
     for idx in (0, -1):
-        out[idx] = 2.0 * ddv[idx] + (lw[idx] - grid.du[idx]) * dv[idx]
+        out[idx] = 2.0 * ddv[idx] + drift[idx] * dv[idx]
     return out
 
 

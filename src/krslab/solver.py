@@ -75,6 +75,7 @@ class Evaluation:
     drift_lap_u: np.ndarray     # Delta_u u = Delta u - |grad u|^2
     first_integral: np.ndarray  # tau (2 Delta u - |grad u|^2 + R) + u
     volume: float               # int e^{-u} dV
+    scalar_integral: float      # int R e^{-u} dV
 
 
 def evaluate(grid: ProfileGrid, config: BundleConfig,
@@ -90,6 +91,7 @@ def evaluate(grid: ProfileGrid, config: BundleConfig,
         drift_lap_u=drift,
         first_integral=TAU * (2.0 * lap - grid.du**2 + ric.R) + grid.u,
         volume=weighted_integral(grid, config, np.ones_like(grid.u)),
+        scalar_integral=weighted_integral(grid, config, ric.R),
     )
 
 
@@ -178,7 +180,10 @@ class SolitonSolution:
         """Inverse of ``to_dict`` plus the profile table and its CSV header
         (``profile_csv_header``: columns are read by position).  The residuals
         are re-evaluated on the profiles; only the cross-method disagreement,
-        which needs the other solution, is taken from the metadata."""
+        which needs the other solution, is taken from the metadata.  The
+        stored slope must be the one the profiles carry, (u[-1] - u[0]) / 2,
+        to within 1e-12 max(1, |slope|) (every solver writes exactly that
+        value)."""
         check_keys(meta, ("config", "c_slope", "gauge_shift", "residuals",
                           "method", "nodes", "T", "scheme", "constants"))
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
@@ -191,10 +196,16 @@ class SolitonSolution:
         if header != expected:
             raise TableShapeError(f"header {header!r} is not {expected!r}")
         grid = ProfileGrid.from_table(sch, table, config.r)
+        c_slope = get_field(meta, "c_slope", float)
+        derived = float((grid.u[-1] - grid.u[0]) / 2.0)
+        if not abs(c_slope - derived) <= 1e-12 * max(1.0, abs(derived)):
+            raise ConfigError(f"c_slope = {c_slope!r} disagrees with "
+                              f"(u[-1] - u[0]) / 2 = {derived!r} read off "
+                              "the profiles")
         stored = get_field(meta, "residuals", dict, {})
         return SolitonSolution(
             grid=grid, config=config, constants=constants,
-            c_slope=get_field(meta, "c_slope", float),
+            c_slope=c_slope,
             gauge_shift=get_field(meta, "gauge_shift", float),
             method=get_field(meta, "method", str),
             cross_method=get_field(stored, "cross_method", float, None),

@@ -9,9 +9,13 @@ operator in the moment coordinate s (ds = f dt, s in [0, 2]); the auxiliary
 potential equation and the drift spectrum are collocated there, in a small
 Chebyshev basis, and mapped back to the profile grid.
 
-Everything of that which does not depend on the source is computed once per
-solution and kept on it, in ``SolitonSolution.stability_cache``, under these
-keys (N + 1 nodes, Chebyshev degree m):
+Everything here that depends only on the solution is computed at most once
+per solution, so a call does only its own input's work: int R e^{-u} dV,
+the denominator of C(h, g), is ``Evaluation.scalar_integral``; the drift
+coefficient (log w)' - u' of the v_h residual check is kept in the grid's
+measures by ``weighted_laplacian``; the rest is kept on the solution, in
+``SolitonSolution.stability_cache``, under these keys (N + 1 nodes,
+Chebyshev degree m):
 
 - ``"X"``: the moment coordinate at the nodes;
 - ``"vander"``: the nodal Chebyshev Vandermonde V, one row per degree, as
@@ -130,6 +134,7 @@ class StabilityReport:
 
 _GAUGE_TOL = 1e-8  # largest weighted mean of u read as the zero-mean gauge
 _ZERO_BAND = 1e-8  # |value| below this fraction of its scale reads "zero"
+_TINY = np.finfo(float).tiny  # the floor of a scale in _classify
 
 
 def _require_normalized(sol: SolitonSolution):
@@ -142,30 +147,35 @@ def _require_normalized(sol: SolitonSolution):
 
 
 def _classify(value: float, scale: float) -> str:
-    if abs(value) < _ZERO_BAND * max(scale, np.finfo(float).tiny):
+    if abs(value) < _ZERO_BAND * max(scale, _TINY):
         return "zero"
     return "positive" if value > 0 else "negative"
+
+
+def _report(sol: SolitonSolution, name: str, psi: np.ndarray,
+            essential: bool, C_hg: float) -> StabilityReport:
+    """The stability integral of the profile sampled as ``psi`` at the
+    nodes, with the pairing constant ``C_hg`` of its kind."""
+    grid, config = sol.grid, sol.config
+    value = STABILITY_PREFACTOR * weighted_integral(grid, config, grid.u * psi)
+    scale = STABILITY_PREFACTOR * weighted_integral(grid, config, psi)
+    return StabilityReport(
+        profile=name, value=value, scale=scale, sign=_classify(value, scale),
+        C_hg=C_hg, v_h_norm=0.0, essential=essential,
+    )
 
 
 def second_variation_main(sol: SolitonSolution,
                           pert: PerturbationProfile) -> StabilityReport:
     """Stability integral 2 * int u * psi e^{-u} dV in the ratio gauge;
     linear in the profile.  The reported scale is 2 * int psi e^{-u} dV, so
-    value/scale is a weighted mean of u.
+    value/scale is a weighted mean of u.  For the geometric
+    (anti-invariant) perturbations the pairing constant vanishes pointwise,
+    and so does the auxiliary potential source.
     """
     _require_normalized(sol)
-    grid, config = sol.grid, sol.config
-    psi = pert.psi(grid.t)
-    value = STABILITY_PREFACTOR * weighted_integral(grid, config, grid.u * psi)
-    scale = STABILITY_PREFACTOR * weighted_integral(grid, config, psi)
-    # for the geometric (anti-invariant) perturbations the pairing constant
-    # vanishes pointwise and so does the auxiliary potential source
-    C_hg = c_constant(sol, "anti_invariant")
-    return StabilityReport(
-        profile=pert.name, value=value, scale=scale,
-        sign=_classify(value, scale), C_hg=C_hg, v_h_norm=0.0,
-        essential=pert.essential,
-    )
+    return _report(sol, pert.name, pert.psi(sol.grid.t), pert.essential,
+                   c_constant(sol, "anti_invariant"))
 
 
 def dw_theorem_check(sol: SolitonSolution, pert: PerturbationProfile) -> float:
@@ -193,9 +203,8 @@ def c_constant(sol: SolitonSolution, h_kind: str,
     custom: diagonal J-invariant h given by per-direction profiles
     {"h_NN", "h_UU", "h_i"} on the grid.
     """
-    grid, config = sol.grid, sol.config
-    ric = sol.evaluation.ricci
-    denom = weighted_integral(grid, config, ric.R)
+    grid, config, ev = sol.grid, sol.config, sol.evaluation
+    denom = ev.scalar_integral
     if abs(denom) < 1e-12:
         raise StabilityError("int R e^{-u} dV vanishes; C(h,g) undefined")
     if h_kind == "anti_invariant":
@@ -206,10 +215,10 @@ def c_constant(sol: SolitonSolution, h_kind: str,
             )
         return 0.0
     if h_kind == "metric_direction":
-        return weighted_integral(grid, config, ric.R) / denom
+        return denom / denom  # <Ric, g> = R: exactly 1.0
     if h_kind == "custom":
-        if profiles is None:
-            raise StabilityError("custom kind needs diagonal profiles")
+        _check_custom(profiles, config.r, grid.t.size)
+        ric = ev.ricci
         pairing = (
             ric.R_NN * profiles["h_NN"]
             + ric.R_UU * profiles["h_UU"]
@@ -217,6 +226,26 @@ def c_constant(sol: SolitonSolution, h_kind: str,
         )
         return weighted_integral(grid, config, pairing) / denom
     raise StabilityError(f"unknown h_kind {h_kind!r}")
+
+
+def _check_custom(profiles: Optional[dict], r: int, size: int):
+    """A custom h holds exactly the profiles h_NN, h_UU and h_i, of shapes
+    (size,), (size,) and (r, size), every value finite."""
+    if profiles is None:
+        raise StabilityError("custom kind needs diagonal profiles")
+    shapes = {"h_NN": (size,), "h_UU": (size,), "h_i": (r, size)}
+    if profiles.keys() != shapes.keys():
+        raise StabilityError(f"custom h needs exactly the keys "
+                             f"{sorted(shapes)}, got {sorted(profiles)}")
+    for key, shape in shapes.items():
+        given = np.shape(profiles[key])
+        if given != shape:
+            raise StabilityError(f"custom h: {key} has shape {given}, "
+                                 f"expected {shape}")
+        if not np.isfinite(profiles[key]).all():
+            raise StabilityError(f"custom h: {key} of shape {given} is not "
+                                 "finite (NaN or inf at a node), expected "
+                                 f"finite values of shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -315,8 +344,9 @@ def _inverse_gram(vander: np.ndarray) -> np.ndarray:
 def _tail(coef: np.ndarray) -> float:
     """Largest |coefficient| in the last quarter of a Chebyshev series,
     relative to the largest one (0 for the zero series)."""
-    top = np.abs(coef).max()
-    return float(np.abs(coef[-(coef.size // 4):]).max() / top) if top else 0.0
+    mag = np.abs(coef)
+    top = mag.max()
+    return float(mag[-(coef.size // 4):].max() / top) if top else 0.0
 
 
 def v_h_solve(sol: SolitonSolution, source: np.ndarray,
@@ -386,7 +416,7 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
             f"degree {m}, {limit} (coefficient tail {tail:.1e}); a smooth "
             "invariant source is a smooth function of s")
     dcoef = op.deriv @ vcoef
-    v, v_s, v_ss = np.stack([vcoef, dcoef, op.deriv @ dcoef]) @ nodal
+    v, v_s, v_ss = np.array([vcoef, dcoef, op.deriv @ dcoef]) @ nodal
     dv = v_s * grid.f
     ddv = v_ss * grid.f ** 2 + v_s * grid.df
     res = weighted_laplacian(grid, config, v, dv, ddv) + v - src
@@ -452,6 +482,36 @@ def ibp_identity_check(sol: SolitonSolution,
     return abs(direct - by_parts)
 
 
+# the synthetic split of the potential into positive part, negative part and
+# modulus: per kind, psi from u and psi' from u and u', at the nodes
+_SPLIT = {
+    "u_plus": (lambda u: np.maximum(u, 0.0),
+               lambda u, du: np.where(u > 0, du, 0.0)),
+    "u_minus": (lambda u: np.maximum(-u, 0.0),
+                lambda u, du: np.where(u < 0, -du, 0.0)),
+    "abs_u": (np.abs, lambda u, du: np.sign(u) * du),
+}
+
+
+def _rows(sol: SolitonSolution, specs: tuple) -> list:
+    """(kind, psi at the nodes, the constant profile or None for a split
+    kind) of each profile of ``family(sol, specs)``, in order."""
+    kap = sol.config.kappa
+    if not (kap > 0).any():
+        kap = np.ones(sol.config.r)
+    t, u = sol.grid.t, sol.grid.u
+    rows = []
+    for spec in specs or [ProfileSpec(kind) for kind in PROFILE_KINDS]:
+        spec.check_factors(sol.config.r)
+        if spec.kind == "constant":
+            const = constant_profile(kap if spec.kappas is None
+                                     else spec.kappas)
+            rows.append((spec.kind, const.psi(t), const))
+        else:
+            rows.append((spec.kind, _SPLIT[spec.kind][0](u), None))
+    return rows
+
+
 def family(sol: SolitonSolution, specs: tuple) -> list:
     """The profiles named by ``specs`` (config.ProfileSpec, in order), or one
     of each kind in PROFILE_KINDS: the constant profile plus the synthetic
@@ -459,30 +519,24 @@ def family(sol: SolitonSolution, specs: tuple) -> list:
     The split pair is guaranteed to produce opposite signs whenever u is
     nonconstant with zero weighted mean.  A constant spec without kappas
     takes the solution's deformation norms, or unit norms if all vanish."""
-    kap = sol.config.kappa
-    if not np.any(kap > 0):
-        kap = np.ones(sol.config.r)
     t, u, du = sol.grid.t, sol.grid.u, sol.grid.du
-    split = {"u_plus": (np.maximum(u, 0.0), np.where(u > 0, du, 0.0)),
-             "u_minus": (np.maximum(-u, 0.0), np.where(u < 0, -du, 0.0)),
-             "abs_u": (np.abs(u), np.sign(u) * du)}
     profiles = []
-    for spec in specs or [ProfileSpec(kind) for kind in PROFILE_KINDS]:
-        spec.check_factors(sol.config.r)
-        if spec.kind == "constant":
-            profiles.append(constant_profile(
-                kap if spec.kappas is None else spec.kappas))
-        else:
-            psi, dpsi = split[spec.kind]
-            profiles.append(PerturbationProfile(
-                name=spec.kind, psi_fn=partial(np.interp, xp=t, fp=psi),
-                dpsi_fn=partial(np.interp, xp=t, fp=dpsi)))
+    for kind, psi, const in _rows(sol, specs):
+        profiles.append(const if const is not None else PerturbationProfile(
+            name=kind, psi_fn=partial(np.interp, xp=t, fp=psi),
+            dpsi_fn=partial(np.interp, xp=t, fp=_SPLIT[kind][1](u, du))))
     return profiles
 
 
 def sign_explorer(sol: SolitonSolution, specs: tuple = ()) -> list:
-    """Evaluate the stability integral over ``family(sol, specs)``."""
-    return [second_variation_main(sol, pert) for pert in family(sol, specs)]
+    """The stability integral over ``family(sol, specs)``: each report
+    equals ``second_variation_main`` of its profile, read off the profile's
+    nodal values with one pairing constant for the table."""
+    rows = _rows(sol, specs)
+    _require_normalized(sol)
+    C_hg = c_constant(sol, "anti_invariant")
+    return [_report(sol, kind, psi, const is not None, C_hg)
+            for kind, psi, const in rows]
 
 
 def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
@@ -494,12 +548,13 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
     """
     config = sol.config
     ham = sol.evaluation.first_integral - config.n
-    dev = float(np.abs(ham - ham.mean()).max())
+    mean = ham.mean()
+    dev = float(np.abs(ham - mean).max())
     if dev >= 1e-6:
         raise StabilityError(
             f"first integral is not constant (deviation {dev:.3e}); "
             "refusing to report an entropy value"
         )
     return {"mode": "ratio", "constancy_deviation": dev, "tau": TAU,
-            "value": float(ham.mean()),
+            "value": float(mean),
             "flag": "up to additive log-volume constant"}

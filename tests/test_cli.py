@@ -328,6 +328,10 @@ MALFORMED = {
                                  "n = 3"),
     "solution-negated-T": ("solution", lambda raw: raw.update(T=-raw["T"]),
                            "interval length"),
+    # the slope is read off the table: (u[-1] - u[0]) / 2
+    "solution-slope": ("solution",
+                       lambda raw: raw.update(c_slope=1.01 * raw["c_slope"]),
+                       "disagrees with (u[-1] - u[0]) / 2"),
     "table-missing": ("table", os.remove, "profile_momentum.csv"),
     "table-non-numeric": ("table", lambda path: _rewrite_lines(
         path, lambda lines: [lines[0], "zero," + lines[1].split(",", 1)[1],

@@ -1,4 +1,6 @@
+import json
 from dataclasses import is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +149,74 @@ class TestCConstant:
         misses = anti_invariant_pairing_vanishes.cache_info().misses
         c_constant(kc_momentum, "anti_invariant")
         assert anti_invariant_pairing_vanishes.cache_info().misses == misses
+
+    def test_metric_direction_is_exactly_one(self, two_factor_momentum):
+        assert c_constant(two_factor_momentum, "metric_direction") == 1.0
+
+
+def _custom_h(sol, lam=0.5):
+    t, r = sol.grid.t, sol.config.r
+    return {"h_NN": np.full_like(t, lam), "h_UU": np.full_like(t, lam),
+            "h_i": np.full((r, t.size), lam)}
+
+
+class TestCustomProfiles:
+    """A custom h holds exactly h_NN, h_UU and h_i, of shapes (N+1,), (N+1,)
+    and (r, N+1), every value finite; anything else names the key."""
+
+    def test_well_formed_constant_h_is_its_value(self, two_factor_momentum):
+        val = c_constant(two_factor_momentum, "custom",
+                         _custom_h(two_factor_momentum, 0.75))
+        assert val == pytest.approx(0.75, rel=1e-12)
+
+    def test_one_row_for_two_factors_rejected(self, two_factor_momentum):
+        # (1, N+1) would broadcast over both factors
+        h = _custom_h(two_factor_momentum)
+        h["h_i"] = h["h_i"][:1]
+        n1 = two_factor_momentum.grid.t.size
+        with pytest.raises(StabilityError,
+                           match=rf"h_i has shape \(1, {n1}\), expected "
+                                 rf"\(2, {n1}\)"):
+            c_constant(two_factor_momentum, "custom", h)
+
+    def test_wrong_length_rejected(self, two_factor_momentum):
+        h = _custom_h(two_factor_momentum)
+        h["h_UU"] = h["h_UU"][:-1]
+        n1 = two_factor_momentum.grid.t.size
+        with pytest.raises(StabilityError,
+                           match=rf"h_UU has shape \({n1 - 1},\), "
+                                 rf"expected \({n1},\)"):
+            c_constant(two_factor_momentum, "custom", h)
+
+    def test_nan_in_h_NN_rejected(self, two_factor_momentum):
+        h = _custom_h(two_factor_momentum)
+        h["h_NN"][7] = np.nan
+        n1 = two_factor_momentum.grid.t.size
+        with pytest.raises(StabilityError,
+                           match=rf"h_NN of shape \({n1},\) is not finite"):
+            c_constant(two_factor_momentum, "custom", h)
+
+    def test_inf_at_an_end_of_h_i_rejected(self, two_factor_momentum):
+        # the volume weight vanishes there
+        h = _custom_h(two_factor_momentum)
+        h["h_i"][1, -1] = np.inf
+        with pytest.raises(StabilityError, match="h_i of shape .* is not "
+                                                 "finite"):
+            c_constant(two_factor_momentum, "custom", h)
+
+    def test_missing_key_rejected(self, two_factor_momentum):
+        h = _custom_h(two_factor_momentum)
+        del h["h_UU"]
+        with pytest.raises(StabilityError,
+                           match=r"exactly the keys \['h_NN', 'h_UU', "
+                                 r"'h_i'\], got \['h_NN', 'h_i'\]"):
+            c_constant(two_factor_momentum, "custom", h)
+
+    def test_extra_key_rejected(self, two_factor_momentum):
+        h = _custom_h(two_factor_momentum)
+        h["h_NU"] = h["h_NN"]
+        with pytest.raises(StabilityError, match="exactly the keys"):
+            c_constant(two_factor_momentum, "custom", h)
 
 
 @pytest.fixture(scope="module")
@@ -499,6 +569,27 @@ class TestIbp:
             ibp_identity_check(kc_momentum, p)
 
 
+REFERENCE_CONFIGS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench"
+     / "reference.json").read_text())["configs"]
+
+
+@pytest.fixture(scope="module")
+def reference_solutions(constants):
+    """Momentum and warm shooting at N = 512 on each perfbench reference
+    config, and Koiso-Cao on the uniform scheme, by label."""
+    sols = {}
+    for name, raw in sorted(REFERENCE_CONFIGS.items()):
+        cfg = _bundle(raw["factors"])
+        mom = solver.solve_momentum(cfg, constants, nodes=512)
+        sols[f"{name}/momentum"] = mom
+        sols[f"{name}/shooting"] = solver.solve_shooting(
+            cfg, constants, nodes=512, start=mom)
+    sols["kc/uniform"] = solver.solve_momentum(
+        _bundle([(2, 2.0, 1)]), constants, nodes=256, scheme="uniform")
+    return sols
+
+
 class TestFamily:
     def test_default_is_one_profile_per_kind(self, kc_momentum):
         profiles = family(kc_momentum, ())
@@ -532,6 +623,25 @@ class TestExplorer:
         by_name = {r.profile: r for r in sign_explorer(kc_momentum)}
         total = by_name["u_plus"].value + by_name["u_minus"].value
         assert by_name["abs_u"].value == pytest.approx(total, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["default", "constant"])
+    def test_table_is_the_public_path_bit_for_bit(self, reference_solutions,
+                                                  which):
+        # sign_explorer reads the nodal values; second_variation_main reads
+        # each profile of family through its callables
+        for label, sol in reference_solutions.items():
+            specs = () if which == "default" else (ProfileSpec(
+                "constant", tuple(0.5 + i for i in range(sol.config.r))),)
+            fast = sign_explorer(sol, specs)
+            public = [second_variation_main(sol, p)
+                      for p in family(sol, specs)]
+            assert len(fast) == len(public) == (4 if specs == () else 1)
+            for a, b in zip(fast, public):
+                assert a.value.hex() == b.value.hex(), label
+                assert a.scale.hex() == b.scale.hex(), label
+                assert (a.profile, a.sign, a.C_hg, a.v_h_norm,
+                        a.essential) == (b.profile, b.sign, b.C_hg,
+                                         b.v_h_norm, b.essential), label
 
 
 class TestEntropy:
@@ -581,6 +691,51 @@ class TestSingleEvaluation:
         c_constant(sol, "custom", h)
         nu_estimate(sol, EntropyGauge())
         assert len(ricci_calls) == 1
+
+    def test_solution_quantities_are_built_once(self, kc_config, constants,
+                                                monkeypatch):
+        # int R e^{-u} dV (a weighted integral of the Ricci scalar) and the
+        # drift coefficient (from log_weight_slope), once per solution
+        from krslab import geometry
+
+        integrands, slopes = [], []
+        integral, slope = geometry.weighted_integral, geometry.log_weight_slope
+
+        def counted_integral(grid, config, F):
+            integrands.append(F)
+            return integral(grid, config, F)
+
+        def counted_slope(grid, config):
+            slopes.append(grid)
+            return slope(grid, config)
+
+        for mod in (geometry, solver, stability):
+            if getattr(mod, "weighted_integral", None) is integral:
+                monkeypatch.setattr(mod, "weighted_integral",
+                                    counted_integral)
+        monkeypatch.setattr(geometry, "log_weight_slope", counted_slope)
+
+        def run(sol):
+            t = sol.grid.t
+            sign_explorer(sol)
+            for kind in ("anti_invariant", "metric_direction"):
+                c_constant(sol, kind)
+            c_constant(sol, "custom", _custom_h(sol))
+            for k in range(10):
+                v_h_solve(sol, np.cos((k % 4) * np.pi * t / sol.grid.T))
+            R = sol.evaluation.ricci.R
+            return sum(F is R for F in integrands), len(slopes)
+
+        sol = solver.solve_momentum(kc_config, constants, nodes=256)
+        assert run(sol) == (1, 1)
+        assert run(sol) == (1, 1)
+        g = sol.grid
+        moved = solver.gauge_normalize(
+            replace(sol, grid=replace(g, u=g.u + 0.3)))
+        integrands.clear()
+        slopes.clear()
+        assert run(moved) == (1, 1)
+        assert slopes == [moved.grid]
 
     def test_replace_evaluates_afresh(self, kc_momentum):
         from dataclasses import replace

@@ -4,7 +4,9 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,8 +138,10 @@ def test_command_set_covers_fuzz_and_the_uniform_scheme(output_digests,
         for method in ("momentum", "shooting") for extra in ("", "-config")]
 
 
-def test_listing_names_the_stability_layer_files(output_digests, tmp_path,
-                                                 monkeypatch):
+@pytest.fixture
+def stability_listing(output_digests, tmp_path, monkeypatch):
+    """The stability layer run on one Koiso-Cao pipeline at N = 256 under
+    tmp_path: the set of paths its listing names."""
     kc = [[2, 2.0, 1, 1.0]]
     monkeypatch.setattr(output_digests, "PIPELINES",
                         (("kc", kc, 256, "chebyshev"),))
@@ -150,8 +154,13 @@ def test_listing_names_the_stability_layer_files(output_digests, tmp_path,
                               constants, "--out",
                               tmp_path / "kc" / "solve") == 0
     output_digests.stability_layer(str(tmp_path))
-    names = {line.split()[0]
-             for line in output_digests.digests(str(tmp_path))}
+    return {line.split()[0]
+            for line in output_digests.digests(str(tmp_path))}
+
+
+def test_listing_names_the_stability_layer_files(stability_listing,
+                                                 tmp_path):
+    names = stability_listing
     calls = ["0-T20", "1-T8", "2-T1", "3-T20"]
     for method in ("momentum", "shooting"):
         vh = f"kc/vh-{method}"
@@ -162,6 +171,38 @@ def test_listing_names_the_stability_layer_files(output_digests, tmp_path,
         # highest degree first, then prefixes of it, then a warm call
         assert [(tmp_path / vh / call / "degree.txt").read_text()
                 for call in calls] == ["64\n", "32\n", "16\n", "64\n"]
+
+
+def test_listing_names_the_pairing_constants_and_entropy(
+        output_digests, stability_listing, tmp_path):
+    # the rest of what a stability-vh case calls, each value as %.17g
+    from krslab import cli, stability
+
+    for method in ("momentum", "shooting"):
+        vh = f"kc/vh-{method}"
+        sol = cli.read_solution(str(tmp_path / "kc" / "solve"), method)
+        nu = stability.nu_estimate(sol, stability.EntropyGauge())
+        expected = {
+            "c_anti_invariant": 0.0, "c_metric_direction": 1.0,
+            "c_custom": stability.c_constant(sol, "custom",
+                                             output_digests.custom_h(sol)),
+            "nu_value": nu["value"],
+            "nu_constancy_deviation": nu["constancy_deviation"]}
+        for key, value in expected.items():
+            assert f"{vh}/{key}.txt" in stability_listing
+            text = (tmp_path / vh / f"{key}.txt").read_text()
+            assert text == f"{value:.17g}\n"
+
+
+def test_custom_h_varies_in_t_and_per_factor(output_digests):
+    sol = SimpleNamespace(grid=SimpleNamespace(t=np.linspace(0.0, 2.0, 5),
+                                               T=2.0),
+                          config=SimpleNamespace(r=2))
+    h = output_digests.custom_h(sol)
+    assert h["h_NN"].shape == h["h_UU"].shape == (5,)
+    assert h["h_i"].shape == (2, 5)
+    assert np.ptp(h["h_NN"]) > 0 and np.ptp(h["h_UU"]) > 0
+    assert np.all(h["h_i"][1] != h["h_i"][0])
 
 
 def test_equal_listings_move_nothing(digest_moves, tmp_path, capsys):

@@ -28,10 +28,15 @@ in-process on each pipeline's two solutions, read back with
 `cli.read_solution`: `v_h_solve` on the sources of VH_SOURCES, which
 settle at degrees 64, 32 and 16, in that order (the first builds the
 cached nodal Vandermonde, the others read a prefix of it), then the first
-again (a warm call), and `drift_spectrum(sol, 3)`.  Each call's `v`,
-`residual`, `smallest_singular_value` and `degree` are written as `%.17g`
-text files under OUT/<pipeline>/vh-<method>/<call>-T<k>/, and the
-spectrum as OUT/<pipeline>/vh-<method>/spectrum.txt, so the `path sha256`
+again (a warm call), and `drift_spectrum(sol, 3)`; then the rest of what
+a perfbench stability-vh case calls: `c_constant` for `anti_invariant`,
+`metric_direction` and the fixed non-constant `custom` h of `custom_h`,
+and `nu_estimate`.  Each v_h call's `v`, `residual`,
+`smallest_singular_value` and `degree` are written as `%.17g` text files
+under OUT/<pipeline>/vh-<method>/<call>-T<k>/; the spectrum, the three
+pairing constants and nu's `value` and `constancy_deviation` go to
+OUT/<pipeline>/vh-<method>/ as `spectrum.txt`, `c_<kind>.txt`,
+`nu_value.txt` and `nu_constancy_deviation.txt`, so the `path sha256`
 lines cover them (a StabilityError there stops the tool).
 """
 
@@ -132,9 +137,19 @@ def _write_values(directory, **values):
                    np.atleast_1d(value), fmt="%.17g")
 
 
+def custom_h(sol) -> dict:
+    """A diagonal J-invariant h for ``c_constant``'s custom kind that is
+    not constant in t and differs per factor."""
+    x = sol.grid.t / sol.grid.T
+    return {"h_NN": 1.0 + x, "h_UU": 2.0 - x,
+            "h_i": np.array([(j + 1.0) * (1.0 + x * x)
+                             for j in range(sol.config.r)])}
+
+
 def stability_layer(out):
-    """Run the v_h solves and the drift spectrum on every PIPELINES
-    solution under ``out`` and write their values there."""
+    """Run the v_h solves, the drift spectrum, the pairing constants and
+    the entropy on every PIPELINES solution under ``out`` and write their
+    values there."""
     for name, *_ in PIPELINES:
         for method in ("momentum", "shooting"):
             sol = cli.read_solution(os.path.join(out, name, "solve"), method)
@@ -148,8 +163,15 @@ def stability_layer(out):
                     v=vh.v, residual=vh.residual,
                     smallest_singular_value=vh.smallest_singular_value,
                     degree=vh.degree)
-            _write_values(target,
-                          spectrum=stability.drift_spectrum(sol, 3))
+            nu = stability.nu_estimate(sol, stability.EntropyGauge())
+            _write_values(
+                target, spectrum=stability.drift_spectrum(sol, 3),
+                c_anti_invariant=stability.c_constant(sol, "anti_invariant"),
+                c_metric_direction=stability.c_constant(sol,
+                                                        "metric_direction"),
+                c_custom=stability.c_constant(sol, "custom", custom_h(sol)),
+                nu_value=nu["value"],
+                nu_constancy_deviation=nu["constancy_deviation"])
 
 
 def digests(out) -> list:
