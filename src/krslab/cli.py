@@ -102,9 +102,10 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution):
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``; the method
     stored in the file must be the one its name says.  A profile table that
-    is missing, empty, has a non-numeric cell, does not fit the metadata or
-    has a header other than ``profile_csv_header`` is a ConfigError that
-    names it, and so is metadata that does not make a solution."""
+    is missing, empty, has a non-numeric or non-finite cell, does not fit
+    the metadata or has a header other than ``profile_csv_header`` is a
+    ConfigError that names it, and so is metadata that does not make a
+    solution."""
     meta_path = os.path.join(sol_dir, f"solution_{method}.json")
     meta = read_json(meta_path)
     path = os.path.join(sol_dir, f"profile_{method}.csv")

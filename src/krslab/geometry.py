@@ -158,12 +158,20 @@ class ProfileGrid:
 
     @staticmethod
     def from_table(scheme: Scheme, table: np.ndarray, r: int) -> "ProfileGrid":
-        """Inverse of ``table`` for r factors, read from one row per node; the
-        node column must agree with the scheme."""
+        """Inverse of ``table`` for r factors, read from one row per node;
+        every cell must be finite (a TableShapeError names the first that
+        is not by its column header and row, counted from 0 below the
+        header), and the node column must agree with the scheme."""
         shape = (scheme.t.size, 3 * r + 7)
         if table.shape != shape:
             raise TableShapeError(f"profile table has shape {table.shape}, "
                                   f"the metadata needs {shape}")
+        bad = np.argwhere(~np.isfinite(table))
+        if bad.size:
+            row, col = bad[0]
+            raise TableShapeError(
+                f"non-finite value {float(table[row, col])!r} in column "
+                f"{profile_csv_header(r).split(',')[col]!r}, row {row}")
         if np.abs(scheme.t - table[:, 0]).max() > 1e-9:
             raise GeometryError("profile nodes disagree with the scheme")
         # factor columns l1, dl1, ddl1, l2, ... -> (factor, derivative, node)

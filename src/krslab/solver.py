@@ -121,16 +121,14 @@ class SolitonSolution:
     """A solved soliton.  Its evaluation record, residual report and the
     stability layer's per-solution work are computed on first use and
     cached; ``dataclasses.replace`` gives a new solution that is evaluated
-    afresh.  A solution whose grid and config disagree on the number of
-    factors, or whose method is not one of SOLUTION_METHODS, cannot be
-    made."""
+    afresh; its slope and gauge shift are read off u.  A solution whose
+    grid and config disagree on the number of factors, or whose method is
+    not one of SOLUTION_METHODS, cannot be made."""
 
     grid: ProfileGrid
     config: BundleConfig
     constants: PinnedConstants
-    c_slope: float
     method: str
-    gauge_shift: float = 0.0
     cross_method: Optional[float] = None
 
     def __post_init__(self):
@@ -139,6 +137,12 @@ class SolitonSolution:
                               f"profiles, config has {self.config.r}")
         if self.method not in SOLUTION_METHODS:
             raise ConfigError(f"unknown solution method {self.method!r}")
+
+    # the slope c of u = c s + const (s from 0 to 2), and the shift gauge
+    # normalization took off u, which was 0 at t = 0 (never -0.0)
+    c_slope = property(
+        lambda self: float((self.grid.u[-1] - self.grid.u[0]) / 2.0))
+    gauge_shift = property(lambda self: float(0.0 - self.grid.u[0]))
 
     @cached_property
     def evaluation(self) -> Evaluation:
@@ -178,38 +182,39 @@ class SolitonSolution:
     def from_dict(meta: dict, table: np.ndarray,
                   header: str) -> "SolitonSolution":
         """Inverse of ``to_dict`` plus the profile table and its CSV header
-        (``profile_csv_header``: columns are read by position).  The residuals
-        are re-evaluated on the profiles; only the cross-method disagreement,
-        which needs the other solution, is taken from the metadata.  The
-        stored slope must be the one the profiles carry, (u[-1] - u[0]) / 2,
-        to within 1e-12 max(1, |slope|) (every solver writes exactly that
-        value)."""
+        (``profile_csv_header``: columns are read by position).  ``T`` must
+        be the last node exactly, and ``c_slope`` and ``gauge_shift`` what
+        the properties read off u, to within 1e-12 max(1, |value|).  The
+        residuals are re-evaluated; only the cross-method disagreement,
+        which needs the other solution, is carried over, so a solution read
+        back writes the same file."""
         check_keys(meta, ("config", "c_slope", "gauge_shift", "residuals",
                           "method", "nodes", "T", "scheme", "constants"))
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
         constants = PinnedConstants.from_dict(get_field(meta, "constants",
                                                         dict))
+        T = get_field(meta, "T", float)
         sch = Scheme.of_kind(get_field(meta, "scheme", str),
-                             get_field(meta, "nodes", int),
-                             get_field(meta, "T", float))
+                             get_field(meta, "nodes", int), T)
         expected = profile_csv_header(config.r)
         if header != expected:
             raise TableShapeError(f"header {header!r} is not {expected!r}")
         grid = ProfileGrid.from_table(sch, table, config.r)
-        c_slope = get_field(meta, "c_slope", float)
-        derived = float((grid.u[-1] - grid.u[0]) / 2.0)
-        if not abs(c_slope - derived) <= 1e-12 * max(1.0, abs(derived)):
-            raise ConfigError(f"c_slope = {c_slope!r} disagrees with "
-                              f"(u[-1] - u[0]) / 2 = {derived!r} read off "
-                              "the profiles")
-        stored = get_field(meta, "residuals", dict, {})
-        return SolitonSolution(
+        if T != table[-1, 0]:
+            raise ConfigError(f"T = {T!r} is not the last node of the "
+                              f"profile table, t = {float(table[-1, 0])!r}")
+        residuals = get_field(meta, "residuals", dict, {})
+        sol = SolitonSolution(
             grid=grid, config=config, constants=constants,
-            c_slope=c_slope,
-            gauge_shift=get_field(meta, "gauge_shift", float),
             method=get_field(meta, "method", str),
-            cross_method=get_field(stored, "cross_method", float, None),
-        )
+            cross_method=get_field(residuals, "cross_method", float, None))
+        for key, formula in (("c_slope", "(u[-1] - u[0]) / 2"),
+                             ("gauge_shift", "-u[0]")):
+            stored, derived = get_field(meta, key, float), getattr(sol, key)
+            if not abs(stored - derived) <= 1e-12 * max(1.0, abs(derived)):
+                raise ConfigError(f"{key} = {stored!r} disagrees with "
+                                  f"{formula} = {derived!r} read off u")
+        return sol
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +249,12 @@ def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     int u e^{-u} dV = 0.  Single shot: the shift multiplies the measure by a
     constant, which cancels in the defining ratio.  Only the two weighted
     integrals are computed here; the shifted solution is evaluated when its
-    residuals are first read."""
+    residuals are first read.  The shift is not kept: u was 0 at t = 0, so
+    ``SolitonSolution.gauge_shift`` reads it off u[0]."""
     grid, config = sol.grid, sol.config
     a = weighted_integral(grid, config, grid.u) / weighted_integral(
-        grid, config, np.ones_like(grid.u)
-    )
-    return replace(sol, grid=replace(grid, u=grid.u - a),
-                   gauge_shift=sol.gauge_shift + a)
+        grid, config, np.ones_like(grid.u))
+    return replace(sol, grid=replace(grid, u=grid.u - a))
 
 
 def identity_suite(sol: SolitonSolution) -> dict:
@@ -473,8 +477,7 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     grid = ProfileGrid(scheme=sch, f=f, df=df, ddf=ddf, l=l, dl=dl, ddl=ddl,
                        u=u, du=du, ddu=ddu)
     return gauge_normalize(SolitonSolution(
-        grid=grid, config=config, constants=constants, c_slope=c,
-        method="momentum"))
+        grid=grid, config=config, constants=constants, method="momentum"))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +753,8 @@ def _follow_twist(config, constants, x, t_mid, rtol):
 def _sample(config, constants, x, t_mid, branches, nodes, scheme):
     """The solution on the nodes from a root x and its branches (near up to
     t_mid, far beyond); a SolverError if its Kahler residual reaches
-    _KAEHLER_ROOT_TOL."""
+    _KAEHLER_ROOT_TOL.  Its slope is read off the sampled u, which runs
+    from u(0) = 0 to u(T) = u0f = 2c."""
     r = config.r
     *_, u0f, T = _unpack(x, r)
     (lcA, solA), (lcB, solB) = branches
@@ -781,10 +785,8 @@ def _sample(config, constants, x, t_mid, branches, nodes, scheme):
     if kaehler >= _KAEHLER_ROOT_TOL:
         raise SolverError(f"non-Kahler root: T={T:.9g}, Kahler residual "
                           f"{kaehler:.3e}")
-    c_est = u0f / 2.0  # u = c s + const, s from 0 to 2: u(T) - u(0) = 2c
     return gauge_normalize(SolitonSolution(
-        grid=grid, config=config, constants=constants, c_slope=c_est,
-        method="shooting"))
+        grid=grid, config=config, constants=constants, method="shooting"))
 
 
 def solve_shooting(config: BundleConfig, constants: PinnedConstants,

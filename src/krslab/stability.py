@@ -68,7 +68,8 @@ class PerturbationProfile:
     Either constant per-factor norms ``kappas`` (the geometric construction,
     and the only essential one) or a synthetic sampled total profile
     ``psi_fn`` with optional derivative ``dpsi_fn``, both callables taking
-    the node vector.  kappas must be finite and >= 0, psi nonnegative.
+    the node vector.  kappas must be finite and >= 0, psi finite and
+    nonnegative.
     """
 
     name: str
@@ -94,6 +95,8 @@ class PerturbationProfile:
         if self.kappas is not None:
             return np.full_like(t, float(sum(self.kappas)))
         vals = np.asarray(self.psi_fn(t), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise StabilityError(f"profile {self.name!r} is not finite")
         if np.any(vals < -1e-12):
             raise StabilityError(f"profile {self.name!r} is negative")
         return np.maximum(vals, 0.0)

@@ -10,6 +10,29 @@ from krslab.oracle import pin_constants
 from krslab import geometry, solver
 
 
+def solve_recorded(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` and a dict of what its solver computed
+    before normalizing: ``"raw"``, the solution ``gauge_normalize`` was
+    handed, and on the shooting route ``"root"``, the Newton root
+    ``_sample`` was handed."""
+    seen = {}
+    normalize, sample = solver.gauge_normalize, solver._sample
+
+    def record_normalize(sol):
+        seen["raw"] = sol
+        return normalize(sol)
+
+    def record_sample(config, constants, x, *rest):
+        seen["root"] = x
+        return sample(config, constants, x, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "gauge_normalize", record_normalize)
+        mp.setattr(solver, "_sample", record_sample)
+        sol = solve(*args, **kwargs)
+    return sol, seen
+
+
 @pytest.fixture(scope="session")
 def constants():
     return pin_constants(seed=0)
@@ -38,8 +61,15 @@ def kc_momentum_2048(kc_config, constants):
 
 
 @pytest.fixture(scope="session")
-def kc_shooting_2048(kc_config, constants):
-    return solver.solve_shooting(kc_config, constants, nodes=2048)
+def kc_shooting_2048_recorded(kc_config, constants):
+    """Cold shooting at N = 2048 and its ``solve_recorded`` record."""
+    return solve_recorded(solver.solve_shooting, kc_config, constants,
+                          nodes=2048)
+
+
+@pytest.fixture(scope="session")
+def kc_shooting_2048(kc_shooting_2048_recorded):
+    return kc_shooting_2048_recorded[0]
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +78,15 @@ def two_factor_momentum(two_factor_config, constants):
 
 
 @pytest.fixture(scope="session")
-def two_factor_shooting(two_factor_config, constants):
-    return solver.solve_shooting(two_factor_config, constants, nodes=512)
+def two_factor_shooting_recorded(two_factor_config, constants):
+    """Cold shooting at N = 512 and its ``solve_recorded`` record."""
+    return solve_recorded(solver.solve_shooting, two_factor_config,
+                          constants, nodes=512)
+
+
+@pytest.fixture(scope="session")
+def two_factor_shooting(two_factor_shooting_recorded):
+    return two_factor_shooting_recorded[0]
 
 
 @pytest.fixture(scope="session")

@@ -274,6 +274,17 @@ def _swap_cells(line, i, j):
     return ",".join(cells)
 
 
+def _set_middle_cell(path, col, text):
+    """Put ``text`` in column ``col`` of the middle row of a profile table."""
+    def edit(lines):
+        k = len(lines) // 2
+        cells = lines[k].split(",")
+        cells[col] = text
+        return [*lines[:k], ",".join(cells), *lines[k + 1:]]
+
+    _rewrite_lines(path, edit)
+
+
 # each case: the file it corrupts, the edit, and what the error must name
 # (a "table" edit takes the path of the momentum profile table)
 MALFORMED = {
@@ -328,14 +339,25 @@ MALFORMED = {
                                  "n = 3"),
     "solution-negated-T": ("solution", lambda raw: raw.update(T=-raw["T"]),
                            "interval length"),
-    # the slope is read off the table: (u[-1] - u[0]) / 2
+    # the slope and the gauge shift are read off the table, and T is its
+    # last node
     "solution-slope": ("solution",
                        lambda raw: raw.update(c_slope=1.01 * raw["c_slope"]),
                        "disagrees with (u[-1] - u[0]) / 2"),
+    "solution-gauge-shift": ("solution", lambda raw: raw.update(
+        gauge_shift=1.01 * raw["gauge_shift"]), "disagrees with -u[0]"),
+    "solution-T": ("solution",
+                   lambda raw: raw.update(T=raw["T"] * (1.0 + 1e-11)),
+                   "is not the last node of the profile table"),
     "table-missing": ("table", os.remove, "profile_momentum.csv"),
     "table-non-numeric": ("table", lambda path: _rewrite_lines(
         path, lambda lines: [lines[0], "zero," + lines[1].split(",", 1)[1],
                              *lines[2:]]), "profile_momentum.csv"),
+    # loadtxt reads nan and inf as numbers
+    "table-nan-t": ("table", lambda path: _set_middle_cell(path, 0, "nan"),
+                    "non-finite value nan in column 't', row 128"),
+    "table-inf-ddf": ("table", lambda path: _set_middle_cell(path, 3, "inf"),
+                      "non-finite value inf in column 'ddf', row 128"),
     "table-truncated": ("table", lambda path: _rewrite_lines(
         path, lambda lines: lines[:len(lines) // 2]), "profile_momentum.csv"),
     "table-header-only": ("table", lambda path: _rewrite_lines(
@@ -404,6 +426,149 @@ def test_unknown_config_key_exits_1(edit, named, pipeline, tmp_path,
                "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+# every number in the pipeline's solution_momentum.json, by path (list
+# items by index); the codec mutation table perturbs each in turn
+SOLUTION_NUMBERS = (
+    "T", "c_slope", "config.factors.0.deformation_norm2",
+    "config.factors.0.dim", "config.factors.0.einstein_constant",
+    "config.factors.0.twist", "config.n", "config.tau",
+    "constants.max_rel_err", "constants.samples", "gauge_shift", "nodes",
+    "residuals.E_N", "residuals.E_U", "residuals.E_i.0",
+    "residuals.cross_method", "residuals.delta_uu", "residuals.div_integral",
+    "residuals.gauge", "residuals.hamilton", "residuals.kaehler",
+    "residuals.trace",
+)
+_REEVALUATED = "verify and stability re-evaluate it on the profiles"
+# the numbers verify and stability only report, each with its reason; every
+# other number must fail the read or move an output
+REPORT_ONLY = {
+    **{f"residuals.{key}": _REEVALUATED
+       for key in ("E_N", "E_U", "E_i.0", "delta_uu", "div_integral",
+                   "gauge", "hamilton", "kaehler", "trace")},
+    "residuals.cross_method": "needs the other solution; carried over only "
+                              "so that a solution read back writes the same "
+                              "file",
+    "constants.max_rel_err": "the oracle's error, recorded; only its bound "
+                             "1e-6 is checked",
+    "constants.samples": "the oracle's sample count, recorded",
+}
+# the table cells perturbed: one interior row of the t, f and u columns
+TABLE_CELLS = {"t": 0, "f": 1, "u": 7}
+
+
+def _numbers(raw, path=""):
+    """{path: value} of every int or float in a JSON tree."""
+    if isinstance(raw, (dict, list)):
+        items = raw.items() if isinstance(raw, dict) else enumerate(raw)
+        found = {}
+        for key, value in items:
+            found.update(_numbers(value, f"{path}{key}."))
+        return found
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return {path[:-1]: raw}
+    return {}
+
+
+def _perturbed(value):
+    """A float moved by a relative 1e-6 and 1e-1, an int by -1 and +1."""
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    return [value * (1.0 + 1e-6), value * (1.0 + 1e-1)]
+
+
+def _set_number(raw, path, value):
+    *parents, last = [int(key) if key.isdigit() else key
+                      for key in path.split(".")]
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
+def _verify_and_stability(sol_dir, out, capsys=None):
+    """(exit code, output bytes or None, stderr) of verify, then stability,
+    of the momentum solution in sol_dir, each writing into its own
+    directory; stderr is read from ``capsys`` when given."""
+    results = []
+    for cmd, name in (("verify", "verify_momentum.json"),
+                      ("stability", "stability_momentum.csv")):
+        if capsys:
+            capsys.readouterr()
+        path = out / cmd / name
+        code = run(cmd, "--solution", str(sol_dir), "--out", str(out / cmd))
+        results.append((code, path.read_bytes() if path.exists() else None,
+                        capsys.readouterr().err if capsys else None))
+    return results
+
+
+@pytest.fixture(scope="module")
+def codec_baseline(pipeline, tmp_path_factory):
+    """The pipeline's momentum files and what verify and stability make of
+    them unperturbed."""
+    root = tmp_path_factory.mktemp("codec")
+    sol_dir = root / "sol"
+    sol_dir.mkdir()
+    files = {}
+    for name in ("solution_momentum.json", "profile_momentum.csv"):
+        shutil.copy(os.path.join(pipeline["out"], name), sol_dir / name)
+        files[name] = (sol_dir / name).read_text()
+    baseline = _verify_and_stability(sol_dir, root / "out")
+    assert [code for code, _, _ in baseline] == [0, 0]
+    return files, baseline
+
+
+def test_mutation_table_lists_every_number(codec_baseline):
+    files, _ = codec_baseline
+    meta = json.loads(files["solution_momentum.json"])
+    assert sorted(_numbers(meta)) == sorted(SOLUTION_NUMBERS)
+    assert set(REPORT_ONLY) <= set(SOLUTION_NUMBERS)
+    header = files["profile_momentum.csv"].splitlines()[0].split(",")
+    assert all(header[col] == name for name, col in TABLE_CELLS.items())
+
+
+@pytest.mark.parametrize("field", [*SOLUTION_NUMBERS,
+                                   *(f"table.{c}" for c in TABLE_CELLS)])
+def test_codec_mutation(field, codec_baseline, tmp_path, capsys):
+    """Each perturbed number fails the read (exit 1 and one config error
+    line), fails a check (exit 4) or moves an output of verify or
+    stability; a report-only number moves nothing."""
+    files, baseline = codec_baseline
+    if field.startswith("table."):
+        col = TABLE_CELLS[field[len("table."):]]
+        rows = files["profile_momentum.csv"].splitlines()
+        value = float(rows[len(rows) // 2].split(",")[col])
+    else:
+        value = _numbers(json.loads(files["solution_momentum.json"]))[field]
+    for k, moved in enumerate(_perturbed(value)):
+        assert moved != value
+        sol_dir = tmp_path / f"sol{k}"
+        sol_dir.mkdir()
+        for name, text in files.items():
+            (sol_dir / name).write_text(text)
+        if field.startswith("table."):
+            _set_middle_cell(sol_dir / "profile_momentum.csv", col,
+                             "%.17g" % moved)
+        else:
+            _edit_json(sol_dir / "solution_momentum.json",
+                       lambda raw: _set_number(raw, field, moved))
+        got = _verify_and_stability(sol_dir, tmp_path / f"out{k}", capsys)
+        for code, _, err in got:
+            if code == 1:
+                assert err.startswith("config error:"), (field, moved, err)
+                assert err.count("\n") == 1, (field, moved, err)
+        if field in REPORT_ONLY:
+            assert ([(code, output) for code, output, _ in got]
+                    == [(0, before) for _, before, _ in baseline]), (
+                field, moved, [err for _, _, err in got])
+        else:
+            # each command reads its own part of the file: verify the
+            # equations' data, stability the deformation norms
+            assert any(code in (1, 4) or output != before
+                       for (code, output, _), (_, before, _)
+                       in zip(got, baseline)), (
+                f"{field} = {moved!r} is read by nothing: verify and "
+                "stability exit 0 with the same outputs")
 
 
 def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
@@ -548,7 +713,9 @@ class TestVerify:
         shutil.copytree(pipeline["out"], bad)
         data = np.loadtxt(bad / "profile_momentum.csv", delimiter=",",
                           skiprows=1)
-        data[:, 7] += 0.2  # corrupt u
+        # corrupt u between its ends, which the metadata repeats (a shift
+        # of every u moves the gauge shift read off u[0]: a config error)
+        data[1:-1, 7] += 0.2
         with open(bad / "profile_momentum.csv", "w") as fh:
             fh.write(profile_csv_header(1) + "\n")
             np.savetxt(fh, data, delimiter=",", fmt="%.17g")
@@ -623,12 +790,15 @@ class TestStability:
     def test_unnormalized_solution_exits_4(self, pipeline, tmp_path,
                                            capsys):
         # u + 0.3 solves the same equations but leaves the zero-mean gauge,
-        # a stability precondition: exit 4 with one line, no traceback
+        # a stability precondition: exit 4 with one line, no traceback (the
+        # gauge shift, which is read off u[0], moves with it)
         bad = tmp_path / "shifted"
         shutil.copytree(pipeline["out"], bad)
         data = np.loadtxt(bad / "profile_momentum.csv", delimiter=",",
                           skiprows=1)
         data[:, 7] += 0.3
+        _edit_json(bad / "solution_momentum.json", lambda raw: raw.update(
+            gauge_shift=raw["gauge_shift"] - 0.3))
         with open(bad / "profile_momentum.csv", "w") as fh:
             fh.write(profile_csv_header(1) + "\n")
             np.savetxt(fh, data, delimiter=",", fmt="%.17g")

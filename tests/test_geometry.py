@@ -137,7 +137,7 @@ class TestRicci:
                                               "config has 1"):
             solver.SolitonSolution(
                 grid=two_factor_momentum.grid, config=kc, constants=constants,
-                c_slope=two_factor_momentum.c_slope, method="momentum")
+                method="momentum")
 
     def test_factor_components_equal_the_per_factor_loop(self, constants):
         # reference: the formula on Python floats, one interior node at a

@@ -1,5 +1,7 @@
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,15 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from krslab.config import BaseFactor, BundleConfig, ConfigError
-from krslab.geometry import GeometryError, PinnedConstants, ricci_frame
+from krslab.geometry import (GeometryError, PinnedConstants, ricci_frame,
+                             weighted_integral)
 from krslab import solver, stability
+
+from conftest import solve_recorded
+
+REFERENCE_CONFIGS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench"
+     / "reference.json").read_text())["configs"]
 
 
 def _bundle(factors):
@@ -647,6 +656,64 @@ class TestShooting:
         assert np.abs(R_NN + ddu - 1.0).max() < 1e-12
         assert np.abs(R_UU + du * df / f - 1.0).max() < 1e-12
         assert np.abs(np.array(R_i) + du * dl / l - 1.0).max() < 1e-12
+
+
+def _assert_derived_are_the_solvers(sol, seen, c):
+    """The slope and gauge shift ``sol`` reads off u are, bit for bit (so
+    that -0.0 is not 0.0), the solver's slope ``c`` and the shift that
+    gauge normalization took off the raw u, 0.0 plus its weighted mean."""
+    raw = seen["raw"].grid
+    mean = (weighted_integral(raw, sol.config, raw.u)
+            / weighted_integral(raw, sol.config, np.ones_like(raw.u)))
+    assert sol.c_slope.hex() == float(c).hex()
+    assert sol.gauge_shift.hex() == (0.0 + mean).hex()
+
+
+# the grids the derived values are checked on, as (nodes, scheme)
+_DERIVED_GRIDS = [(64, "chebyshev"), (512, "chebyshev"),
+                  (1024, "chebyshev"), (256, "uniform")]
+
+
+class TestDerivedFields:
+    """c_slope = (u[-1] - u[0]) / 2 and gauge_shift = 0.0 - u[0] are what
+    the solvers computed: the slope root, the Newton root's u0f / 2, and
+    the normalizing shift."""
+
+    @pytest.mark.parametrize("nodes, scheme", _DERIVED_GRIDS,
+                             ids=[f"{s}{n}" for n, s in _DERIVED_GRIDS])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_momentum_and_warm_shooting(self, constants, name, nodes,
+                                        scheme):
+        cfg = _bundle(REFERENCE_CONFIGS[name]["factors"])
+        mom, seen = solve_recorded(solver.solve_momentum, cfg, constants,
+                                   nodes=nodes, scheme=scheme)
+        c, = solver.find_slope_roots(cfg)
+        _assert_derived_are_the_solvers(mom, seen, c)
+        sho, seen = solve_recorded(solver.solve_shooting, cfg, constants,
+                                   nodes=nodes, scheme=scheme, start=mom)
+        *_, u0f, _ = solver._unpack(seen["root"], cfg.r)
+        _assert_derived_are_the_solvers(sho, seen, u0f / 2.0)
+
+    @pytest.mark.parametrize("recorded", ["kc_shooting_2048_recorded",
+                                          "two_factor_shooting_recorded"])
+    def test_cold_shooting(self, request, recorded):
+        sol, seen = request.getfixturevalue(recorded)
+        *_, u0f, _ = solver._unpack(seen["root"], sol.config.r)
+        _assert_derived_are_the_solvers(sol, seen, u0f / 2.0)
+
+    @given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                                      st.integers(1, 3),
+                                      st.sampled_from([-1, 1]),
+                                      st.floats(0.25, 3.0)),
+                            min_size=1, max_size=3))
+    @settings(max_examples=5, deadline=None)
+    def test_momentum_on_admissible_bundles(self, constants, factors):
+        # |q| < p and q != 0: p exceeds |q| by the drawn gap
+        cfg = _bundle([(d, q + gap, sign * q) for d, q, sign, gap in factors])
+        sol, seen = solve_recorded(solver.solve_momentum, cfg, constants,
+                                   nodes=64)
+        c, = solver.find_slope_roots(cfg)
+        _assert_derived_are_the_solvers(sol, seen, c)
 
 
 class TestReports:

@@ -72,6 +72,18 @@ class TestProfiles:
         with pytest.raises(StabilityError):
             p.psi(kc_momentum.grid.t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_profile_rejected_at_evaluation(self, kc_momentum,
+                                                       bad):
+        # nan passes the negativity test and would give a nan value with
+        # the sign "negative"
+        t = kc_momentum.grid.t
+        p = sampled(kc_momentum, np.where(t == t[len(t) // 2], bad, 1.0),
+                    name="spiked")
+        with pytest.raises(StabilityError,
+                           match="profile 'spiked' is not finite"):
+            p.psi(t)
+
 
 class TestSecondVariation:
     def test_vanishing_for_constant_profiles(self, kc_momentum):
