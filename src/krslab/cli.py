@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -88,15 +87,19 @@ def _profile_csv_blocks(grid):
         yield "\n".join([fmt % tuple(row) for row in rows]) + "\n"
 
 
-def write_solution(out_dir: str, sol: solver.SolitonSolution):
-    """Write ``profile_<method>.csv`` and ``solution_<method>.json``.  The
-    table is formatted and written in blocks (``_profile_csv_blocks``), so
-    the write holds the float table and one block's strings, not a string
-    per cell, and the table is freed before the metadata is made."""
+def write_solution(out_dir: str, sol: solver.SolitonSolution,
+                   cross_method: float | None):
+    """Write ``profile_<method>.csv`` and ``solution_<method>.json``, with
+    the pair's ``cross_method`` beside the residuals unless it is None (one
+    route).  The table is formatted and written in blocks
+    (``_profile_csv_blocks``), so the write holds the float table and one
+    block's strings, and the table is freed before the metadata is made."""
     _write_chunks_atomic(os.path.join(out_dir, f"profile_{sol.method}.csv"),
                          _profile_csv_blocks(sol.grid))
-    _write_json(os.path.join(out_dir, f"solution_{sol.method}.json"),
-                sol.to_dict())
+    meta = sol.to_dict()
+    if cross_method is not None:
+        meta["residuals"]["cross_method"] = cross_method
+    _write_json(os.path.join(out_dir, f"solution_{sol.method}.json"), meta)
 
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
@@ -146,6 +149,8 @@ def cmd_pin_constants(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """Solve by the config's routes and write each solution; for method
+    both, with the pair's disagreement read on that solution's nodes."""
     run = load_run_config(args.config)
     constants = (PinnedConstants.load(args.constants) if args.constants
                  else pin_constants(seed=run.seed))
@@ -167,18 +172,17 @@ def cmd_solve(args) -> int:
                     {"error": str(exc), "config": run.bundle.to_dict()})
         print(f"no soliton: {exc}", file=sys.stderr)
         return EXIT_NO_SOLITON
+    cross = {}
     if len(sols) == 2:
         a, b = sols["momentum"], sols["shooting"]
-        sols["momentum"] = replace(
-            a, cross_method=solver.cross_method_disagreement(a, b))
-        sols["shooting"] = replace(
-            b, cross_method=solver.cross_method_disagreement(b, a))
+        cross = {"momentum": solver.cross_method_disagreement(a, b),
+                 "shooting": solver.cross_method_disagreement(b, a)}
     ok = True
     for sol in sols.values():
-        write_solution(args.out, sol)
+        cm = cross.get(sol.method)
+        write_solution(args.out, sol, cm)
         if sol.residuals.max_equation_residual() >= run.tolerances.residual:
             ok = False
-        cm = sol.cross_method
         if cm is not None and cm >= 1e-6:
             ok = False
         print(f"{sol.method}: c={sol.c_slope:.12f} T={sol.grid.T:.9f} "

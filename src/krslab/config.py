@@ -44,7 +44,9 @@ def get_field(raw: dict, key: str, kind, default=_REQUIRED):
     """raw[key] converted by ``kind``, or ``default`` when the key is absent
     and a default is given; a missing or malformed value is a ConfigError.
     A number field rejects a boolean, and an ``int`` field a number with a
-    fractional part, instead of converting them (``int(2.9)`` is 2)."""
+    fractional part, instead of converting them (``int(2.9)`` is 2).  A
+    conversion that divides by zero or overflows (``Fraction("1/0")``,
+    ``float(Fraction("1e400"))``) is a malformed value too."""
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object holding {key!r}, got {raw!r}")
     if key not in raw:
@@ -60,7 +62,7 @@ def get_field(raw: dict, key: str, kind, default=_REQUIRED):
                           f"got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"malformed field {key!r}: {exc}") from exc
 
 

@@ -158,10 +158,12 @@ class ProfileGrid:
 
     @staticmethod
     def from_table(scheme: Scheme, table: np.ndarray, r: int) -> "ProfileGrid":
-        """Inverse of ``table`` for r factors, read from one row per node;
-        every cell must be finite (a TableShapeError names the first that
-        is not by its column header and row, counted from 0 below the
-        header), and the node column must agree with the scheme."""
+        """Inverse of ``table`` for r factors, read from one row per node.
+        The checks run in this order: the shape; every cell finite (a
+        TableShapeError names the first that is not by its column header
+        and row, counted from 0 below the header); the last node exactly the
+        scheme's length T, or a ConfigError naming both; every node within
+        1e-9 of the scheme's, or a GeometryError."""
         shape = (scheme.t.size, 3 * r + 7)
         if table.shape != shape:
             raise TableShapeError(f"profile table has shape {table.shape}, "
@@ -172,6 +174,10 @@ class ProfileGrid:
             raise TableShapeError(
                 f"non-finite value {float(table[row, col])!r} in column "
                 f"{profile_csv_header(r).split(',')[col]!r}, row {row}")
+        T = float(scheme.t[-1])
+        if T != table[-1, 0]:
+            raise ConfigError(f"T = {T!r} is not the last node of the "
+                              f"profile table, t = {float(table[-1, 0])!r}")
         if np.abs(scheme.t - table[:, 0]).max() > 1e-9:
             raise GeometryError("profile nodes disagree with the scheme")
         # factor columns l1, dl1, ddl1, l2, ... -> (factor, derivative, node)

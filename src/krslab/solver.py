@@ -118,18 +118,18 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SolitonSolution:
-    """A solved soliton.  Its evaluation record, residual report and the
+    """A solved soliton, its own facts only: the disagreement with another
+    solution is the solve's.  Its evaluation record, residual report and the
     stability layer's per-solution work are computed on first use and
     cached; ``dataclasses.replace`` gives a new solution that is evaluated
-    afresh; its slope and gauge shift are read off u.  A solution whose
-    grid and config disagree on the number of factors, or whose method is
-    not one of SOLUTION_METHODS, cannot be made."""
+    afresh; its slope and gauge shift are read off u.  A solution whose grid
+    and config disagree on the number of factors, or whose method is not
+    one of SOLUTION_METHODS, cannot be made."""
 
     grid: ProfileGrid
     config: BundleConfig
     constants: PinnedConstants
     method: str
-    cross_method: Optional[float] = None
 
     def __post_init__(self):
         if self.grid.nfactors != self.config.r:
@@ -160,17 +160,13 @@ class SolitonSolution:
         return {}
 
     def to_dict(self) -> dict:
-        """Metadata of the solution; the profiles go to ``grid.table()``.
-        The cross-method disagreement, when known, is one of the
-        residuals."""
-        residuals = self.residuals.to_dict()
-        if self.cross_method is not None:
-            residuals["cross_method"] = self.cross_method
+        """Metadata of the solution, its own residuals included; the
+        profiles go to ``grid.table()``."""
         return {
             "config": self.config.to_dict(),
             "c_slope": self.c_slope,
             "gauge_shift": self.gauge_shift,
-            "residuals": residuals,
+            "residuals": self.residuals.to_dict(),
             "method": self.method,
             "nodes": int(self.grid.t.size - 1),
             "T": self.grid.T,
@@ -183,31 +179,27 @@ class SolitonSolution:
                   header: str) -> "SolitonSolution":
         """Inverse of ``to_dict`` plus the profile table and its CSV header
         (``profile_csv_header``: columns are read by position).  ``T`` must
-        be the last node exactly, and ``c_slope`` and ``gauge_shift`` what
-        the properties read off u, to within 1e-12 max(1, |value|).  The
-        residuals are re-evaluated; only the cross-method disagreement,
-        which needs the other solution, is carried over, so a solution read
-        back writes the same file."""
+        be the last node exactly (``ProfileGrid.from_table`` checks it), and
+        ``c_slope`` and ``gauge_shift`` what the properties read off u, to
+        within 1e-12 max(1, |value|).  The ``residuals`` block, when given,
+        must be an object; it is a report, re-evaluated on the profiles, and
+        no number in it is read."""
         check_keys(meta, ("config", "c_slope", "gauge_shift", "residuals",
                           "method", "nodes", "T", "scheme", "constants"))
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
         constants = PinnedConstants.from_dict(get_field(meta, "constants",
                                                         dict))
-        T = get_field(meta, "T", float)
         sch = Scheme.of_kind(get_field(meta, "scheme", str),
-                             get_field(meta, "nodes", int), T)
+                             get_field(meta, "nodes", int),
+                             get_field(meta, "T", float))
         expected = profile_csv_header(config.r)
         if header != expected:
             raise TableShapeError(f"header {header!r} is not {expected!r}")
-        grid = ProfileGrid.from_table(sch, table, config.r)
-        if T != table[-1, 0]:
-            raise ConfigError(f"T = {T!r} is not the last node of the "
-                              f"profile table, t = {float(table[-1, 0])!r}")
-        residuals = get_field(meta, "residuals", dict, {})
+        if not isinstance(meta.get("residuals", {}), dict):
+            raise ConfigError("malformed field 'residuals': not an object")
         sol = SolitonSolution(
-            grid=grid, config=config, constants=constants,
-            method=get_field(meta, "method", str),
-            cross_method=get_field(residuals, "cross_method", float, None))
+            grid=ProfileGrid.from_table(sch, table, config.r), config=config,
+            constants=constants, method=get_field(meta, "method", str))
         for key, formula in (("c_slope", "(u[-1] - u[0]) / 2"),
                              ("gauge_shift", "-u[0]")):
             stored, derived = get_field(meta, key, float), getattr(sol, key)

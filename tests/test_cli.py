@@ -4,6 +4,7 @@ import shutil
 import stat
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +323,14 @@ MALFORMED = {
     "seed-negative": ("config", lambda raw: raw.update(seed=-1), "seed"),
     "constants-without-B": ("constants", lambda raw: raw.pop("B"), "'B'"),
     "constants-A": ("constants", lambda raw: raw.update(A="quarter"), "'A'"),
+    # a fraction that divides by zero or overflows a float
+    "constants-A-zero-division": ("constants",
+                                  lambda raw: raw.update(A="1/0"), "'A'"),
+    "constants-A-overflow": ("constants", lambda raw: raw.update(A="1e400"),
+                             "'A'"),
+    "solution-constants-B": ("solution",
+                             lambda raw: raw["constants"].update(B="1/0"),
+                             "'B'"),
     "solution-scheme": ("solution",
                         lambda raw: raw.update(scheme="legendre"),
                         "'legendre'"),
@@ -331,6 +340,10 @@ MALFORMED = {
     "solution-method-mismatch": ("solution",
                                  lambda raw: raw.update(method="shooting"),
                                  "solution_momentum.json holds a 'shooting'"),
+    # a report, read back as nothing, but still an object
+    "solution-residuals-list": ("solution",
+                                lambda raw: raw.update(residuals=[]),
+                                "'residuals'"),
     "solution-no-nodes": ("solution", lambda raw: raw.update(nodes=0),
                           "n = 0"),
     "solution-uniform-3-nodes": ("solution",
@@ -349,6 +362,12 @@ MALFORMED = {
     "solution-T": ("solution",
                    lambda raw: raw.update(T=raw["T"] * (1.0 + 1e-11)),
                    "is not the last node of the profile table"),
+    # checked before the nodes, so whatever its size it is the metadata's
+    "solution-T-1e-6": ("solution",
+                        lambda raw: raw.update(T=raw["T"] * (1.0 + 1e-6)),
+                        "is not the last node of the profile table"),
+    "solution-T-1e-1": ("solution", lambda raw: raw.update(T=raw["T"] * 1.1),
+                        "is not the last node of the profile table"),
     "table-missing": ("table", os.remove, "profile_momentum.csv"),
     "table-non-numeric": ("table", lambda path: _rewrite_lines(
         path, lambda lines: [lines[0], "zero," + lines[1].split(",", 1)[1],
@@ -447,9 +466,8 @@ REPORT_ONLY = {
     **{f"residuals.{key}": _REEVALUATED
        for key in ("E_N", "E_U", "E_i.0", "delta_uu", "div_integral",
                    "gauge", "hamilton", "kaehler", "trace")},
-    "residuals.cross_method": "needs the other solution; carried over only "
-                              "so that a solution read back writes the same "
-                              "file",
+    "residuals.cross_method": "written by krs solve for the pair; no "
+                              "command reads it back",
     "constants.max_rel_err": "the oracle's error, recorded; only its bound "
                              "1e-6 is checked",
     "constants.samples": "the oracle's sample count, recorded",
@@ -458,21 +476,31 @@ REPORT_ONLY = {
 TABLE_CELLS = {"t": 0, "f": 1, "u": 7}
 
 
-def _numbers(raw, path=""):
-    """{path: value} of every int or float in a JSON tree."""
+def _numbers(raw, path="", fractions=False):
+    """{path: value} of every int or float in a JSON tree; with
+    ``fractions``, also of every string that reads as a fraction, as a
+    Fraction."""
     if isinstance(raw, (dict, list)):
         items = raw.items() if isinstance(raw, dict) else enumerate(raw)
         found = {}
         for key, value in items:
-            found.update(_numbers(value, f"{path}{key}."))
+            found.update(_numbers(value, f"{path}{key}.", fractions))
         return found
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return {path[:-1]: raw}
+    if fractions and isinstance(raw, str):
+        try:
+            return {path[:-1]: Fraction(raw)}
+        except ValueError:
+            pass
     return {}
 
 
 def _perturbed(value):
-    """A float moved by a relative 1e-6 and 1e-1, an int by -1 and +1."""
+    """A float or a Fraction moved by a relative 1e-6 and 1e-1 (a Fraction
+    exactly), an int by -1 and +1."""
+    if isinstance(value, Fraction):
+        return [value * Fraction(1000001, 1000000), value * Fraction(11, 10)]
     if isinstance(value, int):
         return [value - 1, value + 1]
     return [value * (1.0 + 1e-6), value * (1.0 + 1e-1)]
@@ -569,6 +597,108 @@ def test_codec_mutation(field, codec_baseline, tmp_path, capsys):
                        in zip(got, baseline)), (
                 f"{field} = {moved!r} is read by nothing: verify and "
                 "stability exit 0 with the same outputs")
+
+
+# every number in the run config and the constants JSON that krs solve
+# reads, by path; the constants' A and B are numbers written as fractions
+SOLVE_NUMBERS = (
+    "config.factors.0.deformation_norm2", "config.factors.0.dim",
+    "config.factors.0.einstein_constant", "config.factors.0.twist",
+    "config.grid.nodes", "config.seed", "config.tolerances.identity",
+    "config.tolerances.ode", "config.tolerances.residual", "constants.A",
+    "constants.B", "constants.max_rel_err", "constants.samples",
+)
+# the numbers that move no solution file but for their own copy in it, each
+# with its reason; every other number must fail the solve or move a file
+SOLVE_REPORT_ONLY = {
+    "config.seed": "read only without --constants, to pin the constants",
+    "config.tolerances.residual": "a tolerance changes only the verdict",
+    "config.tolerances.identity": "read by verify, not by solve",
+    "constants.max_rel_err": "the oracle's error, recorded; only its bound "
+                             "1e-6 is checked",
+    "constants.samples": "the oracle's sample count, recorded",
+}
+
+
+def _solve(inputs, out):
+    """Exit code and {file name: bytes} of krs solve on the run config and
+    constants JSON texts ``inputs`` (keyed config and constants), with
+    every file written under the new directory ``out``."""
+    out.mkdir()
+    for name, text in inputs.items():
+        (out / f"{name}.json").write_text(text)
+    code = run("solve", "--config", str(out / "config.json"), "--constants",
+               str(out / "constants.json"), "--out", str(out / "o"))
+    files = ({p.name: p.read_bytes() for p in (out / "o").iterdir()}
+             if (out / "o").is_dir() else {})
+    return code, files
+
+
+@pytest.fixture(scope="module")
+def solve_baseline(pipeline, tmp_path_factory):
+    """The solve inputs, the shipped Koiso-Cao config at N = 64 and the
+    pipeline's constants, as text, and the files krs solve makes of
+    them."""
+    with open(CONFIG) as fh:
+        config = json.load(fh)
+    config["grid"]["nodes"] = 64
+    with open(pipeline["constants"]) as fh:
+        inputs = {"config": json.dumps(config), "constants": fh.read()}
+    code, files = _solve(inputs, tmp_path_factory.mktemp("solve") / "base")
+    assert code == 0
+    return inputs, files
+
+
+def _solve_numbers(inputs):
+    return {f"{name}.{path}": value for name, text in inputs.items()
+            for path, value in _numbers(json.loads(text), fractions=True)
+            .items()}
+
+
+def test_solve_mutation_table_lists_every_number(solve_baseline):
+    inputs, _ = solve_baseline
+    assert sorted(_solve_numbers(inputs)) == sorted(SOLVE_NUMBERS)
+    assert set(SOLVE_REPORT_ONLY) <= set(SOLVE_NUMBERS)
+
+
+@pytest.mark.parametrize("field", SOLVE_NUMBERS)
+def test_solve_mutation(field, solve_baseline, tmp_path, capsys):
+    """Each perturbed number of the solve inputs fails the solve (exit 1
+    and one config error line, or exit 3 or 4) or moves a solution file; a
+    report-only number moves nothing but its own copy."""
+    inputs, baseline = solve_baseline
+    file, path = field.split(".", 1)
+    for k, moved in enumerate(_perturbed(_solve_numbers(inputs)[field])):
+        raw = json.loads(inputs[file])
+        _set_number(raw, path,
+                    str(moved) if isinstance(moved, Fraction) else moved)
+        capsys.readouterr()
+        code, files = _solve({**inputs, file: json.dumps(raw)},
+                             tmp_path / f"m{k}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 3, 4) and "Traceback" not in err, (
+            field, moved, err)
+        if code == 1:
+            assert err.startswith("config error:"), (field, moved, err)
+            assert err.count("\n") == 1, (field, moved, err)
+        if field not in SOLVE_REPORT_ONLY:
+            assert code in (1, 3, 4) or files != baseline, (
+                f"{field} = {moved!r} is read by nothing: krs solve exits "
+                "0 with the same files")
+            continue
+        expected = dict(baseline)
+        if file == "constants":
+            # each solution file carries a copy of the constants
+            for name in baseline:
+                if name.startswith("solution_"):
+                    meta = json.loads(baseline[name])
+                    meta["constants"][path] = moved
+                    expected[name] = (json.dumps(meta, indent=2,
+                                                 sort_keys=True)
+                                      + "\n").encode()
+        # an out-of-range value (a seed of -1) is a config error
+        assert code == 1 or (code, files) == (0, expected), (
+            field, moved, err)
 
 
 def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
@@ -860,7 +990,7 @@ class TestFuzzAlgebra:
 
 class TestSerialization:
     def test_write_read_round_trip(self, kc_momentum, tmp_path):
-        write_solution(str(tmp_path), kc_momentum)
+        write_solution(str(tmp_path), kc_momentum, None)
         back = read_solution(str(tmp_path), "momentum")
         assert back.c_slope == kc_momentum.c_slope
         assert back.method == "momentum"
@@ -868,20 +998,39 @@ class TestSerialization:
 
     def test_write_read_write_is_byte_identical(self, kc_momentum, pipeline,
                                                 tmp_path):
-        # a fresh solution, and both solutions of a two-route solve (which
-        # carry the cross-method disagreement)
-        write_solution(str(tmp_path / "a"), kc_momentum)
+        # a fresh solution, and both solutions of a two-route solve, each
+        # written with the disagreement its file holds, as krs solve does
+        write_solution(str(tmp_path / "a"), kc_momentum, None)
         write_solution(str(tmp_path / "b"),
-                       read_solution(str(tmp_path / "a"), "momentum"))
+                       read_solution(str(tmp_path / "a"), "momentum"), None)
         pairs = [(tmp_path / "a", tmp_path / "b", "momentum")]
         for method in ("momentum", "shooting"):
             back = read_solution(pipeline["out"], method)
-            write_solution(str(tmp_path / "c"), back)
+            meta = json.loads(open(os.path.join(
+                pipeline["out"], f"solution_{method}.json")).read())
+            write_solution(str(tmp_path / "c"), back,
+                           meta["residuals"]["cross_method"])
             pairs.append((pipeline["out"], tmp_path / "c", method))
         for first, second, method in pairs:
             for name in (f"profile_{method}.csv", f"solution_{method}.json"):
                 assert (open(os.path.join(first, name), "rb").read()
                         == open(os.path.join(second, name), "rb").read())
+
+    def test_cross_method_is_written_with_the_residuals(
+            self, kc_momentum, kc_shooting_2048, tmp_path):
+        # the disagreement belongs to the pair, not to a solution: the file
+        # holds it exactly when the write is given it
+        cross = solver.cross_method_disagreement(kc_momentum,
+                                                 kc_shooting_2048)
+        assert cross < 1e-8
+        for k, given in enumerate((cross, None)):
+            write_solution(str(tmp_path / f"w{k}"), kc_momentum, given)
+            residuals = json.loads((tmp_path / f"w{k}" /
+                                    "solution_momentum.json").read_text())[
+                "residuals"]
+            assert ("cross_method" in residuals) == (given is not None)
+            assert residuals.get("cross_method") == given
+        assert "cross_method" not in kc_momentum.to_dict()["residuals"]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "out" / "report.json"
@@ -934,7 +1083,7 @@ class TestSerialization:
                                             tmp_path):
         # every value printed with format(., ".17g") in header column order
         g = two_factor_momentum.grid
-        write_solution(str(tmp_path), two_factor_momentum)
+        write_solution(str(tmp_path), two_factor_momentum, None)
         with open(tmp_path / "profile_momentum.csv") as fh:
             lines = fh.read().splitlines()
         assert lines[0] == profile_csv_header(2)
@@ -974,7 +1123,7 @@ class TestStreamedTable:
                                          start=momentum)
         for sol in (momentum, shooting):
             assert sol.grid.t.size == rows
-            write_solution(str(tmp_path), sol)
+            write_solution(str(tmp_path), sol, None)
             with open(tmp_path / f"profile_{sol.method}.csv", "rb") as fh:
                 assert fh.read() == _one_shot_table(sol)
 
@@ -986,7 +1135,7 @@ class TestStreamedTable:
         sol.to_dict()  # the residuals, computed on first use
         tracemalloc.start()
         try:
-            write_solution(str(tmp_path), sol)
+            write_solution(str(tmp_path), sol, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

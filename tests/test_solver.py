@@ -723,18 +723,6 @@ class TestReports:
         assert "E_N" in d["residuals"]
         assert d["T"] > 0
 
-    def test_cross_method_is_written_with_the_residuals(
-            self, kc_momentum, kc_shooting_2048):
-        # the disagreement is the solution's; it is written with the
-        # residuals, and only when known
-        tagged = replace(kc_momentum,
-                         cross_method=solver.cross_method_disagreement(
-                             kc_momentum, kc_shooting_2048))
-        assert tagged.cross_method < 1e-8
-        assert (tagged.to_dict()["residuals"]["cross_method"]
-                == tagged.cross_method)
-        assert "cross_method" not in kc_momentum.to_dict()["residuals"]
-
     @pytest.mark.parametrize("method", ["bogus", "both", "Momentum"])
     def test_unknown_method_rejected(self, kc_momentum, method):
         with pytest.raises(ConfigError, match=f"unknown solution method "
