@@ -14,6 +14,10 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+# the JSON values each built-in kind of get_field takes, and their name
+_JSON_KINDS = {int: ((int, float), "an integer"),
+               float: ((int, float), "a number"), str: (str, "a string"),
+               dict: (dict, "an object"), list: (list, "an array")}
 
 # grid schemes by name; grids.Scheme.of_kind builds them
 SCHEME_KINDS = ("chebyshev", "uniform")
@@ -41,12 +45,12 @@ def read_json(path: str) -> dict:
 
 
 def get_field(raw: dict, key: str, kind, default=_REQUIRED):
-    """raw[key] converted by ``kind``, or ``default`` when the key is absent
-    and a default is given; a missing or malformed value is a ConfigError.
-    A number field rejects a boolean, and an ``int`` field a number with a
-    fractional part, instead of converting them (``int(2.9)`` is 2).  A
-    conversion that divides by zero or overflows (``Fraction("1/0")``,
-    ``float(Fraction("1e400"))``) is a malformed value too."""
+    """raw[key] as ``kind``, or ``default`` when the key is absent and a
+    default is given; a missing or malformed value is a ConfigError.  A
+    built-in ``kind`` checks the JSON type, converting no other: ``int`` and
+    ``float`` take a number that is no boolean (``int`` ``2.0``, not
+    ``2.9``), ``str``, ``dict`` and ``list`` a string, object and array.
+    Any other ``kind`` converts, and a failed conversion is malformed too."""
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object holding {key!r}, got {raw!r}")
     if key not in raw:
@@ -54,12 +58,13 @@ def get_field(raw: dict, key: str, kind, default=_REQUIRED):
             raise ConfigError(f"missing field {key!r}")
         return default
     value = raw[key]
-    if kind in (int, float) and isinstance(value, bool):
-        raise ConfigError(f"malformed field {key!r}: expected a number, "
-                          f"got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"malformed field {key!r}: expected an integer, "
-                          f"got {value!r}")
+    if kind in _JSON_KINDS:
+        types, name = _JSON_KINDS[kind]
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or (kind is int and isinstance(value, float)
+                    and not value.is_integer())):
+            raise ConfigError(f"malformed field {key!r}: expected {name}, "
+                              f"got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -202,8 +207,9 @@ class Tolerances:
 
 
 def _float_list(raw) -> tuple:
-    if not isinstance(raw, list) or any(isinstance(k, bool) for k in raw):
-        raise TypeError(f"expected a list of numbers, got {raw!r}")
+    if not isinstance(raw, list) or any(isinstance(k, (bool, str))
+                                        for k in raw):
+        raise TypeError(f"expected an array of numbers, got {raw!r}")
     return tuple(float(k) for k in raw)
 
 

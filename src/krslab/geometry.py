@@ -29,10 +29,15 @@ class TableShapeError(ConfigError):
     factors: a malformed input, not a failed solution."""
 
 
+# oracle.pin_constants chooses A and B from these, each exact in binary
+CANDIDATES = (0.125, 0.25, 0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class PinnedConstants:
     """Ansatz curvature coefficients validated against the coordinate oracle;
-    a value whose oracle error is not finite and below 1e-6 cannot be made."""
+    a value whose oracle error is not finite and below 1e-6 cannot be made.
+    The codec writes and reads A and B exactly, each one of CANDIDATES."""
 
     A: float
     B: float
@@ -48,21 +53,23 @@ class PinnedConstants:
 
     def to_dict(self) -> dict:
         return {
-            "A": str(Fraction(self.A).limit_denominator(64)),
-            "B": str(Fraction(self.B).limit_denominator(64)),
+            "A": str(Fraction(self.A)),
+            "B": str(Fraction(self.B)),
             "max_rel_err": self.max_rel_err,
             "samples": self.samples,
         }
 
     @staticmethod
     def from_dict(raw: dict) -> "PinnedConstants":
-        def fraction(v):
+        def candidate(v):
+            if isinstance(v, bool) or Fraction(v) not in CANDIDATES:
+                raise ValueError(f"expected one of {CANDIDATES}, got {v!r}")
             return float(Fraction(v))
 
         check_keys(raw, ("A", "B", "max_rel_err", "samples"))
         return PinnedConstants(
-            A=get_field(raw, "A", fraction),
-            B=get_field(raw, "B", fraction),
+            A=get_field(raw, "A", candidate),
+            B=get_field(raw, "B", candidate),
             max_rel_err=get_field(raw, "max_rel_err", float),
             samples=get_field(raw, "samples", int),
         )

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import PinnedConstants, ricci_frame
+from .geometry import CANDIDATES, PinnedConstants, ricci_frame
 
 
 class OracleError(RuntimeError):
@@ -166,9 +166,6 @@ def oracle_ricci(state: LocalState, x: np.ndarray):
     # the two horizontal directions must agree; fold into the error estimate
     err = max(err, abs(r_h1 - r_h2))
     return np.array([r_nn, r_uu, 0.5 * (r_h1 + r_h2)]), err
-
-
-CANDIDATES = (0.125, 0.25, 0.5, 1.0)
 
 
 def random_state(rng: np.random.Generator) -> LocalState:

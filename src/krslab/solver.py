@@ -195,8 +195,7 @@ class SolitonSolution:
         expected = profile_csv_header(config.r)
         if header != expected:
             raise TableShapeError(f"header {header!r} is not {expected!r}")
-        if not isinstance(meta.get("residuals", {}), dict):
-            raise ConfigError("malformed field 'residuals': not an object")
+        get_field(meta, "residuals", dict, {})
         sol = SolitonSolution(
             grid=ProfileGrid.from_table(sch, table, config.r), config=config,
             constants=constants, method=get_field(meta, "method", str))
@@ -400,10 +399,11 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     integrated series, started from a cubic Hermite fit of xi(t) through
     the series' sample points, and f = sqrt(phi) = sin(xi) / (dt/dxi) is
     read off the same series there.
+
+    The reduction holds only for (A, B) = (1/4, 1/2) exactly.
     """
     _require_admissible(config)
-    if not (np.isclose(constants.A, _REDUCTION_A)
-            and np.isclose(constants.B, _REDUCTION_B)):
+    if (constants.A, constants.B) != (_REDUCTION_A, _REDUCTION_B):
         raise SolverError(
             "pinned constants disagree with the coefficients the momentum "
             f"reduction was derived for: got (A,B)=({constants.A},{constants.B})"

@@ -321,6 +321,24 @@ MALFORMED = {
     "tolerance-identity-inf": ("config", lambda raw: raw.update(
         tolerances={"identity": float("inf")}), "tolerances.identity"),
     "seed-negative": ("config", lambda raw: raw.update(seed=-1), "seed"),
+    # each field is its JSON type: a number is no string, a block no list
+    # of pairs, and an empty object or list is no default
+    "factor-einstein-string": ("config", lambda raw: raw["factors"][0].update(
+        einstein_constant="2"), "'einstein_constant'"),
+    "grid-nodes-string": ("config", lambda raw: raw["grid"].update(
+        nodes="64"), "'nodes'"),
+    "seed-string": ("config", lambda raw: raw.update(seed="0"), "'seed'"),
+    "profile-kappas-strings": ("config", lambda raw: raw.update(stability={
+        "profiles": [{"kind": "constant", "kappas": ["1.5"]}]}), "'kappas'"),
+    "grid-pairs": ("config", lambda raw: raw.update(grid=[["nodes", 64]]),
+                   "'grid'"),
+    "grid-empty-list": ("config", lambda raw: raw.update(grid=[]), "'grid'"),
+    "tolerances-pairs": ("config", lambda raw: raw.update(
+        tolerances=[["ode", 1e-12]]), "'tolerances'"),
+    "stability-empty-list": ("config", lambda raw: raw.update(stability=[]),
+                             "'stability'"),
+    "profiles-empty-object": ("config", lambda raw: raw.update(
+        stability={"profiles": {}}), "'profiles'"),
     "constants-without-B": ("constants", lambda raw: raw.pop("B"), "'B'"),
     "constants-A": ("constants", lambda raw: raw.update(A="quarter"), "'A'"),
     # a fraction that divides by zero or overflows a float
@@ -328,9 +346,25 @@ MALFORMED = {
                                   lambda raw: raw.update(A="1/0"), "'A'"),
     "constants-A-overflow": ("constants", lambda raw: raw.update(A="1e400"),
                              "'A'"),
+    # A and B are read exactly, and only the candidates are pinned values;
+    # the second A rounds to 0.25 as a float
+    "constants-A-off-candidate": ("constants", lambda raw: raw.update(
+        A="1000001/4000000"), "'A'"),
+    "constants-A-rounds-to-candidate": ("constants", lambda raw: raw.update(
+        A="25000000000000000001/100000000000000000000"), "'A'"),
+    "constants-B-off-candidate": ("constants",
+                                  lambda raw: raw.update(B="3/8"), "'B'"),
+    "constants-samples-string": ("constants",
+                                 lambda raw: raw.update(samples="20"),
+                                 "'samples'"),
     "solution-constants-B": ("solution",
                              lambda raw: raw["constants"].update(B="1/0"),
                              "'B'"),
+    "solution-constants-A": ("solution",
+                             lambda raw: raw["constants"].update(A=0.3),
+                             "'A'"),
+    "solution-T-string": ("solution", lambda raw: raw.update(T=str(raw["T"])),
+                          "'T'"),
     "solution-scheme": ("solution",
                         lambda raw: raw.update(scheme="legendre"),
                         "'legendre'"),

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from krslab.cli import main
 from krslab.config import (
     TAU,
     BaseFactor,
@@ -17,6 +18,8 @@ from krslab.config import (
     koiso_cao,
     load_run_config,
 )
+from krslab.geometry import PinnedConstants
+from krslab.oracle import pin_constants
 
 
 class TestBaseFactor:
@@ -227,7 +230,9 @@ class TestRunConfig:
 
     def test_every_written_key_loads(self, tmp_path, monkeypatch):
         # the shipped config, the benchmark's run config (with its explicit
-        # prefactor) and a bundle's own to_dict keys (n, tau)
+        # prefactor) for each reference bundle, whose Einstein constants
+        # are JSON ints, the constants krs pin-constants writes, and a
+        # bundle's own to_dict keys (n, tau)
         root = Path(__file__).resolve().parents[1]
         assert load_run_config(str(root / "configs" / "koiso_cao.json"))
         spec = importlib.util.spec_from_file_location(
@@ -239,6 +244,19 @@ class TestRunConfig:
         workloads.write_run_config(str(path), [(2, 2.0, 1), (4, 3.0, -1)],
                                    512, "both")
         assert load_run_config(str(path)).bundle.r == 2
+        reference = json.loads(
+            (root / "perfbench" / "reference.json").read_text())["configs"]
+        assert len(reference) == 12
+        for case in reference.values():
+            workloads.write_run_config(str(path), case["factors"], 512,
+                                       "both")
+            factors = json.loads(path.read_text())["factors"]
+            assert all(type(f["einstein_constant"]) is int for f in factors)
+            bundle = load_run_config(str(path)).bundle
+            assert [(f.d, f.p, f.q) for f in bundle.factors] == [
+                tuple(f) for f in case["factors"]]
+        assert main(["pin-constants", "--out", str(path)]) == 0
+        assert PinnedConstants.load(str(path)) == pin_constants()
         raw = {**koiso_cao().to_dict(), "grid": {"nodes": 64}}
         path.write_text(json.dumps(raw))
         assert load_run_config(str(path)).bundle == koiso_cao()

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from krslab import solver
 from krslab.config import BaseFactor, BundleConfig, ConfigError, koiso_cao
 from krslab.geometry import (
+    CANDIDATES,
     GeometryError,
     PinnedConstants,
     ProfileGrid,
@@ -47,8 +49,20 @@ class TestPinnedConstants:
         raw = json.loads(json.dumps(constants.to_dict()))
         assert PinnedConstants.from_dict(raw) == constants
 
+    def test_every_candidate_pair_round_trips(self):
+        for A, B in product(CANDIDATES, CANDIDATES):
+            pc = PinnedConstants(A=A, B=B, max_rel_err=0.0, samples=20)
+            back = PinnedConstants.from_dict(json.loads(json.dumps(
+                pc.to_dict())))
+            assert (back.A, back.B) == (A, B)
+        written = PinnedConstants(0.25, 0.5, 0.0, 20).to_dict()
+        assert (written["A"], written["B"]) == ("1/4", "1/2")
+        # a JSON number reads too, exactly
+        assert PinnedConstants.from_dict({**written, "A": 0.25}).A == 0.25
+
+    # True is no number, though Fraction(True) is the candidate 1
     @pytest.mark.parametrize("patch", [{"B": None}, {"A": "quarter"},
-                                       {"samples": "many"}])
+                                       {"samples": "many"}, {"A": True}])
     def test_malformed_fields_rejected(self, constants, patch):
         raw = {**constants.to_dict(), **patch}
         raw = {k: v for k, v in raw.items() if v is not None}
