@@ -16,8 +16,8 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 # the JSON values each built-in kind of get_field takes, and their name
 _JSON_KINDS = {int: ((int, float), "an integer"),
-               float: ((int, float), "a number"), str: (str, "a string"),
-               dict: (dict, "an object"), list: (list, "an array")}
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               dict: ((dict,), "an object"), list: ((list,), "an array")}
 
 # grid schemes by name; grids.Scheme.of_kind builds them
 SCHEME_KINDS = ("chebyshev", "uniform")
@@ -47,9 +47,9 @@ def read_json(path: str) -> dict:
 def get_field(raw: dict, key: str, kind, default=_REQUIRED):
     """raw[key] as ``kind``, or ``default`` when the key is absent and a
     default is given; a missing or malformed value is a ConfigError.  A
-    built-in ``kind`` checks the JSON type, converting no other: ``int`` and
-    ``float`` take a number that is no boolean (``int`` ``2.0``, not
-    ``2.9``), ``str``, ``dict`` and ``list`` a string, object and array.
+    built-in ``kind`` checks the exact type json.load gives, converting no
+    other: ``int`` and ``float`` take a number, not a boolean (``int`` 2.0,
+    not 2.9), ``str``, ``dict`` and ``list`` a string, object and array.
     Any other ``kind`` converts, and a failed conversion is malformed too."""
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object holding {key!r}, got {raw!r}")
@@ -60,9 +60,8 @@ def get_field(raw: dict, key: str, kind, default=_REQUIRED):
     value = raw[key]
     if kind in _JSON_KINDS:
         types, name = _JSON_KINDS[kind]
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or (kind is int and isinstance(value, float)
-                    and not value.is_integer())):
+        if type(value) not in types or (kind is int and type(value) is float
+                                        and not value.is_integer()):
             raise ConfigError(f"malformed field {key!r}: expected {name}, "
                               f"got {value!r}")
     try:
@@ -207,7 +206,7 @@ class Tolerances:
 
 
 def _float_list(raw) -> tuple:
-    if not isinstance(raw, list) or any(isinstance(k, (bool, str))
+    if type(raw) is not list or not all(type(k) in (int, float)
                                         for k in raw):
         raise TypeError(f"expected an array of numbers, got {raw!r}")
     return tuple(float(k) for k in raw)

@@ -62,9 +62,10 @@ class PinnedConstants:
     @staticmethod
     def from_dict(raw: dict) -> "PinnedConstants":
         def candidate(v):
-            if isinstance(v, bool) or Fraction(v) not in CANDIDATES:
+            f = Fraction(v) if type(v) in (int, float, str) else None
+            if f not in CANDIDATES:
                 raise ValueError(f"expected one of {CANDIDATES}, got {v!r}")
-            return float(Fraction(v))
+            return float(f)
 
         check_keys(raw, ("A", "B", "max_rel_err", "samples"))
         return PinnedConstants(
