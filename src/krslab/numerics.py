@@ -9,8 +9,10 @@ compares each with scipy, which the tests keep as their reference):
 - ``cubic_hermite``: ``CubicHermiteSpline(x, y, dydx)(xq)``, its coefficients
   and the piecewise-polynomial evaluation, for one profile or a stack;
 - ``dop853``: ``solve_ivp(method="DOP853", dense_output=True)`` forward in
-  time, without the ``OdeSolver`` classes; its dense output builds all the
-  steps a read reaches with one right-hand-side call per extra stage.
+  time, without the ``OdeSolver`` classes: it returns the dense output,
+  which builds all the steps a read reaches with one right-hand-side call
+  per extra stage, or raises ``IntegrationError`` with the message of
+  ``solve_ivp``'s status -1.
 
 Loading scipy costs about 0.75 s per process, more than any ``krs`` command
 spends on its work.  Arithmetic that is not IEEE-exact elementwise (the
@@ -21,7 +23,6 @@ the same shape and layout, as in scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,17 +292,9 @@ class DenseSolution:
         return y[0] if np.ndim(t) == 0 else y.T
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """``t``: step points; ``y``: the states there, one column each;
-    ``sol``: the dense output; ``status``: 0 when t_bound was reached, -1
-    on failure, with the reason in ``message``."""
-
-    t: np.ndarray
-    y: np.ndarray
-    sol: DenseSolution
-    status: int
-    message: str
+class IntegrationError(RuntimeError):
+    """A DOP853 integration that cannot go on; its text is the message
+    ``solve_ivp`` reports with status -1."""
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
@@ -333,27 +326,26 @@ def _error_norm(K, h, scale):
 
 
 def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
-           atol: float) -> Trajectory:
+           atol: float) -> DenseSolution:
     """Integrate y' = fun(t, y) from t0 forward to t_bound > t0 with
     DOP853 at relative and absolute tolerances rtol (at least 100 eps) and
     atol: ``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
-    atol=atol, dense_output=True)``.  ``fun`` takes a float t and one
+    atol=atol, dense_output=True).sol``; where that fails with status -1,
+    an IntegrationError with its message.  ``fun`` takes a float t and one
     state, or an array of t and many states (one column per point, as
     ``DenseSolution`` builds its steps), with the same bits per column."""
     t, y = float(t0), y0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     ts, ys, stages = [t], [y], []
-    status, message = None, ""
-    while status is None:
+    while t - t_bound < 0:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         K = np.empty((16, y.size))
         rejected = False
         while True:
             if h_abs < min_step:
-                status, message = -1, STEP_TOO_SMALL
-                break
+                raise IntegrationError(STEP_TOO_SMALL)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -373,15 +365,9 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
             rejected = True
-        if status is not None:
-            break
         stages.append(K)
         t, y, f = t_new, y_new, f_new
-        if t - t_bound >= 0:
-            status = 0
         ts.append(t)
         ys.append(y)
-    ts, ys = np.array(ts), np.vstack(ys)
     K = np.array(stages).reshape(-1, 16, y0.size)
-    return Trajectory(ts, ys.T, DenseSolution(fun, ts, ys, K), status,
-                      message)
+    return DenseSolution(fun, np.array(ts), np.vstack(ys), K)

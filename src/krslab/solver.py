@@ -34,7 +34,7 @@ from .geometry import (
     weighted_laplacian,
 )
 from .grids import Scheme, fill_even
-from .numerics import brentq, cubic_hermite, dop853
+from .numerics import IntegrationError, brentq, cubic_hermite, dop853
 
 
 class NoSolitonFound(RuntimeError):
@@ -581,9 +581,10 @@ def _integrate_branch(config, constants, a, u2, span, rtol, q):
     if span <= _EPS:
         raise SolverError("degenerate branch span")
     y0 = _launch_state(lc, _EPS)
-    sol = dop853(_rhs(config, constants, q), _EPS, span, y0, rtol, _ATOL)
-    if sol.status != 0:
-        raise SolverError(f"branch integration failed: {sol.message}")
+    try:
+        sol = dop853(_rhs(config, constants, q), _EPS, span, y0, rtol, _ATOL)
+    except IntegrationError as err:
+        raise SolverError(f"branch integration failed: {err}") from None
     return lc, sol
 
 
@@ -603,8 +604,8 @@ def _branch_states(lc, sol, t):
     launch series below _EPS, read for all those points at once, and the
     dense output beyond."""
     series = t < _EPS
-    Y = np.empty((sol.y.shape[0], t.size))
-    Y[:, ~series] = sol.sol(t[~series])
+    Y = np.empty((sol.ys.shape[1], t.size))
+    Y[:, ~series] = sol(t[~series])
     Y[:, series] = _launch_state(lc, t[series])
     return Y
 
@@ -645,7 +646,7 @@ def _match_residual(config, constants, x, t_mid, rtol, q, base):
     if far is None:
         far = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
                                 -q)
-    y_near, y_far = near[1].sol(t_mid), far[1].sol(T - t_mid)
+    y_near, y_far = near[1](t_mid), far[1](T - t_mid)
     kaehler = [2.0 * y[2:2 + r] * y[2 + r:2 + 2 * r] - qb * y[0]
                for y, qb in ((y_near, q), (y_far, -q))]
     return (np.concatenate([y_near - _reflect(y_far, r, u0f), *kaehler]),

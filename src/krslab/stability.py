@@ -9,8 +9,9 @@ operator in the moment coordinate s (ds = f dt, s in [0, 2]); the auxiliary
 potential equation and the drift spectrum are collocated there, in a small
 Chebyshev basis, and mapped back to the profile grid.
 
-Everything here that depends only on the solution is computed at most once
-per solution, so a call does only its own input's work: int R e^{-u} dV,
+The intermediates listed here depend only on the solution and are computed
+at most once per solution; ``sign_explorer`` and ``nu_estimate`` keep
+nothing and compute their results again on every call.  int R e^{-u} dV,
 the denominator of C(h, g), is ``Evaluation.scalar_integral``; the drift
 coefficient (log w)' - u' of the v_h residual check is kept in the grid's
 measures by ``weighted_laplacian``; the rest is kept on the solution, in
@@ -184,15 +185,13 @@ def second_variation_main(sol: SolitonSolution,
 def dw_theorem_check(sol: SolitonSolution, pert: PerturbationProfile) -> float:
     """Independent route to the vanishing result for constant profiles:
     the integral factorizes as (sum kappa) * int (Delta_u u) e^{-u} dV, which
-    the divergence theorem kills.  Returns the absolute value of the direct
-    quadrature of that product."""
+    the divergence theorem kills.  Returns the absolute value of that
+    product, the quadrature being the residual report's ``div_integral``."""
     if pert.kappas is None:
         raise StabilityError(
             "the factorization requires a t-independent profile"
         )
-    lap = sol.evaluation.drift_lap_u
-    total = float(sum(pert.kappas))
-    return abs(total * weighted_integral(sol.grid, sol.config, lap))
+    return float(sum(pert.kappas)) * sol.residuals.div_integral
 
 
 def c_constant(sol: SolitonSolution, h_kind: str,

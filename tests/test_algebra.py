@@ -20,6 +20,7 @@ from krslab.algebra import (
     skew_pairing,
     standard_J,
 )
+from krslab.stability import StabilityError, c_constant
 
 
 class TestStructure:
@@ -166,6 +167,23 @@ class TestAntiInvariantFacts:
 
     def test_pointwise_orthogonality_gate(self):
         assert anti_invariant_pairing_vanishes()
+
+    def test_gate_fails_on_a_pairing_defect(self, kc_momentum, monkeypatch):
+        # a defect in the drawn pairing fails the gate, and C(h, g) of an
+        # anti-invariant h then refuses; the cached verdict is dropped on
+        # both sides so no other test reads it
+        monkeypatch.setattr(algebra, "anti_invariant_facts",
+                            lambda m, h, k: (0.0, 1.0))
+        anti_invariant_pairing_vanishes.cache_clear()
+        try:
+            assert anti_invariant_pairing_vanishes() is False
+            with pytest.raises(StabilityError, match="^pointwise "
+                               "orthogonality of invariant against "
+                               "anti-invariant tensors failed its algebraic "
+                               "check$"):
+                c_constant(kc_momentum, "anti_invariant")
+        finally:
+            anti_invariant_pairing_vanishes.cache_clear()
 
 
 class TestOnePredicate:

@@ -34,14 +34,14 @@ def _bundle(factors):
 
 
 def _same_trajectory(ours, ref, points):
-    """Equal status, step points, states and dense output at the points
-    (read all at once and one by one), bit for bit."""
-    assert ours.status == ref.status
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
-    assert np.array_equal(ours.sol(points), ref.sol(points))
+    """Our dense output has solve_ivp's step points, states, and values at
+    the points (read all at once and one by one), bit for bit."""
+    assert ref.success
+    assert np.array_equal(ours.ts, ref.t)
+    assert np.array_equal(ours.ys.T, ref.y)
+    assert np.array_equal(ours(points), ref.sol(points))
     for tk in points[::37]:
-        assert np.array_equal(ours.sol(tk), ref.sol(tk))
+        assert np.array_equal(ours(tk), ref.sol(tk))
 
 
 def _read_points(t):
@@ -77,7 +77,6 @@ def test_dop853_is_solve_ivp_on_the_warm_branches(warm_branches, branch):
     ours = numerics.dop853(rhs, solver._EPS, span, y0, 1e-12, solver._ATOL)
     ref = solve_ivp(rhs, (solver._EPS, span), y0, method="DOP853",
                     rtol=1e-12, atol=solver._ATOL, dense_output=True)
-    assert ours.status == 0
     _same_trajectory(ours, ref, _read_points(ref.t))
 
 
@@ -99,7 +98,6 @@ def test_dop853_is_solve_ivp_on_the_cold_branches(name, constants):
                                solver._ATOL)
         ref = solve_ivp(rhs, (solver._EPS, span), y0, method="DOP853",
                         rtol=1e-12, atol=solver._ATOL, dense_output=True)
-        assert ours.status == ref.status == 0
         _same_trajectory(ours, ref, _read_points(ref.t))
 
 
@@ -112,13 +110,13 @@ def test_failed_integration_keeps_its_message(kc_config, constants,
     # y' = y^2, y(0) = 1 is 1/(1 - t): the steps shrink at t = 1 until
     # they fall below the spacing of the floats
     y0 = np.array([1.0])
-    ours = numerics.dop853(_blow_up, 0.0, 2.0, y0, 1e-10, 1e-12)
     ref = solve_ivp(_blow_up, (0.0, 2.0), y0, method="DOP853", rtol=1e-10,
                     atol=1e-12, dense_output=True)
-    assert ours.status == ref.status == -1
-    assert ours.message == ref.message == numerics.STEP_TOO_SMALL
-    assert ours.t[-1] == pytest.approx(1.0, abs=1e-9)
-    _same_trajectory(ours, ref, _read_points(ref.t))
+    assert ref.status == -1
+    assert ref.t[-1] == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(numerics.IntegrationError) as err:
+        numerics.dop853(_blow_up, 0.0, 2.0, y0, 1e-10, 1e-12)
+    assert str(err.value) == ref.message == numerics.STEP_TOO_SMALL
     # a shooting branch on that flow fails with the integrator's message
     monkeypatch.setattr(solver, "_rhs", lambda *args: _blow_up)
     with pytest.raises(solver.SolverError, match=r"^branch integration "
@@ -138,7 +136,20 @@ def test_dop853_on_a_stiffening_oscillator():
     ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
     ref = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", rtol=1e-10,
                     atol=1e-12, dense_output=True)
-    assert ours.status == ref.status == 0
+    _same_trajectory(ours, ref, _read_points(ref.t))
+
+
+def test_dop853_on_a_constant_solution():
+    # y' = 0: both derivative norms vanish, so the initial step takes its
+    # 1e-6 floor, and every error norm is 0, so each step grows tenfold
+    def rhs(t, y):
+        return np.zeros_like(y)
+
+    y0 = np.array([1.0, -2.0])
+    ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
+    ref = solve_ivp(rhs, (0.0, 12.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, dense_output=True)
+    assert ref.t[1] == 1e-6 and ref.t.size == 10
     _same_trajectory(ours, ref, _read_points(ref.t))
 
 
@@ -214,6 +225,25 @@ def test_brentq_on_cubics_and_its_errors():
         with pytest.raises(RuntimeError, match=r"^Failed to converge after "
                            r"100 iterations"):
             fn(lambda x: -1.0 if x < 0 else 1.0, -1.0, 2.0, 1e-300, 4 * EPS)
+
+
+def test_brentq_on_an_exact_end_root_and_a_nan():
+    # f(b) = 0 at the start returns b with no iteration
+    _same_brentq(lambda x: x - 2.0, 0.0, 2.0, 1e-12, 4 * EPS)
+    # a NaN at an end, or at the first iterate (the secant point 1), is a
+    # ValueError naming the point
+    for f, a, b in ((lambda x: np.nan, 0.1, 2.5),
+                    (lambda x: np.nan if 0.5 < x < 2.9 else x - 1.0, 0.0,
+                     3.0)):
+        errors = []
+        for fn in (numerics.brentq, lambda *args: scipy_brentq(
+                *args[:3], xtol=args[3], rtol=args[4])):
+            with pytest.raises(ValueError, match="is NaN") as err:
+                fn(f, a, b, 1e-12, 4 * EPS)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    assert errors[0] == ("The function value at x=1.0 is NaN; solver cannot "
+                         "continue.")
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +324,24 @@ def test_dense_output_builds_the_steps_a_read_reaches_in_one_batch():
     y0 = np.array([1.0, 0.0])
     ours = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
     fresh = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
-    mid = (ours.t[:-1] + ours.t[1:]) / 2.0
+    mid = (ours.ts[:-1] + ours.ts[1:]) / 2.0
     assert mid.size > 20
     # steps 3-9: three calls of 7 columns, then none on a second read
     shapes.clear()
-    first = ours.sol(mid[3:10])
+    first = ours(mid[3:10])
     assert shapes == [(2, 7)] * 3
-    assert np.array_equal(ours.sol(mid[3:10:2]), first[:, ::2])
-    assert np.array_equal(ours.sol(mid[5]), first[:, 2])
+    assert np.array_equal(ours(mid[3:10:2]), first[:, ::2])
+    assert np.array_equal(ours(mid[5]), first[:, 2])
     assert shapes == [(2, 7)] * 3
     # steps 0-12: only the 6 new ones are built
     shapes.clear()
-    ours.sol(mid[:13])
+    ours(mid[:13])
     assert shapes == [(2, 6)] * 3
     # every point read in two calls has the bits it gets in one
-    points = _read_points(ours.t)
+    points = _read_points(ours.ts)
     assert np.array_equal(
-        np.hstack([ours.sol(points[::2]), ours.sol(points[1::2])]),
-        fresh.sol(np.concatenate([points[::2], points[1::2]])))
+        np.hstack([ours(points[::2]), ours(points[1::2])]),
+        fresh(np.concatenate([points[::2], points[1::2]])))
 
 
 @pytest.fixture(scope="module")

@@ -66,6 +66,13 @@ class TestOracleRicci:
         with pytest.raises(ValueError):
             LocalState(f=0.0, df=0.0, ddf=0.0, l=1.0, dl=0.0, ddl=0.0, q=1)
 
+    @pytest.mark.parametrize("theta", [0.1, np.pi - 0.2])
+    def test_pole_guard(self, round_state, theta):
+        with pytest.raises(ValueError, match="^coordinate point inside the "
+                           "pole guard band$"):
+            oracle.coordinate_metric(round_state,
+                                     np.array([0.0, 0.3, theta, 0.7]))
+
     def test_coarse_step_raises(self, round_state, monkeypatch):
         monkeypatch.setattr(oracle, "ROMBERG_LEVELS", 1)
         monkeypatch.setattr(oracle, "FD_STEP", 0.3)
@@ -96,6 +103,14 @@ class TestPinConstants:
                             tuple(c for c in CANDIDATES if c != 0.25))
         monkeypatch.setattr(oracle, "SAMPLES", 5)
         with pytest.raises(OracleError):
+            pin_constants(seed=0)
+
+    def test_repeated_candidate_is_not_unique(self, monkeypatch):
+        # a repeated 1/2 scores the true pair twice: best and runner-up tie
+        monkeypatch.setattr(oracle, "CANDIDATES", (0.25, 0.5, 0.5))
+        monkeypatch.setattr(oracle, "SAMPLES", 5)
+        with pytest.raises(OracleError,
+                           match="^candidate selection not unique$"):
             pin_constants(seed=0)
 
     def test_scores_the_geometry_formula(self, monkeypatch):

@@ -603,7 +603,7 @@ class TestShooting:
         t = np.concatenate([np.linspace(0.0, 2.0 * solver._EPS, 7),
                             np.linspace(0.01, 1.5, 50)])
         ref = np.array([solver._launch_state(lc, tk) if tk < solver._EPS
-                        else sol.sol(tk) for tk in t]).T
+                        else sol(tk) for tk in t]).T
         assert np.array_equal(solver._branch_states(lc, sol, t), ref)
 
     @given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),

@@ -11,7 +11,8 @@ from numpy.polynomial import chebyshev as cheb
 from krslab import solver, stability
 from krslab.config import (TAU, BaseFactor, BundleConfig, ConfigError,
                            ProfileSpec)
-from krslab.geometry import log_weight_slope, weighted_laplacian
+from krslab.geometry import (log_weight_slope, weighted_integral,
+                             weighted_laplacian)
 from krslab.grids import cheb_lobatto
 from krslab.stability import (
     EntropyGauge,
@@ -114,6 +115,16 @@ class TestSecondVariation:
                               constant_profile([1.0, 0.0]))
         assert r13 == pytest.approx(4.0 * r1, abs=1e-12)
 
+    def test_dw_check_is_the_divergence_residual(self, reference_solutions):
+        # (sum kappa) times the residual report's int (Delta_u u) e^{-u} dV
+        for label, sol in reference_solutions.items():
+            lap = weighted_integral(sol.grid, sol.config,
+                                    sol.evaluation.drift_lap_u)
+            for kappas in ((1.0,) * sol.config.r,
+                           tuple(0.5 + 2 * i for i in range(sol.config.r))):
+                got = dw_theorem_check(sol, constant_profile(kappas))
+                assert got == abs(float(sum(kappas)) * lap), label
+
     def test_dw_check_rejects_sampled(self, kc_momentum):
         with pytest.raises(StabilityError):
             dw_theorem_check(kc_momentum,
@@ -164,6 +175,14 @@ class TestCConstant:
 
     def test_metric_direction_is_exactly_one(self, two_factor_momentum):
         assert c_constant(two_factor_momentum, "metric_direction") == 1.0
+
+    def test_vanishing_denominator_rejected(self, kc_momentum):
+        sol = replace(kc_momentum)
+        object.__setattr__(sol, "evaluation", replace(
+            kc_momentum.evaluation, scalar_integral=0.0))
+        with pytest.raises(StabilityError, match=r"^int R e\^\{-u\} dV "
+                           r"vanishes; C\(h,g\) undefined$"):
+            c_constant(sol, "metric_direction")
 
 
 def _custom_h(sol, lam=0.5):
@@ -531,6 +550,13 @@ class TestDriftSpectrum:
         with pytest.raises(StabilityError):
             drift_spectrum(kc_momentum, 0)
 
+    def test_unconverged_spectrum_raises(self, kc_momentum, monkeypatch):
+        # degrees 8 and 16 disagree on the fourth eigenvalue near 1.5e-5
+        monkeypatch.setattr(stability, "_DEGREES", (8, 16))
+        with pytest.raises(StabilityError, match=r"^the 4 lowest eigenvalues "
+                           r"of -Delta_u are not converged at degree 16$"):
+            drift_spectrum(replace(kc_momentum), 4)
+
     def test_k_at_most_a_quarter_of_the_largest_degree(self, kc_config,
                                                        constants):
         # two degrees >= 2k are compared, 128 and 256 for k = 64
@@ -635,6 +661,17 @@ class TestExplorer:
         by_name = {r.profile: r for r in sign_explorer(kc_momentum)}
         total = by_name["u_plus"].value + by_name["u_minus"].value
         assert by_name["abs_u"].value == pytest.approx(total, abs=1e-12)
+
+    def test_constant_row_is_the_gauge_residual(self, reference_solutions):
+        # for psi = K, value/scale is int u e^{-u} dV / int e^{-u} dV, whose
+        # modulus is residuals.gauge: below _GAUGE_TOL = _ZERO_BAND on every
+        # solution the table accepts, so the row reads "zero" there
+        assert stability._GAUGE_TOL == stability._ZERO_BAND
+        for label, sol in reference_solutions.items():
+            row, = sign_explorer(sol, (ProfileSpec("constant"),))
+            assert abs(abs(row.value / row.scale)
+                       - sol.residuals.gauge) < 1e-17, label
+            assert row.sign == "zero", label
 
     @pytest.mark.parametrize("which", ["default", "constant"])
     def test_table_is_the_public_path_bit_for_bit(self, reference_solutions,
