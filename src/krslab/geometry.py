@@ -36,8 +36,9 @@ CANDIDATES = (0.125, 0.25, 0.5, 1.0)
 @dataclass(frozen=True)
 class PinnedConstants:
     """Ansatz curvature coefficients validated against the coordinate oracle;
-    a value whose oracle error is not finite and below 1e-6 cannot be made.
-    The codec writes and reads A and B exactly, each one of CANDIDATES."""
+    a value whose oracle error is not in [0, 1e-6), or whose sample count is
+    below 1, cannot be made.  The codec writes and reads A and B exactly,
+    each one of CANDIDATES."""
 
     A: float
     B: float
@@ -50,6 +51,10 @@ class PinnedConstants:
                 "curvature constants not pinned (oracle error "
                 f"{self.max_rel_err}); run pin_constants first"
             )
+        if self.max_rel_err < 0:
+            raise GeometryError(f"max_rel_err {self.max_rel_err} is negative")
+        if self.samples < 1:
+            raise GeometryError(f"samples {self.samples} is below 1")
 
     def to_dict(self) -> dict:
         return {

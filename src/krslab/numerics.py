@@ -10,8 +10,8 @@ compares each with scipy, which the tests keep as their reference):
   and the piecewise-polynomial evaluation, for one profile or a stack;
 - ``dop853``: ``solve_ivp(method="DOP853", dense_output=True)`` forward in
   time, without the ``OdeSolver`` classes: it returns the dense output,
-  which builds all the steps a read reaches with one right-hand-side call
-  per extra stage, or raises ``IntegrationError`` with the message of
+  whose first read builds every step with one right-hand-side call per
+  extra stage, or raises ``IntegrationError`` with the message of
   ``solve_ivp``'s status -1.
 
 Loading scipy costs about 0.75 s per process, more than any ``krs`` command
@@ -23,6 +23,7 @@ the same shape and layout, as in scipy.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -249,28 +250,28 @@ class DenseSolution:
     """The piecewise interpolant of an integration from its step points
     ``ts``, the states there ``ys`` (one row each) and the stages ``K`` of
     its steps, shape (steps, 16, n), rows 13-15 spare; a point on a step
-    boundary is read on the step that ends there.  A read builds the steps
-    it is the first to reach all at once: one ``fun`` call per extra stage,
-    one column per step."""
+    boundary is read on the step that ends there.  The first read builds
+    every step at once: one ``fun`` call per extra stage, one column per
+    step."""
 
     def __init__(self, fun, ts, ys, K):
         self.fun, self.ts, self.ys, self.K = fun, ts, ys, K
         self.h = np.diff(ts)
-        self.F = np.empty((len(K), 7, ys.shape[1]))
-        self.built = np.zeros(len(K), dtype=bool)
 
-    def _build(self, steps):
-        K, h, y_old = self.K[steps], self.h[steps], self.ys[steps]
+    @cached_property
+    def F(self):
+        K, h, y_old = self.K, self.h, self.ys[:-1]
         for s in range(_STAGES + 1, 16):
             dy = np.array([np.dot(Kj[:s].T, _A[s, :s]) * hj
                            for Kj, hj in zip(K, h)])
-            K[:, s] = self.fun(self.ts[steps] + _C[s] * h, (y_old + dy).T).T
-        F, delta_y, hc = self.F, self.ys[steps + 1] - y_old, h[:, None]
-        F[steps, 0] = delta_y
-        F[steps, 1] = hc * K[:, 0] - delta_y
-        F[steps, 2] = 2 * delta_y - hc * (K[:, _STAGES] + K[:, 0])
-        F[steps, 3:] = [hj * np.dot(_D, Kj) for Kj, hj in zip(K, h)]
-        self.built[steps] = True
+            K[:, s] = self.fun(self.ts[:-1] + _C[s] * h, (y_old + dy).T).T
+        delta_y, hc = self.ys[1:] - y_old, h[:, None]
+        F = np.empty((len(K), 7, delta_y.shape[1]))
+        F[:, 0] = delta_y
+        F[:, 1] = hc * K[:, 0] - delta_y
+        F[:, 2] = 2 * delta_y - hc * (K[:, _STAGES] + K[:, 0])
+        F[:, 3:] = [hj * np.dot(_D, Kj) for Kj, hj in zip(K, h)]
+        return F
 
     def __call__(self, t):
         """The state at t: a vector for a scalar t, one column per point
@@ -278,10 +279,6 @@ class DenseSolution:
         points = np.reshape(t, -1)
         seg = np.clip(np.searchsorted(self.ts, points) - 1, 0,
                       self.h.size - 1)
-        new = np.zeros_like(self.built)
-        new[seg] = ~self.built[seg]
-        if new.any():
-            self._build(np.flatnonzero(new))
         x = ((points - self.ts[seg]) / self.h[seg])[:, None]
         F = self.F[seg]
         y = np.zeros((points.size, self.ys.shape[1]))
@@ -332,8 +329,8 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
     atol: ``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
     atol=atol, dense_output=True).sol``; where that fails with status -1,
     an IntegrationError with its message.  ``fun`` takes a float t and one
-    state, or an array of t and many states (one column per point, as
-    ``DenseSolution`` builds its steps), with the same bits per column."""
+    state, or an array of t and many states (one column per point, as the
+    first read builds the steps), with the same bits per column."""
     t, y = float(t0), y0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)

@@ -54,8 +54,9 @@ _REDUCTION_B = 0.5
 # integrator tolerance
 _EPS = 2e-3
 _ATOL = 1e-13
-# Newton: tolerance on the matching defect and most steps per solve; the
-# cold start's twist ladder: first step and least (halved) step
+# Newton: tolerance on the matching defect, relative to the largest launch
+# datum (at least 1), and most steps per solve; the cold start's twist
+# ladder: first step and least (halved) step
 _NEWTON_TOL, _NEWTON_ITERS = 1e-11, 12
 _TWIST_STEP, _TWIST_STEP_MIN = 0.5, 1.0 / 32.0
 # a Newton root whose sup-norm Kahler residual reaches this is rejected
@@ -617,8 +618,9 @@ def _unpack(x, r):
 
 
 def _match_residual(config, constants, x, t_mid, rtol, q, base):
-    """Matching defect at the interior point t_mid for the twists q, and the
-    two (launch, integration) pairs it was read from.
+    """Matching defect at the interior point t_mid for the twists q, read
+    off the last step states of the two branches, which end there (the far
+    one at tau = T - t_mid), and the two (launch, integration) pairs.
 
     The continuity defect of the branches (2r+4 rows), then the Kahler
     rows 2 l_i l_i' - q_i f of the near branch and the far one (in tau,
@@ -646,7 +648,7 @@ def _match_residual(config, constants, x, t_mid, rtol, q, base):
     if far is None:
         far = _integrate_branch(config, constants, af, u2f, T - t_mid, rtol,
                                 -q)
-    y_near, y_far = near[1](t_mid), far[1](T - t_mid)
+    y_near, y_far = near[1].ys[-1], far[1].ys[-1]
     kaehler = [2.0 * y[2:2 + r] * y[2 + r:2 + 2 * r] - qb * y[0]
                for y, qb in ((y_near, q), (y_far, -q))]
     return (np.concatenate([y_near - _reflect(y_far, r, u0f), *kaehler]),
@@ -656,7 +658,9 @@ def _match_residual(config, constants, x, t_mid, rtol, q, base):
 def _newton(config, constants, x, t_mid, rtol, q):
     """Damped Gauss-Newton on the matching defect for the twists q from the
     trial vector x: the root and the branches of its last matching call,
-    or a SolverError.
+    or a SolverError.  A root has a defect below _NEWTON_TOL max(1, |x_i|),
+    the maximum over every entry but T: the defect is made of differences
+    of states, which grow like sqrt(p) with the base.
 
     The Jacobian is a forward difference, one matching call per variable.
     Each column integrates only the branch its variable moves (a near-end
@@ -670,7 +674,7 @@ def _newton(config, constants, x, t_mid, rtol, q):
     res, branches = match(x, None)
     for steps in range(_NEWTON_ITERS + 1):
         nrm = np.linalg.norm(res)
-        if nrm < _NEWTON_TOL:
+        if nrm < _NEWTON_TOL * max(1.0, np.abs(x[:-1]).max()):
             return x, branches
         if steps == _NEWTON_ITERS:
             break

@@ -226,6 +226,22 @@ class TestSolve:
         assert "not pinned" in err and "Traceback" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value", [("max_rel_err", -1.0),
+                                              ("samples", 0)])
+    def test_out_of_range_constants_exit_4(self, pipeline, tmp_path, capsys,
+                                           field, value):
+        # a negative error or no samples fails the load as an unpinned
+        # error does: one line that names the field
+        constants = str(tmp_path / "constants.json")
+        shutil.copy(pipeline["constants"], constants)
+        _edit_json(constants, lambda raw: raw.update({field: value}))
+        capsys.readouterr()
+        assert run("solve", "--config", pipeline["config"], "--constants",
+                   constants, "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"solve failed: GeometryError: {field} ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_residual_above_tolerance_exits_4_after_writing(self, pipeline,
                                                             tmp_path):
         cfg = _momentum_config(pipeline, tmp_path, method="both",
@@ -503,9 +519,10 @@ REPORT_ONLY = {
                    "gauge", "hamilton", "kaehler", "trace")},
     "residuals.cross_method": "written by krs solve for the pair; no "
                               "command reads it back",
-    "constants.max_rel_err": "the oracle's error, recorded; only its bound "
-                             "1e-6 is checked",
-    "constants.samples": "the oracle's sample count, recorded",
+    "constants.max_rel_err": "the oracle's error, recorded; only its range "
+                             "[0, 1e-6) is checked",
+    "constants.samples": "the oracle's sample count, recorded; only its "
+                         "bound 1 is checked",
 }
 # the table cells perturbed: one interior row of the t, f and u columns
 TABLE_CELLS = {"t": 0, "f": 1, "u": 7}
@@ -649,9 +666,10 @@ SOLVE_REPORT_ONLY = {
     "config.seed": "read only without --constants, to pin the constants",
     "config.tolerances.residual": "a tolerance changes only the verdict",
     "config.tolerances.identity": "read by verify, not by solve",
-    "constants.max_rel_err": "the oracle's error, recorded; only its bound "
-                             "1e-6 is checked",
-    "constants.samples": "the oracle's sample count, recorded",
+    "constants.max_rel_err": "the oracle's error, recorded; only its range "
+                             "[0, 1e-6) is checked",
+    "constants.samples": "the oracle's sample count, recorded; only its "
+                         "bound 1 is checked",
 }
 
 

@@ -39,6 +39,19 @@ class TestPinnedConstants:
             with pytest.raises(GeometryError, match="not pinned"):
                 PinnedConstants.from_dict(raw)
 
+    @pytest.mark.parametrize("field, value", [("max_rel_err", -1.0),
+                                              ("samples", 0),
+                                              ("samples", -5)])
+    def test_negative_error_and_no_samples_rejected(self, field, value):
+        # a negative error or a sample count below 1 cannot be made either,
+        # by construction or by loading, and the error names the field
+        good = {"A": 0.25, "B": 0.5, "max_rel_err": 0.0, "samples": 20}
+        with pytest.raises(GeometryError, match=f"^{field} "):
+            PinnedConstants(**{**good, field: value})
+        raw = {**PinnedConstants(**good).to_dict(), field: value}
+        with pytest.raises(GeometryError, match=f"^{field} "):
+            PinnedConstants.from_dict(raw)
+
     def test_round_trip_file(self, tmp_path, constants):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(constants.to_dict()))

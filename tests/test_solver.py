@@ -485,6 +485,33 @@ class TestShooting:
         assert (near is branches[0]) == (j > 1)
         assert (far is branches[1]) == (j in (0, 1, 4))
 
+    def test_large_base_solves_by_both_routes(self, constants):
+        # l_i ~ sqrt(p) = 316: the matching defect cannot get below an
+        # absolute 1e-11, so Newton judges it on the launch data's scale;
+        # both the warm start (method both) and the cold one converge
+        config = _bundle([(2, 1e5, 1)])
+        mom = solver.solve_momentum(config, constants, nodes=128)
+        for start in (mom, None):
+            sho = solver.solve_shooting(config, constants, nodes=128,
+                                        start=start)
+            assert abs(sho.c_slope - mom.c_slope) <= 1e-9
+
+    def test_defect_reads_the_branch_ends(self, kc_config, constants,
+                                          kc_momentum):
+        # each branch stops at the matching point (the far one at T - t_mid
+        # in tau): the continuity rows are the last step states, bit for
+        # bit, and no dense output is built
+        r = kc_config.r
+        x, t_mid = solver._warm_start(kc_config, kc_momentum)
+        defect, (near, far) = solver._match_residual(
+            kc_config, constants, x, t_mid, 1e-12, kc_config.q, None)
+        *_, u0f, T = solver._unpack(x, r)
+        assert (near[1].ts[-1], far[1].ts[-1]) == (t_mid, T - t_mid)
+        assert np.array_equal(
+            defect[:2 * r + 4],
+            near[1].ys[-1] - solver._reflect(far[1].ys[-1], r, u0f))
+        assert "F" not in vars(near[1]) and "F" not in vars(far[1])
+
     def test_warm_start_skips_the_probe(self, kc_config, constants,
                                         kc_momentum, monkeypatch):
         def no_cold_start(*args, **kwargs):

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -219,3 +220,29 @@ def test_foreign_line_rejected(digest_moves, tmp_path, capsys):
     bad = _listing(tmp_path / "b.txt", ["run exit 0", "not a listing"])
     assert digest_moves.main([good, bad]) == 1
     assert "b.txt:2: not a digest listing line" in capsys.readouterr().err
+
+
+# the benchmark's own checks: a change to src/ that breaks perfbench (a
+# private name its tracer wraps, a workload's check) fails here; both
+# write only under .perfbench-out/
+
+
+def _perfbench(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_perfbench_selftest_passes():
+    done = _perfbench("perfbench/selftest.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "perfbench self-tests passed" in done.stdout
+
+
+def test_perfbench_one_pass_of_each_workload_is_correct():
+    done = _perfbench("perfbench/run.py", "--workload", "all", "--seed", "1",
+                      "--seconds", "0", "--trace", "0")
+    assert done.returncode == 0, done.stdout + done.stderr
+    results = [json.loads(line) for line in done.stdout.splitlines()
+               if line.startswith('{"correct": ')]
+    assert len(results) == 3, done.stdout
+    assert all(r["correct"] is True for r in results), done.stdout
