@@ -12,7 +12,7 @@ compares each with scipy, which the tests keep as their reference):
   time, without the ``OdeSolver`` classes: it returns the dense output,
   whose first read builds every step with one right-hand-side call per
   extra stage, or raises ``IntegrationError`` with the message of
-  ``solve_ivp``'s status -1.
+  ``solve_ivp``'s status -1, or when a cap on attempted steps is reached.
 
 Loading scipy costs about 0.75 s per process, more than any ``krs`` command
 spends on its work.  Arithmetic that is not IEEE-exact elementwise (the
@@ -240,6 +240,9 @@ _STAGES = 12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 STEP_TOO_SMALL = "Required step size is less than spacing between numbers."
+# most steps one integration attempts: over 100 times the 158 of the longest
+# shooting branch that ends on the reference and hard bundles (failing: 2712)
+_MAX_ATTEMPTS = 20_000
 
 
 def _rms(x):
@@ -290,8 +293,9 @@ class DenseSolution:
 
 
 class IntegrationError(RuntimeError):
-    """A DOP853 integration that cannot go on; its text is the message
-    ``solve_ivp`` reports with status -1."""
+    """A DOP853 integration that cannot go on: a step below the spacing of
+    the floats (the message ``solve_ivp`` reports with status -1,
+    STEP_TOO_SMALL) or _MAX_ATTEMPTS steps attempted short of t_bound."""
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
@@ -328,13 +332,17 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
     DOP853 at relative and absolute tolerances rtol (at least 100 eps) and
     atol: ``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
     atol=atol, dense_output=True).sol``; where that fails with status -1,
-    an IntegrationError with its message.  ``fun`` takes a float t and one
+    an IntegrationError with its message.  Unlike ``solve_ivp`` it gives up
+    after _MAX_ATTEMPTS attempted steps, with an IntegrationError that says
+    how far it got, so an integration whose steps shrink without reaching
+    the floor of the floats still ends.  ``fun`` takes a float t and one
     state, or an array of t and many states (one column per point, as the
     first read builds the steps), with the same bits per column."""
     t, y = float(t0), y0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     ts, ys, stages = [t], [y], []
+    attempts = 0
     while t - t_bound < 0:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -343,6 +351,11 @@ def dop853(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
         while True:
             if h_abs < min_step:
                 raise IntegrationError(STEP_TOO_SMALL)
+            if attempts == _MAX_ATTEMPTS:
+                raise IntegrationError(
+                    f"{_MAX_ATTEMPTS} steps attempted, t reached {t:.6g} of "
+                    f"{t_bound:.6g}")
+            attempts += 1
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)

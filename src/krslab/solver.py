@@ -617,7 +617,7 @@ def _unpack(x, r):
             x[2 * r + 3])
 
 
-def _match_residual(config, constants, x, t_mid, rtol, q, base):
+def _match_residual(config, constants, x, t_mid, rtol, q, near, far):
     """Matching defect at the interior point t_mid for the twists q, read
     off the last step states of the two branches, which end there (the far
     one at tau = T - t_mid), and the two (launch, integration) pairs.
@@ -626,23 +626,13 @@ def _match_residual(config, constants, x, t_mid, rtol, q, base):
     rows 2 l_i l_i' - q_i f of the near branch and the far one (in tau,
     twists -q), which the bulk flow does not keep: 4r+4 rows in all.
 
-    ``base`` is None or ``(x_b, (near_b, far_b))``, an iterate of the same
-    solve (same ``t_mid``, ``rtol``, ``q``) and its branches.  A branch whose
-    inputs equal the iterate's exactly is taken from it, not integrated
-    again: the near branch depends on x[:r+1] only, the far one on
-    x[r+1:2r+2] and T; the potential offset u0f enters neither.  The defect
-    is then the same float operations on the same states, bit for bit.
+    ``near`` and ``far`` are each None, and that branch is integrated from
+    x, or a branch the caller integrated from the same inputs (near:
+    x[:r+1]; far: x[r+1:2r+2] and T; the offset u0f enters neither) at the
+    same ``t_mid``, ``rtol`` and ``q``, which is read as it is.
     """
     r = config.r
     a, u2, af, u2f, u0f, T = _unpack(x, r)
-    near = far = None
-    if base is not None:
-        xb, (near_b, far_b) = base
-        if np.array_equal(x[:r + 1], xb[:r + 1]):
-            near = near_b
-        if (np.array_equal(x[r + 1:2 * r + 2], xb[r + 1:2 * r + 2])
-                and T == xb[2 * r + 3]):
-            far = far_b
     if near is None:
         near = _integrate_branch(config, constants, a, u2, t_mid, rtol, q)
     if far is None:
@@ -663,34 +653,40 @@ def _newton(config, constants, x, t_mid, rtol, q):
     of states, which grow like sqrt(p) with the base.
 
     The Jacobian is a forward difference, one matching call per variable.
-    Each column integrates only the branch its variable moves (a near-end
-    variable the near branch; a far-end variable or T the far branch; the
-    offset u0f neither) and reuses the iterate's other branch, so it costs
-    2r+3 branch integrations instead of 4r+8 and is the same matrix.
+    Each column integrates only the branch its variable moves and passes
+    the iterate's other one: a near-end variable (j <= r) gets the far
+    branch, a far-end variable or T the near branch, the offset u0f both.
+    So it costs 2r+3 branch integrations instead of 4r+8 and is the same
+    matrix.  The first call and the line-search trials integrate both.
     """
-    def match(xv, base):
-        return _match_residual(config, constants, xv, t_mid, rtol, q, base)
+    def match(xv, near, far):
+        return _match_residual(config, constants, xv, t_mid, rtol, q, near,
+                               far)
 
-    res, branches = match(x, None)
+    r = config.r
+    res, branches = match(x, None, None)
     for steps in range(_NEWTON_ITERS + 1):
         nrm = np.linalg.norm(res)
         if nrm < _NEWTON_TOL * max(1.0, np.abs(x[:-1]).max()):
             return x, branches
         if steps == _NEWTON_ITERS:
             break
+        near, far = branches
         J = np.empty((res.size, x.size))
         for j in range(x.size):
             h = 1e-7 * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += h
-            # a column moves one branch (u0f: none); the other is x's own
-            J[:, j] = (match(xp, (x, branches))[0] - res) / h
+            kept = (None, far) if j <= r else (near, None)
+            if j == 2 * r + 2:  # u0f
+                kept = branches
+            J[:, j] = (match(xp, *kept)[0] - res) / h
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         lam = 1.0
         for _ in range(25):
             trial = x + lam * step
             try:
-                res_trial, branches_trial = match(trial, None)
+                res_trial, branches_trial = match(trial, None, None)
             except SolverError:
                 lam *= 0.5
                 continue

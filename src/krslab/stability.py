@@ -66,11 +66,11 @@ class StabilityError(ValueError):
 class PerturbationProfile:
     """Pointwise squared norm of an anti-invariant perturbation.
 
-    Either constant per-factor norms ``kappas`` (the geometric construction,
-    and the only essential one) or a synthetic sampled total profile
-    ``psi_fn`` with optional derivative ``dpsi_fn``, both callables taking
-    the node vector.  kappas must be finite and >= 0, psi finite and
-    nonnegative.
+    Either constant per-factor norms ``kappas`` (the geometric construction:
+    a variation of the complex structure, whose integral vanishes) or a
+    synthetic sampled total profile ``psi_fn`` with optional derivative
+    ``dpsi_fn``, both callables taking the node vector.  kappas must be
+    finite and >= 0, psi finite and nonnegative.
     """
 
     name: str
@@ -86,11 +86,6 @@ class PerturbationProfile:
         if not all(0 <= k < np.inf for k in self.kappas or ()):
             raise StabilityError(f"constant norms must be finite and >= 0, "
                                  f"got {self.kappas}")
-
-    @property
-    def essential(self) -> bool:
-        """Essentiality is established only for constant profiles."""
-        return self.kappas is not None
 
     def psi(self, t: np.ndarray) -> np.ndarray:
         if self.kappas is not None:
@@ -125,7 +120,10 @@ class EntropyGauge:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """One evaluation of the second-variation integral."""
+    """One evaluation of the second-variation integral.  A constant
+    profile's row reads "zero" on every solution the table accepts: its
+    value/scale is the weighted mean of u, which ``_require_normalized``
+    bounds by _GAUGE_TOL <= _ZERO_BAND."""
 
     profile: str
     value: float
@@ -133,7 +131,6 @@ class StabilityReport:
     sign: str                 # "negative" | "zero" | "positive"
     C_hg: float
     v_h_norm: float
-    essential: bool
 
 
 _GAUGE_TOL = 1e-8  # largest weighted mean of u read as the zero-mean gauge
@@ -157,7 +154,7 @@ def _classify(value: float, scale: float) -> str:
 
 
 def _report(sol: SolitonSolution, name: str, psi: np.ndarray,
-            essential: bool, C_hg: float) -> StabilityReport:
+            C_hg: float) -> StabilityReport:
     """The stability integral of the profile sampled as ``psi`` at the
     nodes, with the pairing constant ``C_hg`` of its kind."""
     grid, config = sol.grid, sol.config
@@ -165,8 +162,7 @@ def _report(sol: SolitonSolution, name: str, psi: np.ndarray,
     scale = STABILITY_PREFACTOR * weighted_integral(grid, config, psi)
     return StabilityReport(
         profile=name, value=value, scale=scale, sign=_classify(value, scale),
-        C_hg=C_hg, v_h_norm=0.0, essential=essential,
-    )
+        C_hg=C_hg, v_h_norm=0.0)
 
 
 def second_variation_main(sol: SolitonSolution,
@@ -178,7 +174,7 @@ def second_variation_main(sol: SolitonSolution,
     and so does the auxiliary potential source.
     """
     _require_normalized(sol)
-    return _report(sol, pert.name, pert.psi(sol.grid.t), pert.essential,
+    return _report(sol, pert.name, pert.psi(sol.grid.t),
                    c_constant(sol, "anti_invariant"))
 
 
@@ -537,8 +533,7 @@ def sign_explorer(sol: SolitonSolution, specs: tuple = ()) -> list:
     rows = _rows(sol, specs)
     _require_normalized(sol)
     C_hg = c_constant(sol, "anti_invariant")
-    return [_report(sol, kind, psi, const is not None, C_hg)
-            for kind, psi, const in rows]
+    return [_report(sol, kind, psi, C_hg) for kind, psi, _ in rows]
 
 
 def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:

@@ -109,7 +109,7 @@ def spurious_newton(monkeypatch, kc_spurious_root):
     and its Kahler gate."""
     def newton(config, constants, x, t_mid, rtol, q):
         _, branches = solver._match_residual(
-            config, constants, kc_spurious_root, t_mid, rtol, q, None)
+            config, constants, kc_spurious_root, t_mid, rtol, q, None, None)
         return kc_spurious_root, branches
 
     monkeypatch.setattr(solver, "_newton", newton)

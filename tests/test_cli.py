@@ -4,13 +4,12 @@ import shutil
 import stat
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from krslab import cli, oracle, solver, stability
+from krslab import cli, oracle, solver
 from krslab.config import BaseFactor, BundleConfig, ConfigError
 from krslab.cli import (_write_atomic, _write_chunks_atomic, main,
                         profile_csv_header, read_solution, write_solution)
@@ -969,27 +968,6 @@ class TestStability:
         cfg.write_text(json.dumps(raw))
         assert run("stability", "--solution", pipeline["out"], "--config",
                    str(cfg), "--out", str(tmp_path / "s")) == 1
-
-    def test_nonzero_constant_row_exits_4(self, pipeline, tmp_path,
-                                          monkeypatch, capsys):
-        # the vanishing verdict: on a normalized solution the constant row
-        # is the gauge residual and reads "zero", so only a table whose
-        # essential row is not zero reaches it; the table is written first
-        table = stability.sign_explorer
-
-        def off(sol, specs):
-            return [replace(r, sign="positive") if r.essential else r
-                    for r in table(sol, specs)]
-
-        monkeypatch.setattr(stability, "sign_explorer", off)
-        out = tmp_path / "s"
-        capsys.readouterr()
-        assert run("stability", "--solution", pipeline["out"],
-                   "--out", str(out)) == 4
-        assert capsys.readouterr().err == (
-            "vanishing theorem violated for constant profiles\n")
-        rows = (out / "stability_momentum.csv").read_text().split("\n")
-        assert rows[1].startswith("constant,") and ",positive," in rows[1]
 
     def test_unnormalized_solution_exits_4(self, pipeline, tmp_path,
                                            capsys):

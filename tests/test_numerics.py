@@ -139,6 +139,36 @@ def test_dop853_on_a_stiffening_oscillator():
     _same_trajectory(ours, ref, _read_points(ref.t))
 
 
+def test_attempted_steps_are_capped(kc_config, constants, monkeypatch):
+    # the oscillator needs more attempts (accepted or rejected) than it
+    # has steps; with the cap at that count it ends as solve_ivp does, one
+    # lower it raises, naming how far it got
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.array([y[1], -(1.0 + t * t) * y[0]])
+
+    y0 = np.array([1.0, 0.0])
+    ref = numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
+    attempts = (len(calls) - 2) // 12  # f(t0) and the initial-step probe
+    assert attempts > ref.ts.size - 1
+    monkeypatch.setattr(numerics, "_MAX_ATTEMPTS", attempts)
+    assert np.array_equal(
+        numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12).ys, ref.ys)
+    monkeypatch.setattr(numerics, "_MAX_ATTEMPTS", attempts - 1)
+    with pytest.raises(numerics.IntegrationError,
+                       match=rf"^{attempts - 1} steps attempted, t reached "
+                             rf"{ref.ts[-2]:.6g} of 12$"):
+        numerics.dop853(rhs, 0.0, 12.0, y0, 1e-10, 1e-12)
+    # a shooting branch that reaches the cap fails with its message
+    monkeypatch.setattr(numerics, "_MAX_ATTEMPTS", 3)
+    with pytest.raises(solver.SolverError, match=r"^branch integration "
+                       r"failed: 3 steps attempted, t reached "):
+        solver._integrate_branch(kc_config, constants, np.array([1.0]), 0.26,
+                                 1.5, 1e-12, kc_config.q)
+
+
 def test_dop853_on_a_constant_solution():
     # y' = 0: both derivative norms vanish, so the initial step takes its
     # 1e-6 floor, and every error norm is 0, so each step grows tenfold

@@ -305,6 +305,40 @@ class TestMomentumInvariances:
         assert np.abs(a.grid.u - b.grid.u).max() <= 1.5e-11
 
 
+def _warm_shooting(factors, constants):
+    cfg = _bundle(factors)
+    return solver.solve_shooting(
+        cfg, constants, nodes=256,
+        start=solver.solve_momentum(cfg, constants, nodes=256))
+
+
+class TestWarmShootingInvariances:
+    """The maps of TestMomentumInvariances through the warm-started shooting
+    solve, on the same bundles: c and T agree to 1e-9."""
+
+    def test_doubling_p_and_q(self, constants):
+        a = _warm_shooting([(2, 2, 1)], constants)
+        b = _warm_shooting([(2, 4, 2)], constants)
+        assert abs(a.c_slope - b.c_slope) <= 1e-9
+        assert abs(a.grid.T - b.grid.T) <= 1e-9
+
+    def test_mirror_twist_flips_the_slope(self, constants):
+        a = _warm_shooting([(2, 2, 1)], constants)
+        b = _warm_shooting([(2, 2, -1)], constants)
+        assert abs(a.c_slope + b.c_slope) <= 1e-9
+        assert abs(a.grid.T - b.grid.T) <= 1e-9
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 2, 1), (4, 3, 1)], [(2, 2, 1), (2, 3, -1)],
+        [(2, 2, 1), (4, 3, 1), (6, 4, -2)],
+    ], ids=["s2_cp2", "mixed_twist", "three_factor"])
+    def test_factor_order_is_irrelevant(self, constants, factors):
+        a = _warm_shooting(factors, constants)
+        b = _warm_shooting(factors[::-1], constants)
+        assert abs(a.c_slope - b.c_slope) <= 1e-9
+        assert abs(a.grid.T - b.grid.T) <= 1e-9
+
+
 class TestShooting:
     def test_koiso_cao_matches_momentum(self, kc_momentum, kc_config,
                                         constants):
@@ -466,24 +500,38 @@ class TestShooting:
             # a column integrates the branch it moves, u0f's column none
             assert counts["branch"] == 2 + (2 * r + 3) + 2, j
 
-    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5],
-                             ids=["near_a", "near_u2", "far_a", "far_u2",
-                                  "u0f", "T"])
-    def test_reused_branch_gives_the_fresh_defect(self, kc_config, constants,
-                                                  kc_momentum, j):
-        q = kc_config.q
-        x, t_mid = solver._warm_start(kc_config, kc_momentum)
-        _, branches = solver._match_residual(kc_config, constants, x, t_mid,
-                                             1e-12, q, None)
+    @pytest.mark.parametrize("bundle, j", [
+        *(pytest.param("kc", j, id=name) for j, name in enumerate(
+            ["near_a", "near_u2", "far_a", "far_u2", "u0f", "T"])),
+        *(pytest.param("two_factor", j, id=f"two_factor-{name}")
+          for j, name in enumerate(["near_a1", "near_a2", "near_u2", "far_a1",
+                                    "far_a2", "far_u2", "u0f", "T"]))])
+    def test_reused_branch_gives_the_fresh_defect(self, request, constants,
+                                                  bundle, j):
+        # the branches _newton passes for column j: a near-end variable
+        # (j <= r) keeps the far branch, u0f both, a far-end one or T the
+        # near branch; the defect equals that of a call integrating both
+        config = request.getfixturevalue(f"{bundle}_config")
+        r, q = config.r, config.q
+        x, t_mid = solver._warm_start(
+            config, request.getfixturevalue(f"{bundle}_momentum"))
+        _, (near0, far0) = solver._match_residual(
+            config, constants, x, t_mid, 1e-12, q, None, None)
         xp = x.copy()
         xp[j] += 1e-7 * max(1.0, abs(x[j]))
+        if j <= r:
+            given = (None, far0)
+        elif j == 2 * r + 2:
+            given = (near0, far0)
+        else:
+            given = (near0, None)
         reused, (near, far) = solver._match_residual(
-            kc_config, constants, xp, t_mid, 1e-12, q, base=(x, branches))
-        fresh, _ = solver._match_residual(kc_config, constants, xp, t_mid,
-                                          1e-12, q, None)
+            config, constants, xp, t_mid, 1e-12, q, *given)
+        fresh, _ = solver._match_residual(config, constants, xp, t_mid,
+                                          1e-12, q, None, None)
         assert np.array_equal(reused, fresh)
-        assert (near is branches[0]) == (j > 1)
-        assert (far is branches[1]) == (j in (0, 1, 4))
+        assert (near is near0) == (j > r)
+        assert (far is far0) == (j <= r or j == 2 * r + 2)
 
     def test_large_base_solves_by_both_routes(self, constants):
         # l_i ~ sqrt(p) = 316: the matching defect cannot get below an
@@ -504,7 +552,7 @@ class TestShooting:
         r = kc_config.r
         x, t_mid = solver._warm_start(kc_config, kc_momentum)
         defect, (near, far) = solver._match_residual(
-            kc_config, constants, x, t_mid, 1e-12, kc_config.q, None)
+            kc_config, constants, x, t_mid, 1e-12, kc_config.q, None, None)
         *_, u0f, T = solver._unpack(x, r)
         assert (near[1].ts[-1], far[1].ts[-1]) == (t_mid, T - t_mid)
         assert np.array_equal(
@@ -539,7 +587,7 @@ class TestShooting:
         _, t_mid = solver._warm_start(kc_config, kc_momentum)
         defect, _ = solver._match_residual(kc_config, constants,
                                            kc_spurious_root, t_mid, 1e-12,
-                                           kc_config.q, None)
+                                           kc_config.q, None, None)
         r = kc_config.r
         assert defect.shape == (4 * r + 4,)
         assert np.abs(defect[:2 * r + 4]).max() < 1e-9

@@ -17,11 +17,13 @@ The set: `krs pin-constants` with seeds 0 and 42; `krs fuzz-algebra` with
 seeds 0 and 42, 200 trials each; Koiso-Cao and a two-factor bundle at
 N = 1024 on the Chebyshev scheme, and Koiso-Cao at N = 256 on the uniform
 scheme, through `solve` (method both), then `verify` and `stability` of
-both solutions, with and without `--config`; and the twelve crosscheck
-bundles of perfbench/reference.json at N = 512, solved
-with method both and with method shooting alone (cold shooting takes
-about 0.4 to 1.5 s per bundle, about 1 s on three S^2 factors, on a
-2-vCPU host).  Every solve uses the seed-0 constants.
+both solutions, with and without `--config`; the twelve crosscheck
+bundles of perfbench/reference.json at N = 512, and the large base
+(d, p, q) = (2, 1e5, 1) at N = 128, whose Newton tolerance is relative to
+its launch data, each solved with method both and with method shooting
+alone (cold shooting takes about 0.4 to 1.5 s per bundle, about 1 s on
+three S^2 factors, on a 2-vCPU host).  Every solve uses the seed-0
+constants.
 
 No `krs` command reaches the v_h solve, so the stability layer is run
 in-process on each pipeline's two solutions, read back with
@@ -63,6 +65,10 @@ PIPELINES = (
     ("two_factor", [[2, 2.0, 1, 1.0], [4, 3.0, 1, 0.5]], 1024, "chebyshev"),
     ("kc_uniform", [[2, 2.0, 1, 1.0]], 256, "uniform"),
 )
+
+# a crosscheck bundle beside perfbench/reference.json's (which are solved
+# at N = 512): (name, factors as [dim, einstein_constant, twist], nodes)
+LARGE_BASE = ("large_base", [[2, 1e5, 1]], 128)
 
 # v_h sources, in the order they are solved: the Chebyshev polynomials T_k
 # of the moment coordinate X = s - 1, which settle at degrees 64, 32 and 16
@@ -120,11 +126,13 @@ def commands(out):
                         "--out", os.path.join(out, name, tag))
     with open(REFERENCE) as fh:
         reference = json.load(fh)["configs"]
-    for name in sorted(reference):
-        factors = [[d, p, q, 0.0] for d, p, q in reference[name]["factors"]]
+    bundles = [(name, reference[name]["factors"], 512)
+               for name in sorted(reference)] + [LARGE_BASE]
+    for name, raw, nodes in bundles:
+        factors = [[d, p, q, 0.0] for d, p, q in raw]
         for method in ("both", "shooting"):
             cfg = run_config(os.path.join(inputs, f"{name}-{method}.json"),
-                             factors, 512, method, "chebyshev")
+                             factors, nodes, method, "chebyshev")
             yield f"crosscheck/{name}-{method}", (
                 "solve", "--config", cfg, "--constants", constants, "--out",
                 os.path.join(out, "crosscheck", f"{name}-{method}"))
