@@ -80,11 +80,11 @@ def _profile_csv_blocks(grid):
     """The profile CSV of ``grid`` as text blocks: the header line, then
     ``PROFILE_BLOCK_ROWS`` rows at a time, every value as ``%.17g``."""
     cols = grid.table()
-    fmt = ",".join(["%.17g"] * cols.shape[0])
+    row_fmt = ",".join(["%.17g"] * cols.shape[0]) + "\n"
     yield profile_csv_header(grid.nfactors) + "\n"
     for i in range(0, cols.shape[1], PROFILE_BLOCK_ROWS):
-        rows = cols[:, i:i + PROFILE_BLOCK_ROWS].T.tolist()
-        yield "\n".join([fmt % tuple(row) for row in rows]) + "\n"
+        block = cols[:, i:i + PROFILE_BLOCK_ROWS].T
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def write_solution(out_dir: str, sol: solver.SolitonSolution,
@@ -213,10 +213,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    specs = (load_run_config(args.config).stability_profiles if args.config
+    kinds = (load_run_config(args.config).stability_profiles if args.config
              else ())
     sol = read_solution(args.solution, args.method)
-    reports = stability.sign_explorer(sol, specs)
+    reports = stability.sign_explorer(sol, kinds)
     lines = ["profile,value,sign,C_hg,v_h_norm"]
     for rep in reports:
         lines.append(f"{rep.profile},{rep.value:.17g},{rep.sign},"

@@ -23,7 +23,8 @@ _JSON_KINDS = {int: ((int, float), "an integer"),
 SCHEME_KINDS = ("chebyshev", "uniform")
 # the two solver routes; a run config's method "both" runs them in this order
 SOLUTION_METHODS = ("momentum", "shooting")
-# stability profiles by name, default family order; stability.family builds
+# stability profiles by name, in the default family's order; a run config
+# names them as {"kind": ...} objects, and stability.family builds them
 PROFILE_KINDS = ("constant", "u_plus", "u_minus", "abs_u")
 # the second-variation integral is 2 * int u psi e^{-u} dV
 STABILITY_PREFACTOR = 2.0
@@ -205,53 +206,18 @@ class Tolerances:
                 raise ConfigError(f"tolerances.{name} must be finite")
 
 
-def _float_list(raw) -> tuple:
-    if type(raw) is not list or not all(type(k) in (int, float)
-                                        for k in raw):
-        raise TypeError(f"expected an array of numbers, got {raw!r}")
-    return tuple(float(k) for k in raw)
-
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """One stability profile named by a run config: a kind from
-    PROFILE_KINDS and, for the constant kind only, optional per-factor
-    deformation norms kappas >= 0, finite."""
-
-    kind: str
-    kappas: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ConfigError(f"unknown stability profile kind {self.kind!r}")
-        if self.kappas is not None and self.kind != "constant":
-            raise ConfigError(f"profile kind {self.kind!r} takes no kappas")
-        if not all(0 <= k < np.inf for k in self.kappas or ()):
-            raise ConfigError(f"kappas must be finite and >= 0, "
-                              f"got {self.kappas}")
-
-    def check_factors(self, r: int):
-        if self.kappas is not None and len(self.kappas) != r:
-            raise ConfigError(f"constant profile has {len(self.kappas)} "
-                              f"kappas for {r} factors")
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ProfileSpec":
-        check_keys(raw, ("kind", "kappas"))
-        return ProfileSpec(kind=get_field(raw, "kind", str),
-                           kappas=get_field(raw, "kappas", _float_list, None))
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed JSON run configuration for the CLI."""
+    """Parsed JSON run configuration for the CLI; ``stability_profiles``
+    names the kinds of the stability table, from PROFILE_KINDS, in order
+    (empty: one of each)."""
 
     bundle: BundleConfig
     nodes: int = 1024
     scheme: str = "chebyshev"
     method: str = "both"
     tolerances: Tolerances = field(default_factory=Tolerances)
-    stability_profiles: tuple[ProfileSpec, ...] = ()
+    stability_profiles: tuple[str, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -263,8 +229,9 @@ class RunConfig:
             raise ConfigError(f"unknown grid scheme {self.scheme!r}")
         if self.method not in (*SOLUTION_METHODS, "both"):
             raise ConfigError(f"unknown method {self.method!r}")
-        for spec in self.stability_profiles:
-            spec.check_factors(self.bundle.r)
+        for kind in self.stability_profiles:
+            if kind not in PROFILE_KINDS:
+                raise ConfigError(f"unknown stability profile kind {kind!r}")
 
 
 # a run config's own keys; its other keys belong to its bundle
@@ -293,7 +260,8 @@ def load_run_config(path: str) -> RunConfig:
             residual=get_field(tol, "residual", float, Tolerances.residual),
             identity=get_field(tol, "identity", float, Tolerances.identity),
         ),
-        stability_profiles=tuple(map(ProfileSpec.from_dict, get_field(
-            stab, "profiles", list, []))),
+        stability_profiles=tuple(
+            get_field(check_keys(profile, ("kind",)), "kind", str)
+            for profile in get_field(stab, "profiles", list, [])),
         seed=get_field(raw, "seed", int, RunConfig.seed),
     )

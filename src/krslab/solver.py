@@ -450,18 +450,22 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     f[-1] = 0.0
     phi = f * f
     l2 = config.q[:, None] * s[None, :] + (config.p - config.q)[:, None]
+    l = np.sqrt(l2)
     P = 0.5 * (config.d[:, None] * config.q[:, None] / l2).sum(axis=0) - c
-    dP = -0.5 * (config.d[:, None] * config.q[:, None] ** 2 / l2**2).sum(axis=0)
+    # on a huge base l^4 and l^3 overflow to inf, and the quotients read 0,
+    # their value to within underflow
+    with np.errstate(over="ignore"):
+        dP = -0.5 * (config.d[:, None] * config.q[:, None] ** 2
+                     / l2**2).sum(axis=0)
+        q2_term = phi[None, :] * config.q[:, None] ** 2 / (4.0 * l**3)
     dphi = 2.0 * (1.0 - s) - P * phi
     ddphi = -2.0 - dP * phi - P * dphi
 
     df = dphi / 2.0
     ddf = f * ddphi / 2.0
 
-    l = np.sqrt(l2)
     dl = config.q[:, None] * f[None, :] / (2.0 * l)
-    ddl = (config.q[:, None] * dphi[None, :] / (4.0 * l)
-           - phi[None, :] * config.q[:, None] ** 2 / (4.0 * l**3))
+    ddl = config.q[:, None] * dphi[None, :] / (4.0 * l) - q2_term
 
     u = c * s
     du = c * f
@@ -498,10 +502,22 @@ def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
                          constants: PinnedConstants, q: np.ndarray) -> _Launch:
     """The coefficients of l_i come from the Kahler relation (l_i^2)' = q_i f
     order by order; f3, f5, f7 and u4, u6 from the f and u equations, with
-    the sums over the factors of l'/l, q^2/l^4 and l''/l expanded in t."""
+    the sums over the factors of l'/l, q^2/l^4 and l''/l expanded in t.  A
+    launch whose series terms overflow (l_i(0)^5 on a huge base) is a
+    SolverError, raised before any integration."""
     if np.any(a <= 0):
         raise SolverError("trial with nonpositive collapse size l_i")
-    d, A = config.d, constants.A
+    try:
+        with np.errstate(over="raise"):
+            return _launch_series(config.d, constants.A, a, u2, q)
+    except FloatingPointError as err:
+        raise SolverError(f"launch series overflows at l_i(0) = "
+                          f"{a.max():.6g}: {err}") from None
+
+
+def _launch_series(d, A, a, u2, q) -> _Launch:
+    """The series coefficients of ``_launch_coefficients`` for the factor
+    dimensions d and the pinned coefficient A."""
     b = q / (4.0 * a)
     f3 = (2.0 * u2 - 1.0 - (d * q / (2.0 * a**2)).sum()) / 6.0
     e = (q * f3 - 4.0 * b**2) / (8.0 * a)

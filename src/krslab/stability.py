@@ -48,7 +48,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import algebra
-from .config import PROFILE_KINDS, STABILITY_PREFACTOR, TAU, ProfileSpec
+from .config import PROFILE_KINDS, STABILITY_PREFACTOR, TAU
 from .geometry import weighted_integral, weighted_laplacian
 from .grids import cheb_lobatto
 from .solver import SolitonSolution, momentum_phi
@@ -491,46 +491,46 @@ _SPLIT = {
 }
 
 
-def _rows(sol: SolitonSolution, specs: tuple) -> list:
+def _rows(sol: SolitonSolution, kinds: tuple) -> list:
     """(kind, psi at the nodes, the constant profile or None for a split
-    kind) of each profile of ``family(sol, specs)``, in order."""
+    kind) of each profile of ``family(sol, kinds)``, in order."""
     kap = sol.config.kappa
     if not (kap > 0).any():
         kap = np.ones(sol.config.r)
     t, u = sol.grid.t, sol.grid.u
     rows = []
-    for spec in specs or [ProfileSpec(kind) for kind in PROFILE_KINDS]:
-        spec.check_factors(sol.config.r)
-        if spec.kind == "constant":
-            const = constant_profile(kap if spec.kappas is None
-                                     else spec.kappas)
-            rows.append((spec.kind, const.psi(t), const))
+    for kind in kinds or PROFILE_KINDS:
+        if kind == "constant":
+            const = constant_profile(kap)
+            rows.append((kind, const.psi(t), const))
+        elif kind in _SPLIT:
+            rows.append((kind, _SPLIT[kind][0](u), None))
         else:
-            rows.append((spec.kind, _SPLIT[spec.kind][0](u), None))
+            raise StabilityError(f"unknown stability profile kind {kind!r}")
     return rows
 
 
-def family(sol: SolitonSolution, specs: tuple) -> list:
-    """The profiles named by ``specs`` (config.ProfileSpec, in order), or one
-    of each kind in PROFILE_KINDS: the constant profile plus the synthetic
-    split of the potential into positive part, negative part and modulus.
-    The split pair is guaranteed to produce opposite signs whenever u is
-    nonconstant with zero weighted mean.  A constant spec without kappas
-    takes the solution's deformation norms, or unit norms if all vanish."""
+def family(sol: SolitonSolution, kinds: tuple) -> list:
+    """The profiles of ``kinds`` (from PROFILE_KINDS, in order), or one of
+    each kind: the constant profile plus the synthetic split of the
+    potential into positive part, negative part and modulus.  The split
+    pair is guaranteed to produce opposite signs whenever u is nonconstant
+    with zero weighted mean.  The constant profile takes the solution's
+    deformation norms, or unit norms if all vanish."""
     t, u, du = sol.grid.t, sol.grid.u, sol.grid.du
     profiles = []
-    for kind, psi, const in _rows(sol, specs):
+    for kind, psi, const in _rows(sol, kinds):
         profiles.append(const if const is not None else PerturbationProfile(
             name=kind, psi_fn=partial(np.interp, xp=t, fp=psi),
             dpsi_fn=partial(np.interp, xp=t, fp=_SPLIT[kind][1](u, du))))
     return profiles
 
 
-def sign_explorer(sol: SolitonSolution, specs: tuple = ()) -> list:
-    """The stability integral over ``family(sol, specs)``: each report
+def sign_explorer(sol: SolitonSolution, kinds: tuple = ()) -> list:
+    """The stability integral over ``family(sol, kinds)``: each report
     equals ``second_variation_main`` of its profile, read off the profile's
     nodal values with one pairing constant for the table."""
-    rows = _rows(sol, specs)
+    rows = _rows(sol, kinds)
     _require_normalized(sol)
     C_hg = c_constant(sol, "anti_invariant")
     return [_report(sol, kind, psi, C_hg) for kind, psi, _ in rows]

@@ -129,6 +129,28 @@ class TestSolve:
         assert diag["error"].startswith("factor size l_i^2 = q_i s + p_i - "
                                         "q_i is not positive on [0, 2]")
 
+    @pytest.mark.parametrize("method", ["shooting", "both"])
+    def test_overflowing_launch_exits_3_before_integrating(
+            self, pipeline, tmp_path, monkeypatch, capsys, method):
+        # on (2, 1e300, 1) the launch series overflow (l_i(0)^5 is no
+        # float): a SolverError before any integration, one line and no
+        # RuntimeWarning, cold or warm-started from momentum
+        def no_integration(*args):
+            raise AssertionError("an overflowing launch was integrated")
+
+        monkeypatch.setattr(solver, "dop853", no_integration)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _solve_factors(pipeline, out, [[2, 1e300, 1]],
+                                  method) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("no soliton: ") and err.count("\n") == 1, err
+        assert "launch series overflows at l_i(0) = 1e+150" in err
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert err == f"no soliton: {diag['error']}\n"
+
     def test_oracle_failure_exits_2(self, pipeline, tmp_path, monkeypatch,
                                     capsys):
         # without --constants the solve pins them itself: a failure there
@@ -346,6 +368,9 @@ MALFORMED = {
     "seed-string": ("config", lambda raw: raw.update(seed="0"), "'seed'"),
     "profile-kappas-strings": ("config", lambda raw: raw.update(stability={
         "profiles": [{"kind": "constant", "kappas": ["1.5"]}]}), "'kappas'"),
+    # a profile is its kind: the constant one reads deformation_norm2
+    "profile-kappas": ("config", lambda raw: raw.update(stability={
+        "profiles": [{"kind": "constant", "kappas": [2.0]}]}), "'kappas'"),
     "grid-pairs": ("config", lambda raw: raw.update(grid=[["nodes", 64]]),
                    "'grid'"),
     "grid-empty-list": ("config", lambda raw: raw.update(grid=[]), "'grid'"),
@@ -955,19 +980,25 @@ class TestStability:
             assert (with_cfg / name).read_bytes() == \
                 (without / name).read_bytes()
 
-    @pytest.mark.parametrize("spec", [
-        {"kind": "mystery"},
-        {"kind": "constant", "kappas": "x"},
-        {"kind": "constant", "kappas": [-1.0]},
-        {"kind": "constant", "kappas": [1.0, 2.0, 3.0]},
+    @pytest.mark.parametrize("spec, named", [
+        ({"kind": "mystery"}, "unknown stability profile kind 'mystery'"),
+        # a profile is its kind: "kappas" is an unknown field
+        ({"kind": "constant", "kappas": "x"}, "'kappas'"),
+        ({"kind": "constant", "kappas": [-1.0]}, "'kappas'"),
+        ({"kind": "constant", "kappas": [1.0, 2.0, 3.0]}, "'kappas'"),
     ], ids=["mystery", "kappas_str", "kappas_negative", "kappas_count"])
-    def test_unknown_profile_kind_exits_1(self, pipeline, tmp_path, spec):
+    def test_unknown_profile_kind_exits_1(self, pipeline, tmp_path, capsys,
+                                          spec, named):
         cfg = tmp_path / "s.json"
         raw = json.loads(open(pipeline["config"]).read())
         raw["stability"] = {"profiles": [spec]}
         cfg.write_text(json.dumps(raw))
+        capsys.readouterr()
         assert run("stability", "--solution", pipeline["out"], "--config",
                    str(cfg), "--out", str(tmp_path / "s")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert err.count("\n") == 1, err
 
     def test_unnormalized_solution_exits_4(self, pipeline, tmp_path,
                                            capsys):

@@ -12,7 +12,6 @@ from krslab.config import (
     BaseFactor,
     BundleConfig,
     ConfigError,
-    ProfileSpec,
     RunConfig,
     Tolerances,
     koiso_cao,
@@ -149,12 +148,11 @@ class TestRunConfig:
         path.write_text(json.dumps({
             "factors": [{"dim": 2, "einstein_constant": 2.0, "twist": 1}],
             "stability": {"profiles": [{"kind": "abs_u"},
-                                       {"kind": "constant", "kappas": [2]}],
+                                       {"kind": "constant"}],
                           "prefactor": 2.0},
         }))
         run = load_run_config(str(path))
-        assert run.stability_profiles == (ProfileSpec("abs_u"),
-                                          ProfileSpec("constant", (2.0,)))
+        assert run.stability_profiles == ("abs_u", "constant")
 
     @pytest.mark.parametrize("patch", [
         {"grid": {"nodes": 16}},
@@ -170,6 +168,8 @@ class TestRunConfig:
         {"tolerances": {"ode": None}},
         {"stability": {"profiles": [3]}},
         {"seed": "zero"},
+        # a profile is its kind: the constant one takes the bundle's
+        # deformation norms, and "kappas" is an unknown field
         {"stability": {"profiles": [{"kind": "constant", "kappas": "x"}]}},
         {"stability": {"profiles": [{"kind": "constant", "kappas": [-1.0]}]}},
         {"stability": {"profiles": [{"kind": "constant",

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from krslab import solver, stability
-from krslab.config import (TAU, BaseFactor, BundleConfig, ConfigError,
-                           ProfileSpec)
+from krslab.config import TAU, BaseFactor, BundleConfig
 from krslab.geometry import (log_weight_slope, weighted_integral,
                              weighted_laplacian)
 from krslab.grids import cheb_lobatto
@@ -53,7 +52,7 @@ class TestProfiles:
 
     @pytest.mark.parametrize("kappa", [np.nan, np.inf])
     def test_non_finite_kappa_rejected(self, kappa):
-        # as in ProfileSpec and BaseFactor; a nan norm would give a nan value
+        # as in BaseFactor; a nan norm would give a nan value
         # with the sign "negative"
         with pytest.raises(StabilityError, match="finite and >= 0"):
             constant_profile([kappa])
@@ -633,20 +632,31 @@ class TestFamily:
             True, False, False, False]
 
     def test_specs_pick_kinds_in_order(self, two_factor_momentum):
-        specs = (ProfileSpec("abs_u"), ProfileSpec("constant", (2.0, 0.5)))
-        abs_u, const = family(two_factor_momentum, specs)
-        assert abs_u.name == "abs_u" and const.kappas == (2.0, 0.5)
+        abs_u, const = family(two_factor_momentum, ("abs_u", "constant"))
+        assert abs_u.name == "abs_u" and const.name == "constant"
+        assert const.kappas == (1.0, 1.0)
 
-    def test_constant_norms_from_the_solution(self, kc_momentum):
+    def test_constant_norms_from_the_solution(self, kc_momentum,
+                                              two_factor_momentum):
         # Koiso-Cao carries no deformation: unit norms stand in
         assert family(kc_momentum, ())[0].kappas == (1.0,)
+        assert family(kc_momentum, ("constant",))[0].kappas == (1.0,)
         deformed = BundleConfig(factors=(BaseFactor(2, 2.0, 1, kappa=3.0),))
         sol = replace(kc_momentum, config=deformed)
-        assert family(sol, (ProfileSpec("constant"),))[0].kappas == (3.0,)
+        assert family(sol, ("constant",))[0].kappas == (3.0,)
+        # a rigid factor beside a deformed one keeps its norm 0
+        rigid, _ = two_factor_momentum.config.factors
+        sol = replace(two_factor_momentum, config=BundleConfig(
+            factors=(rigid, replace(rigid, kappa=0.5))))
+        assert family(sol, ("constant",))[0].kappas == (0.0, 0.5)
 
-    def test_kappas_count_must_match_factors(self, kc_momentum):
-        with pytest.raises(ConfigError):
-            family(kc_momentum, (ProfileSpec("constant", (1.0, 2.0)),))
+    @pytest.mark.parametrize("kinds", [("bogus",), ("abs_u", "bogus")],
+                             ids=["alone", "after_a_kind"])
+    def test_unknown_kind_is_a_stability_error(self, kc_momentum, kinds):
+        for build in (family, sign_explorer):
+            with pytest.raises(StabilityError,
+                               match="unknown stability profile kind"):
+                build(kc_momentum, kinds)
 
 
 class TestExplorer:
@@ -664,7 +674,7 @@ class TestExplorer:
         # modulus is residuals.gauge: below _GAUGE_TOL <= _ZERO_BAND on every
         # solution the table accepts, so the row reads "zero" there
         for label, sol in reference_solutions.items():
-            row, = sign_explorer(sol, (ProfileSpec("constant"),))
+            row, = sign_explorer(sol, ("constant",))
             assert abs(abs(row.value / row.scale)
                        - sol.residuals.gauge) < 1e-17, label
             assert row.sign == "zero", label
@@ -681,12 +691,16 @@ class TestExplorer:
         # sign_explorer reads the nodal values; second_variation_main reads
         # each profile of family through its callables
         for label, sol in reference_solutions.items():
-            specs = () if which == "default" else (ProfileSpec(
-                "constant", tuple(0.5 + i for i in range(sol.config.r))),)
-            fast = sign_explorer(sol, specs)
+            if which == "constant":
+                # deformation norms 0.5, 1.5, ... on the factors
+                sol = replace(sol, config=BundleConfig(factors=tuple(
+                    replace(f, kappa=0.5 + i)
+                    for i, f in enumerate(sol.config.factors))))
+            kinds = () if which == "default" else ("constant",)
+            fast = sign_explorer(sol, kinds)
             public = [second_variation_main(sol, p)
-                      for p in family(sol, specs)]
-            assert len(fast) == len(public) == (4 if specs == () else 1)
+                      for p in family(sol, kinds)]
+            assert len(fast) == len(public) == (4 if kinds == () else 1)
             for a, b in zip(fast, public):
                 assert a.value.hex() == b.value.hex(), label
                 assert a.scale.hex() == b.scale.hex(), label

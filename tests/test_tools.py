@@ -132,15 +132,17 @@ def test_command_set_covers_fuzz_and_the_uniform_scheme(output_digests,
     config = json.loads((tmp_path / "inputs" / "kc_uniform.json").read_text())
     assert config["grid"] == {"nodes": 256, "scheme": "uniform"}
     assert config["method"] == "both"
-    for method in ("both", "shooting"):
-        # the large base, whose Newton tolerance is relative to its data
-        config = json.loads(
-            (tmp_path / "inputs" / f"large_base-{method}.json").read_text())
-        assert config["grid"]["nodes"] == 128
-        assert config["method"] == method
-        assert [[f["dim"], f["einstein_constant"], f["twist"]]
-                for f in config["factors"]] == [[2, 1e5, 1]]
-        assert f"crosscheck/large_base-{method}" in runs
+    # the large base, whose Newton tolerance is relative to its data, and
+    # the huge base, whose launch series overflow
+    for name, p in (("large_base", 1e5), ("huge_base", 1e300)):
+        for method in ("both", "shooting"):
+            config = json.loads(
+                (tmp_path / "inputs" / f"{name}-{method}.json").read_text())
+            assert config["grid"]["nodes"] == 128
+            assert config["method"] == method
+            assert [[f["dim"], f["einstein_constant"], f["twist"]]
+                    for f in config["factors"]] == [[2, p, 1]]
+            assert f"crosscheck/{name}-{method}" in runs
     labels = [k for k in runs if k.startswith("kc_uniform/")]
     assert labels == ["kc_uniform/solve"] + [
         f"kc_uniform/{cmd}-{method}{extra}"
