@@ -105,10 +105,10 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution,
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``; the method
     stored in the file must be the one its name says.  A profile table that
-    is missing, empty, has a non-numeric or non-finite cell, does not fit
-    the metadata or has a header other than ``profile_csv_header`` is a
-    ConfigError that names it, and so is metadata that does not make a
-    solution."""
+    is missing, empty, has a non-numeric cell (a "#" included: a table has
+    no comments) or a non-finite one, does not fit the metadata or has a
+    header other than ``profile_csv_header`` is a ConfigError that names
+    it, and so is metadata that does not make a solution."""
     meta_path = os.path.join(sol_dir, f"solution_{method}.json")
     meta = read_json(meta_path)
     path = os.path.join(sol_dir, f"profile_{method}.csv")
@@ -117,7 +117,7 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
             # loadtxt only warns on a table with no rows
             warnings.simplefilter("error", UserWarning)
             header = fh.readline().rstrip("\n")
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
@@ -150,7 +150,15 @@ def cmd_pin_constants(args) -> int:
 
 def cmd_solve(args) -> int:
     """Solve by the config's routes and write each solution; for method
-    both, with the pair's disagreement read on that solution's nodes."""
+    both, with the pair's disagreement read on that solution's nodes.
+
+    Method both warm-starts shooting from the momentum solution, whose
+    defect is already below Newton's tolerance: Newton takes no step, and
+    the shooting solution's c and T are momentum's, bit for bit (on all
+    twelve perfbench reference configs at N = 512).  So the pair's
+    agreement in c and T compares momentum with itself; the warm route
+    checks the profiles, the residuals and the warm defect on its own, and
+    method shooting, the cold start, is the independent witness."""
     run = load_run_config(args.config)
     constants = (PinnedConstants.load(args.constants) if args.constants
                  else pin_constants(seed=run.seed))

@@ -64,32 +64,16 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class PerturbationProfile:
-    """Pointwise squared norm of an anti-invariant perturbation.
-
-    Either constant per-factor norms ``kappas`` (the geometric construction:
-    a variation of the complex structure, whose integral vanishes) or a
-    synthetic sampled total profile ``psi_fn`` with optional derivative
-    ``dpsi_fn``, both callables taking the node vector.  kappas must be
-    finite and >= 0, psi finite and nonnegative.
+    """Pointwise squared norm of an anti-invariant perturbation, sampled:
+    ``psi_fn`` and its derivative ``dpsi_fn`` are callables taking the node
+    vector.  psi must be finite and nonnegative.
     """
 
     name: str
-    kappas: Optional[tuple] = None
-    psi_fn: Optional[Callable] = None
-    dpsi_fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        if (self.kappas is None) == (self.psi_fn is None):
-            raise StabilityError(
-                "profile needs exactly one of constant kappas or a sampled psi"
-            )
-        if not all(0 <= k < np.inf for k in self.kappas or ()):
-            raise StabilityError(f"constant norms must be finite and >= 0, "
-                                 f"got {self.kappas}")
+    psi_fn: Callable
+    dpsi_fn: Callable
 
     def psi(self, t: np.ndarray) -> np.ndarray:
-        if self.kappas is not None:
-            return np.full_like(t, float(sum(self.kappas)))
         vals = np.asarray(self.psi_fn(t), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise StabilityError(f"profile {self.name!r} is not finite")
@@ -98,16 +82,20 @@ class PerturbationProfile:
         return np.maximum(vals, 0.0)
 
     def dpsi(self, t: np.ndarray) -> np.ndarray:
-        if self.kappas is not None:
-            return np.zeros_like(t)
-        if self.dpsi_fn is None:
-            raise StabilityError(f"profile {self.name!r} has no derivative")
         return np.asarray(self.dpsi_fn(t), dtype=float)
 
 
 def constant_profile(kappas) -> PerturbationProfile:
-    return PerturbationProfile(name="constant",
-                               kappas=tuple(float(k) for k in kappas))
+    """The profile of constant per-factor norms ``kappas`` (the geometric
+    construction: a variation of the complex structure, whose integral
+    vanishes), each finite and >= 0: psi = sum kappa, psi' = 0."""
+    kappas = tuple(float(k) for k in kappas)
+    if not all(0 <= k < np.inf for k in kappas):
+        raise StabilityError(f"constant norms must be finite and >= 0, "
+                             f"got {kappas}")
+    return PerturbationProfile(
+        name="constant", psi_fn=partial(np.full_like, fill_value=sum(kappas)),
+        dpsi_fn=np.zeros_like)
 
 
 @dataclass(frozen=True)
@@ -179,15 +167,17 @@ def second_variation_main(sol: SolitonSolution,
 
 
 def dw_theorem_check(sol: SolitonSolution, pert: PerturbationProfile) -> float:
-    """Independent route to the vanishing result for constant profiles:
-    the integral factorizes as (sum kappa) * int (Delta_u u) e^{-u} dV, which
-    the divergence theorem kills.  Returns the absolute value of that
-    product, the quadrature being the residual report's ``div_integral``."""
-    if pert.kappas is None:
+    """Independent route to the vanishing result for t-independent
+    profiles, read off the samples: a constant psi = sum kappa factors out
+    of the integral, leaving psi * int (Delta_u u) e^{-u} dV, which the
+    divergence theorem kills.  Returns the absolute value of that product,
+    the quadrature being the residual report's ``div_integral``."""
+    psi = pert.psi(sol.grid.t)
+    if (psi != psi[0]).any():
         raise StabilityError(
             "the factorization requires a t-independent profile"
         )
-    return float(sum(pert.kappas)) * sol.residuals.div_integral
+    return float(psi[0]) * sol.residuals.div_integral
 
 
 def c_constant(sol: SolitonSolution, h_kind: str,
@@ -492,19 +482,19 @@ _SPLIT = {
 
 
 def _rows(sol: SolitonSolution, kinds: tuple) -> list:
-    """(kind, psi at the nodes, the constant profile or None for a split
-    kind) of each profile of ``family(sol, kinds)``, in order."""
+    """(kind, psi at the nodes, the rule for psi' from u and u') of each
+    profile of ``family(sol, kinds)``, in order."""
     kap = sol.config.kappa
     if not (kap > 0).any():
         kap = np.ones(sol.config.r)
-    t, u = sol.grid.t, sol.grid.u
     rows = []
     for kind in kinds or PROFILE_KINDS:
         if kind == "constant":
-            const = constant_profile(kap)
-            rows.append((kind, const.psi(t), const))
+            rows.append((kind, constant_profile(kap).psi_fn(sol.grid.t),
+                         lambda u, du: np.zeros_like(u)))
         elif kind in _SPLIT:
-            rows.append((kind, _SPLIT[kind][0](u), None))
+            psi, dpsi = _SPLIT[kind]
+            rows.append((kind, psi(sol.grid.u), dpsi))
         else:
             raise StabilityError(f"unknown stability profile kind {kind!r}")
     return rows
@@ -513,17 +503,16 @@ def _rows(sol: SolitonSolution, kinds: tuple) -> list:
 def family(sol: SolitonSolution, kinds: tuple) -> list:
     """The profiles of ``kinds`` (from PROFILE_KINDS, in order), or one of
     each kind: the constant profile plus the synthetic split of the
-    potential into positive part, negative part and modulus.  The split
-    pair is guaranteed to produce opposite signs whenever u is nonconstant
-    with zero weighted mean.  The constant profile takes the solution's
-    deformation norms, or unit norms if all vanish."""
+    potential into positive part, negative part and modulus, each sampled
+    at the nodes.  The split pair is guaranteed to produce opposite signs
+    whenever u is nonconstant with zero weighted mean.  The constant
+    profile takes the solution's deformation norms, or unit norms if all
+    vanish."""
     t, u, du = sol.grid.t, sol.grid.u, sol.grid.du
-    profiles = []
-    for kind, psi, const in _rows(sol, kinds):
-        profiles.append(const if const is not None else PerturbationProfile(
-            name=kind, psi_fn=partial(np.interp, xp=t, fp=psi),
-            dpsi_fn=partial(np.interp, xp=t, fp=_SPLIT[kind][1](u, du))))
-    return profiles
+    return [PerturbationProfile(
+        name=kind, psi_fn=partial(np.interp, xp=t, fp=psi),
+        dpsi_fn=partial(np.interp, xp=t, fp=dpsi(u, du)))
+        for kind, psi, dpsi in _rows(sol, kinds)]
 
 
 def sign_explorer(sol: SolitonSolution, kinds: tuple = ()) -> list:

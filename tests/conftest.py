@@ -1,5 +1,7 @@
 import importlib
+import json
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,11 @@ import krslab
 from krslab.config import BaseFactor, BundleConfig, koiso_cao
 from krslab.oracle import pin_constants
 from krslab import geometry, solver
+
+# the perfbench crosscheck bundles, by name: {"factors": [[d, p, q], ...]}
+REFERENCE_CONFIGS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench"
+     / "reference.json").read_text())["configs"]
 
 
 def solve_recorded(solve, *args, **kwargs):
@@ -87,6 +94,26 @@ def two_factor_shooting_recorded(two_factor_config, constants):
 @pytest.fixture(scope="session")
 def two_factor_shooting(two_factor_shooting_recorded):
     return two_factor_shooting_recorded[0]
+
+
+@pytest.fixture(scope="session")
+def reference_solutions(constants):
+    """Momentum and warm shooting at N = 512 on each perfbench reference
+    config, and Koiso-Cao on the uniform scheme, by label."""
+    def bundle(factors):
+        return BundleConfig(factors=tuple(
+            BaseFactor(d=d, p=float(p), q=q) for d, p, q in factors))
+
+    sols = {}
+    for name, raw in sorted(REFERENCE_CONFIGS.items()):
+        cfg = bundle(raw["factors"])
+        mom = solver.solve_momentum(cfg, constants, nodes=512)
+        sols[f"{name}/momentum"] = mom
+        sols[f"{name}/shooting"] = solver.solve_shooting(
+            cfg, constants, nodes=512, start=mom)
+    sols["kc/uniform"] = solver.solve_momentum(
+        koiso_cao(), constants, nodes=256, scheme="uniform")
+    return sols
 
 
 @pytest.fixture(scope="session")

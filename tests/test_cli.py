@@ -452,6 +452,14 @@ MALFORMED = {
                     "non-finite value nan in column 't', row 128"),
     "table-inf-ddf": ("table", lambda path: _set_middle_cell(path, 3, "inf"),
                       "non-finite value inf in column 'ddf', row 128"),
+    # a table has no comments: "#" is a non-numeric cell, not the start of
+    # a comment that loadtxt would drop
+    "table-comment-after-a-row": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: [*lines[:2], lines[2] + "#tampered", *lines[3:]]),
+        "profile_momentum.csv"),
+    "table-comment-line": ("table", lambda path: _rewrite_lines(
+        path, lambda lines: [*lines[:2], "# tampered", *lines[2:]]),
+        "profile_momentum.csv"),
     "table-truncated": ("table", lambda path: _rewrite_lines(
         path, lambda lines: lines[:len(lines) // 2]), "profile_momentum.csv"),
     "table-header-only": ("table", lambda path: _rewrite_lines(

@@ -523,7 +523,7 @@ def test_detector_flags_unomitted_defaults():
 
 
 # the package's settable values (parameter and dataclass-field defaults)
-SETTABLE_CEILING = 26
+SETTABLE_CEILING = 23
 
 
 def test_settable_values_do_not_grow():

@@ -1,7 +1,5 @@
 import hashlib
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +12,7 @@ from krslab.geometry import (GeometryError, PinnedConstants, ricci_frame,
                              weighted_integral)
 from krslab import solver, stability
 
-from conftest import solve_recorded
-
-REFERENCE_CONFIGS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench"
-     / "reference.json").read_text())["configs"]
+from conftest import REFERENCE_CONFIGS, solve_recorded
 
 
 def _bundle(factors):
@@ -143,11 +137,20 @@ class TestMomentum:
         assert g.l[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert g.l[0, -1] == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
-    def test_gauge_normalized(self, kc_momentum):
+    def test_gauge_normalized(self, kc_momentum, reference_solutions,
+                              kc_shooting_2048, two_factor_shooting):
         assert kc_momentum.residuals.gauge < 1e-14
-        # the normalizing shift equals the reduction slope c
-        assert kc_momentum.gauge_shift == pytest.approx(kc_momentum.c_slope,
-                                                        abs=1e-10)
+        # the normalizing shift equals the reduction slope c: the slope
+        # condition puts the weighted mean of s at 1, so u = c (s - 1); to
+        # rounding on Chebyshev momentum, to the Newton tolerance on warm
+        # and cold shooting, and to the quadrature on the uniform scheme
+        sols = {**reference_solutions, "kc/cold": kc_shooting_2048,
+                "two_s2/cold": two_factor_shooting}
+        for label, sol in sols.items():
+            route = label.split("/")[1]
+            tol = {"momentum": 1e-15 * max(1.0, abs(sol.c_slope)),
+                   "uniform": 1e-9}.get(route, 1e-12)
+            assert abs(sol.gauge_shift - sol.c_slope) <= tol, label
 
     def test_unpinned_constants_rejected(self, kc_config):
         # the check runs where the value is made, so none reaches a solver

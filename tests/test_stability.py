@@ -1,6 +1,4 @@
-import json
-from dataclasses import is_dataclass, replace
-from pathlib import Path
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,12 +28,14 @@ from krslab.stability import (
 )
 
 
-def sampled(sol, vals, dvals=None, name="sampled"):
+def sampled(sol, vals, dvals=0.0, name="sampled"):
+    """The profile sampled as ``vals`` and ``dvals`` at the nodes of
+    ``sol`` (a derivative left at 0 where a test does not read it)."""
     t = sol.grid.t
     return PerturbationProfile(
         name=name,
         psi_fn=lambda x: np.interp(x, t, vals),
-        dpsi_fn=None if dvals is None else (lambda x: np.interp(x, t, dvals)),
+        dpsi_fn=lambda x: np.interp(x, t, np.broadcast_to(dvals, t.shape)),
     )
 
 
@@ -44,7 +44,6 @@ class TestProfiles:
         p = constant_profile([1.5])
         assert np.all(p.psi(kc_momentum.grid.t) == 1.5)
         assert np.all(p.dpsi(kc_momentum.grid.t) == 0.0)
-        assert p.kappas is not None
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(StabilityError):
@@ -57,14 +56,19 @@ class TestProfiles:
         with pytest.raises(StabilityError, match="finite and >= 0"):
             constant_profile([kappa])
 
-    @pytest.mark.parametrize("sources", [
-        {}, {"kappas": (1.0,), "psi_fn": np.cos}], ids=["neither", "both"])
-    def test_profile_needs_exactly_one_source(self, sources):
-        with pytest.raises(StabilityError, match="exactly one"):
-            PerturbationProfile(name="p", **sources)
+    @pytest.mark.parametrize("missing", ["psi_fn", "dpsi_fn"])
+    def test_profile_needs_both_callables(self, missing):
+        # a profile is its samples: three fields, none with a default
+        assert [(f.name, f.default) for f in fields(PerturbationProfile)] == [
+            ("name", MISSING), ("psi_fn", MISSING), ("dpsi_fn", MISSING)]
+        given = {"psi_fn": np.cos, "dpsi_fn": np.sin}
+        del given[missing]
+        with pytest.raises(TypeError, match=missing):
+            PerturbationProfile(name="p", **given)
 
     def test_negative_profile_rejected_at_evaluation(self, kc_momentum):
-        p = PerturbationProfile(name="neg", psi_fn=lambda t: -np.ones_like(t))
+        p = PerturbationProfile(name="neg", psi_fn=lambda t: -np.ones_like(t),
+                                dpsi_fn=np.zeros_like)
         with pytest.raises(StabilityError):
             p.psi(kc_momentum.grid.t)
 
@@ -124,6 +128,15 @@ class TestSecondVariation:
         with pytest.raises(StabilityError):
             dw_theorem_check(kc_momentum,
                              sampled(kc_momentum, kc_momentum.grid.u**2))
+
+    def test_dw_check_reads_the_family_samples(self, two_factor_momentum):
+        # t-independence is read off the samples, whatever built them
+        sol = two_factor_momentum
+        const, u_plus = family(sol, ("constant", "u_plus"))
+        assert dw_theorem_check(sol, const) == dw_theorem_check(
+            sol, constant_profile([1.0, 1.0]))
+        with pytest.raises(StabilityError, match="t-independent"):
+            dw_theorem_check(sol, u_plus)
 
 
 class TestCConstant:
@@ -596,59 +609,39 @@ class TestIbp:
         assert ibp_identity_check(kc_momentum,
                                   constant_profile([2.0])) < 1e-12
 
-    def test_missing_derivative_rejected(self, kc_momentum):
-        p = sampled(kc_momentum, kc_momentum.grid.u**2)
-        with pytest.raises(StabilityError):
-            ibp_identity_check(kc_momentum, p)
-
-
-REFERENCE_CONFIGS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench"
-     / "reference.json").read_text())["configs"]
-
-
-@pytest.fixture(scope="module")
-def reference_solutions(constants):
-    """Momentum and warm shooting at N = 512 on each perfbench reference
-    config, and Koiso-Cao on the uniform scheme, by label."""
-    sols = {}
-    for name, raw in sorted(REFERENCE_CONFIGS.items()):
-        cfg = _bundle(raw["factors"])
-        mom = solver.solve_momentum(cfg, constants, nodes=512)
-        sols[f"{name}/momentum"] = mom
-        sols[f"{name}/shooting"] = solver.solve_shooting(
-            cfg, constants, nodes=512, start=mom)
-    sols["kc/uniform"] = solver.solve_momentum(
-        _bundle([(2, 2.0, 1)]), constants, nodes=256, scheme="uniform")
-    return sols
-
 
 class TestFamily:
     def test_default_is_one_profile_per_kind(self, kc_momentum):
         profiles = family(kc_momentum, ())
         assert [p.name for p in profiles] == [
             "constant", "u_plus", "u_minus", "abs_u"]
-        assert [p.kappas is not None for p in profiles] == [
+        # only the constant row is t-independent, with psi' = 0
+        t = kc_momentum.grid.t
+        assert [np.all(p.psi(t) == p.psi(t)[0]) for p in profiles] == [
             True, False, False, False]
+        assert np.all(profiles[0].dpsi(t) == 0.0)
 
     def test_specs_pick_kinds_in_order(self, two_factor_momentum):
         abs_u, const = family(two_factor_momentum, ("abs_u", "constant"))
         assert abs_u.name == "abs_u" and const.name == "constant"
-        assert const.kappas == (1.0, 1.0)
+        assert np.all(const.psi(two_factor_momentum.grid.t) == 2.0)
 
     def test_constant_norms_from_the_solution(self, kc_momentum,
                                               two_factor_momentum):
+        def constant_psi(sol, kinds):
+            return family(sol, kinds)[0].psi(sol.grid.t)
+
         # Koiso-Cao carries no deformation: unit norms stand in
-        assert family(kc_momentum, ())[0].kappas == (1.0,)
-        assert family(kc_momentum, ("constant",))[0].kappas == (1.0,)
+        assert np.all(constant_psi(kc_momentum, ()) == 1.0)
+        assert np.all(constant_psi(kc_momentum, ("constant",)) == 1.0)
         deformed = BundleConfig(factors=(BaseFactor(2, 2.0, 1, kappa=3.0),))
         sol = replace(kc_momentum, config=deformed)
-        assert family(sol, ("constant",))[0].kappas == (3.0,)
+        assert np.all(constant_psi(sol, ("constant",)) == 3.0)
         # a rigid factor beside a deformed one keeps its norm 0
         rigid, _ = two_factor_momentum.config.factors
         sol = replace(two_factor_momentum, config=BundleConfig(
             factors=(rigid, replace(rigid, kappa=0.5))))
-        assert family(sol, ("constant",))[0].kappas == (0.0, 0.5)
+        assert np.all(constant_psi(sol, ("constant",)) == 0.5)
 
     @pytest.mark.parametrize("kinds", [("bogus",), ("abs_u", "bogus")],
                              ids=["alone", "after_a_kind"])
@@ -664,10 +657,19 @@ class TestExplorer:
         signs = {r.sign for r in sign_explorer(kc_momentum)}
         assert {"zero", "positive", "negative"} <= signs
 
-    def test_split_superposes_to_modulus(self, kc_momentum):
-        by_name = {r.profile: r for r in sign_explorer(kc_momentum)}
-        total = by_name["u_plus"].value + by_name["u_minus"].value
-        assert by_name["abs_u"].value == pytest.approx(total, abs=1e-12)
+    def test_split_superposes_to_modulus(self, reference_solutions,
+                                         kc_shooting_2048,
+                                         two_factor_shooting):
+        # the row is linear in psi and |u| = u_+ + u_-: value and scale of
+        # abs_u are the sums of the split rows', to rounding
+        sols = {**reference_solutions, "kc/cold": kc_shooting_2048,
+                "two_s2/cold": two_factor_shooting}
+        for label, sol in sols.items():
+            plus, minus, modulus = sign_explorer(
+                sol, ("u_plus", "u_minus", "abs_u"))
+            tol = 1e-15 * modulus.scale
+            assert abs(modulus.value - plus.value - minus.value) <= tol, label
+            assert abs(modulus.scale - plus.scale - minus.scale) <= tol, label
 
     def test_constant_row_is_the_gauge_residual(self, reference_solutions):
         # for psi = K, value/scale is int u e^{-u} dV / int e^{-u} dV, whose
