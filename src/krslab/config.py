@@ -128,6 +128,14 @@ class BundleConfig:
     """Ordered list of base factors; total real dimension n = 2 + sum(d_i).
 
     tau is fixed at TAU = 1/2 (normalized shrinker, soliton constant 1).
+
+    Each factor is solved and evaluated in its own frame, its base metric
+    rescaled to Einstein constant p_i / 4^k_i, k_i >= 0 the least integer
+    for which that is <= 4 (``frame``): (p, q, l) -> (p / 4^k, q / 4^k,
+    l / 2^k) fixes the soliton and is exact in floating point.  ``p`` and
+    ``q`` hold the framed values, a solution's l_i, dl_i, ddl_i are
+    measured in the frame, and the factors and the codec keep the given
+    values.
     """
 
     factors: tuple[BaseFactor, ...]
@@ -144,17 +152,25 @@ class BundleConfig:
     def n(self) -> int:
         return 2 + sum(f.d for f in self.factors)
 
-    def _column(self, attr: str) -> np.ndarray:
-        col = np.array([getattr(f, attr) for f in self.factors], dtype=float)
+    def _column(self, attr: str, exponent) -> np.ndarray:
+        col = np.ldexp(np.array([getattr(f, attr) for f in self.factors],
+                                dtype=float), exponent)
         col.flags.writeable = False
         return col
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """k_i, the least integer >= 0 with p_i <= 4^(k_i + 1), exactly:
+        for p_i = m 2^e (m in [1/2, 1)), p_i <= 2^E for E = e - [m = 1/2]."""
+        m, e = np.frexp(self._column("p", 0))
+        return np.maximum(0, (e - (m == 0.5) - 1) // 2)
+
     # per-factor data as read-only float arrays, in factor order, built on
-    # first use
-    d = cached_property(lambda self: self._column("d"))
-    p = cached_property(lambda self: self._column("p"))
-    q = cached_property(lambda self: self._column("q"))
-    kappa = cached_property(lambda self: self._column("kappa"))
+    # first use; p and q in each factor's frame
+    d = cached_property(lambda self: self._column("d", 0))
+    p = cached_property(lambda self: self._column("p", -2 * self.frame))
+    q = cached_property(lambda self: self._column("q", -2 * self.frame))
+    kappa = cached_property(lambda self: self._column("kappa", 0))
 
     def to_dict(self) -> dict:
         return {"factors": [f.to_dict() for f in self.factors],

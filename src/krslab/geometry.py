@@ -225,8 +225,8 @@ class RicciProfiles:
 
 
 def kaehler_residual(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
-    """Node-wise value of (l_i^2)' - q_i f per factor; identically zero for a
-    Kahler configuration."""
+    """Node-wise value of (l_i^2)' - q_i f per factor in its frame, so relative
+    to its scale; identically zero for a Kahler configuration."""
     q = config.q[:, None]
     return 2.0 * grid.l * grid.dl - q * grid.f[None, :]
 
@@ -298,7 +298,7 @@ def hessian_components(grid: ProfileGrid):
 
 def volume_weight(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
     """Reduced volume density w(t) = f * prod l_i^{d_i}; the full measure is
-    dV = V0 * w dt for the orbit-volume constant V0."""
+    dV = V0 * w dt for the orbit volume V0 of the framed bases."""
     return grid.f * np.prod(grid.l ** config.d[:, None], axis=0)
 
 

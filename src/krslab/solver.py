@@ -54,9 +54,8 @@ _REDUCTION_B = 0.5
 # integrator tolerance
 _EPS = 2e-3
 _ATOL = 1e-13
-# Newton: tolerance on the matching defect, relative to the largest launch
-# datum (at least 1), and most steps per solve; the cold start's twist
-# ladder: first step and least (halved) step
+# Newton: tolerance on the matching defect and most steps per solve; the
+# cold start's twist ladder: first step and least (halved) step
 _NEWTON_TOL, _NEWTON_ITERS = 1e-11, 12
 _TWIST_STEP, _TWIST_STEP_MIN = 0.5, 1.0 / 32.0
 # a Newton root whose sup-norm Kahler residual reaches this is rejected
@@ -373,11 +372,11 @@ def find_slope_roots(config: BundleConfig):
 
 def _require_admissible(config: BundleConfig):
     """NoSolitonFound unless l_i^2 = q_i s + p_i - q_i > 0 on [0, 2]."""
-    l2_ends = np.minimum(config.p - config.q, config.p + config.q)
-    if np.any(l2_ends <= 0):
+    l2_ends = [min(f.p - f.q, f.p + f.q) for f in config.factors]
+    if min(l2_ends) <= 0:
         raise NoSolitonFound("factor size l_i^2 = q_i s + p_i - q_i is not "
                              f"positive on [0, 2] (endpoint values "
-                             f"{l2_ends.tolist()})")
+                             f"{l2_ends})")
 
 
 def solve_momentum(config: BundleConfig, constants: PinnedConstants,
@@ -452,12 +451,9 @@ def solve_momentum(config: BundleConfig, constants: PinnedConstants,
     l2 = config.q[:, None] * s[None, :] + (config.p - config.q)[:, None]
     l = np.sqrt(l2)
     P = 0.5 * (config.d[:, None] * config.q[:, None] / l2).sum(axis=0) - c
-    # on a huge base l^4 and l^3 overflow to inf, and the quotients read 0,
-    # their value to within underflow
-    with np.errstate(over="ignore"):
-        dP = -0.5 * (config.d[:, None] * config.q[:, None] ** 2
-                     / l2**2).sum(axis=0)
-        q2_term = phi[None, :] * config.q[:, None] ** 2 / (4.0 * l**3)
+    dP = -0.5 * (config.d[:, None] * config.q[:, None] ** 2
+                 / l2**2).sum(axis=0)
+    q2_term = phi[None, :] * config.q[:, None] ** 2 / (4.0 * l**3)
     dphi = 2.0 * (1.0 - s) - P * phi
     ddphi = -2.0 - dP * phi - P * dphi
 
@@ -502,22 +498,10 @@ def _launch_coefficients(config: BundleConfig, a: np.ndarray, u2: float,
                          constants: PinnedConstants, q: np.ndarray) -> _Launch:
     """The coefficients of l_i come from the Kahler relation (l_i^2)' = q_i f
     order by order; f3, f5, f7 and u4, u6 from the f and u equations, with
-    the sums over the factors of l'/l, q^2/l^4 and l''/l expanded in t.  A
-    launch whose series terms overflow (l_i(0)^5 on a huge base) is a
-    SolverError, raised before any integration."""
+    the sums over the factors of l'/l, q^2/l^4 and l''/l expanded in t."""
     if np.any(a <= 0):
         raise SolverError("trial with nonpositive collapse size l_i")
-    try:
-        with np.errstate(over="raise"):
-            return _launch_series(config.d, constants.A, a, u2, q)
-    except FloatingPointError as err:
-        raise SolverError(f"launch series overflows at l_i(0) = "
-                          f"{a.max():.6g}: {err}") from None
-
-
-def _launch_series(d, A, a, u2, q) -> _Launch:
-    """The series coefficients of ``_launch_coefficients`` for the factor
-    dimensions d and the pinned coefficient A."""
+    d, A = config.d, constants.A
     b = q / (4.0 * a)
     f3 = (2.0 * u2 - 1.0 - (d * q / (2.0 * a**2)).sum()) / 6.0
     e = (q * f3 - 4.0 * b**2) / (8.0 * a)
@@ -664,9 +648,8 @@ def _match_residual(config, constants, x, t_mid, rtol, q, near, far):
 def _newton(config, constants, x, t_mid, rtol, q):
     """Damped Gauss-Newton on the matching defect for the twists q from the
     trial vector x: the root and the branches of its last matching call,
-    or a SolverError.  A root has a defect below _NEWTON_TOL max(1, |x_i|),
-    the maximum over every entry but T: the defect is made of differences
-    of states, which grow like sqrt(p) with the base.
+    or a SolverError.  A root has a defect below _NEWTON_TOL (absolute: in
+    the frame every state is of order 1 on any base, see ``BundleConfig``).
 
     The Jacobian is a forward difference, one matching call per variable.
     Each column integrates only the branch its variable moves and passes
@@ -683,7 +666,7 @@ def _newton(config, constants, x, t_mid, rtol, q):
     res, branches = match(x, None, None)
     for steps in range(_NEWTON_ITERS + 1):
         nrm = np.linalg.norm(res)
-        if nrm < _NEWTON_TOL * max(1.0, np.abs(x[:-1]).max()):
+        if nrm < _NEWTON_TOL:
             return x, branches
         if steps == _NEWTON_ITERS:
             break
@@ -720,8 +703,8 @@ def _newton(config, constants, x, t_mid, rtol, q):
 
 def _default_guess(config):
     """The cold start, integrating nothing: the soliton at twist 0, the
-    product Kahler-Einstein metric f = sin t on [0, pi], l_i = sqrt(p_i),
-    u = 0, as a trial vector, and its matching point pi/2."""
+    product Kahler-Einstein metric f = sin t on [0, pi], l_i = sqrt(p_i) in
+    (1, 2] (framed p_i), u = 0, as a trial vector, matched at pi/2."""
     root_p = np.sqrt(config.p)
     x = np.concatenate([root_p, [0.0], root_p, [0.0, 0.0, np.pi]])
     return x, np.pi / 2.0

@@ -129,27 +129,56 @@ class TestSolve:
         assert diag["error"].startswith("factor size l_i^2 = q_i s + p_i - "
                                         "q_i is not positive on [0, 2]")
 
-    @pytest.mark.parametrize("method", ["shooting", "both"])
-    def test_overflowing_launch_exits_3_before_integrating(
-            self, pipeline, tmp_path, monkeypatch, capsys, method):
-        # on (2, 1e300, 1) the launch series overflow (l_i(0)^5 is no
-        # float): a SolverError before any integration, one line and no
-        # RuntimeWarning, cold or warm-started from momentum
-        def no_integration(*args):
-            raise AssertionError("an overflowing launch was integrated")
+    # Each base is solved in its frame, where every state is of order 1:
+    # none of these solves may warn, and each exits 0.
 
-        monkeypatch.setattr(solver, "dop853", no_integration)
-        capsys.readouterr()
-        out = tmp_path / "o"
+    def _solve_quietly(self, pipeline, out, factors, method):
+        """_solve_factors with every warning an error: the exit code and
+        the solution metadata of each method that was written."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _solve_factors(pipeline, out, [[2, 1e300, 1]],
-                                  method) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("no soliton: ") and err.count("\n") == 1, err
-        assert "launch series overflows at l_i(0) = 1e+150" in err
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert err == f"no soliton: {diag['error']}\n"
+            code = _solve_factors(pipeline, out, factors, method)
+        return code, {m: json.loads((out / f"solution_{m}.json").read_text())
+                      for m in ("momentum", "shooting")
+                      if (out / f"solution_{m}.json").is_file()}
+
+    def test_scaled_koiso_cao_meets_the_residual_tolerance(self, pipeline,
+                                                           tmp_path):
+        # kc x 1e4, framed at k = 7: the Kahler residual (l^2)' - q f is
+        # read in the frame, relative to the base's scale (2.0e-12 on the
+        # shooting solution), not scaled with q
+        code, metas = self._solve_quietly(pipeline, tmp_path / "o",
+                                          [[2, 2e4, 10000]], "both")
+        assert code == 0
+        for meta in metas.values():
+            assert meta["residuals"]["kaehler"] <= 1e-11
+            assert meta["c_slope"] == pytest.approx(0.5276195198969628,
+                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["momentum", "shooting", "both"])
+    def test_huge_base_solves_by_every_method(self, pipeline, tmp_path,
+                                              method):
+        # (2, 1e300, 1), framed at k = 498: in the frame the launch data
+        # are of order 1 and the twist is 4^-498 of the base, so every
+        # route finds the product Kahler-Einstein metric to rounding
+        code, metas = self._solve_quietly(pipeline, tmp_path / "o",
+                                          [[2, 1e300, 1]], method)
+        assert code == 0
+        assert set(metas) == ({"momentum", "shooting"} if method == "both"
+                              else {method})
+        for meta in metas.values():
+            assert meta["c_slope"] == 0.0
+            assert abs(meta["T"] - np.pi) <= 2e-15
+
+    @pytest.mark.parametrize("factor", [[4, 1e200, 1], [6, 1e120, 1]],
+                             ids=["cp2", "cp3"])
+    def test_huge_base_solves_by_momentum(self, pipeline, tmp_path, factor):
+        # the momentum weight (q s + p - q)^{d/2} is of order 1 in the
+        # frame, so the slope search finds the root c = 0
+        code, metas = self._solve_quietly(pipeline, tmp_path / "o",
+                                          [factor], "momentum")
+        assert code == 0
+        assert metas["momentum"]["c_slope"] == 0.0
 
     def test_oracle_failure_exits_2(self, pipeline, tmp_path, monkeypatch,
                                     capsys):

@@ -48,6 +48,23 @@ class TestBundleConfig:
         assert list(cfg.p) == [2.0]
         assert list(cfg.q) == [1.0]
 
+    # the least k >= 0 with p / 4^k <= 4, at and beside the binade edges,
+    # up to the largest float (whose framed q is the least normal float)
+    @pytest.mark.parametrize("p, k", [
+        (1.5, 0), (4.0, 0), (np.nextafter(4.0, 5.0), 1), (16.0, 1),
+        (np.nextafter(16.0, 17.0), 2), (2e4, 7), (1e300, 498),
+        (np.finfo(float).max, 511),
+    ])
+    def test_frame_is_the_least_power_of_4(self, p, k):
+        cfg = BundleConfig(factors=(BaseFactor(2, float(p), 1),
+                                    BaseFactor(4, 3.0, 2)))
+        assert cfg.frame.tolist() == [k, 0]
+        assert cfg.p.tolist() == [p / 4.0 ** k, 3.0]
+        assert cfg.q.tolist() == [1.0 / 4.0 ** k, 2.0]
+        assert 1.0 < cfg.p[0] <= 4.0 and cfg.q[0] >= np.finfo(float).tiny
+        # the codec keeps the given values
+        assert cfg.to_dict()["factors"][0]["einstein_constant"] == p
+
     def test_two_factor_dimension(self):
         cfg = BundleConfig(factors=(BaseFactor(2, 2.0, 1),
                                     BaseFactor(4, 3.0, 2)))

@@ -169,6 +169,16 @@ class TestMomentum:
         with pytest.raises(solver.NoSolitonFound):
             solver.solve_momentum(cfg, constants, nodes=1024)
 
+    @pytest.mark.parametrize("method", ["momentum", "shooting"])
+    def test_inadmissible_message_gives_the_config_values(self, constants,
+                                                          method):
+        # (2, 16, 20) is framed at k = 1 as (4, 5), whose near-end value
+        # p - q is -1: the message gives the config's p - q = -4
+        solve = getattr(solver, f"solve_{method}")
+        with pytest.raises(solver.NoSolitonFound,
+                           match=r"\(endpoint values \[-4\.0\]\)$"):
+            solve(_bundle([(2, 16, 20)]), constants, nodes=64)
+
     def test_uniform_scheme_agrees(self, kc_config, constants, kc_momentum):
         uni = solver.solve_momentum(kc_config, constants, nodes=256,
                                     scheme="uniform")
@@ -340,6 +350,73 @@ class TestWarmShootingInvariances:
         b = _warm_shooting(factors[::-1], constants)
         assert abs(a.c_slope - b.c_slope) <= 1e-9
         assert abs(a.grid.T - b.grid.T) <= 1e-9
+
+
+def _scaled(factors, js):
+    """The bundle of ``factors`` ([d, p, q] each) with factor i's p and q
+    multiplied by 4^j_i: the same soliton, with l_i times 2^j_i."""
+    return _bundle([(d, p * 4.0 ** j, q * 4 ** j)
+                    for (d, p, q), j in zip(factors, js)])
+
+
+def _facts(sol):
+    """c, T, the profile table and the residual report of a solution, as
+    values that compare equal only bit for bit (a float's repr round-trips)."""
+    return (repr(sol.c_slope), repr(sol.grid.T), sol.grid.table().tobytes(),
+            repr(sol.residuals))
+
+
+def _outcome(solve, config):
+    """``_facts`` of ``solve(config)``, or the class of its failure."""
+    try:
+        return _facts(solve(config))
+    except (solver.NoSolitonFound, solver.SolverError) as err:
+        return type(err)
+
+
+class TestFrameInvariance:
+    """Each factor is solved in its own power-of-4 frame, so scaling its p
+    and q by 4^j (l by 2^j) leaves every float of the solve as it was."""
+
+    @pytest.mark.parametrize("method", ["momentum", "warm"])
+    @given(factors=st.lists(st.tuples(st.sampled_from([2, 4, 6]),
+                                      st.integers(1, 3),
+                                      st.sampled_from([-1, 1]),
+                                      st.floats(0.25, 3.0),
+                                      st.integers(0, 500)),
+                            min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    # kc at the largest j, and three factors framed apart
+    @example(factors=[(2, 1, 1, 1.0, 500)])
+    @example(factors=[(6, 1, -1, 0.25, 0), (4, 2, 1, 0.5, 333),
+                      (2, 3, 1, 0.5, 497)])
+    def test_power_of_4_scaling_is_bit_for_bit(self, constants, method,
+                                                factors):
+        # |q| < p and q != 0: p exceeds |q| by the drawn gap
+        bundle = [(d, q + gap, sign * q) for d, q, sign, gap, _ in factors]
+        js = [j for *_, j in factors]
+
+        def solve(config):
+            mom = solver.solve_momentum(config, constants, nodes=64)
+            if method == "momentum":
+                return mom
+            return solver.solve_shooting(config, constants, nodes=64,
+                                         start=mom)
+
+        assert _outcome(solve, _bundle(bundle)) == _outcome(
+            solve, _scaled(bundle, js))
+
+    # a cold solve costs 0.3-1 s: two fixed draws
+    def test_cold_kc_times_4_cubed(self, constants, kc_shooting_2048):
+        sol = solver.solve_shooting(_scaled([(2, 2, 1)], [3]), constants,
+                                    nodes=2048)
+        assert _facts(sol) == _facts(kc_shooting_2048)
+
+    def test_cold_two_factor_scaled_in_one_factor(self, constants,
+                                                  two_factor_shooting):
+        sol = solver.solve_shooting(_scaled([(2, 2, 1)] * 2, [0, 7]),
+                                    constants, nodes=512)
+        assert _facts(sol) == _facts(two_factor_shooting)
 
 
 class TestShooting:
@@ -537,9 +614,9 @@ class TestShooting:
         assert (far is far0) == (j <= r or j == 2 * r + 2)
 
     def test_large_base_solves_by_both_routes(self, constants):
-        # l_i ~ sqrt(p) = 316: the matching defect cannot get below an
-        # absolute 1e-11, so Newton judges it on the launch data's scale;
-        # both the warm start (method both) and the cold one converge
+        # framed at k = 8 (p = 1e5 / 4^8 = 1.53, l_i ~ 1.2), where the
+        # matching defect meets the absolute Newton tolerance: the warm
+        # start (method both) and the cold one converge
         config = _bundle([(2, 1e5, 1)])
         mom = solver.solve_momentum(config, constants, nodes=128)
         for start in (mom, None):
@@ -603,8 +680,9 @@ class TestShooting:
             raise AssertionError("the cold start integrated")
 
         monkeypatch.setattr(solver, "dop853", no_integration)
+        # in each factor's frame: 9 / 4 for the second, whose l(0) is 1.5
         x, t_mid = solver._default_guess(_bundle([(2, 4, 1), (4, 9, -2)]))
-        assert x.tolist() == [2.0, 3.0, 0.0, 2.0, 3.0, 0.0, 0.0, np.pi]
+        assert x.tolist() == [2.0, 1.5, 0.0, 2.0, 1.5, 0.0, 0.0, np.pi]
         assert t_mid == np.pi / 2.0
 
     def test_continuation_halves_a_failed_step(self, kc_config, constants,

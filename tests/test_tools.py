@@ -132,16 +132,17 @@ def test_command_set_covers_fuzz_and_the_uniform_scheme(output_digests,
     config = json.loads((tmp_path / "inputs" / "kc_uniform.json").read_text())
     assert config["grid"] == {"nodes": 256, "scheme": "uniform"}
     assert config["method"] == "both"
-    # the large base, whose Newton tolerance is relative to its data, and
-    # the huge base, whose launch series overflow
-    for name, p in (("large_base", 1e5), ("huge_base", 1e300)):
+    # the large base and the two huge bases, each solved in its frame
+    for name, factor in (("large_base", [2, 1e5, 1]),
+                         ("huge_base", [2, 1e300, 1]),
+                         ("huge_cp2_base", [4, 1e200, 1])):
         for method in ("both", "shooting"):
             config = json.loads(
                 (tmp_path / "inputs" / f"{name}-{method}.json").read_text())
             assert config["grid"]["nodes"] == 128
             assert config["method"] == method
             assert [[f["dim"], f["einstein_constant"], f["twist"]]
-                    for f in config["factors"]] == [[2, p, 1]]
+                    for f in config["factors"]] == [factor]
             assert f"crosscheck/{name}-{method}" in runs
     labels = [k for k in runs if k.startswith("kc_uniform/")]
     assert labels == ["kc_uniform/solve"] + [

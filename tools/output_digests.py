@@ -18,10 +18,10 @@ seeds 0 and 42, 200 trials each; Koiso-Cao and a two-factor bundle at
 N = 1024 on the Chebyshev scheme, and Koiso-Cao at N = 256 on the uniform
 scheme, through `solve` (method both), then `verify` and `stability` of
 both solutions, with and without `--config`; the twelve crosscheck
-bundles of perfbench/reference.json at N = 512, the large base
-(d, p, q) = (2, 1e5, 1) at N = 128, whose Newton tolerance is relative to
-its launch data, and the huge base (2, 1e300, 1) at N = 128, whose launch
-series overflow (exit 3), each solved with method both and with method
+bundles of perfbench/reference.json at N = 512, and at N = 128 the large
+base (d, p, q) = (2, 1e5, 1) and the huge bases (2, 1e300, 1) and
+(4, 1e200, 1), which krslab solves in their power-of-4 frames (Einstein
+constant p / 4^k in (1, 4]), each with method both and with method
 shooting alone (cold shooting takes about 0.4 to 1.5 s per bundle, about
 1 s on three S^2 factors, on a 2-vCPU host).  Every solve uses the seed-0
 constants.
@@ -70,8 +70,11 @@ PIPELINES = (
 # a crosscheck bundle beside perfbench/reference.json's (which are solved
 # at N = 512): (name, factors as [dim, einstein_constant, twist], nodes)
 LARGE_BASE = ("large_base", [[2, 1e5, 1]], 128)
-# a base so large that the shooting launch series overflow: no soliton
+# bases on which, unframed, l_i(0)^5 (1e750) and the momentum weight
+# (q s + p - q)^{d/2} (1e400) are no floats; their frames are 4^498 and
+# 4^332
 HUGE_BASE = ("huge_base", [[2, 1e300, 1]], 128)
+HUGE_CP2_BASE = ("huge_cp2_base", [[4, 1e200, 1]], 128)
 
 # v_h sources, in the order they are solved: the Chebyshev polynomials T_k
 # of the moment coordinate X = s - 1, which settle at degrees 64, 32 and 16
@@ -130,7 +133,8 @@ def commands(out):
     with open(REFERENCE) as fh:
         reference = json.load(fh)["configs"]
     bundles = [(name, reference[name]["factors"], 512)
-               for name in sorted(reference)] + [LARGE_BASE, HUGE_BASE]
+               for name in sorted(reference)] + [LARGE_BASE, HUGE_BASE,
+                                                  HUGE_CP2_BASE]
     for name, raw, nodes in bundles:
         factors = [[d, p, q, 0.0] for d, p, q in raw]
         for method in ("both", "shooting"):
