@@ -1,7 +1,8 @@
 """Batch front door: pin-constants -> solve -> verify -> stability, plus the
 randomized algebra fuzzer.
 
-All outputs are JSON (reports) or CSV (profiles, tables), written atomically
+All outputs are JSON (reports), CSV (profiles, tables) or .npy (the exact
+profile table that verify and stability read back), written atomically
 (temp file + rename) and deterministic for a fixed seed.  Exit codes:
 0 ok, 1 config error (a usage error too), 2 oracle failure, 3 no soliton
 found, 4 identity failure.
@@ -10,10 +11,11 @@ found, 4 identity failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-import warnings
+import zipfile
 
 import numpy as np
 
@@ -34,27 +36,35 @@ EXIT_IDENTITY = 4
 # atomic, deterministic file output
 
 
-def _write_chunks_atomic(path: str, chunks):
-    """Write the strings ``chunks``, in order, to a temp file beside
-    ``path``, then rename it over ``path``: a reader sees the old file or
-    the whole new one, and on any exception (one raised by ``chunks``
-    included) the temp file is removed and ``path`` is left as it was.
-    Only the chunk being written is held, so a large file can be made
-    block by block.  The file gets mode 0o666 less the umask, as ``open``
-    would give it."""
+@contextlib.contextmanager
+def _atomic_file(path: str, mode: str):
+    """A file opened with ``mode`` ("w" or "wb") on a temp file beside
+    ``path``, renamed over ``path`` when the block ends: a reader sees the
+    old file or the whole new one, and on any exception the temp file is
+    removed and ``path`` is left as it was.  The file gets mode 0o666 less
+    the umask, as ``open`` would give it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_chunks_atomic(path: str, chunks):
+    """Write the strings ``chunks``, in order, to ``path`` through
+    ``_atomic_file`` (an exception raised by ``chunks`` leaves ``path`` as
+    it was too).  Only the chunk being written is held, so a large file
+    can be made block by block."""
+    with _atomic_file(path, "w") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _write_atomic(path: str, content: str):
@@ -76,26 +86,35 @@ def _write_json(path: str, payload: dict):
 PROFILE_BLOCK_ROWS = 256
 
 
-def _profile_csv_blocks(grid):
-    """The profile CSV of ``grid`` as text blocks: the header line, then
+def _profile_csv_blocks(table, r: int):
+    """The profile CSV of ``table``, the ``ProfileGrid.table`` of r factors
+    (one row per column), as text blocks: the header line, then
     ``PROFILE_BLOCK_ROWS`` rows at a time, every value as ``%.17g``."""
-    cols = grid.table()
-    row_fmt = ",".join(["%.17g"] * cols.shape[0]) + "\n"
-    yield profile_csv_header(grid.nfactors) + "\n"
-    for i in range(0, cols.shape[1], PROFILE_BLOCK_ROWS):
-        block = cols[:, i:i + PROFILE_BLOCK_ROWS].T
+    row_fmt = ",".join(["%.17g"] * table.shape[0]) + "\n"
+    yield profile_csv_header(r) + "\n"
+    for i in range(0, table.shape[1], PROFILE_BLOCK_ROWS):
+        block = table[:, i:i + PROFILE_BLOCK_ROWS].T
         yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def write_solution(out_dir: str, sol: solver.SolitonSolution,
                    cross_method: float | None):
-    """Write ``profile_<method>.csv`` and ``solution_<method>.json``, with
-    the pair's ``cross_method`` beside the residuals unless it is None (one
-    route).  The table is formatted and written in blocks
-    (``_profile_csv_blocks``), so the write holds the float table and one
-    block's strings, and the table is freed before the metadata is made."""
+    """Write ``profile_<method>.npy``, ``profile_<method>.csv`` and
+    ``solution_<method>.json``, with the pair's ``cross_method`` beside
+    the residuals unless it is None (one route).  The .npy file is the
+    float table ``grid.table()`` as it is, its header then its own buffer,
+    which ``read_solution`` loads; the CSV is the same table as text, for
+    plotting, and nothing reads it back.  The CSV is formatted and written
+    in blocks (``_profile_csv_blocks``), so the write holds the float table
+    and one block's strings, and the table is freed before the metadata is
+    made."""
+    table = sol.grid.table()
+    with _atomic_file(os.path.join(out_dir, f"profile_{sol.method}.npy"),
+                      "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
     _write_chunks_atomic(os.path.join(out_dir, f"profile_{sol.method}.csv"),
-                         _profile_csv_blocks(sol.grid))
+                         _profile_csv_blocks(table, sol.grid.nfactors))
+    del table
     meta = sol.to_dict()
     if cross_method is not None:
         meta["residuals"]["cross_method"] = cross_method
@@ -103,25 +122,29 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution,
 
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
-    """The solution ``write_solution`` wrote for ``method``; the method
-    stored in the file must be the one its name says.  A profile table that
-    is missing, empty, has a non-numeric cell (a "#" included: a table has
-    no comments) or a non-finite one, does not fit the metadata or has a
-    header other than ``profile_csv_header`` is a ConfigError that names
-    it, and so is metadata that does not make a solution."""
+    """The solution ``write_solution`` wrote for ``method``, from its JSON
+    metadata and its ``.npy`` table (the CSV is not read); the method
+    stored in the file must be the one its name says.  A table that is
+    missing, empty, truncated, not a .npy file, not a 2-D float64 array,
+    holds a non-finite cell or does not fit the metadata is a ConfigError
+    that names it, and so is metadata that does not make a solution."""
     meta_path = os.path.join(sol_dir, f"solution_{method}.json")
     meta = read_json(meta_path)
-    path = os.path.join(sol_dir, f"profile_{method}.csv")
+    path = os.path.join(sol_dir, f"profile_{method}.npy")
     try:
-        with open(path) as fh, warnings.catch_warnings():
-            # loadtxt only warns on a table with no rows
-            warnings.simplefilter("error", UserWarning)
-            header = fh.readline().rstrip("\n")
-            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-    except (OSError, ValueError, UserWarning) as exc:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # EOFError: an empty file; BadZipFile: one that opens as a zip
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(table, np.ndarray):
+        table.close()
+        raise ConfigError(f"{path} is an .npz archive, not one .npy array")
+    if table.ndim != 2 or table.dtype != np.float64:
+        raise ConfigError(f"{path} holds a {table.ndim}-D {table.dtype} "
+                          "array, not a 2-D float64 table")
     try:
-        sol = solver.SolitonSolution.from_dict(meta, table, header)
+        # the file holds one row per column of the CSV
+        sol = solver.SolitonSolution.from_dict(meta, table.T)
     except TableShapeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except ConfigError as exc:

@@ -25,8 +25,9 @@ class GeometryError(ValueError):
 
 
 class TableShapeError(ConfigError):
-    """A profile table whose shape or header does not fit its scheme and
-    factors: a malformed input, not a failed solution."""
+    """A profile table whose shape does not fit its scheme and factors, or
+    that holds a non-finite cell: a malformed input, not a failed
+    solution."""
 
 
 # oracle.pin_constants chooses A and B from these, each exact in binary
@@ -174,7 +175,7 @@ class ProfileGrid:
         """Inverse of ``table`` for r factors, read from one row per node.
         The checks run in this order: the shape; every cell finite (a
         TableShapeError names the first that is not by its column header
-        and row, counted from 0 below the header); the last node exactly the
+        and row, the node's index from 0); the last node exactly the
         scheme's length T, or a ConfigError naming both; every node within
         1e-9 of the scheme's, or a GeometryError."""
         shape = (scheme.t.size, 3 * r + 7)

@@ -24,10 +24,8 @@ from .geometry import (
     PinnedConstants,
     ProfileGrid,
     RicciProfiles,
-    TableShapeError,
     hessian_components,
     kaehler_residual,
-    profile_csv_header,
     ricci_components,
     ricci_frame,
     weighted_integral,
@@ -175,15 +173,15 @@ class SolitonSolution:
         }
 
     @staticmethod
-    def from_dict(meta: dict, table: np.ndarray,
-                  header: str) -> "SolitonSolution":
-        """Inverse of ``to_dict`` plus the profile table and its CSV header
-        (``profile_csv_header``: columns are read by position).  ``T`` must
-        be the last node exactly (``ProfileGrid.from_table`` checks it), and
-        ``c_slope`` and ``gauge_shift`` what the properties read off u, to
-        within 1e-12 max(1, |value|).  The ``residuals`` block, when given,
-        must be an object; it is a report, re-evaluated on the profiles, and
-        no number in it is read."""
+    def from_dict(meta: dict, table: np.ndarray) -> "SolitonSolution":
+        """Inverse of ``to_dict`` plus the profile table, one row per node
+        and one column per name of ``profile_csv_header`` (columns are read
+        by position).  ``T`` must be the last node exactly
+        (``ProfileGrid.from_table`` checks it), and ``c_slope`` and
+        ``gauge_shift`` what the properties read off u, to within
+        1e-12 max(1, |value|).  The ``residuals`` block, when given, must
+        be an object; it is a report, re-evaluated on the profiles, and no
+        number in it is read."""
         check_keys(meta, ("config", "c_slope", "gauge_shift", "residuals",
                           "method", "nodes", "T", "scheme", "constants"))
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
@@ -192,9 +190,6 @@ class SolitonSolution:
         sch = Scheme.of_kind(get_field(meta, "scheme", str),
                              get_field(meta, "nodes", int),
                              get_field(meta, "T", float))
-        expected = profile_csv_header(config.r)
-        if header != expected:
-            raise TableShapeError(f"header {header!r} is not {expected!r}")
         get_field(meta, "residuals", dict, {})
         sol = SolitonSolution(
             grid=ProfileGrid.from_table(sch, table, config.r), config=config,

@@ -66,7 +66,7 @@ class StabilityError(ValueError):
 class PerturbationProfile:
     """Pointwise squared norm of an anti-invariant perturbation, sampled:
     ``psi_fn`` and its derivative ``dpsi_fn`` are callables taking the node
-    vector.  psi must be finite and nonnegative.
+    vector.  psi must be finite and nonnegative, psi' finite.
     """
 
     name: str
@@ -82,7 +82,11 @@ class PerturbationProfile:
         return np.maximum(vals, 0.0)
 
     def dpsi(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.dpsi_fn(t), dtype=float)
+        vals = np.asarray(self.dpsi_fn(t), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise StabilityError(f"derivative of profile {self.name!r} is "
+                                 "not finite")
+        return vals
 
 
 def constant_profile(kappas) -> PerturbationProfile:
@@ -264,6 +268,7 @@ class VhSolution:
 # its Chebyshev coefficients, relative to the largest, read as negligible
 _DEGREES = (16, 32, 64, 128, 256)
 _TAIL_TOL = 1e-12
+_X_END_TOL = 1e-8  # largest distance of X's end values from -1 and 1
 
 
 def _cached(sol: SolitonSolution, key, build: Callable):
@@ -277,11 +282,15 @@ def _cached(sol: SolitonSolution, key, build: Callable):
 def _moment_coordinate(sol: SolitonSolution) -> np.ndarray:
     """X = s - 1 in [-1, 1] at the solution's nodes, with s from the Kahler
     relation l_j^2 = q_j s + p_j - q_j (least squares over the factors);
-    computed once per solution."""
+    computed once per solution.  Where every |q_j| is far below its p_j,
+    q_j s is lost in the rounding of l_j^2 (and q_j^2 may underflow to 0),
+    so X is not the moment coordinate: then it may hold NaN and need not
+    run from -1 to 1, which ``v_h_solve`` checks."""
     def build():
         cf = sol.config
         excess = sol.grid.l ** 2 - (cf.p - cf.q)[:, None]
-        s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
         return np.clip(s, 0.0, 2.0) - 1.0
 
     return _cached(sol, "X", build)
@@ -351,7 +360,10 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     the source and the operator, not the number of nodes, which only bounds
     it (at most half of them).  A source with a NaN or inf, checked before
     any degree is tried, and a source still unresolved at the largest
-    degree (not a smooth invariant function) are errors.  The equation is
+    degree (not a smooth invariant function) are errors, and so is a
+    moment coordinate X = s - 1 that does not run from -1 at the first
+    node to 1 at the last, to within 1e-8 (``_moment_coordinate``: s is
+    not resolved on the factors).  The equation is
     collocated at that degree, and the smallest singular value of the small
     operator is reported; below ``kernel_tol`` it is solved in the
     least-squares sense and flagged.  The solution is mapped back to the
@@ -373,6 +385,11 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
         raise StabilityError(f"{grid.t.size} nodes are too few to fit the "
                              f"source in s (need {2 * _DEGREES[0] + 1})")
     X = _moment_coordinate(sol)
+    if not (abs(X[0] + 1.0) <= _X_END_TOL and abs(X[-1] - 1.0) <= _X_END_TOL):
+        raise StabilityError(
+            f"the moment coordinate X = s - 1 runs from {float(X[0])!r} to "
+            f"{float(X[-1])!r}, not from -1 to 1: the Kahler relation does "
+            "not resolve s on these factors")
     kept = sol.stability_cache.get("vander")
     for m in degrees:
         if kept is not None and m < kept.shape[0]:

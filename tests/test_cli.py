@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -201,7 +202,8 @@ class TestSolve:
         out2 = str(tmp_path / "out2")
         assert run("solve", "--config", pipeline["config"], "--constants",
                    pipeline["constants"], "--out", out2) == 0
-        for name in ("profile_momentum.csv", "solution_momentum.json"):
+        for name in ("profile_momentum.npy", "profile_momentum.csv",
+                     "solution_momentum.json"):
             a = open(os.path.join(pipeline["out"], name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
@@ -301,6 +303,7 @@ class TestSolve:
                    pipeline["constants"], "--out", str(out)) == 4
         for method in ("momentum", "shooting"):
             assert (out / f"solution_{method}.json").is_file()
+            assert (out / f"profile_{method}.npy").is_file()
             assert (out / f"profile_{method}.csv").is_file()
 
     def test_cross_method_disagreement_exits_4(self, pipeline, tmp_path,
@@ -329,28 +332,57 @@ class TestSolve:
             "no root of phi(2; c) = 0 in the search box |c| <= 256")
 
 
-def _rewrite_lines(path, edit):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(edit(lines)) + "\n")
+def _edit_table(path, edit):
+    """Replace the .npy profile table at ``path`` by ``edit`` of it."""
+    np.save(path, edit(np.load(path)), allow_pickle=False)
 
 
-def _swap_cells(line, i, j):
-    cells = line.split(",")
-    cells[i], cells[j] = cells[j], cells[i]
-    return ",".join(cells)
+def _set_middle_cell(path, col, value):
+    """Put ``value`` in column ``col`` (row ``col`` of the .npy table) at
+    the middle node of a profile table."""
+    def edit(table):
+        table[col, table.shape[1] // 2] = value
+        return table
+
+    _edit_table(path, edit)
 
 
-def _set_middle_cell(path, col, text):
-    """Put ``text`` in column ``col`` of the middle row of a profile table."""
-    def edit(lines):
-        k = len(lines) // 2
-        cells = lines[k].split(",")
-        cells[col] = text
-        return [*lines[:k], ",".join(cells), *lines[k + 1:]]
+def _cut_bytes(path, keep):
+    """Keep the first ``keep(size)`` bytes of the file at ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data = data[:keep(len(data))]
+    with open(path, "wb") as fh:
+        fh.write(data)
 
-    _rewrite_lines(path, edit)
+
+def _npy_header_bytes(path):
+    """The length of the .npy file's magic string and header."""
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        return fh.tell()
+
+
+def _rename_header_key(path):
+    """Misspell the 'descr' key of the .npy header, keeping its length."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data.replace(b"'descr'", b"'descx'", 1))
+
+
+def _save_object_table(path):
+    """Replace the .npy table by the same values as an object array."""
+    table = np.load(path)
+    np.save(path, table.astype(object), allow_pickle=True)
+
+
+def _save_npz(path):
+    """Replace the .npy table by an .npz archive that holds it."""
+    table = np.load(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, table=table)
 
 
 # each case: the file it corrupts, the edit, and what the error must name
@@ -472,35 +504,39 @@ MALFORMED = {
                         "is not the last node of the profile table"),
     "solution-T-1e-1": ("solution", lambda raw: raw.update(T=raw["T"] * 1.1),
                         "is not the last node of the profile table"),
-    "table-missing": ("table", os.remove, "profile_momentum.csv"),
-    "table-non-numeric": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: [lines[0], "zero," + lines[1].split(",", 1)[1],
-                             *lines[2:]]), "profile_momentum.csv"),
-    # loadtxt reads nan and inf as numbers
-    "table-nan-t": ("table", lambda path: _set_middle_cell(path, 0, "nan"),
+    # a solution directory written before the .npy tables existed has
+    # only the CSV, which nothing reads back
+    "table-missing": ("table", os.remove, "No such file"),
+    "table-non-numeric": ("table", lambda path: _edit_table(
+        path, lambda table: table.astype(str)), "2-D <U"),
+    "table-nan-t": ("table", lambda path: _set_middle_cell(path, 0, np.nan),
                     "non-finite value nan in column 't', row 128"),
-    "table-inf-ddf": ("table", lambda path: _set_middle_cell(path, 3, "inf"),
+    "table-inf-ddf": ("table", lambda path: _set_middle_cell(path, 3, np.inf),
                       "non-finite value inf in column 'ddf', row 128"),
-    # a table has no comments: "#" is a non-numeric cell, not the start of
-    # a comment that loadtxt would drop
-    "table-comment-after-a-row": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: [*lines[:2], lines[2] + "#tampered", *lines[3:]]),
-        "profile_momentum.csv"),
-    "table-comment-line": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: [*lines[:2], "# tampered", *lines[2:]]),
-        "profile_momentum.csv"),
-    "table-truncated": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: lines[:len(lines) // 2]), "profile_momentum.csv"),
-    "table-header-only": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: lines[:1]), "profile_momentum.csv"),
-    # columns are read by position, so a header that moves or renames one
-    # would read a table other than the one it describes
-    "table-header-reordered": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: [_swap_cells(line, 3, -1) for line in lines]),
-        "'t,f,df,ddu,"),
-    "table-header-renamed": ("table", lambda path: _rewrite_lines(
-        path, lambda lines: [lines[0].replace(",du,", ",dU,"), *lines[1:]]),
-        "u,dU,ddu' is not "),
+    "table-truncated": ("table", lambda path: _cut_bytes(
+        path, lambda size: size // 2), "could only read"),
+    # the .npy header and no data
+    "table-header-only": ("table", lambda path: _cut_bytes(
+        path, lambda size: _npy_header_bytes(path)),
+        "could only read 0 elements"),
+    # np.load raises EOFError on an empty file
+    "table-empty": ("table", lambda path: _cut_bytes(path, lambda size: 0),
+                    "No data left in file"),
+    # the header's shape in the other order: one row per node
+    "table-header-reordered": ("table", lambda path: _edit_table(
+        path, lambda table: np.ascontiguousarray(table.T)),
+        "profile table has shape (10, 257), the metadata needs (257, 10)"),
+    "table-header-renamed": ("table", _rename_header_key,
+                             "does not contain the correct keys"),
+    "table-int64": ("table", lambda path: _edit_table(
+        path, lambda table: table.astype(np.int64)), "2-D int64 array"),
+    "table-one-dimensional": ("table", lambda path: _edit_table(
+        path, np.ravel), "1-D float64 array"),
+    # refused unread: an object array is pickled
+    "table-object": ("table", _save_object_table, "allow_pickle=False"),
+    "table-not-npy": ("table", lambda path: shutil.copy(
+        path[:-len(".npy")] + ".csv", path), "contains pickled"),
+    "table-npz": ("table", _save_npz, "is an .npz archive"),
 }
 
 
@@ -517,7 +553,7 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
     elif target == "constants":
         _edit_json(constants, edit)
     elif target == "table":
-        edit(str(sol_dir / "profile_momentum.csv"))
+        edit(str(sol_dir / "profile_momentum.npy"))
     else:
         _edit_json(sol_dir / "solution_momentum.json", edit)
     out = str(tmp_path / "o")
@@ -539,7 +575,7 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
         if target in ("solution", "table"):
             # the one line names the file at fault
             bad = ("solution_momentum.json" if target == "solution"
-                   else "profile_momentum.csv")
+                   else "profile_momentum.npy")
             assert str(sol_dir / bad) in err
 
 
@@ -645,15 +681,16 @@ def _verify_and_stability(sol_dir, out, capsys=None):
 
 @pytest.fixture(scope="module")
 def codec_baseline(pipeline, tmp_path_factory):
-    """The pipeline's momentum files and what verify and stability make of
-    them unperturbed."""
+    """The pipeline's momentum metadata and .npy table (no CSV: nothing
+    reads it back) and what verify and stability make of them
+    unperturbed."""
     root = tmp_path_factory.mktemp("codec")
     sol_dir = root / "sol"
     sol_dir.mkdir()
     files = {}
-    for name in ("solution_momentum.json", "profile_momentum.csv"):
+    for name in ("solution_momentum.json", "profile_momentum.npy"):
         shutil.copy(os.path.join(pipeline["out"], name), sol_dir / name)
-        files[name] = (sol_dir / name).read_text()
+        files[name] = (sol_dir / name).read_bytes()
     baseline = _verify_and_stability(sol_dir, root / "out")
     assert [code for code, _, _ in baseline] == [0, 0]
     return files, baseline
@@ -664,7 +701,7 @@ def test_mutation_table_lists_every_number(codec_baseline):
     meta = json.loads(files["solution_momentum.json"])
     assert sorted(_numbers(meta)) == sorted(SOLUTION_NUMBERS)
     assert set(REPORT_ONLY) <= set(SOLUTION_NUMBERS)
-    header = files["profile_momentum.csv"].splitlines()[0].split(",")
+    header = profile_csv_header(1).split(",")
     assert all(header[col] == name for name, col in TABLE_CELLS.items())
 
 
@@ -677,19 +714,18 @@ def test_codec_mutation(field, codec_baseline, tmp_path, capsys):
     files, baseline = codec_baseline
     if field.startswith("table."):
         col = TABLE_CELLS[field[len("table."):]]
-        rows = files["profile_momentum.csv"].splitlines()
-        value = float(rows[len(rows) // 2].split(",")[col])
+        table = np.load(io.BytesIO(files["profile_momentum.npy"]))
+        value = float(table[col, table.shape[1] // 2])
     else:
         value = _numbers(json.loads(files["solution_momentum.json"]))[field]
     for k, moved in enumerate(_perturbed(value)):
         assert moved != value
         sol_dir = tmp_path / f"sol{k}"
         sol_dir.mkdir()
-        for name, text in files.items():
-            (sol_dir / name).write_text(text)
+        for name, content in files.items():
+            (sol_dir / name).write_bytes(content)
         if field.startswith("table."):
-            _set_middle_cell(sol_dir / "profile_momentum.csv", col,
-                             "%.17g" % moved)
+            _set_middle_cell(sol_dir / "profile_momentum.npy", col, moved)
         else:
             _edit_json(sol_dir / "solution_momentum.json",
                        lambda raw: _set_number(raw, field, moved))
@@ -955,14 +991,11 @@ class TestVerify:
     def test_corrupted_profile_exits_4(self, pipeline, tmp_path):
         bad = tmp_path / "bad"
         shutil.copytree(pipeline["out"], bad)
-        data = np.loadtxt(bad / "profile_momentum.csv", delimiter=",",
-                          skiprows=1)
+        table = np.load(bad / "profile_momentum.npy")
         # corrupt u between its ends, which the metadata repeats (a shift
         # of every u moves the gauge shift read off u[0]: a config error)
-        data[1:-1, 7] += 0.2
-        with open(bad / "profile_momentum.csv", "w") as fh:
-            fh.write(profile_csv_header(1) + "\n")
-            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+        table[7, 1:-1] += 0.2
+        np.save(bad / "profile_momentum.npy", table)
         assert run("verify", "--solution", str(bad),
                    "--out", str(tmp_path / "v")) == 4
 
@@ -972,18 +1005,38 @@ class TestVerify:
         # is read by the scheme's nodes, so it no longer describes them
         bad = tmp_path / "bad"
         shutil.copytree(pipeline["out"], bad)
-        path = bad / "profile_momentum.csv"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        data[len(data) // 2, 0] *= 1.0 + 1e-6
-        with open(path, "w") as fh:
-            fh.write(profile_csv_header(1) + "\n")
-            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+
+        def edit(table):
+            table[0, table.shape[1] // 2] *= 1.0 + 1e-6
+            return table
+
+        _edit_table(bad / "profile_momentum.npy", edit)
         capsys.readouterr()
         assert run("verify", "--solution", str(bad),
                    "--out", str(tmp_path / "v")) == 4
         assert capsys.readouterr().err == (
             "verify failed: GeometryError: profile nodes disagree with the "
             "scheme\n")
+
+    @pytest.mark.parametrize("cmd", ["verify", "stability"])
+    def test_last_node_off_T_exits_1(self, pipeline, tmp_path, capsys, cmd):
+        # the table's last t a relative 1e-11 off the metadata's T: the
+        # error is read as the metadata's, as for a moved T
+        bad = tmp_path / "bad"
+        shutil.copytree(pipeline["out"], bad)
+
+        def edit(table):
+            table[0, -1] *= 1.0 + 1e-11
+            return table
+
+        _edit_table(bad / "profile_momentum.npy", edit)
+        capsys.readouterr()
+        assert run(cmd, "--solution", str(bad),
+                   "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad / 'solution_momentum.json'}")
+        assert "is not the last node of the profile table" in err
+        assert err.count("\n") == 1
 
 
 class TestStability:
@@ -1044,14 +1097,11 @@ class TestStability:
         # gauge shift, which is read off u[0], moves with it)
         bad = tmp_path / "shifted"
         shutil.copytree(pipeline["out"], bad)
-        data = np.loadtxt(bad / "profile_momentum.csv", delimiter=",",
-                          skiprows=1)
-        data[:, 7] += 0.3
+        table = np.load(bad / "profile_momentum.npy")
+        table[7] += 0.3
+        np.save(bad / "profile_momentum.npy", table)
         _edit_json(bad / "solution_momentum.json", lambda raw: raw.update(
             gauge_shift=raw["gauge_shift"] - 0.3))
-        with open(bad / "profile_momentum.csv", "w") as fh:
-            fh.write(profile_csv_header(1) + "\n")
-            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
         capsys.readouterr()
         assert run("stability", "--solution", str(bad),
                    "--out", str(tmp_path / "s")) == 4
@@ -1132,7 +1182,8 @@ class TestSerialization:
                            meta["residuals"]["cross_method"])
             pairs.append((pipeline["out"], tmp_path / "c", method))
         for first, second, method in pairs:
-            for name in (f"profile_{method}.csv", f"solution_{method}.json"):
+            for name in (f"profile_{method}.npy", f"profile_{method}.csv",
+                         f"solution_{method}.json"):
                 assert (open(os.path.join(first, name), "rb").read()
                         == open(os.path.join(second, name), "rb").read())
 
@@ -1188,7 +1239,7 @@ class TestSerialization:
             os.umask(previous)
         modes = {name: stat.S_IMODE(os.stat(out / name).st_mode)
                  for name in os.listdir(out)}
-        assert len(modes) == 4 and set(modes.values()) == {mode}
+        assert len(modes) == 6 and set(modes.values()) == {mode}
 
     def test_unknown_solution_key_rejected(self, pipeline, tmp_path):
         # every key the solution writes reads back; any other is named
@@ -1214,6 +1265,69 @@ class TestSerialization:
                 row += [g.l[i, k], g.dl[i, k], g.ddl[i, k]]
             row += [g.u[k], g.du[k], g.ddu[k]]
             assert lines[k + 1] == ",".join(format(v, ".17g") for v in row)
+
+
+class TestTableExport:
+    """The .npy table is what verify and stability read; the CSV is the
+    same table as text, which nothing reads back."""
+
+    @pytest.mark.parametrize("scheme", ["chebyshev", "uniform"])
+    def test_csv_reads_back_as_the_npy_table_bit_for_bit(
+            self, kc_config, constants, tmp_path, scheme):
+        momentum = solver.solve_momentum(kc_config, constants, nodes=128,
+                                         scheme=scheme)
+        routes = {"momentum": momentum,
+                  "warm": solver.solve_shooting(kc_config, constants,
+                                                nodes=128, scheme=scheme,
+                                                start=momentum),
+                  "cold": solver.solve_shooting(kc_config, constants,
+                                                nodes=128, scheme=scheme)}
+        for route, sol in routes.items():
+            out = tmp_path / route
+            write_solution(str(out), sol, None)
+            table = np.load(out / f"profile_{sol.method}.npy")
+            assert table.flags.c_contiguous and table.shape == (10, 129)
+            exported = np.loadtxt(out / f"profile_{sol.method}.csv",
+                                  delimiter=",", skiprows=1).T
+            # bit for bit: -0.0 is not 0.0
+            assert exported.tobytes() == table.tobytes(), route
+            assert table.tobytes() == sol.grid.table().tobytes(), route
+
+    def test_verify_and_stability_need_no_csv(self, pipeline, tmp_path):
+        bare = tmp_path / "bare"
+        shutil.copytree(pipeline["out"], bare)
+        for method in ("momentum", "shooting"):
+            os.remove(bare / f"profile_{method}.csv")
+        for method in ("momentum", "shooting"):
+            for cmd, name in (("verify", f"verify_{method}.json"),
+                              ("stability", f"stability_{method}.csv")):
+                outputs = []
+                for sol_dir in (pipeline["out"], bare):
+                    out = tmp_path / f"{cmd}-{method}-{len(outputs)}"
+                    assert run(cmd, "--solution", str(sol_dir), "--method",
+                               method, "--out", str(out)) == 0
+                    outputs.append((out / name).read_bytes())
+                assert outputs[0] == outputs[1]
+
+    def test_npy_write_holds_only_the_table(self, constants, tmp_path,
+                                            monkeypatch):
+        # three factors at N = 4096: the .npy file is its header and the
+        # (16, 4097) table's own buffer, with no copy of it on the way
+        sol = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
+                                    constants, nodes=4096)
+        monkeypatch.setattr(cli, "_write_chunks_atomic",
+                            lambda path, chunks: None)
+        monkeypatch.setattr(cli, "_write_json", lambda path, payload: None)
+        sol.to_dict()  # the residuals, computed on first use
+        tracemalloc.start()
+        try:
+            write_solution(str(tmp_path), sol, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = np.load(tmp_path / "profile_momentum.npy")
+        assert np.array_equal(table, sol.grid.table())
+        assert peak < 1.1 * table.nbytes
 
 
 # factors of the streamed-table tests: one, two or three of them

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
@@ -83,6 +84,21 @@ class TestProfiles:
         with pytest.raises(StabilityError,
                            match="profile 'spiked' is not finite"):
             p.psi(t)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_derivative_rejected_at_evaluation(self, kc_momentum,
+                                                          bad):
+        # a nan psi' would make the identity check return nan
+        t = kc_momentum.grid.t
+        p = sampled(kc_momentum, np.ones_like(t),
+                    np.where(t == t[len(t) // 2], bad, 0.0), name="spiked")
+        with pytest.raises(StabilityError,
+                           match="derivative of profile 'spiked' is not "
+                                 "finite"):
+            p.dpsi(t)
+        with pytest.raises(StabilityError, match="'spiked'"):
+            ibp_identity_check(kc_momentum, p)
 
 
 class TestSecondVariation:
@@ -309,6 +325,22 @@ class TestVh:
         with pytest.raises(StabilityError, match="source is not finite"):
             v_h_solve(sol, src)
         assert sol.stability_cache == {}
+
+    def test_unresolved_moment_coordinate_rejected(self, constants):
+        # (2, 1e300, 1) in its frame: q s is below the rounding of l^2 and
+        # q^2 underflows, so every X reads -1; without the check the fit
+        # overflows in _inverse_gram
+        sol = solver.solve_momentum(
+            BundleConfig(factors=(BaseFactor(d=2, p=1e300, q=1),)),
+            constants, nodes=128)
+        src = np.cos(np.pi * sol.grid.t / sol.grid.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityError,
+                               match="runs from -1.0 to -1.0, not from -1 "
+                                     "to 1"):
+                v_h_solve(sol, src)
+        assert "vander" not in sol.stability_cache
 
     def test_agrees_with_a_dense_t_grid_solve(self, sol192):
         # independent route: collocate v'' + ((log w)' - u') v' + v = s on

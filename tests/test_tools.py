@@ -71,13 +71,42 @@ def test_moves_names_files_solutions_and_exit_codes(digest_moves, tmp_path,
     assert digest_moves.main([old, new]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"kc/solve/profile_shooting.csv {SHA['a']} -> {SHA['d']}",
-        f"kc/verify/verify_shooting.json - -> {SHA['a']}",
         "kc/solve/profile_shooting.csv mode 600 -> 644",
-        "kc/verify/verify_shooting.json mode - -> 644",
+        f"kc/verify/verify_shooting.json added {SHA['a']} mode 644",
         "kc/solve/solution_shooting.json |dc|=0.12 |dT|=0",
         "kc/solve exit 0 -> 3",
-        "2 file digests moved, 2 file modes changed, 1 c/T lines moved, "
-        "1 exit codes changed",
+        "1 file digests moved, 1 file modes changed, 1 files added, "
+        "0 files removed, 1 c/T lines moved, 1 exit codes changed",
+    ]
+
+
+def test_added_and_removed_files_are_counted_on_their_own(
+        digest_moves, tmp_path, capsys):
+    # new outputs beside unchanged ones are no moved digest: only the
+    # files in both listings can move
+    old = _listing(tmp_path / "old.txt", [
+        f"kc/solve/profile_momentum.csv {SHA['a']}",
+        f"kc/solve/old_report.json {SHA['b']}",
+        "kc/solve/profile_momentum.csv mode 644",
+        "kc/solve/old_report.json mode 600",
+        "kc/solve exit 0",
+    ])
+    new = _listing(tmp_path / "new.txt", [
+        f"kc/solve/profile_momentum.csv {SHA['a']}",
+        f"kc/solve/profile_momentum.npy {SHA['c']}",
+        f"kc/solve/profile_shooting.npy {SHA['d']}",
+        "kc/solve/profile_momentum.csv mode 644",
+        "kc/solve/profile_momentum.npy mode 644",
+        "kc/solve/profile_shooting.npy mode 644",
+        "kc/solve exit 0",
+    ])
+    assert digest_moves.main([old, new]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"kc/solve/profile_momentum.npy added {SHA['c']} mode 644",
+        f"kc/solve/profile_shooting.npy added {SHA['d']} mode 644",
+        f"kc/solve/old_report.json removed {SHA['b']} mode 600",
+        "0 file digests moved, 0 file modes changed, 2 files added, "
+        "1 files removed, 0 c/T lines moved, 0 exit codes changed",
     ]
 
 
@@ -91,8 +120,8 @@ def test_mode_change_alone_is_not_a_digest_move(digest_moves, tmp_path,
     assert digest_moves.main([old, new]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "a.csv mode 600 -> 644",
-        "0 file digests moved, 1 file modes changed, 0 c/T lines moved, "
-        "0 exit codes changed",
+        "0 file digests moved, 1 file modes changed, 0 files added, "
+        "0 files removed, 0 c/T lines moved, 0 exit codes changed",
     ]
 
 
@@ -103,24 +132,30 @@ def test_digests_list_contents_solutions_then_modes(output_digests,
     meta.write_text('{"c_slope": 0.5, "T": 3.25}')
     table = tmp_path / "solve" / "profile_momentum.csv"
     table.write_text("t,f\n")
+    binary = tmp_path / "solve" / "profile_momentum.npy"
+    np.save(binary, np.zeros((2, 3)))
     os.chmod(meta, 0o644)
     os.chmod(table, 0o600)
+    os.chmod(binary, 0o640)
     lines = output_digests.digests(str(tmp_path))
     sha = {p: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in (meta, table)}
+           for p in (meta, table, binary)}
     assert lines == [
         f"solve/profile_momentum.csv {sha[table]}",
+        f"solve/profile_momentum.npy {sha[binary]}",
         f"solve/solution_momentum.json {sha[meta]}",
         "solve/solution_momentum.json c=0.5 T=3.25",
         "solve/profile_momentum.csv mode 600",
+        "solve/profile_momentum.npy mode 640",
         "solve/solution_momentum.json mode 644",
     ]
     # and digest_moves reads every line of it back
     digests, modes, solutions, _ = digest_moves.parse(
         _listing(tmp_path / "listing.txt", lines))
     assert modes == {"solve/profile_momentum.csv": "600",
+                     "solve/profile_momentum.npy": "640",
                      "solve/solution_momentum.json": "644"}
-    assert len(digests) == 2 and len(solutions) == 1
+    assert len(digests) == 3 and len(solutions) == 1
 
 
 def test_command_set_covers_fuzz_and_the_uniform_scheme(output_digests,
@@ -176,6 +211,9 @@ def test_listing_names_the_stability_layer_files(stability_listing,
     names = stability_listing
     calls = ["0-T20", "1-T8", "2-T1", "3-T20"]
     for method in ("momentum", "shooting"):
+        # the solve's table, as read back and as exported
+        assert {f"kc/solve/profile_{method}.npy",
+                f"kc/solve/profile_{method}.csv"} <= names
         vh = f"kc/vh-{method}"
         assert f"{vh}/spectrum.txt" in names
         for call in calls:
@@ -223,8 +261,8 @@ def test_equal_listings_move_nothing(digest_moves, tmp_path, capsys):
     path = _listing(tmp_path / "a.txt", lines)
     assert digest_moves.main([path, path]) == 0
     assert capsys.readouterr().out == (
-        "0 file digests moved, 0 file modes changed, 0 c/T lines moved, "
-        "0 exit codes changed\n")
+        "0 file digests moved, 0 file modes changed, 0 files added, "
+        "0 files removed, 0 c/T lines moved, 0 exit codes changed\n")
 
 
 def test_foreign_line_rejected(digest_moves, tmp_path, capsys):

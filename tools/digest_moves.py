@@ -3,13 +3,16 @@
     python tools/digest_moves.py OLD NEW
 
 OLD and NEW are the listings `tools/output_digests.py` printed for two
-trees.  Prints one line per output file whose sha256 moved,
-`path old_sha256 -> new_sha256` (a file in one listing only shows `-` for
-the other), then one line per output file whose mode changed,
-`path mode old -> new` (`-` likewise), then one line per moved solution
-file, `path |dc|=<g> |dT|=<g>`, then one line per command whose exit code
-changed, `label exit old -> new`, and last a count of each.  Equal
-listings print only the counts, all zero.
+trees.  Prints one line per output file in both listings whose sha256
+moved, `path old_sha256 -> new_sha256`, then one line per output file in
+both whose mode changed, `path mode old -> new`, then one line per file in
+NEW only, `path added <sha256> mode <mode>`, and per file in OLD only,
+`path removed <sha256> mode <mode>` (`-` for a value the listing lacks),
+then one line per moved solution file, `path |dc|=<g> |dT|=<g>`, then one
+line per command whose exit code changed, `label exit old -> new` (`-` for
+a command in one listing only), and last a count of each.  A file that is
+added or removed is counted as that, not as a moved digest or a changed
+mode.  Equal listings print only the counts, all zero.
 """
 
 import re
@@ -44,28 +47,38 @@ def parse(path):
     return digests, modes, solutions, exits
 
 
-def _changed(old: dict, new: dict, kind: str) -> list:
-    """`key kind old -> new` for every key whose value differs, `-` for a
-    key in one dict only."""
+def _changed(old: dict, new: dict, kind: str, keys) -> list:
+    """`key kind old -> new` for each of ``keys`` whose value differs, `-`
+    for a key in one dict only."""
     return [f"{key} {kind}{old.get(key, '-')} -> {new.get(key, '-')}"
-            for key in sorted(old.keys() | new.keys())
-            if old.get(key) != new.get(key)]
+            for key in sorted(keys) if old.get(key) != new.get(key)]
+
+
+def _one_side(digests: dict, modes: dict, paths, kind: str) -> list:
+    """`path kind sha256 mode m` for each of ``paths``, in order."""
+    return [f"{path} {kind} {digests.get(path, '-')} mode "
+            f"{modes.get(path, '-')}" for path in paths]
 
 
 def moves(old, new) -> list:
     """The report lines for listings ``old`` and ``new`` (parsed)."""
     (dig_a, mode_a, sol_a, exit_a), (dig_b, mode_b, sol_b, exit_b) = old, new
-    files = _changed(dig_a, dig_b, "")
-    modes = _changed(mode_a, mode_b, "mode ")
+    paths_a = dig_a.keys() | mode_a.keys()
+    paths_b = dig_b.keys() | mode_b.keys()
+    files = _changed(dig_a, dig_b, "", paths_a & paths_b)
+    modes = _changed(mode_a, mode_b, "mode ", paths_a & paths_b)
+    added = _one_side(dig_b, mode_b, sorted(paths_b - paths_a), "added")
+    removed = _one_side(dig_a, mode_a, sorted(paths_a - paths_b), "removed")
     solutions = []
     for path in sorted(sol_a.keys() & sol_b.keys()):
         (c_a, T_a), (c_b, T_b) = sol_a[path], sol_b[path]
         if (c_a, T_a) != (c_b, T_b):
             solutions.append(f"{path} |dc|={abs(c_b - c_a):.2g} "
                              f"|dT|={abs(T_b - T_a):.2g}")
-    exits = _changed(exit_a, exit_b, "exit ")
-    return files + modes + solutions + exits + [
+    exits = _changed(exit_a, exit_b, "exit ", exit_a.keys() | exit_b.keys())
+    return files + modes + added + removed + solutions + exits + [
         f"{len(files)} file digests moved, {len(modes)} file modes changed, "
+        f"{len(added)} files added, {len(removed)} files removed, "
         f"{len(solutions)} c/T lines moved, {len(exits)} exit codes changed"]
 
 
