@@ -2,10 +2,10 @@
 randomized algebra fuzzer.
 
 All outputs are JSON (reports), CSV (profiles, tables) or .npy (the exact
-profile table that verify and stability read back), written atomically
-(temp file + rename) and deterministic for a fixed seed.  Exit codes:
-0 ok, 1 config error (a usage error too), 2 oracle failure, 3 no soliton
-found, 4 identity failure.
+profile table that verify and stability map back), each written through
+``_atomic_file`` (temp file + rename), deterministic for a fixed seed.
+Exit codes: 0 ok, 1 config error (a usage error too), 2 oracle failure,
+3 no soliton found, 4 identity failure.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import contextlib
 import json
 import os
 import sys
-import zipfile
 
 import numpy as np
 
 from .config import (SOLUTION_METHODS, ConfigError, Tolerances,
                      load_run_config, read_json)
-from .geometry import PinnedConstants, TableShapeError, profile_csv_header
+from .geometry import (PinnedConstants, TableMismatchError, TableShapeError,
+                       profile_csv_header)
 from .oracle import OracleError, pin_constants
 from . import algebra, solver, stability
 
@@ -57,20 +57,11 @@ def _atomic_file(path: str, mode: str):
         raise
 
 
-def _write_chunks_atomic(path: str, chunks):
-    """Write the strings ``chunks``, in order, to ``path`` through
-    ``_atomic_file`` (an exception raised by ``chunks`` leaves ``path`` as
-    it was too).  Only the chunk being written is held, so a large file
-    can be made block by block."""
-    with _atomic_file(path, "w") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-
-
 def _write_atomic(path: str, content: str):
-    """``_write_chunks_atomic`` of one string.  perfbench's tracer spans
-    this function by name and counts ``content`` as ``cli.bytes_written``."""
-    _write_chunks_atomic(path, (content,))
+    """``content`` to ``path`` via ``_atomic_file``; perfbench's tracer spans
+    it by name and counts ``content`` as ``cli.bytes_written``."""
+    with _atomic_file(path, "w") as fh:
+        fh.write(content)
 
 
 def _write_json(path: str, payload: dict):
@@ -87,9 +78,9 @@ PROFILE_BLOCK_ROWS = 256
 
 
 def _profile_csv_blocks(table, r: int):
-    """The profile CSV of ``table``, the ``ProfileGrid.table`` of r factors
-    (one row per column), as text blocks: the header line, then
-    ``PROFILE_BLOCK_ROWS`` rows at a time, every value as ``%.17g``."""
+    """The profile CSV of ``table``, the ``ProfileGrid.table`` of r factors,
+    as text blocks: the header line, then ``PROFILE_BLOCK_ROWS`` nodes at a
+    time, one row each (the table transposed), every value as ``%.17g``."""
     row_fmt = ",".join(["%.17g"] * table.shape[0]) + "\n"
     yield profile_csv_header(r) + "\n"
     for i in range(0, table.shape[1], PROFILE_BLOCK_ROWS):
@@ -102,18 +93,17 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution,
     """Write ``profile_<method>.npy``, ``profile_<method>.csv`` and
     ``solution_<method>.json``, with the pair's ``cross_method`` beside
     the residuals unless it is None (one route).  The .npy file is the
-    float table ``grid.table()`` as it is, its header then its own buffer,
-    which ``read_solution`` loads; the CSV is the same table as text, for
-    plotting, and nothing reads it back.  The CSV is formatted and written
-    in blocks (``_profile_csv_blocks``), so the write holds the float table
-    and one block's strings, and the table is freed before the metadata is
-    made."""
+    float table ``grid.table()`` as it is, its header then its own buffer;
+    the CSV is the same table as text, for plotting, written in blocks
+    (``_profile_csv_blocks``), so the write holds the float table and one
+    block's strings, and the table is freed before the metadata is made."""
     table = sol.grid.table()
     with _atomic_file(os.path.join(out_dir, f"profile_{sol.method}.npy"),
                       "wb") as fh:
         np.save(fh, table, allow_pickle=False)
-    _write_chunks_atomic(os.path.join(out_dir, f"profile_{sol.method}.csv"),
-                         _profile_csv_blocks(table, sol.grid.nfactors))
+    with _atomic_file(os.path.join(out_dir, f"profile_{sol.method}.csv"),
+                      "w") as fh:
+        fh.writelines(_profile_csv_blocks(table, sol.grid.nfactors))
     del table
     meta = sol.to_dict()
     if cross_method is not None:
@@ -123,30 +113,29 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution,
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``, from its JSON
-    metadata and its ``.npy`` table (the CSV is not read); the method
-    stored in the file must be the one its name says.  A table that is
-    missing, empty, truncated, not a .npy file, not a 2-D float64 array,
-    holds a non-finite cell or does not fit the metadata is a ConfigError
-    that names it, and so is metadata that does not make a solution."""
+    and its ``.npy`` table, mapped in ``ProfileGrid.table``'s layout (the
+    CSV is not read); the method stored must be the one the name says.  A
+    table that is missing, not .npy (by its magic bytes), an object array,
+    shorter than its header claims, not 2-D float64, non-finite or unfit
+    for the metadata is a ConfigError naming it, unread where it can be;
+    a T or node count that disagrees with it names both files."""
     meta_path = os.path.join(sol_dir, f"solution_{method}.json")
     meta = read_json(meta_path)
     path = os.path.join(sol_dir, f"profile_{method}.npy")
     try:
-        table = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        # EOFError: an empty file; BadZipFile: one that opens as a zip
+        # reads only .npy, never unpickles, maps no more than the file holds
+        table = np.lib.format.open_memmap(path, mode="r")
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(table, np.ndarray):
-        table.close()
-        raise ConfigError(f"{path} is an .npz archive, not one .npy array")
     if table.ndim != 2 or table.dtype != np.float64:
         raise ConfigError(f"{path} holds a {table.ndim}-D {table.dtype} "
                           "array, not a 2-D float64 table")
     try:
-        # the file holds one row per column of the CSV
-        sol = solver.SolitonSolution.from_dict(meta, table.T)
+        sol = solver.SolitonSolution.from_dict(meta, table)
     except TableShapeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except TableMismatchError as exc:
+        raise ConfigError(f"{meta_path} disagrees with {path}: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{meta_path}: {exc}") from exc
     if sol.method != method:

@@ -30,6 +30,11 @@ class TableShapeError(ConfigError):
     solution."""
 
 
+class TableMismatchError(ConfigError):
+    """Metadata that disagrees with its profile table, in T or the node
+    count: an error of the pair of files, not of either alone."""
+
+
 # oracle.pin_constants chooses A and B from these, each exact in binary
 CANDIDATES = (0.125, 0.25, 0.5, 1.0)
 
@@ -161,7 +166,7 @@ class ProfileGrid:
 
     def table(self) -> np.ndarray:
         """The profiles as rows t, f, df, ddf, l_i, dl_i, ddl_i (per factor),
-        u, du, ddu: the column layout of the profile CSV, transposed (see
+        u, du, ddu, shape (3r+7, N+1): the profile CSV transposed (see
         ``profile_csv_header``)."""
         r = self.nfactors
         out = np.empty((3 * r + 7, self.t.size))
@@ -172,35 +177,33 @@ class ProfileGrid:
 
     @staticmethod
     def from_table(scheme: Scheme, table: np.ndarray, r: int) -> "ProfileGrid":
-        """Inverse of ``table`` for r factors, read from one row per node.
-        The checks run in this order: the shape; every cell finite (a
-        TableShapeError names the first that is not by its column header
-        and row, the node's index from 0); the last node exactly the
-        scheme's length T, or a ConfigError naming both; every node within
-        1e-9 of the scheme's, or a GeometryError."""
-        shape = (scheme.t.size, 3 * r + 7)
+        """Inverse of ``table`` for r factors.  The checks run in this order:
+        the shape; every cell finite (a TableShapeError names the first,
+        node by node, by its column header and its row, the node's index);
+        the last node exactly the scheme's length T, or a TableMismatchError
+        naming both; every node within 1e-9 of the scheme's, or a
+        GeometryError."""
+        shape = (3 * r + 7, scheme.t.size)
         if table.shape != shape:
             raise TableShapeError(f"profile table has shape {table.shape}, "
                                   f"the metadata needs {shape}")
-        bad = np.argwhere(~np.isfinite(table))
+        bad = np.argwhere(~np.isfinite(table.T))
         if bad.size:
             row, col = bad[0]
             raise TableShapeError(
-                f"non-finite value {float(table[row, col])!r} in column "
+                f"non-finite value {float(table[col, row])!r} in column "
                 f"{profile_csv_header(r).split(',')[col]!r}, row {row}")
         T = float(scheme.t[-1])
-        if T != table[-1, 0]:
-            raise ConfigError(f"T = {T!r} is not the last node of the "
-                              f"profile table, t = {float(table[-1, 0])!r}")
-        if np.abs(scheme.t - table[:, 0]).max() > 1e-9:
+        if T != table[0, -1]:
+            raise TableMismatchError(
+                f"T = {T!r} is not the last node of the profile table, "
+                f"t = {float(table[0, -1])!r}")
+        if np.abs(scheme.t - table[0]).max() > 1e-9:
             raise GeometryError("profile nodes disagree with the scheme")
-        # factor columns l1, dl1, ddl1, l2, ... -> (factor, derivative, node)
-        lcols = table[:, 4:4 + 3 * r].T.reshape(r, 3, -1)
         return ProfileGrid(
-            scheme=scheme, f=table[:, 1], df=table[:, 2], ddf=table[:, 3],
-            l=lcols[:, 0], dl=lcols[:, 1], ddl=lcols[:, 2],
-            u=table[:, 3 * r + 4], du=table[:, 3 * r + 5],
-            ddu=table[:, 3 * r + 6],
+            scheme=scheme, f=table[1], df=table[2], ddf=table[3],
+            l=table[4:-3:3], dl=table[5:-3:3], ddl=table[6:-3:3],
+            u=table[-3], du=table[-2], ddu=table[-1],
         )
 
 

@@ -24,6 +24,7 @@ from .geometry import (
     PinnedConstants,
     ProfileGrid,
     RicciProfiles,
+    TableMismatchError,
     hessian_components,
     kaehler_residual,
     ricci_components,
@@ -174,10 +175,11 @@ class SolitonSolution:
 
     @staticmethod
     def from_dict(meta: dict, table: np.ndarray) -> "SolitonSolution":
-        """Inverse of ``to_dict`` plus the profile table, one row per node
-        and one column per name of ``profile_csv_header`` (columns are read
-        by position).  ``T`` must be the last node exactly
-        (``ProfileGrid.from_table`` checks it), and ``c_slope`` and
+        """Inverse of ``to_dict`` plus the ``ProfileGrid.table`` (its rows
+        read by position).  ``nodes`` must fit the table, checked before a
+        scheme of that size is built, and ``T`` be the last node exactly
+        (``ProfileGrid.from_table`` checks it), or a TableMismatchError is
+        raised; ``c_slope`` and
         ``gauge_shift`` what the properties read off u, to within
         1e-12 max(1, |value|).  The ``residuals`` block, when given, must
         be an object; it is a report, re-evaluated on the profiles, and no
@@ -187,8 +189,12 @@ class SolitonSolution:
         config = BundleConfig.from_dict(get_field(meta, "config", dict))
         constants = PinnedConstants.from_dict(get_field(meta, "constants",
                                                         dict))
-        sch = Scheme.of_kind(get_field(meta, "scheme", str),
-                             get_field(meta, "nodes", int),
+        nodes = get_field(meta, "nodes", int)
+        if nodes != table.shape[-1] - 1:
+            raise TableMismatchError(
+                f"n = {nodes}, but the profile table of shape "
+                f"{table.shape} has n = {table.shape[-1] - 1}")
+        sch = Scheme.of_kind(get_field(meta, "scheme", str), nodes,
                              get_field(meta, "T", float))
         get_field(meta, "residuals", dict, {})
         sol = SolitonSolution(

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import shutil
 import stat
 import tracemalloc
@@ -12,8 +13,8 @@ import pytest
 
 from krslab import cli, oracle, solver
 from krslab.config import BaseFactor, BundleConfig, ConfigError
-from krslab.cli import (_write_atomic, _write_chunks_atomic, main,
-                        profile_csv_header, read_solution, write_solution)
+from krslab.cli import (_atomic_file, _write_atomic, main, profile_csv_header,
+                        read_solution, write_solution)
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                       "koiso_cao.json")
@@ -385,6 +386,25 @@ def _save_npz(path):
         np.savez(fh, table=table)
 
 
+def _save_pickle(path):
+    """Replace the .npy table by the same ndarray, pickled."""
+    table = np.load(path)
+    with open(path, "wb") as fh:
+        pickle.dump(table, fh)
+
+
+def _claim_nodes(path, nodes):
+    """Replace the .npy table by a valid header for a (10, nodes) float64
+    table and the first 64 bytes of the old file's data."""
+    start = _npy_header_bytes(path)
+    with open(path, "rb") as fh:
+        data = fh.read()[start:start + 64]
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": "<f8", "fortran_order": False, "shape": (10, nodes)})
+        fh.write(data)
+
+
 # each case: the file it corrupts, the edit, and what the error must name
 # (a "table" edit takes the path of the momentum profile table)
 MALFORMED = {
@@ -486,6 +506,10 @@ MALFORMED = {
                                  lambda raw: raw.update(nodes=3,
                                                         scheme="uniform"),
                                  "n = 3"),
+    # checked against the table before a scheme of that size is built
+    "solution-nodes-huge": ("solution", lambda raw: raw.update(nodes=10**13),
+                            "n = 10000000000000, but the profile table of "
+                            "shape (10, 257) has n = 256"),
     "solution-negated-T": ("solution", lambda raw: raw.update(T=-raw["T"]),
                            "interval length"),
     # the slope and the gauge shift are read off the table, and T is its
@@ -513,30 +537,40 @@ MALFORMED = {
                     "non-finite value nan in column 't', row 128"),
     "table-inf-ddf": ("table", lambda path: _set_middle_cell(path, 3, np.inf),
                       "non-finite value inf in column 'ddf', row 128"),
+    # the table is mapped: data the file lacks is refused unread
     "table-truncated": ("table", lambda path: _cut_bytes(
-        path, lambda size: size // 2), "could only read"),
+        path, lambda size: size // 2), "mmap length is greater than file"),
     # the .npy header and no data
     "table-header-only": ("table", lambda path: _cut_bytes(
         path, lambda size: _npy_header_bytes(path)),
-        "could only read 0 elements"),
-    # np.load raises EOFError on an empty file
+        "mmap length is greater than file"),
+    # a header that claims (10, 10^13) cells over 64 bytes of data
+    "table-header-huge": ("table", lambda path: _claim_nodes(path, 10**13),
+                          "mmap length is greater than file"),
     "table-empty": ("table", lambda path: _cut_bytes(path, lambda size: 0),
-                    "No data left in file"),
+                    "EOF: reading magic string"),
     # the header's shape in the other order: one row per node
     "table-header-reordered": ("table", lambda path: _edit_table(
         path, lambda table: np.ascontiguousarray(table.T)),
-        "profile table has shape (10, 257), the metadata needs (257, 10)"),
+        "n = 256, but the profile table of shape (257, 10) has n = 9"),
     "table-header-renamed": ("table", _rename_header_key,
                              "does not contain the correct keys"),
     "table-int64": ("table", lambda path: _edit_table(
         path, lambda table: table.astype(np.int64)), "2-D int64 array"),
     "table-one-dimensional": ("table", lambda path: _edit_table(
         path, np.ravel), "1-D float64 array"),
-    # refused unread: an object array is pickled
-    "table-object": ("table", _save_object_table, "allow_pickle=False"),
+    # refused unread: an object array is pickled, and a file that is not
+    # .npy (a CSV, an .npz archive, a pickle) by its magic bytes
+    "table-object": ("table", _save_object_table,
+                     "can't be memory-mapped: Python objects in dtype"),
     "table-not-npy": ("table", lambda path: shutil.copy(
-        path[:-len(".npy")] + ".csv", path), "contains pickled"),
-    "table-npz": ("table", _save_npz, "is an .npz archive"),
+        path[:-len(".npy")] + ".csv", path),
+        "the magic string is not correct; expected b'\\x93NUMPY', "
+        "got b't,f,df'"),
+    "table-npz": ("table", _save_npz, "the magic string is not correct; "
+                  "expected b'\\x93NUMPY', got b'PK"),
+    "table-pickle": ("table", _save_pickle, "the magic string is not correct; "
+                     "expected b'\\x93NUMPY', got b'\\x80"),
 }
 
 
@@ -577,6 +611,32 @@ def test_malformed_input_is_a_config_error(case, pipeline, tmp_path, capsys):
             bad = ("solution_momentum.json" if target == "solution"
                    else "profile_momentum.npy")
             assert str(sol_dir / bad) in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda path: _claim_nodes(path, 2**17), lambda path: _claim_nodes(
+        path, 10**13), _save_pickle, _save_object_table,
+], ids=["header-10MB", "header-huge", "pickle", "object"])
+def test_refused_table_is_not_read(edit, pipeline, tmp_path, monkeypatch):
+    # a header's claim is held against the file's size, not allocated (a
+    # (10, 2^17) claim would cost 10 MB), and no pickle is loaded
+    sol_dir = tmp_path / "sol"
+    shutil.copytree(pipeline["out"], sol_dir)
+    edit(str(sol_dir / "profile_momentum.npy"))
+
+    def unpickle(*args, **kwargs):
+        raise AssertionError("the table was unpickled")
+
+    monkeypatch.setattr(pickle, "load", unpickle)
+    monkeypatch.setattr(pickle, "loads", unpickle)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="profile_momentum.npy"):
+            read_solution(str(sol_dir), "momentum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -1035,6 +1095,7 @@ class TestVerify:
                    "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bad / 'solution_momentum.json'}")
+        assert str(bad / "profile_momentum.npy") in err
         assert "is not the last node of the profile table" in err
         assert err.count("\n") == 1
 
@@ -1216,12 +1277,14 @@ class TestSerialization:
 
         path = tmp_path / "out" / "profile_momentum.csv"
         with pytest.raises(RuntimeError, match="second block failed"):
-            _write_chunks_atomic(str(path), chunks())
+            with _atomic_file(str(path), "w") as fh:
+                fh.writelines(chunks())
         assert os.listdir(tmp_path / "out") == []
         # a file already there is left as it was
         path.write_text("old\n")
         with pytest.raises(RuntimeError, match="second block failed"):
-            _write_chunks_atomic(str(path), chunks())
+            with _atomic_file(str(path), "w") as fh:
+                fh.writelines(chunks())
         assert os.listdir(tmp_path / "out") == [path.name]
         assert path.read_text() == "old\n"
 
@@ -1240,6 +1303,36 @@ class TestSerialization:
         modes = {name: stat.S_IMODE(os.stat(out / name).st_mode)
                  for name in os.listdir(out)}
         assert len(modes) == 6 and set(modes.values()) == {mode}
+
+    def test_every_output_goes_through_the_atomic_file(
+            self, pipeline, tmp_path, monkeypatch):
+        written = []
+        atomic_file = cli._atomic_file
+
+        def recording(path, mode):
+            written.append(os.path.abspath(path))
+            return atomic_file(path, mode)
+
+        monkeypatch.setattr(cli, "_atomic_file", recording)
+        sol = tmp_path / "sol"
+        argvs = [("pin-constants", "--out", str(tmp_path / "pin" / "c.json")),
+                 ("fuzz-algebra", "--trials", "8",
+                  "--out", str(tmp_path / "fuzz" / "f.json")),
+                 ("solve", "--config", pipeline["config"], "--constants",
+                  pipeline["constants"], "--out", str(sol))]
+        for cmd in ("verify", "stability"):
+            for method in ("momentum", "shooting"):
+                for config in ((), ("--config", pipeline["config"])):
+                    out = tmp_path / f"{cmd}-{method}-{len(config)}"
+                    argvs.append((cmd, "--solution", str(sol), "--method",
+                                  method, *config, "--out", str(out)))
+        for argv in argvs:
+            assert run(*argv) == 0, argv
+        on_disk = [os.path.join(root, name)
+                   for root, _, names in os.walk(tmp_path) for name in names]
+        assert len(written) == 16
+        assert sorted(written) == sorted(on_disk)
+        assert not [path for path in on_disk if path.endswith(".tmp")]
 
     def test_unknown_solution_key_rejected(self, pipeline, tmp_path):
         # every key the solution writes reads back; any other is named
@@ -1315,8 +1408,8 @@ class TestTableExport:
         # (16, 4097) table's own buffer, with no copy of it on the way
         sol = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
                                     constants, nodes=4096)
-        monkeypatch.setattr(cli, "_write_chunks_atomic",
-                            lambda path, chunks: None)
+        monkeypatch.setattr(cli, "_profile_csv_blocks",
+                            lambda table, r: iter(()))
         monkeypatch.setattr(cli, "_write_json", lambda path, payload: None)
         sol.to_dict()  # the residuals, computed on first use
         tracemalloc.start()

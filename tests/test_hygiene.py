@@ -615,3 +615,54 @@ def test_detector_flags_powers():
               "def k(x):\n"
               "    return x ** 2\n")
     assert powers_in(source, ("f", "g")) == [("g", 5), ("g", 6)]
+
+
+# the reads a profile table could take besides the one mapped .npy reader,
+# ``np.lib.format.open_memmap`` in ``cli.read_solution``
+ARRAY_READERS = {"load", "loadtxt", "genfromtxt", "fromfile", "read_array"}
+
+
+def array_readers(source: str) -> list:
+    """(line, name) of every numpy array reader of ``ARRAY_READERS`` that
+    the source calls through ``np`` or ``numpy`` (``np.lib.format.read_array``
+    included) or imports from a numpy module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(
+                ".")[0] == "numpy":
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in ARRAY_READERS)
+        elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                       ast.Attribute):
+            parts, value = [], node.func
+            while isinstance(value, ast.Attribute):
+                parts.insert(0, value.attr)
+                value = value.value
+            if (isinstance(value, ast.Name) and value.id in ("np", "numpy")
+                    and parts[-1] in ARRAY_READERS):
+                found.append((node.lineno, ".".join([value.id, *parts])))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_table_reader(path):
+    assert array_readers(path.read_text()) == []
+
+
+def test_detector_flags_array_readers():
+    source = ("import json\n"
+              "import numpy as np\n"
+              "from numpy import loadtxt, save\n"
+              "from numpy.lib.format import read_array\n"
+              "a = np.load('t.npy', allow_pickle=False)\n"
+              "b = np.loadtxt('t.csv')\n"
+              "c = np.fromfile('t.bin')\n"
+              "d = np.lib.format.read_array(fh)\n"
+              "e = numpy.genfromtxt('t.csv')\n"
+              "f = np.lib.format.open_memmap('t.npy', mode='r')\n"
+              "g = json.load(fh)\n"
+              "np.save('t.npy', f)\n")
+    assert array_readers(source) == [
+        (3, "loadtxt"), (4, "read_array"), (5, "np.load"), (6, "np.loadtxt"),
+        (7, "np.fromfile"), (8, "np.lib.format.read_array"),
+        (9, "numpy.genfromtxt")]
