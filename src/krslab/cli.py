@@ -145,7 +145,8 @@ def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
 
 # ---------------------------------------------------------------------------
 # commands; main() maps a ConfigError to exit 1, an OracleError to exit 2,
-# and any other OSError or ValueError (a failed precondition) to exit 4
+# and any other OSError or ValueError (a failed precondition) or a
+# MemoryError (an array too large to allocate) to exit 4
 
 
 def cmd_pin_constants(args) -> int:
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"{args.command} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_IDENTITY

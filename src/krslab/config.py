@@ -34,6 +34,8 @@ TAU = 0.5
 # whose floor it was in scipy): below it the step control asks for local
 # errors at the level of the rounding in the stage sums
 ODE_RTOL_FLOOR = 100 * np.finfo(float).eps
+# an integer field above this in magnitude has no float value
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def read_json(path: str) -> dict:
@@ -111,6 +113,10 @@ class BaseFactor:
         )
 
     def __post_init__(self):
+        for name, value in (("dim", self.d), ("twist", self.q)):
+            if abs(value) > _FLOAT_MAX:
+                raise ConfigError(f"factor {name!r} exceeds the largest "
+                                  f"float, {_FLOAT_MAX!r}, in magnitude")
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError(f"factor dimension must be even and >= 2, got {self.d}")
         if not 0 < self.p < np.inf:
@@ -211,15 +217,15 @@ class Tolerances:
     identity: float = 1e-6
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.ode, self.residual, self.identity)):
-            raise ConfigError("tolerances must be positive")
-        if not ODE_RTOL_FLOOR <= self.ode < np.inf:
-            raise ConfigError(f"tolerances.ode must be finite and at least "
+        for name in ("ode", "residual", "identity"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"tolerances.{name} must be positive and "
+                                  f"finite, got {value!r}")
+        if self.ode < ODE_RTOL_FLOOR:
+            raise ConfigError(f"tolerances.ode must be at least "
                               f"{ODE_RTOL_FLOOR:.7g} (100 eps, the ODE "
                               f"integrator's floor), got {self.ode!r}")
-        for name in ("residual", "identity"):
-            if getattr(self, name) == np.inf:
-                raise ConfigError(f"tolerances.{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -63,38 +63,6 @@ _KAEHLER_ROOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class Evaluation:
-    """The curvature and potential quantities of one solved grid, computed
-    once and shared by the residuals, the identities and the stability
-    integrals."""
-
-    ricci: RicciProfiles
-    hessian_u: tuple            # (H_NN, H_UU, H_i) of u
-    lap_u: np.ndarray           # Delta u
-    drift_lap_u: np.ndarray     # Delta_u u = Delta u - |grad u|^2
-    first_integral: np.ndarray  # tau (2 Delta u - |grad u|^2 + R) + u
-    volume: float               # int e^{-u} dV
-    scalar_integral: float      # int R e^{-u} dV
-
-
-def evaluate(grid: ProfileGrid, config: BundleConfig,
-             constants: PinnedConstants) -> Evaluation:
-    """One pass over the grid: Ricci once, then everything built on it."""
-    ric = ricci_components(grid, config, constants)
-    drift = weighted_laplacian(grid, config, grid.u, grid.du, grid.ddu)
-    lap = drift + grid.du * grid.du
-    return Evaluation(
-        ricci=ric,
-        hessian_u=hessian_components(grid),
-        lap_u=lap,
-        drift_lap_u=drift,
-        first_integral=TAU * (2.0 * lap - grid.du**2 + ric.R) + grid.u,
-        volume=weighted_integral(grid, config, np.ones_like(grid.u)),
-        scalar_integral=weighted_integral(grid, config, ric.R),
-    )
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     """Sup-norm residuals of the solved profiles."""
 
@@ -118,12 +86,14 @@ class ResidualReport:
 @dataclass(frozen=True)
 class SolitonSolution:
     """A solved soliton, its own facts only: the disagreement with another
-    solution is the solve's.  Its evaluation record, residual report and the
-    stability layer's per-solution work are computed on first use and
-    cached; ``dataclasses.replace`` gives a new solution that is evaluated
-    afresh; its slope and gauge shift are read off u.  A solution whose grid
-    and config disagree on the number of factors, or whose method is not
-    one of SOLUTION_METHODS, cannot be made."""
+    solution is the solve's.  The quantities that more than one reader
+    takes (Ricci, Delta_u u, the first integral and int R e^{-u} dV), its
+    residual report and the stability layer's per-solution work are
+    computed on first use and cached; ``dataclasses.replace`` gives a new
+    solution that computes them afresh; its slope and gauge shift are read
+    off u.  A solution whose grid and config disagree on the number of
+    factors, or whose method is not one of SOLUTION_METHODS, cannot be
+    made."""
 
     grid: ProfileGrid
     config: BundleConfig
@@ -144,8 +114,26 @@ class SolitonSolution:
     gauge_shift = property(lambda self: float(0.0 - self.grid.u[0]))
 
     @cached_property
-    def evaluation(self) -> Evaluation:
-        return evaluate(self.grid, self.config, self.constants)
+    def ricci(self) -> RicciProfiles:
+        return ricci_components(self.grid, self.config, self.constants)
+
+    @cached_property
+    def drift_lap_u(self) -> np.ndarray:
+        """Delta_u u = Delta u - |grad u|^2."""
+        g = self.grid
+        return weighted_laplacian(g, self.config, g.u, g.du, g.ddu)
+
+    @cached_property
+    def first_integral(self) -> np.ndarray:
+        """tau (2 Delta u - |grad u|^2 + R) + u."""
+        g = self.grid
+        lap = self.drift_lap_u + g.du * g.du
+        return TAU * (2.0 * lap - g.du**2 + self.ricci.R) + g.u
+
+    @cached_property
+    def scalar_integral(self) -> float:
+        """int R e^{-u} dV, the denominator of C(h, g)."""
+        return weighted_integral(self.grid, self.config, self.ricci.R)
 
     @cached_property
     def residuals(self) -> ResidualReport:
@@ -210,19 +198,21 @@ class SolitonSolution:
 
 
 # ---------------------------------------------------------------------------
-# residuals and identities, read off the evaluation record
+# residuals and identities, read off the solution's cached quantities
 
 
 def residual_report(sol: SolitonSolution) -> ResidualReport:
-    grid, config, ev = sol.grid, sol.config, sol.evaluation
-    ric = ev.ricci
-    H_NN, H_UU, H_i = ev.hessian_u
+    grid, config, ric = sol.grid, sol.config, sol.ricci
+    drift = sol.drift_lap_u
+    lap = drift + grid.du * grid.du
+    H_NN, H_UU, H_i = hessian_components(grid)
     # Ric + Hess u - g in the unit frame
     E_N = ric.R_NN + H_NN - 1.0
     E_U = ric.R_UU + H_UU - 1.0
     E_i = ric.R_i + H_i - 1.0
-    trace = ric.R + ev.lap_u - config.n
-    ham = ev.first_integral
+    trace = ric.R + lap - config.n
+    ham = sol.first_integral
+    volume = weighted_integral(grid, config, np.ones_like(grid.u))
     return ResidualReport(
         E_N=float(np.abs(E_N).max()),
         E_U=float(np.abs(E_U).max()),
@@ -230,9 +220,9 @@ def residual_report(sol: SolitonSolution) -> ResidualReport:
         kaehler=float(np.abs(kaehler_residual(grid, config)).max()),
         trace=float(np.abs(trace).max()),
         hamilton=float(np.abs(ham - ham.mean()).max()),
-        delta_uu=float(np.abs(ev.drift_lap_u + 2.0 * grid.u).max()),
-        gauge=abs(weighted_integral(grid, config, grid.u)) / ev.volume,
-        div_integral=abs(weighted_integral(grid, config, ev.drift_lap_u)),
+        delta_uu=float(np.abs(drift + 2.0 * grid.u).max()),
+        gauge=abs(weighted_integral(grid, config, grid.u)) / volume,
+        div_integral=abs(weighted_integral(grid, config, drift)),
     )
 
 

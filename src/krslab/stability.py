@@ -12,7 +12,8 @@ Chebyshev basis, and mapped back to the profile grid.
 The intermediates listed here depend only on the solution and are computed
 at most once per solution; ``sign_explorer`` and ``nu_estimate`` keep
 nothing and compute their results again on every call.  int R e^{-u} dV,
-the denominator of C(h, g), is ``Evaluation.scalar_integral``; the drift
+the denominator of C(h, g), is ``SolitonSolution.scalar_integral``, and
+Ricci, Delta_u u and the first integral are the solution's too; the drift
 coefficient (log w)' - u' of the v_h residual check is kept in the grid's
 measures by ``weighted_laplacian``; the rest is kept on the solution, in
 ``SolitonSolution.stability_cache``, under these keys (N + 1 nodes,
@@ -195,8 +196,8 @@ def c_constant(sol: SolitonSolution, h_kind: str,
     custom: diagonal J-invariant h given by per-direction profiles
     {"h_NN", "h_UU", "h_i"} on the grid.
     """
-    grid, config, ev = sol.grid, sol.config, sol.evaluation
-    denom = ev.scalar_integral
+    grid, config = sol.grid, sol.config
+    denom = sol.scalar_integral
     if abs(denom) < 1e-12:
         raise StabilityError("int R e^{-u} dV vanishes; C(h,g) undefined")
     if h_kind == "anti_invariant":
@@ -210,7 +211,7 @@ def c_constant(sol: SolitonSolution, h_kind: str,
         return denom / denom  # <Ric, g> = R: exactly 1.0
     if h_kind == "custom":
         _check_custom(profiles, config.r, grid.t.size)
-        ric = ev.ricci
+        ric = sol.ricci
         pairing = (
             ric.R_NN * profiles["h_NN"]
             + ric.R_UU * profiles["h_UU"]
@@ -482,7 +483,7 @@ def ibp_identity_check(sol: SolitonSolution,
     grid, config = sol.grid, sol.config
     psi = pert.psi(grid.t)
     dpsi = pert.dpsi(grid.t)
-    direct = weighted_integral(grid, config, sol.evaluation.drift_lap_u * psi)
+    direct = weighted_integral(grid, config, sol.drift_lap_u * psi)
     by_parts = -weighted_integral(grid, config, grid.du * dpsi)
     return abs(direct - by_parts)
 
@@ -550,7 +551,7 @@ def nu_estimate(sol: SolitonSolution, gauge: EntropyGauge) -> dict:
     additive log-volume constant.
     """
     config = sol.config
-    ham = sol.evaluation.first_integral - config.n
+    ham = sol.first_integral - config.n
     mean = ham.mean()
     dev = float(np.abs(ham - mean).max())
     if dev >= 1e-6:

@@ -279,6 +279,23 @@ class TestSolve:
         assert "not pinned" in err and "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_array_too_large_exits_4(self, pipeline, tmp_path, capsys,
+                                     monkeypatch):
+        # a node count whose grid has no room (2^40 nodes asks for TiBs)
+        # fails as a precondition does: one line, no traceback; raised
+        # here, not allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(solver, "solve_momentum", too_large)
+        capsys.readouterr()
+        assert run("solve", "--config", _momentum_config(pipeline, tmp_path),
+                   "--constants", pipeline["constants"],
+                   "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            "solve failed: MemoryError: Unable to allocate 8.00 TiB for an "
+            "array\n")
+
     @pytest.mark.parametrize("field, value", [("max_rel_err", -1.0),
                                               ("samples", 0)])
     def test_out_of_range_constants_exit_4(self, pipeline, tmp_path, capsys,
@@ -412,6 +429,16 @@ MALFORMED = {
                    "'dim'"),
     "grid-nodes": ("config", lambda raw: raw.update(grid={"nodes": "lots"}),
                    "'nodes'"),
+    # exact JSON integers beyond the largest float, which has no value for
+    # them
+    "factor-dim-huge": ("config", lambda raw: raw["factors"][0].update(
+        dim=2 * 10**400), "'dim'"),
+    "factor-twist-huge": ("config", lambda raw: raw["factors"][0].update(
+        twist=10**400), "'twist'"),
+    "solution-dim-huge": ("solution", lambda raw: raw["config"]["factors"][
+        0].update(dim=2 * 10**400), "'dim'"),
+    "solution-twist-huge": ("solution", lambda raw: raw["config"]["factors"][
+        0].update(twist=10**400), "'twist'"),
     # non-finite numbers (JSON's NaN and Infinity tokens)
     "factor-einstein-nan": ("config", lambda raw: raw["factors"][0].update(
         einstein_constant=float("nan")), "Einstein constant"),
@@ -553,6 +580,10 @@ MALFORMED = {
     "table-header-reordered": ("table", lambda path: _edit_table(
         path, lambda table: np.ascontiguousarray(table.T)),
         "n = 256, but the profile table of shape (257, 10) has n = 9"),
+    # three rows more, as if holding a second factor's l, dl and ddl
+    "table-second-factor-rows": ("table", lambda path: _edit_table(
+        path, lambda table: np.vstack([table[:7], table[4:7], table[7:]])),
+        "profile table has shape (13, 257), the metadata needs (10, 257)"),
     "table-header-renamed": ("table", _rename_header_key,
                              "does not contain the correct keys"),
     "table-int64": ("table", lambda path: _edit_table(

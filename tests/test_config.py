@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -115,16 +116,21 @@ class TestTolerances:
     @pytest.mark.parametrize("name", ["ode", "residual", "identity"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
     def test_nonpositive_rejected(self, name, value):
-        with pytest.raises(ConfigError, match="tolerances must be positive"):
+        # the one line names the field and the value
+        with pytest.raises(ConfigError, match=rf"^tolerances\.{name} must "
+                           rf"be positive and finite, got "
+                           rf"{re.escape(repr(value))}$"):
             Tolerances(**{name: value})
 
     @pytest.mark.parametrize("value", [1e-15, 2.2e-14, float("inf")])
     def test_ode_outside_the_integrators_range_rejected(self, value):
         # below 100 eps DOP853's step control would chase the rounding of
         # its own stage sums, and an infinite tolerance is no tolerance
-        with pytest.raises(ConfigError, match=r"tolerances\.ode must be "
-                           r"finite and at least 2\.220446e-14 .* got "
-                           + repr(value)):
+        rule = ("positive and finite" if value == np.inf else
+                r"at least 2\.220446e-14 \(100 eps, the ODE integrator's "
+                r"floor\)")
+        with pytest.raises(ConfigError, match=rf"^tolerances\.ode must be "
+                           rf"{rule}, got {re.escape(repr(value))}$"):
             Tolerances(ode=value)
 
     def test_ode_at_the_floor_accepted(self):

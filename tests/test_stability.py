@@ -134,7 +134,7 @@ class TestSecondVariation:
         # (sum kappa) times the residual report's int (Delta_u u) e^{-u} dV
         for label, sol in reference_solutions.items():
             lap = weighted_integral(sol.grid, sol.config,
-                                    sol.evaluation.drift_lap_u)
+                                    sol.drift_lap_u)
             for kappas in ((1.0,) * sol.config.r,
                            tuple(0.5 + 2 * i for i in range(sol.config.r))):
                 got = dw_theorem_check(sol, constant_profile(kappas))
@@ -202,8 +202,7 @@ class TestCConstant:
 
     def test_vanishing_denominator_rejected(self, kc_momentum):
         sol = replace(kc_momentum)
-        object.__setattr__(sol, "evaluation", replace(
-            kc_momentum.evaluation, scalar_integral=0.0))
+        object.__setattr__(sol, "scalar_integral", 0.0)
         with pytest.raises(StabilityError, match=r"^int R e\^\{-u\} dV "
                            r"vanishes; C\(h,g\) undefined$"):
             c_constant(sol, "metric_direction")
@@ -821,7 +820,7 @@ class TestSingleEvaluation:
             c_constant(sol, "custom", _custom_h(sol))
             for k in range(10):
                 v_h_solve(sol, np.cos((k % 4) * np.pi * t / sol.grid.T))
-            R = sol.evaluation.ricci.R
+            R = sol.ricci.R
             return sum(F is R for F in integrands), len(slopes)
 
         sol = solver.solve_momentum(kc_config, constants, nodes=256)
@@ -840,7 +839,7 @@ class TestSingleEvaluation:
 
         g = kc_momentum.grid
         moved = replace(kc_momentum, grid=replace(g, u=g.u + 0.3))
-        assert moved.evaluation is not kc_momentum.evaluation
-        assert np.allclose(moved.evaluation.first_integral,
-                           kc_momentum.evaluation.first_integral + 0.3,
+        assert moved.first_integral is not kc_momentum.first_integral
+        assert np.allclose(moved.first_integral,
+                           kc_momentum.first_integral + 0.3,
                            rtol=0.0, atol=1e-13)
