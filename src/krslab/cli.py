@@ -1,11 +1,11 @@
 """Batch front door: pin-constants -> solve -> verify -> stability, plus the
 randomized algebra fuzzer.
 
-All outputs are JSON (reports), CSV (profiles, tables) or .npy (the exact
-profile table that verify and stability map back), each written through
-``_atomic_file`` (temp file + rename), deterministic for a fixed seed.
-Exit codes: 0 ok, 1 config error (a usage error too), 2 oracle failure,
-3 no soliton found, 4 identity failure.
+All outputs are JSON (reports), CSV (the stability table) or .npy (the
+exact profile table that verify and stability map back), each written
+through ``_atomic_file`` (temp file + rename), deterministic for a fixed
+seed.  Exit codes: 0 ok, 1 config error (a usage error too), 2 oracle
+failure, 3 no soliton found, 4 identity failure.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import (SOLUTION_METHODS, ConfigError, Tolerances,
                      load_run_config, read_json)
-from .geometry import (PinnedConstants, TableMismatchError, TableShapeError,
-                       profile_csv_header)
+from .geometry import PinnedConstants, TableMismatchError, TableShapeError
 from .oracle import OracleError, pin_constants
 from . import algebra, solver, stability
 
@@ -72,39 +71,15 @@ def _write_json(path: str, payload: dict):
 # solution (de)serialization
 
 
-# rows of the profile table formatted at a time: a write holds one
-# block's strings, whatever the number of nodes
-PROFILE_BLOCK_ROWS = 256
-
-
-def _profile_csv_blocks(table, r: int):
-    """The profile CSV of ``table``, the ``ProfileGrid.table`` of r factors,
-    as text blocks: the header line, then ``PROFILE_BLOCK_ROWS`` nodes at a
-    time, one row each (the table transposed), every value as ``%.17g``."""
-    row_fmt = ",".join(["%.17g"] * table.shape[0]) + "\n"
-    yield profile_csv_header(r) + "\n"
-    for i in range(0, table.shape[1], PROFILE_BLOCK_ROWS):
-        block = table[:, i:i + PROFILE_BLOCK_ROWS].T
-        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
-
-
 def write_solution(out_dir: str, sol: solver.SolitonSolution,
                    cross_method: float | None):
-    """Write ``profile_<method>.npy``, ``profile_<method>.csv`` and
-    ``solution_<method>.json``, with the pair's ``cross_method`` beside
-    the residuals unless it is None (one route).  The .npy file is the
-    float table ``grid.table()`` as it is, its header then its own buffer;
-    the CSV is the same table as text, for plotting, written in blocks
-    (``_profile_csv_blocks``), so the write holds the float table and one
-    block's strings, and the table is freed before the metadata is made."""
-    table = sol.grid.table()
+    """Write ``profile_<method>.npy`` and ``solution_<method>.json``, with
+    the pair's ``cross_method`` beside the residuals unless it is None (one
+    route).  The .npy file is the float table ``grid.table()`` as it is, its
+    header then its own buffer."""
     with _atomic_file(os.path.join(out_dir, f"profile_{sol.method}.npy"),
                       "wb") as fh:
-        np.save(fh, table, allow_pickle=False)
-    with _atomic_file(os.path.join(out_dir, f"profile_{sol.method}.csv"),
-                      "w") as fh:
-        fh.writelines(_profile_csv_blocks(table, sol.grid.nfactors))
-    del table
+        np.save(fh, sol.grid.table(), allow_pickle=False)
     meta = sol.to_dict()
     if cross_method is not None:
         meta["residuals"]["cross_method"] = cross_method
@@ -113,12 +88,12 @@ def write_solution(out_dir: str, sol: solver.SolitonSolution,
 
 def read_solution(sol_dir: str, method: str) -> solver.SolitonSolution:
     """The solution ``write_solution`` wrote for ``method``, from its JSON
-    and its ``.npy`` table, mapped in ``ProfileGrid.table``'s layout (the
-    CSV is not read); the method stored must be the one the name says.  A
-    table that is missing, not .npy (by its magic bytes), an object array,
-    shorter than its header claims, not 2-D float64, non-finite or unfit
-    for the metadata is a ConfigError naming it, unread where it can be;
-    a T or node count that disagrees with it names both files."""
+    and its ``.npy`` table, mapped in ``ProfileGrid.table``'s layout; the
+    method stored must be the one the name says.  A table that is missing,
+    not .npy (by its magic bytes), an object array, shorter than its header
+    claims, not 2-D float64, non-finite or unfit for the metadata is a
+    ConfigError naming it, unread where it can be; a T or node count that
+    disagrees with it names both files."""
     meta_path = os.path.join(sol_dir, f"solution_{method}.json")
     meta = read_json(meta_path)
     path = os.path.join(sol_dir, f"profile_{method}.npy")

@@ -166,8 +166,8 @@ class ProfileGrid:
 
     def table(self) -> np.ndarray:
         """The profiles as rows t, f, df, ddf, l_i, dl_i, ddl_i (per factor),
-        u, du, ddu, shape (3r+7, N+1): the profile CSV transposed (see
-        ``profile_csv_header``)."""
+        u, du, ddu, shape (3r+7, N+1), named in order by
+        ``profile_csv_header``."""
         r = self.nfactors
         out = np.empty((3 * r + 7, self.t.size))
         out[0], out[1], out[2], out[3] = self.t, self.f, self.df, self.ddf
@@ -208,8 +208,8 @@ class ProfileGrid:
 
 
 def profile_csv_header(r: int) -> str:
-    """Header line of the profile CSV for r factors: the names of the rows
-    of ``ProfileGrid.table``, in order."""
+    """The names of the rows of ``ProfileGrid.table`` for r factors, in
+    order: the header line of README's plotting CSV."""
     cols = ["t", "f", "df", "ddf"]
     for i in range(1, r + 1):
         cols += [f"l{i}", f"dl{i}", f"ddl{i}"]

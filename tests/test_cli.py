@@ -13,8 +13,9 @@ import pytest
 
 from krslab import cli, oracle, solver
 from krslab.config import BaseFactor, BundleConfig, ConfigError
-from krslab.cli import (_atomic_file, _write_atomic, main, profile_csv_header,
-                        read_solution, write_solution)
+from krslab.cli import (_atomic_file, _write_atomic, main, read_solution,
+                        write_solution)
+from krslab.geometry import profile_csv_header
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                       "koiso_cao.json")
@@ -92,10 +93,23 @@ class TestSolve:
                 open(os.path.join(out, f"solution_{method}.json")).read())
             assert meta["method"] == method
             assert meta["residuals"]["cross_method"] < 1e-6
-            with open(os.path.join(out, f"profile_{method}.csv")) as fh:
-                header = fh.readline().strip()
-            assert header == profile_csv_header(1)
+            # one row per column of the plotting CSV's header
+            header = profile_csv_header(1)
             assert header == "t,f,df,ddf,l1,dl1,ddl1,u,du,ddu"
+            table = np.load(os.path.join(out, f"profile_{method}.npy"))
+            assert table.shape == (len(header.split(",")), 257)
+
+    @pytest.mark.parametrize("method", ["both", "shooting"])
+    def test_solve_writes_only_the_table_and_the_metadata(
+            self, pipeline, tmp_path, method):
+        cfg = _momentum_config(pipeline, tmp_path, method=method)
+        out = tmp_path / "o"
+        assert run("solve", "--config", cfg, "--constants",
+                   pipeline["constants"], "--out", str(out)) == 0
+        methods = ("momentum", "shooting") if method == "both" else (method,)
+        assert sorted(os.listdir(out)) == sorted(
+            name for m in methods
+            for name in (f"solution_{m}.json", f"profile_{m}.npy"))
 
     def test_invalid_twist_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -203,8 +217,7 @@ class TestSolve:
         out2 = str(tmp_path / "out2")
         assert run("solve", "--config", pipeline["config"], "--constants",
                    pipeline["constants"], "--out", out2) == 0
-        for name in ("profile_momentum.npy", "profile_momentum.csv",
-                     "solution_momentum.json"):
+        for name in ("profile_momentum.npy", "solution_momentum.json"):
             a = open(os.path.join(pipeline["out"], name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
@@ -322,7 +335,6 @@ class TestSolve:
         for method in ("momentum", "shooting"):
             assert (out / f"solution_{method}.json").is_file()
             assert (out / f"profile_{method}.npy").is_file()
-            assert (out / f"profile_{method}.csv").is_file()
 
     def test_cross_method_disagreement_exits_4(self, pipeline, tmp_path,
                                                monkeypatch):
@@ -394,6 +406,14 @@ def _save_object_table(path):
     """Replace the .npy table by the same values as an object array."""
     table = np.load(path)
     np.save(path, table.astype(object), allow_pickle=True)
+
+
+def _save_csv(path):
+    """Replace the .npy table by the same values as CSV text, made by
+    README's plotting recipe."""
+    table = np.load(path)
+    np.savetxt(path, table.T, fmt="%.17g", delimiter=",",
+               header=profile_csv_header(1), comments="")
 
 
 def _save_npz(path):
@@ -594,8 +614,7 @@ MALFORMED = {
     # .npy (a CSV, an .npz archive, a pickle) by its magic bytes
     "table-object": ("table", _save_object_table,
                      "can't be memory-mapped: Python objects in dtype"),
-    "table-not-npy": ("table", lambda path: shutil.copy(
-        path[:-len(".npy")] + ".csv", path),
+    "table-not-npy": ("table", _save_csv,
         "the magic string is not correct; expected b'\\x93NUMPY', "
         "got b't,f,df'"),
     "table-npz": ("table", _save_npz, "the magic string is not correct; "
@@ -772,9 +791,8 @@ def _verify_and_stability(sol_dir, out, capsys=None):
 
 @pytest.fixture(scope="module")
 def codec_baseline(pipeline, tmp_path_factory):
-    """The pipeline's momentum metadata and .npy table (no CSV: nothing
-    reads it back) and what verify and stability make of them
-    unperturbed."""
+    """The pipeline's momentum metadata and .npy table and what verify and
+    stability make of them unperturbed."""
     root = tmp_path_factory.mktemp("codec")
     sol_dir = root / "sol"
     sol_dir.mkdir()
@@ -1274,8 +1292,7 @@ class TestSerialization:
                            meta["residuals"]["cross_method"])
             pairs.append((pipeline["out"], tmp_path / "c", method))
         for first, second, method in pairs:
-            for name in (f"profile_{method}.npy", f"profile_{method}.csv",
-                         f"solution_{method}.json"):
+            for name in (f"profile_{method}.npy", f"solution_{method}.json"):
                 assert (open(os.path.join(first, name), "rb").read()
                         == open(os.path.join(second, name), "rb").read())
 
@@ -1306,7 +1323,7 @@ class TestSerialization:
             yield "t,f\n0,0\n"
             raise RuntimeError("second block failed")
 
-        path = tmp_path / "out" / "profile_momentum.csv"
+        path = tmp_path / "out" / "table.txt"
         with pytest.raises(RuntimeError, match="second block failed"):
             with _atomic_file(str(path), "w") as fh:
                 fh.writelines(chunks())
@@ -1333,7 +1350,7 @@ class TestSerialization:
             os.umask(previous)
         modes = {name: stat.S_IMODE(os.stat(out / name).st_mode)
                  for name in os.listdir(out)}
-        assert len(modes) == 6 and set(modes.values()) == {mode}
+        assert len(modes) == 4 and set(modes.values()) == {mode}
 
     def test_every_output_goes_through_the_atomic_file(
             self, pipeline, tmp_path, monkeypatch):
@@ -1361,7 +1378,7 @@ class TestSerialization:
             assert run(*argv) == 0, argv
         on_disk = [os.path.join(root, name)
                    for root, _, names in os.walk(tmp_path) for name in names]
-        assert len(written) == 16
+        assert len(written) == 14
         assert sorted(written) == sorted(on_disk)
         assert not [path for path in on_disk if path.endswith(".tmp")]
 
@@ -1374,59 +1391,56 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="'nodez'"):
             read_solution(str(sol_dir), "momentum")
 
-    def test_profile_csv_columns_and_digits(self, two_factor_momentum,
-                                            tmp_path):
-        # every value printed with format(., ".17g") in header column order
-        g = two_factor_momentum.grid
-        write_solution(str(tmp_path), two_factor_momentum, None)
-        with open(tmp_path / "profile_momentum.csv") as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == profile_csv_header(2)
-        assert len(lines) == g.t.size + 1
-        for k in (0, 1, g.t.size // 2, g.t.size - 1):
-            row = [g.t[k], g.f[k], g.df[k], g.ddf[k]]
-            for i in range(2):
-                row += [g.l[i, k], g.dl[i, k], g.ddl[i, k]]
-            row += [g.u[k], g.du[k], g.ddu[k]]
-            assert lines[k + 1] == ",".join(format(v, ".17g") for v in row)
-
 
 class TestTableExport:
-    """The .npy table is what verify and stability read; the CSV is the
-    same table as text, which nothing reads back."""
+    """The .npy table is what verify and stability read, and README's
+    recipe makes the plotting CSV from it."""
 
     @pytest.mark.parametrize("scheme", ["chebyshev", "uniform"])
-    def test_csv_reads_back_as_the_npy_table_bit_for_bit(
-            self, kc_config, constants, tmp_path, scheme):
-        momentum = solver.solve_momentum(kc_config, constants, nodes=128,
+    @pytest.mark.parametrize("nfactors", [1, 2, 3])
+    def test_readme_recipe_gives_the_one_shot_csv(
+            self, constants, tmp_path, nfactors, scheme):
+        config = BundleConfig(factors=STREAM_FACTORS[:nfactors])
+        momentum = solver.solve_momentum(config, constants, nodes=128,
                                          scheme=scheme)
         routes = {"momentum": momentum,
-                  "warm": solver.solve_shooting(kc_config, constants,
+                  "warm": solver.solve_shooting(config, constants,
                                                 nodes=128, scheme=scheme,
                                                 start=momentum),
-                  "cold": solver.solve_shooting(kc_config, constants,
+                  "cold": solver.solve_shooting(config, constants,
                                                 nodes=128, scheme=scheme)}
+        signed_zeros = 0
         for route, sol in routes.items():
             out = tmp_path / route
             write_solution(str(out), sol, None)
-            table = np.load(out / f"profile_{sol.method}.npy")
-            assert table.flags.c_contiguous and table.shape == (10, 129)
-            exported = np.loadtxt(out / f"profile_{sol.method}.csv",
-                                  delimiter=",", skiprows=1).T
-            # bit for bit: -0.0 is not 0.0
-            assert exported.tobytes() == table.tobytes(), route
-            assert table.tobytes() == sol.grid.table().tobytes(), route
+            npy = out / f"profile_{sol.method}.npy"
+            csv = out / f"profile_{sol.method}.csv"
+            np.savetxt(csv, np.load(npy).T, fmt="%.17g", delimiter=",",
+                       header=profile_csv_header(nfactors), comments="")
+            assert csv.read_bytes() == _one_shot_table(sol), route
+            table = sol.grid.table()
+            signed_zeros += np.count_nonzero((table == 0) & np.signbit(table))
+        # "-0" and "0" are both written
+        assert signed_zeros > 0
 
     def test_verify_and_stability_need_no_csv(self, pipeline, tmp_path):
-        bare = tmp_path / "bare"
-        shutil.copytree(pipeline["out"], bare)
+        # a profile CSV left in a reused output directory is neither
+        # rewritten by solve nor read by verify and stability
+        assert not [name for name in os.listdir(pipeline["out"])
+                    if name.endswith(".csv")]
+        stale = tmp_path / "stale"
+        stale.mkdir()
         for method in ("momentum", "shooting"):
-            os.remove(bare / f"profile_{method}.csv")
+            (stale / f"profile_{method}.csv").write_text("t,f\nstale,0\n")
+        assert run("solve", "--config", pipeline["config"], "--constants",
+                   pipeline["constants"], "--out", str(stale)) == 0
         for method in ("momentum", "shooting"):
+            assert ((stale / f"profile_{method}.csv").read_text()
+                    == "t,f\nstale,0\n")
             for cmd, name in (("verify", f"verify_{method}.json"),
                               ("stability", f"stability_{method}.csv")):
                 outputs = []
-                for sol_dir in (pipeline["out"], bare):
+                for sol_dir in (pipeline["out"], stale):
                     out = tmp_path / f"{cmd}-{method}-{len(outputs)}"
                     assert run(cmd, "--solution", str(sol_dir), "--method",
                                method, "--out", str(out)) == 0
@@ -1439,8 +1453,6 @@ class TestTableExport:
         # (16, 4097) table's own buffer, with no copy of it on the way
         sol = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
                                     constants, nodes=4096)
-        monkeypatch.setattr(cli, "_profile_csv_blocks",
-                            lambda table, r: iter(()))
         monkeypatch.setattr(cli, "_write_json", lambda path, payload: None)
         sol.to_dict()  # the residuals, computed on first use
         tracemalloc.start()
@@ -1453,55 +1465,9 @@ class TestTableExport:
         assert np.array_equal(table, sol.grid.table())
         assert peak < 1.1 * table.nbytes
 
-
-# factors of the streamed-table tests: one, two or three of them
-STREAM_FACTORS = (BaseFactor(d=2, p=2.0, q=1), BaseFactor(d=4, p=3.0, q=1),
-                  BaseFactor(d=2, p=3.0, q=-1))
-
-
-def _one_shot_table(sol) -> bytes:
-    """The profile table formatted whole, every row's string at once."""
-    cols = sol.grid.table()
-    fmt = ",".join(["%.17g"] * cols.shape[0])
-    lines = [profile_csv_header(sol.grid.nfactors)]
-    lines += [fmt % tuple(row) for row in cols.T.tolist()]
-    return ("\n".join(lines) + "\n").encode()
-
-
-class TestStreamedTable:
-    @pytest.mark.parametrize("rows", [255, 256, 257, 512, 513, 1025])
-    @pytest.mark.parametrize("nfactors", [1, 2, 3])
-    def test_blocks_equal_the_one_shot_table(self, constants, tmp_path,
-                                             rows, nfactors):
-        # row counts on both sides of the block edges
-        assert cli.PROFILE_BLOCK_ROWS == 256
-        config = BundleConfig(factors=STREAM_FACTORS[:nfactors])
-        momentum = solver.solve_momentum(config, constants, nodes=rows - 1)
-        shooting = solver.solve_shooting(config, constants, nodes=rows - 1,
-                                         start=momentum)
-        for sol in (momentum, shooting):
-            assert sol.grid.t.size == rows
-            write_solution(str(tmp_path), sol, None)
-            with open(tmp_path / f"profile_{sol.method}.csv", "rb") as fh:
-                assert fh.read() == _one_shot_table(sol)
-
-    def test_write_holds_one_block_of_strings(self, constants, tmp_path):
-        # three factors at N = 4096: the (16, 4097) float table is 0.5 MB,
-        # a string per cell would be about 4.5 MB
-        sol = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
-                                    constants, nodes=4096)
-        sol.to_dict()  # the residuals, computed on first use
-        tracemalloc.start()
-        try:
-            write_solution(str(tmp_path), sol, None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5e6
-
     def test_table_fills_one_array(self, constants):
         # three factors at N = 4096: the profile rows are copied once into
-        # the (16, 4097) result, in the CSV's column order
+        # the (16, 4097) result, in the header's order
         g = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
                                   constants, nodes=4096).grid
         tracemalloc.start()
@@ -1515,3 +1481,17 @@ class TestStreamedTable:
                        for row in (g.l[i], g.dl[i], g.ddl[i])]
         assert np.array_equal(table, np.array([
             g.t, g.f, g.df, g.ddf, *factor_rows, g.u, g.du, g.ddu]))
+
+
+# factors of the table tests: one, two or three of them
+STREAM_FACTORS = (BaseFactor(d=2, p=2.0, q=1), BaseFactor(d=4, p=3.0, q=1),
+                  BaseFactor(d=2, p=3.0, q=-1))
+
+
+def _one_shot_table(sol) -> bytes:
+    """The profile table formatted whole, every row's string at once."""
+    cols = sol.grid.table()
+    fmt = ",".join(["%.17g"] * cols.shape[0])
+    lines = [profile_csv_header(sol.grid.nfactors)]
+    lines += [fmt % tuple(row) for row in cols.T.tolist()]
+    return ("\n".join(lines) + "\n").encode()

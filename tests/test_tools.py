@@ -211,9 +211,10 @@ def test_listing_names_the_stability_layer_files(stability_listing,
     names = stability_listing
     calls = ["0-T20", "1-T8", "2-T1", "3-T20"]
     for method in ("momentum", "shooting"):
-        # the solve's table, as read back and as exported
+        # the solve's table and metadata, and no profile CSV
         assert {f"kc/solve/profile_{method}.npy",
-                f"kc/solve/profile_{method}.csv"} <= names
+                f"kc/solve/solution_{method}.json"} <= names
+        assert f"kc/solve/profile_{method}.csv" not in names
         vh = f"kc/vh-{method}"
         assert f"{vh}/spectrum.txt" in names
         for call in calls:

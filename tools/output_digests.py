@@ -25,9 +25,8 @@ constant p / 4^k in (1, 4]), each with method both and with method
 shooting alone (cold shooting takes about 0.4 to 1.5 s per bundle, about
 1 s on three S^2 factors, on a 2-vCPU host).  Every solve uses the seed-0
 constants.  Each solve writes, per method, `profile_<m>.npy` (the exact
-table that `verify`, `stability` and `cli.read_solution` read),
-`profile_<m>.csv` (the same table as `%.17g` text, which nothing reads
-back) and `solution_<m>.json`, and the listing covers all three.
+table that `verify`, `stability` and `cli.read_solution` read) and
+`solution_<m>.json`, and the listing covers both.
 
 No `krs` command reaches the v_h solve, so the stability layer is run
 in-process on each pipeline's two solutions, read back with
