@@ -416,6 +416,16 @@ def _save_csv(path):
                header=profile_csv_header(1), comments="")
 
 
+def _export_csv(sol_dir, sol):
+    """README's plotting recipe: profile_<m>.csv made from profile_<m>.npy
+    in ``sol_dir``; returns the CSV's path."""
+    npy = sol_dir / f"profile_{sol.method}.npy"
+    csv = sol_dir / f"profile_{sol.method}.csv"
+    np.savetxt(csv, np.load(npy).T, fmt="%.17g", delimiter=",",
+               header=profile_csv_header(sol.grid.nfactors), comments="")
+    return csv
+
+
 def _save_npz(path):
     """Replace the .npy table by an .npz archive that holds it."""
     table = np.load(path)
@@ -1391,6 +1401,23 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="'nodez'"):
             read_solution(str(sol_dir), "momentum")
 
+    def test_profile_csv_columns_and_digits(self, two_factor_momentum,
+                                            tmp_path):
+        # README's recipe prints every value with format(., ".17g") in
+        # header column order
+        g = two_factor_momentum.grid
+        write_solution(str(tmp_path), two_factor_momentum, None)
+        csv = _export_csv(tmp_path, two_factor_momentum)
+        lines = csv.read_text().splitlines()
+        assert lines[0] == profile_csv_header(2)
+        assert len(lines) == g.t.size + 1
+        for k in (0, 1, g.t.size // 2, g.t.size - 1):
+            row = [g.t[k], g.f[k], g.df[k], g.ddf[k]]
+            for i in range(2):
+                row += [g.l[i, k], g.dl[i, k], g.ddl[i, k]]
+            row += [g.u[k], g.du[k], g.ddu[k]]
+            assert lines[k + 1] == ",".join(format(v, ".17g") for v in row)
+
 
 class TestTableExport:
     """The .npy table is what verify and stability read, and README's
@@ -1413,15 +1440,34 @@ class TestTableExport:
         for route, sol in routes.items():
             out = tmp_path / route
             write_solution(str(out), sol, None)
-            npy = out / f"profile_{sol.method}.npy"
-            csv = out / f"profile_{sol.method}.csv"
-            np.savetxt(csv, np.load(npy).T, fmt="%.17g", delimiter=",",
-                       header=profile_csv_header(nfactors), comments="")
+            csv = _export_csv(out, sol)
             assert csv.read_bytes() == _one_shot_table(sol), route
             table = sol.grid.table()
             signed_zeros += np.count_nonzero((table == 0) & np.signbit(table))
         # "-0" and "0" are both written
         assert signed_zeros > 0
+
+    @pytest.mark.parametrize("scheme", ["chebyshev", "uniform"])
+    def test_csv_reads_back_as_the_npy_table_bit_for_bit(
+            self, kc_config, constants, tmp_path, scheme):
+        momentum = solver.solve_momentum(kc_config, constants, nodes=128,
+                                         scheme=scheme)
+        routes = {"momentum": momentum,
+                  "warm": solver.solve_shooting(kc_config, constants,
+                                                nodes=128, scheme=scheme,
+                                                start=momentum),
+                  "cold": solver.solve_shooting(kc_config, constants,
+                                                nodes=128, scheme=scheme)}
+        for route, sol in routes.items():
+            out = tmp_path / route
+            write_solution(str(out), sol, None)
+            table = np.load(out / f"profile_{sol.method}.npy")
+            assert table.flags.c_contiguous and table.shape == (10, 129)
+            exported = np.loadtxt(_export_csv(out, sol), delimiter=",",
+                                  skiprows=1).T
+            # bit for bit: -0.0 is not 0.0
+            assert exported.tobytes() == table.tobytes(), route
+            assert table.tobytes() == sol.grid.table().tobytes(), route
 
     def test_verify_and_stability_need_no_csv(self, pipeline, tmp_path):
         # a profile CSV left in a reused output directory is neither
@@ -1465,6 +1511,57 @@ class TestTableExport:
         assert np.array_equal(table, sol.grid.table())
         assert peak < 1.1 * table.nbytes
 
+
+# factors of the table tests: one, two or three of them
+STREAM_FACTORS = (BaseFactor(d=2, p=2.0, q=1), BaseFactor(d=4, p=3.0, q=1),
+                  BaseFactor(d=2, p=3.0, q=-1))
+
+
+def _one_shot_table(sol) -> bytes:
+    """The profile table formatted whole, every row's string at once."""
+    cols = sol.grid.table()
+    fmt = ",".join(["%.17g"] * cols.shape[0])
+    lines = [profile_csv_header(sol.grid.nfactors)]
+    lines += [fmt % tuple(row) for row in cols.T.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestStreamedTable:
+    """README's recipe streams the .npy table to text one row at a time."""
+
+    @pytest.mark.parametrize("rows", [255, 256, 257, 512, 513, 1025])
+    @pytest.mark.parametrize("nfactors", [1, 2, 3])
+    def test_blocks_equal_the_one_shot_table(self, constants, tmp_path,
+                                             rows, nfactors):
+        # row counts on both sides of powers of two
+        config = BundleConfig(factors=STREAM_FACTORS[:nfactors])
+        momentum = solver.solve_momentum(config, constants, nodes=rows - 1)
+        shooting = solver.solve_shooting(config, constants, nodes=rows - 1,
+                                         start=momentum)
+        for sol in (momentum, shooting):
+            assert sol.grid.t.size == rows
+            write_solution(str(tmp_path), sol, None)
+            assert _export_csv(tmp_path, sol).read_bytes() == \
+                _one_shot_table(sol)
+
+    def test_write_holds_one_block_of_strings(self, constants, tmp_path):
+        # three factors at N = 4096: the (16, 4097) float table is 0.5 MB,
+        # a string per cell would be about 4.5 MB; neither the solve's
+        # write nor the recipe's export holds more than a row of strings
+        sol = solver.solve_momentum(BundleConfig(factors=STREAM_FACTORS),
+                                    constants, nodes=4096)
+        sol.to_dict()  # the residuals, computed on first use
+        tracemalloc.start()
+        try:
+            write_solution(str(tmp_path), sol, None)
+            _export_csv(tmp_path, sol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert (tmp_path / "profile_momentum.csv").read_bytes() == \
+            _one_shot_table(sol)
+
     def test_table_fills_one_array(self, constants):
         # three factors at N = 4096: the profile rows are copied once into
         # the (16, 4097) result, in the header's order
@@ -1481,17 +1578,3 @@ class TestTableExport:
                        for row in (g.l[i], g.dl[i], g.ddl[i])]
         assert np.array_equal(table, np.array([
             g.t, g.f, g.df, g.ddf, *factor_rows, g.u, g.du, g.ddu]))
-
-
-# factors of the table tests: one, two or three of them
-STREAM_FACTORS = (BaseFactor(d=2, p=2.0, q=1), BaseFactor(d=4, p=3.0, q=1),
-                  BaseFactor(d=2, p=3.0, q=-1))
-
-
-def _one_shot_table(sol) -> bytes:
-    """The profile table formatted whole, every row's string at once."""
-    cols = sol.grid.table()
-    fmt = ",".join(["%.17g"] * cols.shape[0])
-    lines = [profile_csv_header(sol.grid.nfactors)]
-    lines += [fmt % tuple(row) for row in cols.T.tolist()]
-    return ("\n".join(lines) + "\n").encode()
