@@ -315,10 +315,10 @@ def log_weight_slope(grid: ProfileGrid, config: BundleConfig) -> np.ndarray:
     return out
 
 
-def weighted_laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
+def weighted_laplacian(grid: ProfileGrid, config: BundleConfig,
                        dv: np.ndarray, ddv: np.ndarray) -> np.ndarray:
-    """Drift Laplacian of a t-only scalar:
-    Delta_u v = v'' + (log w)' v' - u' v'.
+    """Drift Laplacian of a t-only scalar v, from its derivatives v' = dv
+    and v'' = ddv: Delta_u v = v'' + (log w)' v' - u' v'.
 
     At the collapsed ends (log w)' v' -> v'' (evenness of v), so the limit
     value is 2 v'' + (sum d_i l_i'/l_i - u') v' = 2 v''.  The drift
@@ -330,7 +330,7 @@ def weighted_laplacian(grid: ProfileGrid, config: BundleConfig, v: np.ndarray,
     if drift is None:
         drift = log_weight_slope(grid, config) - grid.du
         grid._measures[key] = drift
-    out = np.empty_like(v)
+    out = np.empty_like(dv)
     out[1:-1] = ddv[1:-1] + drift[1:-1] * dv[1:-1]
     for idx in (0, -1):
         out[idx] = 2.0 * ddv[idx] + drift[idx] * dv[idx]

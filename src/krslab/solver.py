@@ -121,7 +121,7 @@ class SolitonSolution:
     def drift_lap_u(self) -> np.ndarray:
         """Delta_u u = Delta u - |grad u|^2."""
         g = self.grid
-        return weighted_laplacian(g, self.config, g.u, g.du, g.ddu)
+        return weighted_laplacian(g, self.config, g.du, g.ddu)
 
     @cached_property
     def first_integral(self) -> np.ndarray:
@@ -134,6 +134,13 @@ class SolitonSolution:
     def scalar_integral(self) -> float:
         """int R e^{-u} dV, the denominator of C(h, g)."""
         return weighted_integral(self.grid, self.config, self.ricci.R)
+
+    @cached_property
+    def weighted_mean_u(self) -> float:
+        """int u e^{-u} dV / int e^{-u} dV, zero in the zero-mean gauge."""
+        g = self.grid
+        return weighted_integral(g, self.config, g.u) / weighted_integral(
+            g, self.config, np.ones_like(g.u))
 
     @cached_property
     def residuals(self) -> ResidualReport:
@@ -212,7 +219,6 @@ def residual_report(sol: SolitonSolution) -> ResidualReport:
     E_i = ric.R_i + H_i - 1.0
     trace = ric.R + lap - config.n
     ham = sol.first_integral
-    volume = weighted_integral(grid, config, np.ones_like(grid.u))
     return ResidualReport(
         E_N=float(np.abs(E_N).max()),
         E_U=float(np.abs(E_U).max()),
@@ -221,7 +227,7 @@ def residual_report(sol: SolitonSolution) -> ResidualReport:
         trace=float(np.abs(trace).max()),
         hamilton=float(np.abs(ham - ham.mean()).max()),
         delta_uu=float(np.abs(drift + 2.0 * grid.u).max()),
-        gauge=abs(weighted_integral(grid, config, grid.u)) / volume,
+        gauge=abs(sol.weighted_mean_u),
         div_integral=abs(weighted_integral(grid, config, drift)),
     )
 
@@ -229,14 +235,12 @@ def residual_report(sol: SolitonSolution) -> ResidualReport:
 def gauge_normalize(sol: SolitonSolution) -> SolitonSolution:
     """Shift u so that the weighted mean of u vanishes,
     int u e^{-u} dV = 0.  Single shot: the shift multiplies the measure by a
-    constant, which cancels in the defining ratio.  Only the two weighted
-    integrals are computed here; the shifted solution is evaluated when its
-    residuals are first read.  The shift is not kept: u was 0 at t = 0, so
+    constant, which cancels in the defining ratio.  Only the weighted mean
+    is computed here; the shifted solution is evaluated when its residuals
+    are first read.  The shift is not kept: u was 0 at t = 0, so
     ``SolitonSolution.gauge_shift`` reads it off u[0]."""
-    grid, config = sol.grid, sol.config
-    a = weighted_integral(grid, config, grid.u) / weighted_integral(
-        grid, config, np.ones_like(grid.u))
-    return replace(sol, grid=replace(grid, u=grid.u - a))
+    grid = sol.grid
+    return replace(sol, grid=replace(grid, u=grid.u - sol.weighted_mean_u))
 
 
 def identity_suite(sol: SolitonSolution) -> dict:

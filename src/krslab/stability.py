@@ -9,6 +9,16 @@ operator in the moment coordinate s (ds = f dt, s in [0, 2]); the auxiliary
 potential equation and the drift spectrum are collocated there, in a small
 Chebyshev basis, and mapped back to the profile grid.
 
+The stability integral 2 int u psi e^{-u} dV weighs u itself, so it is
+defined only in the zero-mean gauge, int u e^{-u} dV = 0:
+``second_variation_main`` and ``sign_explorer`` check it, reading
+``SolitonSolution.weighted_mean_u``.  The auxiliary equation and the
+integration-by-parts identity see u only through u' (and the measure
+e^{-u} dV, which a constant shift of u scales), so ``v_h_solve``,
+``ibp_identity_check`` and ``drift_spectrum`` need no gauge and do not
+check it.  Only ``dw_theorem_check`` reads the solution's residual report,
+for its divergence integral.
+
 The intermediates listed here depend only on the solution and are computed
 at most once per solution; ``sign_explorer`` and ``nu_estimate`` keep
 nothing and compute their results again on every call.  int R e^{-u} dV,
@@ -132,12 +142,12 @@ _TINY = np.finfo(float).tiny  # the floor of a scale in _classify
 
 
 def _require_normalized(sol: SolitonSolution):
-    if sol.residuals.gauge >= _GAUGE_TOL:
+    """The zero-mean gauge, which the integrals that weigh u itself need."""
+    gauge = abs(sol.weighted_mean_u)
+    if gauge >= _GAUGE_TOL:
         raise StabilityError(
             "solution is not gauge-normalized (weighted mean of u is "
-            f"{sol.residuals.gauge:.3e}); the stability formulas assume the "
-            "zero-mean gauge"
-        )
+            f"{gauge:.3e}); the stability formulas assume the zero-mean gauge")
 
 
 def _classify(value: float, scale: float) -> str:
@@ -371,9 +381,10 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     nodes with v' = v_s f, v'' = v_ss f^2 + v_s f'.
 
     What does not depend on the source is kept on the solution, in the
-    cache the module docstring lays out.
+    cache the module docstring lays out.  The equation sees u only through
+    u', so it is gauge-invariant: a solution whose u is shifted by a
+    constant gives the same v, bit for bit, and needs no zero-mean gauge.
     """
-    _require_normalized(sol)
     grid, config = sol.grid, sol.config
     src = np.asarray(source, dtype=float)
     if src.shape != grid.t.shape:
@@ -425,7 +436,7 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     v, v_s, v_ss = np.array([vcoef, dcoef, op.deriv @ dcoef]) @ nodal
     dv = v_s * grid.f
     ddv = v_ss * grid.f ** 2 + v_s * grid.df
-    res = weighted_laplacian(grid, config, v, dv, ddv) + v - src
+    res = weighted_laplacian(grid, config, dv, ddv) + v - src
     # the equation at the interior nodes, on the solution's own profiles
     residual = float(np.abs(res[1:-1]).max())
     if kept is None or m >= kept.shape[0]:
@@ -478,8 +489,10 @@ def ibp_identity_check(sol: SolitonSolution,
     half the divergence-product identity (no boundary terms: the volume
     weight vanishes at the collapsed ends).  Returns the deviation of the
     unscaled form, int (Delta_u u) psi e^{-u} dV + int u' psi' e^{-u} dV.
+    Both sides see u only through u' and the measure e^{-u} dV, so the
+    identity is gauge-invariant: shifting u by a constant a scales both
+    integrals by e^{-a}, and no zero-mean gauge is needed.
     """
-    _require_normalized(sol)
     grid, config = sol.grid, sol.config
     psi = pert.psi(grid.t)
     dpsi = pert.dpsi(grid.t)

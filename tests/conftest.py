@@ -163,3 +163,18 @@ def ricci_calls(monkeypatch):
         if getattr(mod, "ricci_components", None) is original:
             monkeypatch.setattr(mod, "ricci_components", counted)
     return calls
+
+
+@pytest.fixture
+def report_calls(monkeypatch):
+    """List that grows by one per residual report: ``residual_report`` is
+    wrapped where ``SolitonSolution.residuals`` calls it."""
+    calls = []
+    original = solver.residual_report
+
+    def counted(sol):
+        calls.append(1)
+        return original(sol)
+
+    monkeypatch.setattr(solver, "residual_report", counted)
+    return calls

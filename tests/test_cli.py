@@ -970,7 +970,10 @@ def test_solve_mutation(field, solve_baseline, tmp_path, capsys):
             field, moved, err)
 
 
-def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
+def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls,
+                                          report_calls):
+    # and one residual report where a command reads it: stability reads
+    # only the gauge, the solution's weighted mean of u
     cfg = _momentum_config(pipeline, tmp_path)
     out = str(tmp_path / "o")
     per_command = []
@@ -979,10 +982,12 @@ def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls):
                  ("verify", "--solution", out, "--out", out),
                  ("stability", "--solution", out, "--config", cfg,
                   "--out", out)):
-        before = len(ricci_calls)
+        before = len(ricci_calls), len(report_calls)
         assert run(*argv) == 0
-        per_command.append(len(ricci_calls) - before)
-    assert per_command == [1, 1, 1]
+        per_command.append((len(ricci_calls) - before[0],
+                            len(report_calls) - before[1]))
+    assert [ricci for ricci, _ in per_command] == [1, 1, 1]
+    assert [count for _, count in per_command] == [1, 1, 0]
 
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",

@@ -245,17 +245,16 @@ class TestWeightedCalculus:
         t, T = g.t, g.T
         v = np.cos(np.pi * t / T)
         w = np.cos(2.0 * np.pi * t / T)
-        lv = weighted_laplacian(g, kc, v, D @ v, D @ (D @ v))
-        lw = weighted_laplacian(g, kc, w, D @ w, D @ (D @ w))
+        lv = weighted_laplacian(g, kc, D @ v, D @ (D @ v))
+        lw = weighted_laplacian(g, kc, D @ w, D @ (D @ w))
         lhs = weighted_integral(g, kc, lv * w)
         rhs = weighted_integral(g, kc, v * lw)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_drift_laplacian_kills_constants(self, kc_momentum, kc):
         g = kc_momentum.grid
-        z = np.zeros_like(g.u)
-        const = np.full_like(g.u, 3.7)
-        assert np.abs(weighted_laplacian(g, kc, const, z, z)).max() == 0.0
+        z = np.zeros_like(g.u)  # a constant's v' and v''
+        assert np.abs(weighted_laplacian(g, kc, z, z)).max() == 0.0
 
     def test_log_weight_slope_interior_formula(self, kc_momentum, kc):
         g = kc_momentum.grid

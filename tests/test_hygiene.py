@@ -666,3 +666,39 @@ def test_detector_flags_array_readers():
         (3, "loadtxt"), (4, "read_array"), (5, "np.load"), (6, "np.loadtxt"),
         (7, "np.fromfile"), (8, "np.lib.format.read_array"),
         (9, "numpy.genfromtxt")]
+
+
+def residual_readers(source: str) -> list:
+    """(function, line) of every ``.residuals`` read in the source, named
+    by the module-level function or class it sits in (``<module>`` for
+    module-level code)."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        found.extend((name, node.lineno) for node in ast.walk(top)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "residuals")
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_only_the_divergence_check_reads_the_report():
+    # the stability layer reads the gauge off SolitonSolution.weighted_mean_u,
+    # so the residual report is evaluated only for dw_theorem_check's
+    # divergence integral
+    source = (SRC / "stability.py").read_text()
+    assert {name for name, _ in residual_readers(source)} == {
+        "dw_theorem_check"}
+
+
+def test_detector_flags_residual_readers():
+    source = ("def f(sol):\n"
+              "    return sol.residuals.gauge\n"
+              "def g(sol):\n"
+              "    def h():\n"
+              "        return sol.residuals\n"
+              "    return sol.weighted_mean_u\n"
+              "class K:\n"
+              "    x = property(lambda self: self.sol.residuals)\n"
+              "gauge = SOL.residuals.gauge\n")
+    assert residual_readers(source) == [
+        ("f", 2), ("g", 5), ("K", 8), ("<module>", 9)]

@@ -152,6 +152,25 @@ class TestMomentum:
                    "uniform": 1e-9}.get(route, 1e-12)
             assert abs(sol.gauge_shift - sol.c_slope) <= tol, label
 
+    def test_weighted_mean_owns_the_gauge(self, reference_solutions):
+        # the report's gauge is the solution's cached mean, bit for bit
+        for label, sol in reference_solutions.items():
+            assert sol.residuals.gauge == abs(sol.weighted_mean_u), label
+
+    @pytest.mark.parametrize("config, recorded", [
+        ("kc_config", "kc_shooting_2048_recorded"),
+        ("two_factor_config", "two_factor_shooting_recorded")])
+    def test_normalize_shifts_by_the_weighted_mean(self, request, constants,
+                                                   config, recorded):
+        # on momentum and on cold shooting, u is the raw u less its mean
+        mom = solve_recorded(solver.solve_momentum,
+                             request.getfixturevalue(config), constants,
+                             nodes=512)
+        for sol, seen in (mom, request.getfixturevalue(recorded)):
+            raw = seen["raw"]
+            assert np.array_equal(sol.grid.u,
+                                  raw.grid.u - raw.weighted_mean_u)
+
     def test_unpinned_constants_rejected(self, kc_config):
         # the check runs where the value is made, so none reaches a solver
         with pytest.raises(GeometryError, match="not pinned"):

@@ -118,8 +118,10 @@ class TestSecondVariation:
     def test_unnormalized_solution_rejected(self, kc_momentum):
         g = kc_momentum.grid
         raw = replace(kc_momentum, grid=replace(g, u=g.u + 0.3))
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError, match="not gauge-normalized"):
             second_variation_main(raw, constant_profile([1.0]))
+        with pytest.raises(StabilityError, match="not gauge-normalized"):
+            sign_explorer(raw)
 
     def test_dw_check_agrees_and_factorizes(self, kc_momentum,
                                             two_factor_momentum):
@@ -553,7 +555,7 @@ def _moment_map_residual(sol):
     first factor's Kahler relation l^2 = q s + p - q."""
     g, cfg = sol.grid, sol.config
     s = (g.l[0] ** 2 - (cfg.p[0] - cfg.q[0])) / cfg.q[0]
-    lap = weighted_laplacian(g, cfg, s - 1.0, g.f, g.df)
+    lap = weighted_laplacian(g, cfg, g.f, g.df)
     return float(np.abs(lap + 2.0 * (s - 1.0)).max())
 
 
@@ -639,6 +641,40 @@ class TestIbp:
     def test_constant_profile_trivial(self, kc_momentum):
         assert ibp_identity_check(kc_momentum,
                                   constant_profile([2.0])) < 1e-12
+
+
+class TestGaugeInvariance:
+    """The auxiliary equation and the integration-by-parts identity see u
+    only through u' and the measure e^{-u} dV, so they hold off the
+    zero-mean gauge: a shift of u by a leaves v_h as it is, bit for bit,
+    and scales each side of the identity by e^{-a}."""
+
+    @pytest.mark.parametrize("name", ["kc_momentum", "kc_shooting_2048",
+                                      "two_factor_momentum",
+                                      "two_factor_shooting"])
+    def test_shift_by_a_constant(self, request, name):
+        sol = request.getfixturevalue(name)
+        g = sol.grid
+        moved = replace(sol, grid=replace(g, u=g.u + 0.3))
+        source = np.cos(np.pi * g.t / g.T)
+        want, got = v_h_solve(sol, source), v_h_solve(moved, source)
+        assert np.array_equal(got.v, want.v)
+        assert (got.residual, got.smallest_singular_value, got.degree) == (
+            want.residual, want.smallest_singular_value, want.degree)
+        scale = np.exp(-0.3)
+        psi = 1.0 + np.cos(np.pi * g.t / g.T) ** 2
+        # psi' left at 0: the deviation is int (Delta_u u) psi e^{-u} dV
+        # itself, which does not cancel
+        lone = sampled(sol, psi)
+        assert ibp_identity_check(moved, lone) == pytest.approx(
+            scale * ibp_identity_check(sol, lone), rel=1e-12, abs=0.0)
+        # with its true psi' the two sides cancel: the deviation moves by
+        # no more than the rounding of the sides it is the difference of
+        dpsi = -np.pi / g.T * np.sin(2.0 * np.pi * g.t / g.T)
+        both = sampled(sol, psi, dpsi)
+        side = weighted_integral(g, sol.config, np.abs(sol.drift_lap_u * psi))
+        assert abs(ibp_identity_check(moved, both)
+                   - scale * ibp_identity_check(sol, both)) <= 1e-12 * side
 
 
 class TestFamily:
@@ -781,13 +817,27 @@ class TestSingleEvaluation:
         h = {"h_NN": np.full_like(t, 0.5), "h_UU": np.full_like(t, 0.5),
              "h_i": np.full((1, t.size), 0.5)}
         v_h_solve(sol, np.cos(np.pi * t / sol.grid.T))
-        assert len(ricci_calls) == 1
+        assert ricci_calls == []  # v_h is gauge-invariant: no report read
         sign_explorer(sol)
         for kind in ("anti_invariant", "metric_direction"):
             c_constant(sol, kind)
         c_constant(sol, "custom", h)
         nu_estimate(sol, EntropyGauge())
         assert len(ricci_calls) == 1
+
+    def test_gauge_invariant_calls_read_no_report(self, kc_momentum,
+                                                  report_calls):
+        sol = replace(kc_momentum)
+        t = sol.grid.t
+        v_h_solve(sol, np.cos(np.pi * t / sol.grid.T))
+        ibp_identity_check(sol, sampled(sol, sol.grid.u ** 2,
+                                        2.0 * sol.grid.u * sol.grid.du))
+        drift_spectrum(sol, 3)
+        sign_explorer(sol)
+        second_variation_main(sol, constant_profile([1.0]))
+        assert report_calls == []
+        dw_theorem_check(sol, constant_profile([1.0]))
+        assert report_calls == [1]
 
     def test_solution_quantities_are_built_once(self, kc_config, constants,
                                                 monkeypatch):
