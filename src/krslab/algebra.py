@@ -72,13 +72,10 @@ def _anti_invariance_defect(m: int, h: np.ndarray):
     return defect[ij], ij, 1e-13 * max(float(np.abs(h).max()), 1.0)
 
 
-def is_anti_invariant(m: int, h: np.ndarray) -> bool:
-    worst, _, bound = _anti_invariance_defect(m, h)
-    return bool(worst <= bound)
-
-
 def require_anti_invariant(m: int, h: np.ndarray):
-    """AlgebraError unless ``is_anti_invariant``, naming the worst entry."""
+    """AlgebraError unless h is J-anti-invariant: every entry of
+    |J^T h J + h| within 1e-13 max(max |h|, 1).  The one check of
+    anti-invariance; the error names the worst entry."""
     worst, (i, j), bound = _anti_invariance_defect(m, h)
     if not worst <= bound:
         raise AlgebraError(f"h must be J-anti-invariant: |J^T h J + h| is "

@@ -146,23 +146,22 @@ def oracle_ricci(state: LocalState, x: np.ndarray):
     def components(step):
         return np.diag(frame.T @ _ricci_once(state, x, step) @ frame)
 
-    # Romberg table over step halvings; error from successive diagonal entries
-    rows = [[components(FD_STEP)]]
+    # Romberg rows over step halvings, each built from the one before it;
+    # error from successive diagonal entries
+    prev = [components(FD_STEP)]
     err = np.inf
-    best = rows[0][0]
     for level in range(1, ROMBERG_LEVELS + 1):
         row = [components(FD_STEP / 2.0**level)]
         for j in range(1, level + 1):
             fac = 4.0**j
-            row.append((fac * row[j - 1] - rows[level - 1][j - 1]) / (fac - 1.0))
-        rows.append(row)
-        err = float(np.abs(row[level] - rows[level - 1][level - 1]).max())
-        best = row[level]
+            row.append((fac * row[j - 1] - prev[j - 1]) / (fac - 1.0))
+        err = float(np.abs(row[level] - prev[level - 1]).max())
+        prev = row
         if err < FD_TOL:
             break
     if err >= FD_TOL:
         raise OracleError(f"Richardson stalled at estimated error {err:.3e}")
-    r_nn, r_uu, r_h1, r_h2 = best
+    r_nn, r_uu, r_h1, r_h2 = prev[-1]
     # the two horizontal directions must agree; fold into the error estimate
     err = max(err, abs(r_h1 - r_h2))
     return np.array([r_nn, r_uu, 0.5 * (r_h1 + r_h2)]), err

@@ -87,13 +87,13 @@ class ResidualReport:
 class SolitonSolution:
     """A solved soliton, its own facts only: the disagreement with another
     solution is the solve's.  The quantities that more than one reader
-    takes (Ricci, Delta_u u, the first integral and int R e^{-u} dV), its
-    residual report and the stability layer's per-solution work are
-    computed on first use and cached; ``dataclasses.replace`` gives a new
-    solution that computes them afresh; its slope and gauge shift are read
-    off u.  A solution whose grid and config disagree on the number of
-    factors, or whose method is not one of SOLUTION_METHODS, cannot be
-    made."""
+    takes (Ricci, Delta_u u, the first integral, int R e^{-u} dV and the
+    weighted mean of u), its residual report and the stability layer's
+    per-solution work are computed on first use and cached;
+    ``dataclasses.replace`` gives a new solution that computes them afresh;
+    its slope and gauge shift are read off u.  A solution whose grid and
+    config disagree on the number of factors, or whose method is not one
+    of SOLUTION_METHODS, cannot be made."""
 
     grid: ProfileGrid
     config: BundleConfig

@@ -31,9 +31,8 @@ Chebyshev degree m):
 
 - ``"X"``: the moment coordinate at the nodes;
 - ``"vander"``: the nodal Chebyshev Vandermonde V, one row per degree, as
-  one (m+1) x (N+1) array at the largest degree m a returning
-  ``v_h_solve`` settled on (a lower degree reads its first rows, bit for
-  bit what a fresh V holds; a call that raises keeps none): 270 kB at
+  one (m+1) x (N+1) array at the largest degree m any call built; a lower
+  degree reads its first rows, bit for bit what a fresh V holds: 270 kB at
   N = 1024 and degree 32, at most 257 (N+1) 8 bytes (8.4 MB at N = 4096);
 - per degree m tried, ``("fit", m)``, the inverse Gram matrix of V (from
   its triangular factor), and ``("collocation", m)``, the operator, its
@@ -404,10 +403,10 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
             "not resolve s on these factors")
     kept = sol.stability_cache.get("vander")
     for m in degrees:
-        if kept is not None and m < kept.shape[0]:
-            nodal = kept[:m + 1]  # the same rows, in the same layout
-        else:
-            nodal = cheb.chebvander(X, m).T  # one row per degree
+        if kept is None or kept.shape[0] <= m:
+            # one row per degree
+            kept = sol.stability_cache["vander"] = cheb.chebvander(X, m).T
+        nodal = kept[:m + 1]
         gram_inv = _cached(sol, ("fit", m), lambda: _inverse_gram(nodal))
         coef = gram_inv @ (nodal @ src)
         what, tail = "source", _tail(coef)
@@ -439,8 +438,6 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     res = weighted_laplacian(grid, config, dv, ddv) + v - src
     # the equation at the interior nodes, on the solution's own profiles
     residual = float(np.abs(res[1:-1]).max())
-    if kept is None or m >= kept.shape[0]:
-        sol.stability_cache["vander"] = nodal
     return VhSolution(v=v, residual=residual,
                       smallest_singular_value=op.sigma_min, near_kernel=near,
                       degree=m)

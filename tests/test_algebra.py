@@ -12,11 +12,11 @@ from krslab.algebra import (
     frame_kappa,
     frame_pairing_check,
     fuzz_suite,
-    is_anti_invariant,
     random_anti_invariant,
     random_doubled_c,
     random_invariant,
     random_unitary,
+    require_anti_invariant,
     skew_pairing,
     standard_J,
 )
@@ -120,7 +120,8 @@ class TestFramePairing:
         a = (x - J.T @ x @ J) / 2.0
         skew = (a - a.T) / 2.0
         h = random_anti_invariant(rng, m) + skew
-        assert is_anti_invariant(m, h) and not np.array_equal(h, h.T)
+        require_anti_invariant(m, h)
+        assert not np.array_equal(h, h.T)
         with pytest.raises(AlgebraError, match="must be symmetric"):
             frame_pairing_check(m, h, h)
 
@@ -146,7 +147,8 @@ class TestAntiInvariantFacts:
         h = random_anti_invariant(rng, 2)
         h[0, 0] += 1.0  # break anti-invariance
         h[2, 2] += 1.0
-        assert not is_anti_invariant(2, h)
+        with pytest.raises(AlgebraError):
+            require_anti_invariant(2, h)
         with pytest.raises(AlgebraError):
             anti_invariant_facts(2, h)
         # the trace defect the check guards against is visible directly
@@ -188,7 +190,7 @@ class TestAntiInvariantFacts:
 
 class TestOnePredicate:
     """skew_pairing, frame_pairing_check and anti_invariant_facts reject
-    through is_anti_invariant's defect, |J^T h J + h| within 1e-13 of
+    through require_anti_invariant, |J^T h J + h| within 1e-13 of
     max(max |h|, 1)."""
 
     @staticmethod
@@ -205,8 +207,8 @@ class TestOnePredicate:
         # h_00 + h_11 = defect next to |h_01| = 100: within 1e-13 of the
         # largest entry, not of the entry it sits at
         h = np.array([[0.0, 100.0], [100.0, defect]])
-        assert is_anti_invariant(1, h) == accepted
-        for check in self._checks(h):
+        for check in (lambda: require_anti_invariant(1, h),
+                      *self._checks(h)):
             if accepted:
                 check()
             else:

@@ -702,3 +702,64 @@ def test_detector_flags_residual_readers():
               "gauge = SOL.residuals.gauge\n")
     assert residual_readers(source) == [
         ("f", 2), ("g", 5), ("K", 8), ("<module>", 9)]
+
+
+ACCEPTANCE = SRC.parents[1] / "tests" / "test_acceptance.py"
+
+# public module-level functions and classes that no code names, each with
+# the reason it stays
+_DISPATCHED = "cli.main dispatches it through globals()"
+NO_CALLER = {
+    "cli.cmd_fuzz_algebra": _DISPATCHED,
+    "cli.cmd_pin_constants": _DISPATCHED,
+    "cli.cmd_solve": _DISPATCHED,
+    "cli.cmd_stability": _DISPATCHED,
+    "cli.cmd_verify": _DISPATCHED,
+    "stability.family": "ROADMAP items 3 and 6 build on the profiles it "
+                        "wraps",
+}
+
+
+def uncalled_public_names(package_sources: dict, caller_sources) -> list:
+    """``module.name`` of every module-level public function and class of
+    ``package_sources`` (module name -> source) that no caller source
+    names, as an ``ast.Name``, an attribute or an import alias; text in a
+    docstring or a string does not count."""
+    named = set()
+    for src in caller_sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+    return sorted(
+        f"{module}.{node.name}"
+        for module, src in package_sources.items()
+        for node in ast.parse(src).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named)
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names(
+        {p.stem: p.read_text() for p in MODULES},
+        _callers() + [ACCEPTANCE.read_text()]) == sorted(NO_CALLER)
+
+
+def test_detector_flags_uncalled_public_names():
+    package = {"m": ('"""used, aliased, read, Typed and dead are named here,\n'
+                     'which does not count."""\n'
+                     "def used(): pass\n"
+                     "def aliased(): pass\n"
+                     "def read(): pass\n"
+                     "def dead(): return 'dead'\n"
+                     "def _private(): pass\n"
+                     "class Typed: pass\n"
+                     "class Dead: pass\n")}
+    callers = ["from m import aliased as a\n"
+               "import m\n"
+               "x: Typed = m.read() + used()\n"
+               "print('Dead')\n"]
+    assert uncalled_public_names(package, callers) == ["m.Dead", "m.dead"]

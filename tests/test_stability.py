@@ -428,22 +428,45 @@ class TestVhCache:
         assert fresh.stability_cache == {}
         assert fresh.stability_cache is not sol192.stability_cache
 
+    @staticmethod
+    def _count_vandermondes(monkeypatch):
+        """The (number of points, degree) of every Chebyshev Vandermonde the
+        stability layer builds from here on, in order."""
+        built = []
+        vander = stability.cheb.chebvander
+
+        def counted(x, m):
+            built.append((np.size(x), m))
+            return vander(x, m)
+
+        monkeypatch.setattr(stability.cheb, "chebvander", counted)
+        return built
+
     def test_nodal_arrays_are_the_moment_coordinate_and_one_vandermonde(
-            self, kc4096):
+            self, kc4096, monkeypatch):
         sol = replace(kc4096)
         t, T = sol.grid.t, sol.grid.T
         with pytest.raises(StabilityError, match="degree 256, the largest "
                                                  "tried"):
             v_h_solve(sol, np.sin(np.pi * t / T))
-        # a call that raises keeps none of its 257-row Vandermonde
-        assert "vander" not in sol.stability_cache
-        out = v_h_solve(sol, self._source(sol))
+        # the call that raised keeps the largest Vandermonde it built
+        assert sol.stability_cache["vander"].shape == (257, t.size)
+        built = self._count_vandermondes(monkeypatch)
+        src = self._source(sol)
+        out = v_h_solve(sol, src)
+        # the degree-32 call reads its rows: no nodal Vandermonde is built
+        # (the (m+1)-point ones are the collocation's basis)
+        assert built and [m for size, m in built if size == t.size] == []
+        cold = v_h_solve(replace(kc4096), src)
+        assert out.degree == cold.degree == 32
+        assert out.v.tobytes() == cold.v.tobytes()
+        assert out.residual == cold.residual
+        assert out.smallest_singular_value == cold.smallest_singular_value
         drift_spectrum(sol, 3)
         arrays = list(_cached_arrays(sol))
         assert [key for key, a in arrays if t.size in a.shape] == ["X",
                                                                    "vander"]
-        assert out.degree == 32
-        assert sol.stability_cache["vander"].shape == (33, t.size)
+        assert sol.stability_cache["vander"].shape == (257, t.size)
         # four (m+1)^2 arrays per degree at most, and the nodal X and V
         small = sum(a.nbytes for key, a in arrays
                     if key not in ("X", "vander"))
@@ -451,14 +474,7 @@ class TestVhCache:
                             for m in stability._DEGREES)
 
     def test_warm_call_builds_no_vandermonde(self, sol192, monkeypatch):
-        built = []
-        vander = stability.cheb.chebvander
-
-        def counted(x, m):
-            built.append(m)
-            return vander(x, m)
-
-        monkeypatch.setattr(stability.cheb, "chebvander", counted)
+        built = self._count_vandermondes(monkeypatch)
         sol = replace(sol192)
         src = self._source(sol)
         assert v_h_solve(sol, src).degree == 32
@@ -482,23 +498,26 @@ class TestVhCache:
             assert out.residual == cold.residual
             assert (out.smallest_singular_value
                     == cold.smallest_singular_value)
-        # the largest degree a call settled on stays
+        # the largest degree a call built stays
         assert sol.stability_cache["vander"] is kept
 
     def test_a_raising_call_leaves_the_vandermonde(self, sol192):
-        # on an empty cache the 4096-node test above and the non-finite
-        # source test cover it
         sol = replace(sol192)
         t, T = sol.grid.t, sol.grid.T
-        v_h_solve(sol, self._source(sol))
+        assert v_h_solve(sol, self._source(sol)).degree == 32
+        assert sol.stability_cache["vander"].shape == (33, t.size)
+        # an unresolved source replaces it with the larger one it built
+        with pytest.raises(StabilityError, match="degree 64, the largest "):
+            v_h_solve(sol, np.sin(np.pi * t / T))
         kept = sol.stability_cache["vander"]
-        unresolved = np.sin(np.pi * t / T)
+        X = stability._moment_coordinate(sol)
+        assert np.array_equal(kept, cheb.chebvander(X, 64).T)
+        # a non-finite source is rejected before any degree and keeps it
         nan = self._source(sol)
         nan[t.size // 3] = np.nan
-        for src in (unresolved, nan):
-            with pytest.raises(StabilityError):
-                v_h_solve(sol, src)
-            assert sol.stability_cache.get("vander") is kept
+        with pytest.raises(StabilityError, match="not finite"):
+            v_h_solve(sol, nan)
+        assert sol.stability_cache["vander"] is kept
 
     def test_drift_spectrum_shares_the_operator_of_each_degree(
             self, sol192, monkeypatch):
