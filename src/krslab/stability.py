@@ -22,18 +22,20 @@ for its divergence integral.
 The intermediates listed here depend only on the solution and are computed
 at most once per solution; ``sign_explorer`` and ``nu_estimate`` keep
 nothing and compute their results again on every call.  int R e^{-u} dV,
-the denominator of C(h, g), is ``SolitonSolution.scalar_integral``, and
-Ricci, Delta_u u and the first integral are the solution's too; the drift
-coefficient (log w)' - u' of the v_h residual check is kept in the grid's
-measures by ``weighted_laplacian``; the rest is kept on the solution, in
-``SolitonSolution.stability_cache``, under these keys (N + 1 nodes,
-Chebyshev degree m):
+the denominator of C(h, g), is ``SolitonSolution.scalar_integral``, which
+only ``c_constant``'s "custom" kind reads (the fixed kinds, and so the sign
+table, evaluate no Ricci tensor); Ricci, Delta_u u and the first integral
+are the solution's too; the drift coefficient (log w)' - u' of the v_h
+residual check is kept in the grid's measures by ``weighted_laplacian``;
+the rest is kept on the solution, in ``SolitonSolution.stability_cache``,
+under these keys (N + 1 nodes, Chebyshev degree m):
 
-- ``"X"``: the moment coordinate at the nodes;
 - ``"vander"``: the nodal Chebyshev Vandermonde V, one row per degree, as
-  one (m+1) x (N+1) array at the largest degree m any call built; a lower
-  degree reads its first rows, bit for bit what a fresh V holds: 270 kB at
-  N = 1024 and degree 32, at most 257 (N+1) 8 bytes (8.4 MB at N = 4096);
+  one (m+1) x (N+1) array at the largest degree m any call built, from the
+  moment coordinate X, checked where V is built and held as its row 1; a
+  lower degree reads its first rows, bit for bit what a fresh V holds:
+  270 kB at N = 1024 and degree 32, at most 257 (N+1) 8 bytes (8.4 MB at
+  N = 4096);
 - per degree m tried, ``("fit", m)``, the inverse Gram matrix of V (from
   its triangular factor), and ``("collocation", m)``, the operator, its
   smallest singular value, and its solution map and d/ds on Chebyshev
@@ -201,14 +203,13 @@ def c_constant(sol: SolitonSolution, h_kind: str,
     anti_invariant: the pointwise pairing of the J-invariant Ricci tensor
     with an anti-invariant h vanishes identically (checked algebraically in
     :mod:`krslab.algebra`), so the constant is exactly zero.
-    metric_direction: h = g, so <Ric, g> = R and the ratio is one.
+    metric_direction: h = g, so <Ric, g> = R and the ratio is exactly one.
+    Neither reads the solution, so neither evaluates a Ricci tensor.
     custom: diagonal J-invariant h given by per-direction profiles
-    {"h_NN", "h_UU", "h_i"} on the grid.
+    {"h_NN", "h_UU", "h_i"} on the grid, checked before the solution is
+    read; only this kind reads int R e^{-u} dV, and rejects it where it
+    vanishes.
     """
-    grid, config = sol.grid, sol.config
-    denom = sol.scalar_integral
-    if abs(denom) < 1e-12:
-        raise StabilityError("int R e^{-u} dV vanishes; C(h,g) undefined")
     if h_kind == "anti_invariant":
         if not algebra.anti_invariant_pairing_vanishes():
             raise StabilityError(
@@ -217,17 +218,21 @@ def c_constant(sol: SolitonSolution, h_kind: str,
             )
         return 0.0
     if h_kind == "metric_direction":
-        return denom / denom  # <Ric, g> = R: exactly 1.0
-    if h_kind == "custom":
-        _check_custom(profiles, config.r, grid.t.size)
-        ric = sol.ricci
-        pairing = (
-            ric.R_NN * profiles["h_NN"]
-            + ric.R_UU * profiles["h_UU"]
-            + (config.d[:, None] * ric.R_i * profiles["h_i"]).sum(axis=0)
-        )
-        return weighted_integral(grid, config, pairing) / denom
-    raise StabilityError(f"unknown h_kind {h_kind!r}")
+        return 1.0
+    if h_kind != "custom":
+        raise StabilityError(f"unknown h_kind {h_kind!r}")
+    grid, config = sol.grid, sol.config
+    _check_custom(profiles, config.r, grid.t.size)
+    denom = sol.scalar_integral
+    if abs(denom) < 1e-12:
+        raise StabilityError("int R e^{-u} dV vanishes; C(h,g) undefined")
+    ric = sol.ricci
+    pairing = (
+        ric.R_NN * profiles["h_NN"]
+        + ric.R_UU * profiles["h_UU"]
+        + (config.d[:, None] * ric.R_i * profiles["h_i"]).sum(axis=0)
+    )
+    return weighted_integral(grid, config, pairing) / denom
 
 
 def _check_custom(profiles: Optional[dict], r: int, size: int):
@@ -291,19 +296,25 @@ def _cached(sol: SolitonSolution, key, build: Callable):
 
 def _moment_coordinate(sol: SolitonSolution) -> np.ndarray:
     """X = s - 1 in [-1, 1] at the solution's nodes, with s from the Kahler
-    relation l_j^2 = q_j s + p_j - q_j (least squares over the factors);
-    computed once per solution.  Where every |q_j| is far below its p_j,
-    q_j s is lost in the rounding of l_j^2 (and q_j^2 may underflow to 0),
-    so X is not the moment coordinate: then it may hold NaN and need not
-    run from -1 to 1, which ``v_h_solve`` checks."""
-    def build():
-        cf = sol.config
-        excess = sol.grid.l ** 2 - (cf.p - cf.q)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
-        return np.clip(s, 0.0, 2.0) - 1.0
-
-    return _cached(sol, "X", build)
+    relation l_j^2 = q_j s + p_j - q_j (least squares over the factors),
+    checked to run from -1 at the first node to 1 at the last, to within
+    1e-8.  Where every |q_j| is far below its p_j, q_j s is lost in the
+    rounding of l_j^2 (and q_j^2 may underflow to 0), so X is not the
+    moment coordinate: it may hold NaN or fail to reach an end, and that
+    is an error.  ``v_h_solve`` calls it only where it builds the nodal
+    Vandermonde, whose row 1 is this X, so a kept Vandermonde was built
+    from a checked X."""
+    cf = sol.config
+    excess = sol.grid.l ** 2 - (cf.p - cf.q)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (cf.q[:, None] * excess).sum(axis=0) / (cf.q ** 2).sum()
+    X = np.clip(s, 0.0, 2.0) - 1.0
+    if not (abs(X[0] + 1.0) <= _X_END_TOL and abs(X[-1] - 1.0) <= _X_END_TOL):
+        raise StabilityError(
+            f"the moment coordinate X = s - 1 runs from {float(X[0])!r} to "
+            f"{float(X[-1])!r}, not from -1 to 1: the Kahler relation does "
+            "not resolve s on these factors")
+    return X
 
 
 @dataclass(frozen=True)
@@ -372,12 +383,14 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     any degree is tried, and a source still unresolved at the largest
     degree (not a smooth invariant function) are errors, and so is a
     moment coordinate X = s - 1 that does not run from -1 at the first
-    node to 1 at the last, to within 1e-8 (``_moment_coordinate``: s is
-    not resolved on the factors).  The equation is
-    collocated at that degree, and the smallest singular value of the small
-    operator is reported; below ``kernel_tol`` it is solved in the
-    least-squares sense and flagged.  The solution is mapped back to the
-    nodes with v' = v_s f, v'' = v_ss f^2 + v_s f'.
+    node to 1 at the last, to within 1e-8 (s is not resolved on the
+    factors), which ``_moment_coordinate`` checks where the degree loop
+    builds the nodal Vandermonde; a call that finds it kept reads a
+    checked X.  The equation is collocated at that degree, and the
+    smallest singular value of the small operator is reported; below
+    ``kernel_tol`` it is solved in the least-squares sense and flagged.
+    The solution is mapped back to the nodes with v' = v_s f,
+    v'' = v_ss f^2 + v_s f'.
 
     What does not depend on the source is kept on the solution, in the
     cache the module docstring lays out.  The equation sees u only through
@@ -395,17 +408,12 @@ def v_h_solve(sol: SolitonSolution, source: np.ndarray,
     if not degrees:
         raise StabilityError(f"{grid.t.size} nodes are too few to fit the "
                              f"source in s (need {2 * _DEGREES[0] + 1})")
-    X = _moment_coordinate(sol)
-    if not (abs(X[0] + 1.0) <= _X_END_TOL and abs(X[-1] - 1.0) <= _X_END_TOL):
-        raise StabilityError(
-            f"the moment coordinate X = s - 1 runs from {float(X[0])!r} to "
-            f"{float(X[-1])!r}, not from -1 to 1: the Kahler relation does "
-            "not resolve s on these factors")
     kept = sol.stability_cache.get("vander")
     for m in degrees:
         if kept is None or kept.shape[0] <= m:
-            # one row per degree
-            kept = sol.stability_cache["vander"] = cheb.chebvander(X, m).T
+            # one row per degree, row 1 the checked X
+            kept = sol.stability_cache["vander"] = cheb.chebvander(
+                _moment_coordinate(sol), m).T
         nodal = kept[:m + 1]
         gram_inv = _cached(sol, ("fit", m), lambda: _inverse_gram(nodal))
         coef = gram_inv @ (nodal @ src)

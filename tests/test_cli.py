@@ -972,8 +972,9 @@ def test_solve_mutation(field, solve_baseline, tmp_path, capsys):
 
 def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls,
                                           report_calls):
-    # and one residual report where a command reads it: stability reads
-    # only the gauge, the solution's weighted mean of u
+    # and one residual report where a command reads it; stability reads
+    # neither: its table needs only the gauge, the solution's weighted mean
+    # of u, and C(h, g) of the anti-invariant kind, which is exactly 0
     cfg = _momentum_config(pipeline, tmp_path)
     out = str(tmp_path / "o")
     per_command = []
@@ -986,7 +987,7 @@ def test_one_ricci_evaluation_per_command(pipeline, tmp_path, ricci_calls,
         assert run(*argv) == 0
         per_command.append((len(ricci_calls) - before[0],
                             len(report_calls) - before[1]))
-    assert [ricci for ricci, _ in per_command] == [1, 1, 1]
+    assert [ricci for ricci, _ in per_command] == [1, 1, 0]
     assert [count for _, count in per_command] == [1, 1, 0]
 
 

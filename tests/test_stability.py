@@ -203,11 +203,27 @@ class TestCConstant:
         assert c_constant(two_factor_momentum, "metric_direction") == 1.0
 
     def test_vanishing_denominator_rejected(self, kc_momentum):
+        # only the custom kind divides by int R e^{-u} dV; the fixed kinds
+        # do not read it
         sol = replace(kc_momentum)
         object.__setattr__(sol, "scalar_integral", 0.0)
         with pytest.raises(StabilityError, match=r"^int R e\^\{-u\} dV "
                            r"vanishes; C\(h,g\) undefined$"):
-            c_constant(sol, "metric_direction")
+            c_constant(sol, "custom", _custom_h(sol))
+        assert c_constant(sol, "anti_invariant") == 0.0
+        assert c_constant(sol, "metric_direction") == 1.0
+
+    @pytest.mark.parametrize("kind, profiles, match", [
+        ("custom", {"h_NN": np.zeros(3)}, "exactly the keys"),
+        ("custom", None, "needs diagonal profiles"),
+        ("skew", None, "unknown h_kind 'skew'"),
+    ], ids=["custom_wrong_keys", "custom_without_profiles", "unknown_kind"])
+    def test_bad_input_rejected_before_any_evaluation(
+            self, kc_config, constants, ricci_calls, kind, profiles, match):
+        sol = solver.solve_momentum(kc_config, constants, nodes=64)
+        with pytest.raises(StabilityError, match=match):
+            c_constant(sol, kind, profiles)
+        assert ricci_calls == []
 
 
 def _custom_h(sol, lam=0.5):
@@ -341,7 +357,12 @@ class TestVh:
                                match="runs from -1.0 to -1.0, not from -1 "
                                      "to 1"):
                 v_h_solve(sol, src)
-        assert "vander" not in sol.stability_cache
+            # nothing was kept, so a second call checks X again
+            with pytest.raises(StabilityError,
+                               match="runs from -1.0 to -1.0, not from -1 "
+                                     "to 1"):
+                v_h_solve(sol, src)
+        assert sol.stability_cache == {}
 
     def test_agrees_with_a_dense_t_grid_solve(self, sol192):
         # independent route: collocate v'' + ((log w)' - u') v' + v = s on
@@ -464,12 +485,13 @@ class TestVhCache:
         assert out.smallest_singular_value == cold.smallest_singular_value
         drift_spectrum(sol, 3)
         arrays = list(_cached_arrays(sol))
-        assert [key for key, a in arrays if t.size in a.shape] == ["X",
-                                                                   "vander"]
-        assert sol.stability_cache["vander"].shape == (257, t.size)
-        # four (m+1)^2 arrays per degree at most, and the nodal X and V
-        small = sum(a.nbytes for key, a in arrays
-                    if key not in ("X", "vander"))
+        assert [key for key, a in arrays if t.size in a.shape] == ["vander"]
+        kept = sol.stability_cache["vander"]
+        assert kept.shape == (257, t.size)
+        # X is the Vandermonde's row 1, bit for bit
+        assert kept[1].tobytes() == stability._moment_coordinate(sol).tobytes()
+        # four (m+1)^2 arrays per degree at most, and the nodal V
+        small = sum(a.nbytes for key, a in arrays if key != "vander")
         assert small <= sum(4 * 8 * (m + 1) ** 2 + 8 * (m + 1)
                             for m in stability._DEGREES)
 
@@ -840,6 +862,9 @@ class TestSingleEvaluation:
         sign_explorer(sol)
         for kind in ("anti_invariant", "metric_direction"):
             c_constant(sol, kind)
+        assert ricci_calls == []  # the fixed kinds do not read the solution
+        c_constant(sol, "custom", h)
+        assert len(ricci_calls) == 1
         c_constant(sol, "custom", h)
         nu_estimate(sol, EntropyGauge())
         assert len(ricci_calls) == 1

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -297,3 +299,21 @@ def test_perfbench_one_pass_of_each_workload_is_correct():
                if line.startswith('{"correct": ')]
     assert len(results) == 3, done.stdout
     assert all(r["correct"] is True for r in results), done.stdout
+
+
+
+def test_readme_library_use_block_runs(tmp_path):
+    # the first fenced python block under README's "## Library use", run as
+    # it stands; its first line prints the Koiso-Cao slope roots
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    script = tmp_path / "library_use.py"
+    script.write_text(re.search(r"```python\n(.*?)```", section, re.S)[1])
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+        text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stdout + done.stderr
+    roots = ast.literal_eval(done.stdout.splitlines()[0])
+    assert len(roots) == 1
+    assert abs(roots[0] - 0.5276195198969628) <= 1e-12
